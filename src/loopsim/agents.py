@@ -116,11 +116,7 @@ class Receipt:
     target: str
     submitted: int
     check_tick: int
-    status: str = "submitted"        # submitted | requeued | materialized | dropped
-
-    @property
-    def outstanding(self) -> bool:
-        return self.status in ("submitted", "requeued")
+    outstanding: bool = True         # until the intent materializes or is dropped
 
 
 @dataclass
@@ -141,7 +137,6 @@ class LoopAgent:
     period: int = 1
     span_ticks: int = 10
     target: str = ""
-    trust_list: frozenset[str] = frozenset()
     lifecycle: LifecycleState = LifecycleState.ACTIVE
     knowledge: set[str] = field(default_factory=set)
     anomaly_streak: int = 0

@@ -26,7 +26,7 @@ from enum import Enum
 from . import cluster, scheduler
 from .agents import ActionIntent, ActionKind, LifecycleState, LoopAgent, SizeClass, scope_regions
 from .cluster import ClusterState, Pod, PriorityLevel
-from .errors import NoGrant, UnknownRegion
+from .errors import UnknownRegion
 
 
 class ConflictKind(str, Enum):
@@ -64,7 +64,6 @@ class ConflictRecord:
     targets: tuple[str, ...]
     instance: str
     resolution: Resolution | None = None
-    resolved_tick: int | None = None
 
 
 @dataclass
@@ -160,8 +159,6 @@ class ConflictManager:
         self._held_conflicts: list[tuple[ConflictRecord, list[ActionIntent]]] = []
         self._held_intents: list[ActionIntent] = []
         self.trust: dict[str, set[tuple[str, str]]] = {}
-        self.grants: dict[str, Grant] = {}
-        self._consumed: set[str] = set()
         self._grant_seq = 0
         self._conflict_seq = 0
 
@@ -264,14 +261,7 @@ class ConflictManager:
             sample_count=source.span_ticks if request.kind == "Dataset" else 0,
             tick=request.tick,
         )
-        self.grants[grant.artifact_id] = grant
         return grant
-
-    def consume_grant(self, artifact_id: str) -> Grant:
-        if artifact_id not in self.grants or artifact_id in self._consumed:
-            raise NoGrant(f"no unconsumed grant {artifact_id!r}")
-        self._consumed.add(artifact_id)
-        return self.grants[artifact_id]
 
     # -- detection -------------------------------------------------------------
 
@@ -442,7 +432,7 @@ class ConflictManager:
             for target in record.targets:
                 self.freezes[(frozen, target)] = until
             resolution = Resolution("frozen", frozen_acl=frozen, until_tick=until)
-        return replace(record, resolution=resolution, resolved_tick=tick)
+        return replace(record, resolution=resolution)
 
     # -- the per-tick pipeline ----------------------------------------------------
 

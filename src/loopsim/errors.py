@@ -53,10 +53,6 @@ class SuspendedAgent(LoopsimError):
         self.agent_id = agent_id
 
 
-class NoGrant(LoopsimError):
-    """A knowledge artifact was requested that was never granted (or already used)."""
-
-
 class UnknownRegion(LoopsimError):
     def __init__(self, region: str):
         super().__init__(f"no manager instance covers region {region!r}")

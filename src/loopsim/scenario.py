@@ -76,6 +76,14 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _amount(raw: dict, key: str, where: str) -> int:
+    """A resource request; a negative one would lower node usage."""
+    value = int(_require(raw, key, where))
+    if value < 0:
+        raise ValidationError(f"{where}: {key} must be >= 0")
+    return value
+
+
 def _norm_tolerations(raw, where: str) -> list[dict]:
     out = []
     for i, tol in enumerate(raw or []):
@@ -202,12 +210,16 @@ def normalize(data: dict) -> dict:
             raise ValidationError(f"agent {agent_id}: alpha must be in (0, 1]")
         if not 0.0 <= entry["watermark_low"] < entry["watermark_high"]:
             raise ValidationError(f"agent {agent_id}: need 0 <= low < high watermarks")
+        if entry["period"] < 1:
+            raise ValidationError(f"agent {agent_id}: period must be >= 1")
+        if not entry["pod_capacity_units"] > 0:
+            raise ValidationError(f"agent {agent_id}: pod_capacity_units must be > 0")
         entry["target"] = str(raw.get("target", f"svc-{agent_id}"))
         template = raw.get("pod_template")
         if template is not None:
             entry["pod_template"] = {
-                "cpu": int(_require(template, "cpu", f"agent {agent_id} pod_template")),
-                "memory": int(_require(template, "memory", f"agent {agent_id} pod_template")),
+                "cpu": _amount(template, "cpu", f"agent {agent_id} pod_template"),
+                "memory": _amount(template, "memory", f"agent {agent_id} pod_template"),
                 "tolerations": _norm_tolerations(
                     template.get("tolerations"), f"agent {agent_id}"
                 ),
@@ -233,8 +245,8 @@ def normalize(data: dict) -> dict:
             "id": pod_id,
             "owner": str(_require(raw, "owner", f"pod {pod_id}")),
             "node": node_id,
-            "cpu": int(_require(raw, "cpu", f"pod {pod_id}")),
-            "memory": int(_require(raw, "memory", f"pod {pod_id}")),
+            "cpu": _amount(raw, "cpu", f"pod {pod_id}"),
+            "memory": _amount(raw, "memory", f"pod {pod_id}"),
             "priority": priority,
             "tolerations": _norm_tolerations(raw.get("tolerations"), f"pod {pod_id}"),
         }
@@ -343,8 +355,8 @@ def normalize_events(
             event["agent"] = agent_id
             event["chain"] = [
                 {
-                    "cpu": int(_require(link, "cpu", f"{where}.chain[{j}]")),
-                    "memory": int(_require(link, "memory", f"{where}.chain[{j}]")),
+                    "cpu": _amount(link, "cpu", f"{where}.chain[{j}]"),
+                    "memory": _amount(link, "memory", f"{where}.chain[{j}]"),
                     "tolerations": _norm_tolerations(
                         link.get("tolerations"), f"{where}.chain[{j}]"
                     ),
@@ -492,7 +504,6 @@ def build_agents(norm: dict) -> dict[str, LoopAgent]:
             period=entry["period"],
             span_ticks=entry["span_ticks"],
             target=entry["target"],
-            trust_list=frozenset(t for t, _ in norm["trust"].get(entry["id"], [])),
             pod_seq=owned.get(entry["id"], 0),
         )
         agents[agent.id] = agent

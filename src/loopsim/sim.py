@@ -11,9 +11,11 @@ Tick phases, in order:
    contention, routing/buffering),
 5. surviving intents materialize (pods enqueue, terminations, power taints),
 6. one scheduling round runs (NoExecute enforcement, binds, preemptions),
-7. bookkeeping: utilization, idle streaks, conservation checks.
+7. bookkeeping: capacity and phase checks, idle streaks, conservation counts.
 
-Running the same scenario twice yields byte-identical traces.
+Running the same scenario twice yields byte-identical traces. The trace is
+the only account of a run: ``Metrics.from_trace`` folds it into counters,
+and ``summarize`` renders that fold.
 """
 
 from __future__ import annotations
@@ -33,13 +35,21 @@ from .agents import (
 )
 from .cluster import POWERED_OFF_KEY, Pod, PodPhase, Taint, TaintEffect
 from .conflicts import ConflictManager, ExchangeRequest, Grant
-from .errors import HashMismatch, ValidationError
+from .errors import CapacityExceeded, HashMismatch, InvalidPhase, ValidationError
 from .scenario import Scenario
 from .trace import TRACE_FORMAT, Trace
 
 
 @dataclass
 class Metrics:
+    """What one run did, folded from its trace by ``from_trace``.
+
+    Besides the counters, it holds the end state ``summarize`` renders:
+    ``placements`` (bound pod -> node), ``pending`` pods, the
+    ``conflict-resolved`` events in order as ``resolutions``, and the
+    ``suspended`` loops.
+    """
+
     ticks: int = 0
     pods_created: int = 0
     pods_terminated: int = 0
@@ -55,15 +65,79 @@ class Metrics:
     grants: int = 0
     denials: Counter = field(default_factory=Counter)          # reason -> n
     verdicts: Counter = field(default_factory=Counter)         # verdict -> n
-    pending_decisions: Counter = field(default_factory=Counter)  # pod -> n
-    utilization: dict[str, list[float]] = field(default_factory=dict)
     predictions: dict[str, list[tuple[int, float, float]]] = field(default_factory=dict)
+    placements: dict[str, str] = field(default_factory=dict)
+    pending: set[str] = field(default_factory=set)
+    resolutions: list[dict] = field(default_factory=list)
+    suspended: set[str] = field(default_factory=set)
 
     def mae(self, acl: str) -> float:
         points = self.predictions.get(acl, [])
         if not points:
             return 0.0
         return sum(abs(p - t) for _, p, t in points) / len(points)
+
+    @classmethod
+    def from_trace(cls, trace: Trace) -> Metrics:
+        """Fold the header's initial placements and every event, in order."""
+        m = cls()
+        m.placements = {e["pod"]: e["node"] for e in trace.header.get("initial", [])}
+        evicted: set[str] = set()
+        for event in trace.events:
+            kind = event["kind"]
+            if kind == "tick-end":
+                m.ticks += 1
+            elif kind == "prediction":
+                m.predictions.setdefault(event["acl"], []).append(
+                    (event["tick"], event["value"], event["truth"])
+                )
+            elif kind == "coherency":
+                m.verdicts[event["verdict"]] += 1
+            elif kind == "intent-submitted":
+                m.intents_submitted += 1
+            elif kind == "intent-applied":
+                m.intents_applied += 1
+            elif kind == "intent-requeued":
+                m.intents_requeued += 1
+            elif kind == "intent-dropped":
+                m.intents_dropped[event["reason"]] += 1
+            elif kind == "pod-created":
+                m.pods_created += 1
+                m.pending.add(event["pod"])
+            elif kind == "pod-pending":
+                m.pending.add(event["pod"])
+            elif kind == "pod-bound":
+                pod_id = event["pod"]
+                m.bindings += 1
+                m.reschedules += pod_id in evicted
+                m.preemptions += "preempted" in event
+                m.placements[pod_id] = event["node"]
+                m.pending.discard(pod_id)
+            elif kind == "pod-evicted":
+                m.evictions[event["cause"]] += 1
+                evicted.add(event["pod"])
+                m.placements.pop(event["pod"], None)
+                m.pending.discard(event["pod"])
+            elif kind == "pod-terminated":
+                m.pods_terminated += 1
+                m.placements.pop(event["pod"], None)
+                m.pending.discard(event["pod"])
+            elif kind == "conflict-detected":
+                m.conflicts[event["conflict"]] += 1
+            elif kind == "conflict-resolved":
+                m.resolutions.append(event)
+            elif kind == "exchange-granted":
+                m.grants += 1
+            elif kind == "exchange-denied":
+                m.denials[event["reason"]] += 1
+            elif kind == "lifecycle":
+                if event["after"] == "Suspended":
+                    m.suspended.add(event["acl"])
+                else:
+                    m.suspended.discard(event["acl"])
+            elif kind == "agent-released":
+                m.suspended.discard(event["acl"])
+        return m
 
 
 class World:
@@ -101,14 +175,12 @@ class World:
             ],
         }
         self.trace = Trace(header)
-        self.metrics = Metrics()
         self.tick = 0
         self._seq = 0
         self.idle_streaks: dict[str, int] = {n: 0 for n in self.state.nodes}
         self.pending_slices: list[SliceRequest] = []
         self._slice_seq = 0
         self.requeued: dict[int, list[ActionIntent]] = {}
-        self._ever_evicted: set[str] = set()
 
     # -- helpers ---------------------------------------------------------
 
@@ -125,10 +197,10 @@ class World:
             if any(t.key == POWERED_OFF_KEY for t in n.taints)
         )
 
-    def _set_receipt(self, intent: ActionIntent, status: str) -> None:
+    def _settle_receipt(self, intent: ActionIntent) -> None:
         receipt = self.agents[intent.acl_id].receipts.get(intent.intent_id)
         if receipt is not None:
-            receipt.status = status
+            receipt.outstanding = False
 
     # -- tick phases ------------------------------------------------------
 
@@ -164,16 +236,13 @@ class World:
                                           event["artifact"], t)
                 result = self.manager.broker_exchange(request)
                 if isinstance(result, Grant):
-                    self.metrics.grants += 1
                     self.emit("exchange-granted", artifact=result.artifact_id,
                               source=result.source, target=result.target,
                               artifact_kind=result.kind)
-                    grant = self.manager.consume_grant(result.artifact_id)
-                    agents_mod.absorb_knowledge(self.agents[grant.target], grant)
-                    self.emit("knowledge-absorbed", acl=grant.target,
-                              artifact=grant.artifact_id, artifact_kind=grant.kind)
+                    agents_mod.absorb_knowledge(self.agents[result.target], result)
+                    self.emit("knowledge-absorbed", acl=result.target,
+                              artifact=result.artifact_id, artifact_kind=result.kind)
                 else:
-                    self.metrics.denials[result.reason] += 1
                     self.emit("exchange-denied", source=result.source,
                               target=result.target, artifact_kind=result.kind,
                               reason=result.reason)
@@ -201,7 +270,6 @@ class World:
                 window, agent.predictor, ground_truth=truth
             )
             self.emit("prediction", acl=acl, value=prediction, truth=truth)
-            self.metrics.predictions.setdefault(acl, []).append((t, prediction, truth))
 
             scope_nodes = tuple(
                 n for r in regions for n in cluster.nodes_in_region(self.state, r)
@@ -240,7 +308,6 @@ class World:
                 lambda i: self.manager.submit(i, self.node_regions),
             )
             for intent, receipt in zip(intents, receipts):
-                self.metrics.intents_submitted += 1
                 self.emit("intent-submitted", id=intent.intent_id, acl=acl,
                           action=intent.kind.value, target=intent.target,
                           magnitude=intent.magnitude, check_tick=receipt.check_tick)
@@ -252,12 +319,10 @@ class World:
         pool = self.requeued.pop(t, []) + submitted
         outcome = self.manager.process_tick(t, pool, self.state, self.node_regions)
         for acl, magnitude, verdict in outcome.verdicts:
-            self.metrics.verdicts[verdict.value] += 1
             self.emit("coherency", acl=acl, magnitude=magnitude, verdict=verdict.value)
         for acl, old, new in outcome.lifecycle_changes:
             self.emit("lifecycle", acl=acl, before=old, after=new)
         for record in outcome.detected:
-            self.metrics.conflicts[record.kind.value] += 1
             self.emit("conflict-detected", id=record.conflict_id,
                       conflict=record.kind.value,
                       participants=list(record.participants),
@@ -275,13 +340,10 @@ class World:
                 payload["until"] = res.until_tick
             self.emit("conflict-resolved", **payload)
         for intent, reason in outcome.dropped:
-            self._set_receipt(intent, "dropped")
-            self.metrics.intents_dropped[reason] += 1
+            self._settle_receipt(intent)
             self.emit("intent-dropped", id=intent.intent_id, acl=intent.acl_id,
                       reason=reason)
         for intent in outcome.requeued:
-            self._set_receipt(intent, "requeued")
-            self.metrics.intents_requeued += 1
             self.requeued.setdefault(t + 1, []).append(intent)
             self.emit("intent-requeued", id=intent.intent_id, acl=intent.acl_id,
                       next_tick=t + 1)
@@ -307,7 +369,6 @@ class World:
                     )
                     self.state = cluster.add_pod(self.state, pod)
                     self.units[agent.id].queue.append(pod_id)
-                    self.metrics.pods_created += 1
                     self.emit("pod-created", pod=pod_id, acl=agent.id,
                               cpu=spec.request.cpu_millicores,
                               memory=spec.request.memory_mib,
@@ -318,7 +379,6 @@ class World:
                     if pod is None or pod.phase is PodPhase.TERMINATED:
                         continue
                     self.state = cluster.terminate(self.state, pod_id)
-                    self.metrics.pods_terminated += 1
                     self.emit("pod-terminated", pod=pod_id, acl=intent.acl_id)
             elif intent.kind is ActionKind.POWER_OFF:
                 taint = Taint(POWERED_OFF_KEY, TaintEffect.NO_SCHEDULE)
@@ -328,8 +388,7 @@ class World:
                 self.state = cluster.remove_taint(self.state, intent.node_id, POWERED_OFF_KEY)
                 self.emit("power-on", node=intent.node_id, acl=intent.acl_id)
             self.manager.note_execution(t, intent.acl_id, intent.target, intent.direction)
-            self._set_receipt(intent, "materialized")
-            self.metrics.intents_applied += 1
+            self._settle_receipt(intent)
             self.emit("intent-applied", id=intent.intent_id, acl=intent.acl_id)
 
     def _phase_schedule(self) -> None:
@@ -337,46 +396,31 @@ class World:
         result = scheduler.coordinate(self.state, ordered)
         self.state = result.state
         for node_id, pod_id in result.taint_evictions:
-            self._ever_evicted.add(pod_id)
-            self.metrics.evictions["no-execute"] += 1
             self.emit("pod-evicted", pod=pod_id, node=node_id, cause="no-execute")
         for decision in result.decisions:
             if decision.kind is scheduler.DecisionKind.BOUND:
-                self.metrics.bindings += 1
-                if decision.pod_id in self._ever_evicted:
-                    self.metrics.reschedules += 1
                 self.emit("pod-bound", pod=decision.pod_id, node=decision.node_id)
             elif decision.kind is scheduler.DecisionKind.PREEMPT:
                 for victim in decision.victims:
-                    self._ever_evicted.add(victim)
-                    self.metrics.evictions["preempted"] += 1
                     self.emit("pod-evicted", pod=victim, node=decision.node_id,
                               cause="preempted")
-                self.metrics.bindings += 1
-                self.metrics.preemptions += 1
-                if decision.pod_id in self._ever_evicted:
-                    self.metrics.reschedules += 1
                 self.emit("pod-bound", pod=decision.pod_id, node=decision.node_id,
                           preempted=list(decision.victims))
             else:
-                self.metrics.pending_decisions[decision.pod_id] += 1
                 self.emit("pod-pending", pod=decision.pod_id, reason=decision.reason)
         self.units = {u.acl_id: u for u in result.units}
 
     def _phase_bookkeeping(self) -> None:
         counts = Counter(p.phase for p in self.state.pods.values())
-        assert counts[PodPhase.EVICTED] == 0, "evicted pod left undecided"
-        assert len(self.state.pods) == (
-            counts[PodPhase.PENDING] + counts[PodPhase.BOUND] + counts[PodPhase.TERMINATED]
-        )
+        if counts[PodPhase.EVICTED]:
+            pod = next(p for p in self.state.pods.values() if p.phase is PodPhase.EVICTED)
+            raise InvalidPhase(pod.id, pod.phase.value, "tick-end")
         off = self.powered_off()
         for node_id in sorted(self.state.nodes):
             used = cluster.used_capacity(self.state, node_id)
             capacity = self.state.nodes[node_id].capacity
-            assert capacity.covers(used), f"over-committed node {node_id}"
-            self.metrics.utilization.setdefault(node_id, []).append(
-                used.cpu_millicores / capacity.cpu_millicores
-            )
+            if not capacity.covers(used):
+                raise CapacityExceeded(node_id, f"{used} used of {capacity}")
             if node_id not in off and not cluster.pods_on(self.state, node_id):
                 self.idle_streaks[node_id] = self.idle_streaks.get(node_id, 0) + 1
             else:
@@ -386,7 +430,6 @@ class World:
                   pending=counts[PodPhase.PENDING],
                   terminated=counts[PodPhase.TERMINATED],
                   pods=len(self.state.pods))
-        self.metrics.ticks += 1
 
     def step(self) -> None:
         self._phase_traffic_and_events()
@@ -403,7 +446,7 @@ def run(scn: Scenario, extra_events: list[dict] | None = None) -> tuple[Trace, M
     world = World(scn, extra_events)
     for _ in range(scn.ticks):
         world.step()
-    return world.trace, world.metrics, world
+    return world.trace, Metrics.from_trace(world.trace), world
 
 
 # -- verification ---------------------------------------------------------------
@@ -576,74 +619,15 @@ def verify_trace(trace: Trace, scn: Scenario) -> Report:
 
 
 def summarize(trace: Trace) -> str:
-    """Human-readable digest of a finished run."""
+    """Human-readable digest of a finished run, rendered from ``Metrics.from_trace``."""
     header = trace.header
-    bound: dict[str, str] = {
-        entry["pod"]: entry["node"] for entry in header.get("initial", [])
-    }
-    phases: dict[str, str] = {pod: "Bound" for pod in bound}
-    conflicts: Counter = Counter()
-    resolutions: list[str] = []
-    drops: Counter = Counter()
-    submitted = applied = 0
-    granted = denied = 0
-    suspended: set[str] = set()
-    errors: dict[str, list[float]] = {}
-    for event in trace.events:
-        kind = event["kind"]
-        if kind == "pod-created":
-            phases[event["pod"]] = "Pending"
-        elif kind == "pod-bound":
-            bound[event["pod"]] = event["node"]
-            phases[event["pod"]] = "Bound"
-        elif kind == "pod-evicted":
-            bound.pop(event["pod"], None)
-            phases[event["pod"]] = "Evicted"
-        elif kind == "pod-pending":
-            phases[event["pod"]] = "Pending"
-        elif kind == "pod-terminated":
-            bound.pop(event["pod"], None)
-            phases[event["pod"]] = "Terminated"
-        elif kind == "conflict-detected":
-            conflicts[event["conflict"]] += 1
-        elif kind == "conflict-resolved":
-            if event["outcome"] == "arbitrated":
-                resolutions.append(
-                    f"t{event['tick']} {event['conflict']} on {event['instance']}: "
-                    f"won by {event['winner']}"
-                )
-            else:
-                resolutions.append(
-                    f"t{event['tick']} {event['conflict']} on {event['instance']}: "
-                    f"froze {event['frozen']} until t{event['until']}"
-                )
-        elif kind == "intent-submitted":
-            submitted += 1
-        elif kind == "intent-applied":
-            applied += 1
-        elif kind == "intent-dropped":
-            drops[event["reason"]] += 1
-        elif kind == "exchange-granted":
-            granted += 1
-        elif kind == "exchange-denied":
-            denied += 1
-        elif kind == "lifecycle":
-            if event["after"] == "Suspended":
-                suspended.add(event["acl"])
-            elif event["acl"] in suspended:
-                suspended.discard(event["acl"])
-        elif kind == "agent-released":
-            suspended.discard(event["acl"])
-        elif kind == "prediction":
-            errors.setdefault(event["acl"], []).append(
-                abs(event["value"] - event["truth"])
-            )
+    m = Metrics.from_trace(trace)
     lines = [
         f"scenario {header.get('scenario')} (seed {header.get('seed')}, "
         f"{header.get('ticks')} ticks)"
     ]
     by_node: dict[str, list[str]] = {}
-    for pod_id, node_id in sorted(bound.items()):
+    for pod_id, node_id in sorted(m.placements.items()):
         by_node.setdefault(node_id, []).append(pod_id)
     lines.append("placements:")
     if by_node:
@@ -651,26 +635,27 @@ def summarize(trace: Trace) -> str:
             lines.append(f"  {node_id}: {', '.join(by_node[node_id])}")
     else:
         lines.append("  (nothing bound)")
-    leftover = sorted(p for p, ph in phases.items() if ph == "Pending")
-    if leftover:
-        lines.append(f"still pending: {', '.join(leftover)}")
+    if m.pending:
+        lines.append(f"still pending: {', '.join(sorted(m.pending))}")
     lines.append(
         "conflicts: "
-        + (", ".join(f"{k}={v}" for k, v in sorted(conflicts.items())) or "none")
+        + (", ".join(f"{k}={v}" for k, v in sorted(m.conflicts.items())) or "none")
     )
-    for entry in resolutions:
-        lines.append(f"  {entry}")
-    drop_text = ", ".join(f"{k}={v}" for k, v in sorted(drops.items())) or "0"
-    lines.append(f"intents: submitted={submitted} applied={applied} dropped={drop_text}")
-    lines.append(f"knowledge exchanges: granted={granted} denied={denied}")
-    if suspended:
-        lines.append(f"suspended agents: {', '.join(sorted(suspended))}")
-    if errors:
-        parts = []
-        for acl in sorted(errors):
-            mae = sum(errors[acl]) / len(errors[acl])
-            parts.append(f"{acl}={mae:.3f}")
-        lines.append("prediction mae: " + " ".join(parts))
+    for event in m.resolutions:
+        where = f"t{event['tick']} {event['conflict']} on {event['instance']}"
+        if event["outcome"] == "arbitrated":
+            lines.append(f"  {where}: won by {event['winner']}")
+        else:
+            lines.append(f"  {where}: froze {event['frozen']} until t{event['until']}")
+    drop_text = ", ".join(f"{k}={v}" for k, v in sorted(m.intents_dropped.items())) or "0"
+    lines.append(f"intents: submitted={m.intents_submitted} "
+                 f"applied={m.intents_applied} dropped={drop_text}")
+    lines.append(f"knowledge exchanges: granted={m.grants} denied={m.denials.total()}")
+    if m.suspended:
+        lines.append(f"suspended agents: {', '.join(sorted(m.suspended))}")
+    if m.predictions:
+        lines.append("prediction mae: "
+                     + " ".join(f"{acl}={m.mae(acl):.3f}" for acl in sorted(m.predictions)))
     return "\n".join(lines)
 
 

@@ -268,7 +268,7 @@ class TestExecuteAndReceipts:
         agent = make_agent()
         intents = plan(agent, 900.0, make_ctx(state_with([node("w", region="waterloo")])))
         agents_mod.execute(agent, intents, lambda i: i.tick)
-        agent.receipts[intents[0].intent_id].status = "materialized"
+        agent.receipts[intents[0].intent_id].outstanding = False
         assert agents_mod.outstanding_targets(agent) == frozenset()
 
     def test_empty_intent_list_empty_receipts(self):

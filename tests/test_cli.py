@@ -81,6 +81,17 @@ class TestRun:
         assert code == 2
         assert "error:" in err
 
+    def test_zero_agent_period_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "zero-period.yaml"
+        path.write_text(
+            "name: zero-period\n"
+            "topology: {nodes: [{id: n1, region: east, cpu: 1000, memory: 1000}]}\n"
+            "agents: [{id: a, scope: [east], period: 0}]\n"
+        )
+        code, _, err = invoke(capsys, "run", str(path))
+        assert code == 2
+        assert "period must be >= 1" in err
+
 
 class TestVerify:
     def test_good_trace_verifies(self, capsys, tmp_path):

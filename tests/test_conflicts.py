@@ -25,7 +25,7 @@ from loopsim.conflicts import (
     regional,
 )
 from loopsim.cluster import PriorityLevel
-from loopsim.errors import NoGrant, UnknownRegion
+from loopsim.errors import UnknownRegion
 
 REGIONS = {
     "edge-calgary": "calgary",
@@ -161,16 +161,6 @@ class TestBroker:
         result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model", 2))
         assert isinstance(result, Grant)
         assert result.accuracy_bonus == mgr.config.model_bonus
-        assert mgr.consume_grant(result.artifact_id) is result
-
-    def test_grants_are_single_use(self):
-        ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
-        mgr = make_manager(ran, core)
-        mgr.trust = {"ran": {("core", "Model")}}
-        grant = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model", 2))
-        mgr.consume_grant(grant.artifact_id)
-        with pytest.raises(NoGrant):
-            mgr.consume_grant(grant.artifact_id)
 
     def test_untrusted_target_is_denied(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))

@@ -169,6 +169,31 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             normalize(data)
 
+    @pytest.mark.parametrize("data, message", [
+        (minimal(agents=[{"id": "a", "scope": ["east"], "period": 0}]),
+         "period must be >= 1"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "pod_capacity_units": 0}]),
+         "pod_capacity_units must be > 0"),
+        (minimal(agents=[{"id": "a", "scope": ["east"],
+                          "pod_template": {"cpu": -200, "memory": 256}}]),
+         "cpu must be >= 0"),
+        (minimal(agents=[{"id": "a", "scope": ["east"],
+                          "pod_template": {"cpu": 200, "memory": -256}}]),
+         "memory must be >= 0"),
+        (minimal(initial_pods=[
+            {"id": "p", "owner": "x", "node": "n1", "cpu": -10, "memory": 10},
+        ]), "cpu must be >= 0"),
+        (minimal(
+            agents=[{"id": "s", "role": "slice", "scope": ["east"]}],
+            injected=[{"tick": 0, "kind": "slice-request", "agent": "s",
+                       "chain": [{"cpu": 1, "memory": -1}]}],
+        ), r"chain\[0\]: memory must be >= 0"),
+    ], ids=["period-0", "capacity-units-0", "template-cpu", "template-memory",
+            "initial-pod-cpu", "chain-memory"])
+    def test_out_of_range_values_rejected(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            normalize(data)
+
     def test_empty_agents_is_a_valid_degenerate_scenario(self):
         scn = from_dict(minimal())
         assert scn.data["agents"] == []

@@ -1,13 +1,16 @@
 """End-to-end simulator runs, trace verification, and the invariant checker."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
-from loopsim.errors import HashMismatch, ValidationError
+from loopsim import cluster
+from loopsim.cluster import ResourceVector
+from loopsim.errors import CapacityExceeded, HashMismatch, InvalidPhase, ValidationError
 from loopsim.scenario import from_dict, load_scenario
-from loopsim.sim import check_invariants, run, summarize, verify_trace
+from loopsim.sim import World, check_invariants, run, summarize, verify_trace
 from loopsim.trace import load_trace, parse_trace
 
 
@@ -437,3 +440,32 @@ class TestIdleScenario:
         assert metrics.ticks == 3
         assert [e["tick"] for e in events_of(trace, "tick-end")] == [0, 1, 2]
         assert metrics.intents_submitted == 0
+
+
+class TestBookkeepingChecks:
+    """The end-of-tick checks raise, so they hold under ``python -O`` too."""
+
+    @pytest.fixture
+    def world(self):
+        return World(from_dict({
+            "name": "resident",
+            "ticks": 1,
+            "topology": {"nodes": [
+                {"id": "n1", "region": "east", "cpu": 1000, "memory": 1000},
+            ]},
+            "initial_pods": [
+                {"id": "keeper", "owner": "ops", "node": "n1", "cpu": 500, "memory": 500},
+            ],
+        }))
+
+    def test_over_committed_node_raises(self, world):
+        node = world.state.nodes["n1"]
+        shrunk = dataclasses.replace(node, capacity=ResourceVector(100, 100))
+        world.state = dataclasses.replace(world.state, nodes={"n1": shrunk})
+        with pytest.raises(CapacityExceeded, match="n1"):
+            world._phase_bookkeeping()
+
+    def test_evicted_pod_left_undecided_raises(self, world):
+        world.state = cluster.evict(world.state, "keeper")
+        with pytest.raises(InvalidPhase, match="keeper"):
+            world._phase_bookkeeping()
