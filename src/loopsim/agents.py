@@ -116,7 +116,8 @@ class Receipt:
     target: str
     submitted: int
     check_tick: int
-    outstanding: bool = True         # until the intent materializes or is dropped
+    outstanding: bool = True         # until the intent materializes or is dropped,
+                                     # when the simulator also deletes the receipt
 
 
 @dataclass
@@ -257,9 +258,9 @@ class PlanContext:
 
 def _owned_pods(agent: LoopAgent, state: ClusterState) -> list[str]:
     return sorted(
-        p.id
-        for p in state.pods.values()
-        if p.owner == agent.id and p.phase in (PodPhase.PENDING, PodPhase.BOUND)
+        p
+        for p in state.by_owner.get(agent.id, ())
+        if state.pods[p].phase in (PodPhase.PENDING, PodPhase.BOUND)
     )
 
 

@@ -19,7 +19,10 @@ ticks that are multiples of its period, buffering work in between.
 
 from __future__ import annotations
 
+import math
 import statistics
+import sys
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -66,25 +69,87 @@ class ConflictRecord:
     resolution: Resolution | None = None
 
 
+# the scaled radicand in ``_sqrt_ratio`` is at least 2**(_RADICAND_BITS - 1),
+# so its integer root has the 53 bits of a double plus the two that make
+# rounding to odd, then to nearest, exact
+_RADICAND_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_ratio(n: int, m: int) -> float:
+    """sqrt(n / m) for integers n >= 0, m > 0, correctly rounded to a float.
+
+    Scales n / m by 4**k so its integer root r has about 55 bits, then sets
+    r's lowest bit when the root was inexact (round to odd).  That odd
+    sticky bit keeps the one rounding left, in the int-to-float division by
+    2**k, correct.
+    """
+    k = (_RADICAND_BITS + 1 - n.bit_length() + m.bit_length()) // 2
+    if k >= 0:
+        n <<= 2 * k
+    else:
+        m <<= -2 * k
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return root / (1 << k) if k >= 0 else float(root << -k)
+
+
 @dataclass
 class CoherencyBaseline:
-    """Rolling window of action magnitudes for one loop."""
+    """Rolling window of action magnitudes for one loop.
+
+    The population spread comes from exact running sums of x and x**2 over
+    the window and a correctly rounded square root, so it is the float that
+    ``statistics.pstdev`` returns (3.11 and later) at O(1) per sample.  Every
+    finite float is an integer over a power of two, so the sums are kept as
+    integers over one shared power of two: exact like ``Fraction`` sums, and
+    about ten times cheaper because no step reduces by a gcd.  A non-finite
+    sample has no exact value, so it raises ``ValueError``.
+    """
 
     window: int
     min_history: int
     epsilon: float
     history: list[float] = field(default_factory=list)
+    # sum(x) * 2**_exp, sum(x*x) * 2**(2*_exp), over the finite samples
+    _sum: int = field(init=False, repr=False, compare=False)
+    _sum_sq: int = field(init=False, repr=False, compare=False)
+    _exp: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._sum = self._sum_sq = self._exp = 0
+        for value in self.history:
+            self._add(value, 1)
+
+    def _add(self, value: float, sign: int) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"coherency magnitude {value!r} is not finite")
+        num, den = value.as_integer_ratio()  # den is a power of two
+        exp = den.bit_length() - 1
+        if exp > self._exp:
+            self._sum <<= exp - self._exp
+            self._sum_sq <<= 2 * (exp - self._exp)
+            self._exp = exp
+        num <<= self._exp - exp
+        self._sum += sign * num
+        self._sum_sq += sign * num * num
+
+    def spread(self) -> float:
+        """Population standard deviation of ``history`` (at least one value)."""
+        n = len(self.history)
+        return _sqrt_ratio(n * self._sum_sq - self._sum * self._sum,
+                           n * n << 2 * self._exp)
 
     def check(self, magnitude: float, k_sigma: float) -> Verdict:
         verdict = Verdict.NORMAL
         if len(self.history) >= self.min_history:
             mean = statistics.fmean(self.history)
-            spread = max(statistics.pstdev(self.history), self.epsilon)
+            spread = max(self.spread(), self.epsilon)
             if abs(magnitude - mean) > k_sigma * spread:
                 verdict = Verdict.ANOMALOUS
+        self._add(magnitude, 1)
         self.history.append(magnitude)
         if len(self.history) > self.window:
-            del self.history[0]
+            self._add(self.history.pop(0), -1)
         return verdict
 
 
@@ -155,7 +220,9 @@ class ConflictManager:
         self.regions = list(regions)
         self.baselines: dict[str, CoherencyBaseline] = {}
         self.freezes: dict[tuple[str, str], int] = {}
-        self.action_history: list[tuple[int, str, str, int]] = []  # tick, acl, target, direction
+        # tick, acl, target, direction, in tick order and never later than the
+        # tick detect_interference looks at; that call trims it to its window
+        self.action_history: deque[tuple[int, str, str, int]] = deque()
         self._held_conflicts: list[tuple[ConflictRecord, list[ActionIntent]]] = []
         self._held_intents: list[ActionIntent] = []
         self.trust: dict[str, set[tuple[str, str]]] = {}
@@ -288,10 +355,12 @@ class ConflictManager:
         monotone runs (everyone scaling up) never count as toggles.
         """
         cfg = self.config
+        history = self.action_history
+        while history and history[0][0] <= tick - cfg.interference_window:
+            history.popleft()
         entries: dict[str, list[tuple[int, str, int]]] = {}
-        for t, acl, target, direction in self.action_history:
-            if tick - cfg.interference_window < t <= tick:
-                entries.setdefault(target, []).append((t, acl, direction))
+        for t, acl, target, direction in history:
+            entries.setdefault(target, []).append((t, acl, direction))
         for intent in pending:
             if intent.kind in TOGGLE_KINDS:
                 entries.setdefault(intent.target, []).append(
@@ -477,7 +546,9 @@ class ConflictManager:
             else:
                 pool.append(intent)
 
-        # 2. freezes from earlier interference rulings
+        # 2. freezes from earlier interference rulings; expired ones go
+        for key in [k for k, until in self.freezes.items() if until <= tick]:
+            del self.freezes[key]
         kept = []
         for intent in pool:
             if self._frozen(intent.acl_id, intent.target, tick):

@@ -26,6 +26,14 @@ class CapacityExceeded(LoopsimError):
         self.node_id = node_id
 
 
+class IndexDrift(LoopsimError):
+    """A node's carried usage index no longer matches its bindings."""
+
+    def __init__(self, node_id: str, detail: str):
+        super().__init__(f"usage index of node {node_id!r} drifted: {detail}")
+        self.node_id = node_id
+
+
 class TaintViolation(LoopsimError):
     def __init__(self, pod_id: str, node_id: str):
         super().__init__(f"pod {pod_id!r} does not tolerate taints on node {node_id!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -76,9 +77,21 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(kind: type, value, where: str):
+    """``kind(value)`` for kind int or float, as a ``ValidationError`` when
+    that fails; a float must also be finite (NaN slips past range checks)."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(number):
+        raise ValidationError(f"{where}: must be finite, got {value!r}")
+    return number
+
+
 def _amount(raw: dict, key: str, where: str) -> int:
     """A resource request; a negative one would lower node usage."""
-    value = int(_require(raw, key, where))
+    value = _number(int, _require(raw, key, where), f"{where}: {key}")
     if value < 0:
         raise ValidationError(f"{where}: {key} must be >= 0")
     return value
@@ -115,8 +128,8 @@ def normalize(data: dict) -> dict:
         raise ValidationError("scenario document must be a mapping")
     norm: dict = {}
     norm["name"] = str(_require(data, "name", "scenario"))
-    norm["seed"] = int(data.get("seed", 0))
-    norm["ticks"] = int(data.get("ticks", 20))
+    norm["seed"] = _number(int, data.get("seed", 0), "seed")
+    norm["ticks"] = _number(int, data.get("ticks", 20), "ticks")
     if norm["ticks"] < 1:
         raise ValidationError("ticks must be >= 1")
 
@@ -129,7 +142,8 @@ def normalize(data: dict) -> dict:
             raise ValidationError(f"duplicate priority level {name!r}")
         entry = {
             "name": name,
-            "value": int(_require(lvl, "value", f"priority_levels[{i}]")),
+            "value": _number(int, _require(lvl, "value", f"priority_levels[{i}]"),
+                             f"priority_levels[{i}].value"),
             "preemption": bool(lvl.get("preemption", True)),
             "global_default": bool(lvl.get("global_default", False)),
         }
@@ -160,8 +174,10 @@ def normalize(data: dict) -> dict:
         node_id = str(_require(node, "id", f"topology.nodes[{i}]"))
         if node_id in nodes:
             raise ValidationError(f"duplicate node id {node_id!r}")
-        cpu = int(_require(node, "cpu", f"node {node_id}"))
-        memory = int(_require(node, "memory", f"node {node_id}"))
+        cpu = _number(int, _require(node, "cpu", f"node {node_id}"), f"node {node_id}: cpu")
+        memory = _number(
+            int, _require(node, "memory", f"node {node_id}"), f"node {node_id}: memory"
+        )
         if cpu <= 0 or memory <= 0:
             raise ValidationError(f"node {node_id}: capacity must be positive")
         taints = []
@@ -205,13 +221,17 @@ def normalize(data: dict) -> dict:
         entry = {"id": agent_id, "role": role, "scope": sorted(scope), "priority": priority}
         for key, default in AGENT_DEFAULTS.items():
             value = raw.get(key, default)
-            entry[key] = type(default)(value)
+            entry[key] = _number(type(default), value, f"agent {agent_id}: {key}")
         if not 0.0 < entry["alpha"] <= 1.0:
             raise ValidationError(f"agent {agent_id}: alpha must be in (0, 1]")
         if not 0.0 <= entry["watermark_low"] < entry["watermark_high"]:
             raise ValidationError(f"agent {agent_id}: need 0 <= low < high watermarks")
         if entry["period"] < 1:
             raise ValidationError(f"agent {agent_id}: period must be >= 1")
+        if entry["span_ticks"] < 1:
+            raise ValidationError(f"agent {agent_id}: span_ticks must be >= 1")
+        if entry["hysteresis_ticks"] < 0:
+            raise ValidationError(f"agent {agent_id}: hysteresis_ticks must be >= 0")
         if not entry["pod_capacity_units"] > 0:
             raise ValidationError(f"agent {agent_id}: pod_capacity_units must be > 0")
         entry["target"] = str(raw.get("target", f"svc-{agent_id}"))
@@ -275,7 +295,9 @@ def normalize(data: dict) -> dict:
 
     # manager configuration
     raw_mgr = data.get("manager") or {}
-    mgr: dict = {"e2e_period": int(raw_mgr.get("e2e_period", MANAGER_DEFAULTS["e2e_period"]))}
+    mgr: dict = {"e2e_period": _number(
+        int, raw_mgr.get("e2e_period", MANAGER_DEFAULTS["e2e_period"]), "manager.e2e_period"
+    )}
     if mgr["e2e_period"] < 1:
         raise ValidationError("manager.e2e_period must be >= 1")
     for section in ("coherency", "lifecycle", "interference", "knowledge"):
@@ -283,7 +305,9 @@ def normalize(data: dict) -> dict:
         raw_section = raw_mgr.get(section) or {}
         block = {}
         for key, default in defaults.items():
-            block[key] = type(default)(raw_section.get(key, default))
+            block[key] = _number(
+                type(default), raw_section.get(key, default), f"manager.{section}.{key}"
+            )
         mgr[section] = block
     norm["manager"] = mgr
 
@@ -294,9 +318,12 @@ def normalize(data: dict) -> dict:
             raise ValidationError(f"traffic: unknown region {region!r}")
         profile = {}
         for key, default in TRAFFIC_DEFAULTS.items():
-            profile[key] = type(default)(raw.get(key, default))
+            profile[key] = _number(type(default), raw.get(key, default),
+                                   f"traffic[{region}].{key}")
         if profile["period"] < 1:
             raise ValidationError(f"traffic[{region}]: period must be >= 1")
+        if profile["sigma"] < 0:
+            raise ValidationError(f"traffic[{region}]: sigma must be >= 0")
         steps = []
         for j, step in enumerate(raw.get("steps", [])):
             if isinstance(step, dict):
@@ -304,7 +331,10 @@ def normalize(data: dict) -> dict:
                 base = _require(step, "base", f"traffic[{region}].steps[{j}]")
             else:  # already-normalized [at, base] pair
                 at, base = step
-            steps.append([int(at), float(base)])
+            where = f"traffic[{region}].steps[{j}]"
+            steps.append(
+                [_number(int, at, f"{where}.at"), _number(float, base, f"{where}.base")]
+            )
         profile["steps"] = sorted(steps)
         profiles[str(region)] = profile
     for region in regions:
@@ -329,7 +359,7 @@ def normalize_events(
         kind = _require(raw, "kind", where)
         if kind not in EVENT_KINDS:
             raise ValidationError(f"{where}: unknown event kind {kind!r}")
-        tick = int(_require(raw, "tick", where))
+        tick = _number(int, _require(raw, "tick", where), f"{where}.tick")
         if tick < 0:
             raise ValidationError(f"{where}: tick must be >= 0")
         event: dict = {"tick": tick, "kind": kind}
@@ -440,9 +470,8 @@ def priority_levels(norm: dict) -> dict[str, PriorityLevel]:
 
 def build_state(norm: dict) -> tuple[ClusterState, dict[str, str]]:
     levels = priority_levels(norm)
-    state = ClusterState()
-    for entry in norm["nodes"]:
-        node = Node(
+    nodes = {
+        entry["id"]: Node(
             id=entry["id"],
             region=entry["region"],
             capacity=ResourceVector(entry["cpu"], entry["memory"]),
@@ -450,9 +479,9 @@ def build_state(norm: dict) -> tuple[ClusterState, dict[str, str]]:
                 Taint(t["key"], TaintEffect(t["effect"])) for t in entry["taints"]
             ),
         )
-        nodes = dict(state.nodes)
-        nodes[node.id] = node
-        state = ClusterState(nodes, state.pods, state.bindings)
+        for entry in norm["nodes"]
+    }
+    state = ClusterState(nodes)
     for entry in norm["initial_pods"]:
         pod = Pod(
             id=entry["id"],

@@ -199,9 +199,9 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
 
     while (unit := next_unit()) is not None:
         pod_id = unit.queue.pop(0)
-        pod = state.pods[pod_id]
-        if pod.phase is not PodPhase.PENDING:
-            continue  # stale queue entry
+        pod = state.pods.get(pod_id)
+        if pod is None or pod.phase is not PodPhase.PENDING:
+            continue  # stale queue entry (a retired pod is gone from state)
         decision = schedule(state, pod)
         decisions.append(decision)
         if decision.kind is DecisionKind.BOUND:

@@ -33,9 +33,11 @@ from .agents import (
     PlanContext,
     SliceRequest,
 )
-from .cluster import POWERED_OFF_KEY, Pod, PodPhase, Taint, TaintEffect
+from .cluster import POWERED_OFF_KEY, Pod, PodPhase, ResourceVector, Taint, TaintEffect
 from .conflicts import ConflictManager, ExchangeRequest, Grant
-from .errors import CapacityExceeded, HashMismatch, InvalidPhase, ValidationError
+from .errors import (
+    CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ValidationError,
+)
 from .scenario import Scenario
 from .trace import TRACE_FORMAT, Trace
 
@@ -198,7 +200,7 @@ class World:
         )
 
     def _settle_receipt(self, intent: ActionIntent) -> None:
-        receipt = self.agents[intent.acl_id].receipts.get(intent.intent_id)
+        receipt = self.agents[intent.acl_id].receipts.pop(intent.intent_id, None)
         if receipt is not None:
             receipt.outstanding = False
 
@@ -253,6 +255,7 @@ class World:
     def _phase_agents(self) -> list[tuple[str, list[ActionIntent]]]:
         t = self.tick
         planned: list[tuple[str, list[ActionIntent]]] = []
+        powered_off = self.powered_off()  # planning never changes the cluster
         for acl in sorted(self.agents):
             agent = self.agents[acl]
             if agent.lifecycle is LifecycleState.SUSPENDED:
@@ -282,7 +285,7 @@ class World:
                 state=self.state,
                 scope_nodes=scope_nodes,
                 idle_streaks=self.idle_streaks,
-                powered_off=self.powered_off(),
+                powered_off=powered_off,
                 outstanding_targets=agents_mod.outstanding_targets(agent),
                 slice_requests=my_slices,
             )
@@ -378,7 +381,9 @@ class World:
                     pod = self.state.pods.get(pod_id)
                     if pod is None or pod.phase is PodPhase.TERMINATED:
                         continue
-                    self.state = cluster.terminate(self.state, pod_id)
+                    self.state = cluster.retire(
+                        cluster.terminate(self.state, pod_id), pod_id
+                    )
                     self.emit("pod-terminated", pod=pod_id, acl=intent.acl_id)
             elif intent.kind is ActionKind.POWER_OFF:
                 taint = Taint(POWERED_OFF_KEY, TaintEffect.NO_SCHEDULE)
@@ -411,25 +416,42 @@ class World:
         self.units = {u.acl_id: u for u in result.units}
 
     def _phase_bookkeeping(self) -> None:
-        counts = Counter(p.phase for p in self.state.pods.values())
+        state = self.state
+        counts = state.phase_counts
         if counts[PodPhase.EVICTED]:
-            pod = next(p for p in self.state.pods.values() if p.phase is PodPhase.EVICTED)
+            pod = next(p for p in state.pods.values() if p.phase is PodPhase.EVICTED)
             raise InvalidPhase(pod.id, pod.phase.value, "tick-end")
+        # usage re-summed from the bindings, not read from node_info: bind
+        # checks fit against that index, so only this sum can catch it drifting
+        bound: dict[str, list[str]] = {node_id: [] for node_id in state.nodes}
+        for pod_id, node_id in state.bindings.items():
+            bound[node_id].append(pod_id)
         off = self.powered_off()
-        for node_id in sorted(self.state.nodes):
-            used = cluster.used_capacity(self.state, node_id)
-            capacity = self.state.nodes[node_id].capacity
+        for node_id in sorted(state.nodes):
+            pod_ids = bound[node_id]
+            cpu = memory = 0
+            for pod_id in pod_ids:
+                request = state.pods[pod_id].request
+                cpu += request.cpu_millicores
+                memory += request.memory_mib
+            used = ResourceVector(cpu, memory)
+            capacity = state.nodes[node_id].capacity
             if not capacity.covers(used):
                 raise CapacityExceeded(node_id, f"{used} used of {capacity}")
-            if node_id not in off and not cluster.pods_on(self.state, node_id):
+            info = state.node_info[node_id]
+            if info.used != used or info.pods != tuple(sorted(pod_ids)):
+                raise IndexDrift(node_id, f"index has {info.used} for {list(info.pods)}, "
+                                          f"bindings give {used} for {sorted(pod_ids)}")
+            if node_id not in off and not pod_ids:
                 self.idle_streaks[node_id] = self.idle_streaks.get(node_id, 0) + 1
             else:
                 self.idle_streaks[node_id] = 0
+        # retired pods are Terminated ones that left live state
         self.emit("tick-end",
                   bound=counts[PodPhase.BOUND],
                   pending=counts[PodPhase.PENDING],
-                  terminated=counts[PodPhase.TERMINATED],
-                  pods=len(self.state.pods))
+                  terminated=counts[PodPhase.TERMINATED] + state.retired,
+                  pods=len(state.pods) + state.retired)
 
     def step(self) -> None:
         self._phase_traffic_and_events()
@@ -506,15 +528,20 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
     priority: dict[str, int] = {}
     bound: dict[str, str] = {}
     terminated: set[str] = set()
+    # node id -> [cpu, memory] summed over the pods in ``bound`` on it
+    usage: dict[str, list[int]] = {}
+
+    def place(pod_id: str, node_id: str | None, sign: int) -> None:
+        if node_id is not None:
+            tally = usage.setdefault(node_id, [0, 0])
+            tally[0] += sign * requests[pod_id][0]
+            tally[1] += sign * requests[pod_id][1]
+
     for pod in norm["initial_pods"]:
         requests[pod["id"]] = (pod["cpu"], pod["memory"])
         priority[pod["id"]] = level_values[pod["priority"]]
         bound[pod["id"]] = pod["node"]
-
-    def node_usage(node_id: str) -> tuple[int, int]:
-        cpu = sum(requests[p][0] for p, n in bound.items() if n == node_id)
-        mem = sum(requests[p][1] for p, n in bound.items() if n == node_id)
-        return cpu, mem
+        place(pod["id"], pod["node"], +1)
 
     last_tick = -1
     last_rank = 0
@@ -541,8 +568,11 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
         last_rank = max(last_rank, rank)
 
         if kind == "pod-created":
-            requests[event["pod"]] = (event["cpu"], event["memory"])
-            priority[event["pod"]] = event["priority"]
+            pod_id = event["pod"]
+            place(pod_id, bound.get(pod_id), -1)  # a re-created pod may be bound
+            requests[pod_id] = (event["cpu"], event["memory"])
+            place(pod_id, bound.get(pod_id), +1)
+            priority[pod_id] = event["priority"]
         elif kind == "pod-bound":
             pod_id = event["pod"]
             if pod_id not in requests:
@@ -554,9 +584,11 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
                         f"seq {seq}: preemption victim {victim!r} does not have "
                         f"lower priority than {pod_id!r}"
                     )
+            place(pod_id, bound.get(pod_id), -1)
             bound[pod_id] = event["node"]
+            place(pod_id, event["node"], +1)
             evicted_this_tick.pop(pod_id, None)
-            cpu, mem = node_usage(event["node"])
+            cpu, mem = usage[event["node"]]
             cap = capacity[event["node"]]
             if cpu > cap[0] or mem > cap[1]:
                 violations.append(
@@ -565,23 +597,24 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
                 )
         elif kind == "pod-evicted":
             pod_id = event["pod"]
-            if bound.pop(pod_id, None) is None:
+            node_id = bound.pop(pod_id, None)
+            if node_id is None:
                 violations.append(f"seq {seq}: evicted pod {pod_id!r} was not bound")
+            place(pod_id, node_id, -1)
             evicted_this_tick[pod_id] = tick
         elif kind == "pod-pending":
             evicted_this_tick.pop(event["pod"], None)
         elif kind == "pod-terminated":
             pod_id = event["pod"]
-            bound.pop(pod_id, None)
+            place(pod_id, bound.pop(pod_id, None), -1)
             terminated.add(pod_id)
             evicted_this_tick.pop(pod_id, None)
         elif kind == "tick-end":
-            known = set(requests)
             expect_bound = len(bound)
             expect_terminated = len(terminated)
-            expect_pending = len(known) - expect_bound - expect_terminated
+            expect_pending = len(requests) - expect_bound - expect_terminated
             if event["bound"] != expect_bound or event["terminated"] != expect_terminated \
-                    or event["pending"] != expect_pending or event["pods"] != len(known):
+                    or event["pending"] != expect_pending or event["pods"] != len(requests):
                 violations.append(
                     f"seq {seq}: conservation mismatch at tick {tick} "
                     f"(trace says bound={event['bound']} pending={event['pending']} "

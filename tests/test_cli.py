@@ -92,6 +92,19 @@ class TestRun:
         assert code == 2
         assert "period must be >= 1" in err
 
+    @pytest.mark.parametrize("period", ["abc", ".nan"])
+    def test_non_numeric_agent_period_is_an_input_error(self, capsys, tmp_path, period):
+        path = tmp_path / "bad-period.yaml"
+        path.write_text(
+            "name: bad-period\n"
+            "topology: {nodes: [{id: n1, region: east, cpu: 1000, memory: 1000}]}\n"
+            f"agents: [{{id: a, scope: [east], period: {period}}}]\n"
+        )
+        code, _, err = invoke(capsys, "run", str(path))
+        assert code == 2
+        assert "agent a: period" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_good_trace_verifies(self, capsys, tmp_path):

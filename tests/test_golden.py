@@ -7,13 +7,19 @@ trace-format change may re-record them.
 
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from loopsim.scenario import load_scenario
+from loopsim.scenario import load_scenario, loads
 from loopsim.sim import Metrics, run, summarize
 from loopsim.trace import parse_trace
 from test_acceptance import random_scenario
+
+# the benchmark's scenario generator, imported as is
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 BUILTIN_SHA256 = {
     "case1": "10fac5b9ec994384ae420aa4746060afa27a8425e23d2da138133012f61cdf61",
@@ -45,6 +51,13 @@ FUZZ_SHA256 = [
     "7907b9b76086c7d0753bf3b24b1f8c9c6e9985444dad2e941454f54437416fed",
     "2e8e5044a48a7d127a3b39f79aa333c6c338b2e1ad132a3f0a720dc358130ae5",
 ]
+
+# workloads.generate(name, 1) cut to 150 ticks: contended carries the
+# preemptions, NoExecute evictions and e2e arbitration the built-ins lack
+WORKLOAD_SHA256 = {
+    "steady-long": "83de6208c5aae08bbbff039e043dd96cb7cd02414a6c880f60166e75c83406b6",
+    "contended": "4e0a569e1c9882ea39cee97f74de6c78dbbdde05f83b027380d92a780340dd8f",
+}
 
 BUILTIN_SUMMARY = {
     "case1": "\n".join([
@@ -108,6 +121,12 @@ def test_fuzz_trace_bytes_are_pinned():
     rng = random.Random(20260814)
     digests = [digest(run(random_scenario(rng, i))[0]) for i in range(20)]
     assert digests == FUZZ_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SHA256))
+def test_workload_trace_bytes_are_pinned(name):
+    trace, _, _ = run(loads(workloads.generate(name, 1), ticks=150))
+    assert digest(trace) == WORKLOAD_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SUMMARY))

@@ -1,0 +1,180 @@
+"""Differential checks: every index the engine carries equals a brute-force
+re-derivation, after every tick of the built-ins, the fuzz scenarios and a
+contended benchmark run.
+
+The re-derivations scan the bindings, the live pods, and the trace (every
+pod created and terminated, every intent submitted and settled), so they do
+not lean on the indexes they check.
+"""
+
+import math
+import random
+import statistics
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from helpers import node, pod, state_with
+from loopsim import agents as agents_mod
+from loopsim import cluster
+from loopsim.cluster import PodPhase, ZERO
+from loopsim.conflicts import CoherencyBaseline
+from loopsim.errors import InvalidPhase
+from loopsim.scenario import list_scenarios, load_scenario, loads
+from loopsim.sim import World
+from test_acceptance import random_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+
+class TraceLedger:
+    """Pods and intents as the trace tells them, read incrementally."""
+
+    def __init__(self, world: World):
+        self.world = world
+        self.read = 0
+        self.owner = {p["id"]: p["owner"] for p in world.scenario.data["initial_pods"]}
+        self.terminated: set[str] = set()
+        self.unsettled: dict[str, tuple[str, str]] = {}  # intent id -> (acl, target)
+
+    def catch_up(self) -> None:
+        events = self.world.trace.events
+        for event in events[self.read:]:
+            kind = event["kind"]
+            if kind == "pod-created":
+                self.owner[event["pod"]] = event["acl"]
+            elif kind == "pod-terminated":
+                self.terminated.add(event["pod"])
+            elif kind == "intent-submitted":
+                self.unsettled[event["id"]] = (event["acl"], event["target"])
+            elif kind in ("intent-applied", "intent-dropped"):
+                del self.unsettled[event["id"]]
+        self.read = len(events)
+
+
+def check_indexes(world: World, ledger: TraceLedger) -> None:
+    ledger.catch_up()
+    state = world.state
+
+    # per-node usage and pod set vs a scan of the bindings
+    for node_id in state.nodes:
+        on = sorted(p for p, n in state.bindings.items() if n == node_id)
+        used = ZERO
+        for pod_id in on:
+            used = used + state.pods[pod_id].request
+        assert cluster.pods_on(state, node_id) == on
+        assert cluster.used_capacity(state, node_id) == used
+        assert cluster.free_capacity(state, node_id) == state.nodes[node_id].capacity - used
+
+    # live state vs every pod ever created
+    live = {p for p in ledger.owner if p not in ledger.terminated}
+    assert set(state.pods) == live
+    assert state.retired == len(ledger.terminated)
+    assert all(cluster.is_retired(state, p) for p in ledger.terminated)
+    assert not any(cluster.is_retired(state, p) for p in live)
+    owners = {}
+    for pod_id in live:
+        owners.setdefault(ledger.owner[pod_id], set()).add(pod_id)
+    assert state.by_owner == owners
+    phases = dict.fromkeys(PodPhase, 0)
+    phases.update(Counter(p.phase for p in state.pods.values()))
+    assert state.phase_counts == phases
+
+    for acl, agent in world.agents.items():
+        # each agent's live pods vs a scan of all created pods
+        expected = sorted(
+            p for p, owner in ledger.owner.items()
+            if owner == acl and p not in ledger.terminated
+            and state.pods[p].phase in (PodPhase.PENDING, PodPhase.BOUND)
+        )
+        assert agents_mod._owned_pods(agent, state) == expected
+        # outstanding targets vs a scan of every receipt the trace implies
+        in_flight = {i: target for i, (a, target) in ledger.unsettled.items() if a == acl}
+        assert set(agent.receipts) == set(in_flight)
+        assert agents_mod.outstanding_targets(agent) == frozenset(in_flight.values())
+
+
+def run_checked(scn) -> None:
+    world = World(scn)
+    ledger = TraceLedger(world)
+    check_indexes(world, ledger)
+    for _ in range(scn.ticks):
+        world.step()
+        check_indexes(world, ledger)
+
+
+@pytest.mark.parametrize("name", list_scenarios())
+def test_builtin_indexes_match_rescans(name):
+    run_checked(load_scenario(name))
+
+
+def test_fuzz_indexes_match_rescans():
+    rng = random.Random(20260814)
+    for i in range(20):
+        run_checked(random_scenario(rng, i))
+
+
+def test_contended_indexes_match_rescans():
+    run_checked(loads(workloads.generate("contended", 1), ticks=150))
+
+
+def test_retired_id_stays_reserved():
+    state = state_with([node("n")], [pod("p")], [("p", "n")])
+    state = cluster.retire(cluster.terminate(state, "p"), "p")
+    assert "p" not in state.pods
+    assert cluster.pods_on(state, "n") == []
+    with pytest.raises(ValueError, match="duplicate"):
+        cluster.add_pod(state, pod("p"))
+
+
+def test_an_older_state_does_not_see_later_retirements():
+    state = state_with([node("n")], [pod("a"), pod("b")])
+    both = cluster.terminate(cluster.terminate(state, "a"), "b")
+    left = cluster.retire(both, "a")
+    right = cluster.retire(both, "b")  # branches from the same state
+    assert cluster.is_retired(left, "a") and not cluster.is_retired(left, "b")
+    assert cluster.is_retired(right, "b") and not cluster.is_retired(right, "a")
+    assert not cluster.is_retired(both, "a") and not cluster.is_retired(both, "b")
+
+
+def test_retire_needs_a_terminated_pod():
+    state = state_with([node("n")], [pod("p")])
+    with pytest.raises(InvalidPhase):
+        cluster.retire(state, "p")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)
+
+
+@given(st.lists(finite | st.floats(0.0, 1e-300) | st.integers(-10, 10).map(float),
+                min_size=1, max_size=120),
+       st.integers(1, 40))
+def test_running_spread_is_pstdev_bit_for_bit(values, window):
+    baseline = CoherencyBaseline(window=window, min_history=1, epsilon=0.0)
+    for value in values:
+        baseline.check(value, 3.0)
+        expected = statistics.pstdev(baseline.history)
+        assert math.copysign(1.0, baseline.spread()) == math.copysign(1.0, expected)
+        assert baseline.spread() == expected
+
+
+def test_a_history_given_up_front_seeds_the_sums():
+    baseline = CoherencyBaseline(window=5, min_history=1, epsilon=0.0,
+                                 history=[1.0, 2.0, 4.0])
+    assert baseline.spread() == statistics.pstdev([1.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_magnitude_is_refused(value):
+    baseline = CoherencyBaseline(window=5, min_history=1, epsilon=0.0,
+                                 history=[1.0, 2.0])
+    with pytest.raises(ValueError, match="not finite"):
+        baseline.check(value, 3.0)
+    assert baseline.history == [1.0, 2.0]
+    assert baseline.spread() == 0.5
+    with pytest.raises(ValueError, match="not finite"):
+        CoherencyBaseline(window=5, min_history=1, epsilon=0.0, history=[1.0, value])

@@ -194,6 +194,40 @@ class TestNormalize:
         with pytest.raises(ValidationError, match=message):
             normalize(data)
 
+    @pytest.mark.parametrize("data, message", [
+        (minimal(agents=[{"id": "a", "scope": ["east"], "span_ticks": 0}]),
+         "span_ticks must be >= 1"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "span_ticks": -3}]),
+         "span_ticks must be >= 1"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "hysteresis_ticks": -1}]),
+         "hysteresis_ticks must be >= 0"),
+        (minimal(traffic={"east": {"base": 100, "sigma": -5}}), "sigma must be >= 0"),
+        (minimal(traffic={"east": {"base": float("nan")}}), "base: must be finite"),
+        (minimal(traffic={"east": {"base": float("inf")}}), "base: must be finite"),
+        (minimal(traffic={"east": {"amplitude": float("-inf")}}), "amplitude: must be finite"),
+        (minimal(traffic={"east": {"steps": [{"at": 3, "base": float("nan")}]}}),
+         r"steps\[0\].base: must be finite"),
+        (minimal(agents=[{"id": "a", "scope": ["east"],
+                          "node_capacity_units": float("inf")}]),
+         "node_capacity_units: must be finite"),
+        (minimal(manager={"coherency": {"k_sigma": float("nan")}}),
+         "k_sigma: must be finite"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "period": "abc"}]),
+         "period: expected int"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "period": float("nan")}]),
+         "period: expected int"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "alpha": "fast"}]),
+         "alpha: expected float"),
+        (minimal(ticks=float("inf")), "ticks: expected int"),
+        (minimal(traffic={"east": {"period": None}}), "period: expected int"),
+    ], ids=["span-0", "span-negative", "hysteresis-negative", "sigma-negative",
+            "base-nan", "base-inf", "amplitude-inf", "step-base-nan",
+            "node-units-inf", "k-sigma-nan", "period-text", "period-nan", "alpha-text",
+            "ticks-inf", "traffic-period-null"])
+    def test_malformed_numbers_rejected(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            normalize(data)
+
     def test_empty_agents_is_a_valid_degenerate_scenario(self):
         scn = from_dict(minimal())
         assert scn.data["agents"] == []

@@ -8,7 +8,9 @@ import pytest
 
 from loopsim import cluster
 from loopsim.cluster import ResourceVector
-from loopsim.errors import CapacityExceeded, HashMismatch, InvalidPhase, ValidationError
+from loopsim.errors import (
+    CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ValidationError,
+)
 from loopsim.scenario import from_dict, load_scenario
 from loopsim.sim import World, check_invariants, run, summarize, verify_trace
 from loopsim.trace import load_trace, parse_trace
@@ -468,4 +470,10 @@ class TestBookkeepingChecks:
     def test_evicted_pod_left_undecided_raises(self, world):
         world.state = cluster.evict(world.state, "keeper")
         with pytest.raises(InvalidPhase, match="keeper"):
+            world._phase_bookkeeping()
+
+    def test_usage_index_drifting_from_bindings_raises(self, world):
+        # an index that forgot the bound pod: fits would still pass against it
+        world.state = cluster._evolve(world.state, node_info={"n1": cluster.NodeInfo()})
+        with pytest.raises(IndexDrift, match="n1"):
             world._phase_bookkeeping()
