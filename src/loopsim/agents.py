@@ -112,12 +112,12 @@ class ActionIntent:
 
 @dataclass
 class Receipt:
+    """An intent in flight; the simulator deletes it once the intent
+    materializes or is dropped."""
+
     intent_id: str
     target: str
-    submitted: int
     check_tick: int
-    outstanding: bool = True         # until the intent materializes or is dropped,
-                                     # when the simulator also deletes the receipt
 
 
 @dataclass
@@ -387,14 +387,15 @@ def execute(agent: LoopAgent, intents: list[ActionIntent], submit) -> list[Recei
     receipts = []
     for intent in intents:
         check_tick = submit(intent)
-        receipt = Receipt(intent.intent_id, intent.target, intent.tick, check_tick)
+        receipt = Receipt(intent.intent_id, intent.target, check_tick)
         agent.receipts[intent.intent_id] = receipt
         receipts.append(receipt)
     return receipts
 
 
 def outstanding_targets(agent: LoopAgent) -> frozenset[str]:
-    return frozenset(r.target for r in agent.receipts.values() if r.outstanding)
+    """Targets of the receipts still held, i.e. of the intents in flight."""
+    return frozenset(r.target for r in agent.receipts.values())
 
 
 def absorb_knowledge(agent: LoopAgent, grant) -> bool:

@@ -1,14 +1,18 @@
-"""Cluster model: nodes, pods, taints, and pure state transitions.
+"""Cluster model: nodes, pods, taints, and the state transitions on them.
 
-All state lives in immutable dataclasses; every operation returns a new
-``ClusterState`` and raises instead of silently clamping.  Capacity is a
-two-component vector (cpu millicores, memory MiB) compared component-wise.
+One ``ClusterState`` holds the live cluster, and the operations below change
+it in place and return ``None``, like kube-scheduler's single cache.  Each
+operation checks phase, taints, capacity and ids before it changes anything,
+and raises instead of silently clamping, so a failed operation leaves the
+state as it was.  Nodes and pods themselves are immutable values.  Capacity
+is a two-component vector (cpu millicores, memory MiB) compared
+component-wise.
 
 A state holds live pods only: a Terminated pod stays until ``retire`` drops
-it, so no query grows with the history of a run.  Like kube-scheduler's
-``NodeInfo``, each state keeps per-node usage and pod ids, pod ids per owner
-and a count per phase; construction derives them in one pass and the
-operations below carry them forward instead of re-scanning.
+it and reserves its id, so no query grows with the history of a run.  Like
+kube-scheduler's ``NodeInfo``, the state keeps per-node usage and pod ids,
+pod ids per owner and a count per phase; construction derives them in one
+pass and the operations keep them up instead of re-scanning.
 """
 
 from __future__ import annotations
@@ -131,50 +135,35 @@ class NodeInfo:
         return NodeInfo(self.used - pod.request, tuple(p for p in self.pods if p != pod.id))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClusterState:
     nodes: dict[str, Node] = field(default_factory=dict)
-    # live pods: retired ones are gone, their ids reserved in the graveyard
+    # live pods: a retired pod is gone from here, its id kept in ``retired``
     pods: dict[str, Pod] = field(default_factory=dict)
     # pod id -> node id, defined exactly for pods in phase Bound
     bindings: dict[str, str] = field(default_factory=dict)
-    # retired pod id -> order of retirement; this state has retired the
-    # first ``retired`` of them (the log is shared, see ``retire``)
-    graveyard: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
-    retired: int = 0
-    # indexes over pods and bindings; derived here, carried by the operations
+    # ids of retired pods, reserved: ``add_pod`` rejects them
+    retired: set[str] = field(default_factory=set)
+    # indexes over pods and bindings; derived here, kept up by the operations
     node_info: dict[str, NodeInfo] = field(init=False, repr=False, compare=False)
-    by_owner: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    by_owner: dict[str, set[str]] = field(init=False, repr=False, compare=False)
     phase_counts: dict[PodPhase, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bound: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
         for pod_id, node_id in self.bindings.items():
             bound.setdefault(node_id, []).append(pod_id)
-        node_info = {}
+        self.node_info = {}
         for node_id, pod_ids in bound.items():
             used = ZERO
             for pod_id in pod_ids:
                 used = used + self.pods[pod_id].request
-            node_info[node_id] = NodeInfo(used, tuple(sorted(pod_ids)))
-        owners: dict[str, set[str]] = {}
-        counts = dict.fromkeys(PodPhase, 0)
+            self.node_info[node_id] = NodeInfo(used, tuple(sorted(pod_ids)))
+        self.by_owner = {}
+        self.phase_counts = dict.fromkeys(PodPhase, 0)
         for pod in self.pods.values():
-            owners.setdefault(pod.owner, set()).add(pod.id)
-            counts[pod.phase] += 1
-        object.__setattr__(self, "node_info", node_info)
-        object.__setattr__(
-            self, "by_owner", {owner: frozenset(ids) for owner, ids in owners.items()}
-        )
-        object.__setattr__(self, "phase_counts", counts)
-
-
-def _evolve(state: ClusterState, **changes) -> ClusterState:
-    """*state* with *changes*, skipping the derivation in ``__post_init__``:
-    the caller passes every index its change moves."""
-    new = object.__new__(ClusterState)
-    new.__dict__.update(state.__dict__, **changes)
-    return new
+            self.by_owner.setdefault(pod.owner, set()).add(pod.id)
+            self.phase_counts[pod.phase] += 1
 
 
 def tolerates(pod: Pod, node: Node) -> bool:
@@ -205,10 +194,6 @@ def _pod(state: ClusterState, pod_id: str) -> Pod:
         raise UnknownPod(pod_id) from None
 
 
-def is_retired(state: ClusterState, pod_id: str) -> bool:
-    return state.graveyard.get(pod_id, state.retired) < state.retired
-
-
 def pods_on(state: ClusterState, node_id: str) -> list[str]:
     """Ids of pods currently bound to *node_id*, sorted for determinism."""
     _node(state, node_id)
@@ -230,60 +215,45 @@ def fits(state: ClusterState, pod: Pod, node_id: str) -> bool:
     return free_capacity(state, node_id).covers(pod.request)
 
 
-def add_pod(state: ClusterState, pod: Pod) -> ClusterState:
-    if pod.id in state.pods or is_retired(state, pod.id):
+def add_pod(state: ClusterState, pod: Pod) -> None:
+    if pod.id in state.pods or pod.id in state.retired:
         raise ValueError(f"duplicate pod id {pod.id!r}")
-    pods = dict(state.pods)
-    pods[pod.id] = pod
-    by_owner = dict(state.by_owner)
-    by_owner[pod.owner] = by_owner.get(pod.owner, frozenset()) | {pod.id}
-    counts = dict(state.phase_counts)
-    counts[pod.phase] += 1
-    return _evolve(state, pods=pods, by_owner=by_owner, phase_counts=counts)
+    state.pods[pod.id] = pod
+    state.by_owner.setdefault(pod.owner, set()).add(pod.id)
+    state.phase_counts[pod.phase] += 1
 
 
-def apply_taint(state: ClusterState, node_id: str, taint: Taint) -> ClusterState:
+def apply_taint(state: ClusterState, node_id: str, taint: Taint) -> None:
     """Add a taint. Never evicts by itself; NoExecute enforcement is a
     separate scheduler pass so that evictions land in the trace in order."""
     node = _node(state, node_id)
-    nodes = dict(state.nodes)
-    nodes[node_id] = replace(node, taints=node.taints | {taint})
-    return _evolve(state, nodes=nodes)
+    state.nodes[node_id] = replace(node, taints=node.taints | {taint})
 
 
 def remove_taint(
     state: ClusterState, node_id: str, key: str, effect: TaintEffect | None = None
-) -> ClusterState:
+) -> None:
     node = _node(state, node_id)
     keep = frozenset(
         t
         for t in node.taints
         if not (t.key == key and (effect is None or t.effect == effect))
     )
-    nodes = dict(state.nodes)
-    nodes[node_id] = replace(node, taints=keep)
-    return _evolve(state, nodes=nodes)
+    state.nodes[node_id] = replace(node, taints=keep)
 
 
-def _set_phase(state: ClusterState, pod: Pod, phase: PodPhase, **changes) -> ClusterState:
-    pods = dict(state.pods)
-    pods[pod.id] = replace(pod, phase=phase)
-    counts = dict(state.phase_counts)
-    counts[pod.phase] -= 1
-    counts[phase] += 1
-    return _evolve(state, pods=pods, phase_counts=counts, **changes)
+def _set_phase(state: ClusterState, pod: Pod, phase: PodPhase) -> None:
+    state.pods[pod.id] = replace(pod, phase=phase)
+    state.phase_counts[pod.phase] -= 1
+    state.phase_counts[phase] += 1
 
 
-def _unbind(state: ClusterState, pod: Pod) -> dict:
-    """The binding and node-info changes that take *pod* off its node."""
-    bindings = dict(state.bindings)
-    node_id = bindings.pop(pod.id)
-    node_info = dict(state.node_info)
-    node_info[node_id] = node_info[node_id].without_pod(pod)
-    return {"bindings": bindings, "node_info": node_info}
+def _unbind(state: ClusterState, pod: Pod) -> None:
+    node_id = state.bindings.pop(pod.id)
+    state.node_info[node_id] = state.node_info[node_id].without_pod(pod)
 
 
-def bind(state: ClusterState, pod_id: str, node_id: str) -> ClusterState:
+def bind(state: ClusterState, pod_id: str, node_id: str) -> None:
     pod = _pod(state, pod_id)
     node = _node(state, node_id)
     if pod.phase is not PodPhase.PENDING:
@@ -294,61 +264,47 @@ def bind(state: ClusterState, pod_id: str, node_id: str) -> ClusterState:
         raise CapacityExceeded(
             node_id, f"{pod.request} > free {free_capacity(state, node_id)}"
         )
-    bindings = dict(state.bindings)
-    bindings[pod_id] = node_id
-    node_info = dict(state.node_info)
-    node_info[node_id] = node_info[node_id].with_pod(pod)
-    return _set_phase(state, pod, PodPhase.BOUND, bindings=bindings, node_info=node_info)
+    state.bindings[pod_id] = node_id
+    state.node_info[node_id] = state.node_info[node_id].with_pod(pod)
+    _set_phase(state, pod, PodPhase.BOUND)
 
 
-def evict(state: ClusterState, pod_id: str) -> ClusterState:
+def evict(state: ClusterState, pod_id: str) -> None:
     pod = _pod(state, pod_id)
     if pod.phase is not PodPhase.BOUND:
         raise InvalidPhase(pod_id, pod.phase.value, PodPhase.EVICTED.value)
-    return _set_phase(state, pod, PodPhase.EVICTED, **_unbind(state, pod))
+    _unbind(state, pod)
+    _set_phase(state, pod, PodPhase.EVICTED)
 
 
-def requeue(state: ClusterState, pod_id: str) -> ClusterState:
+def requeue(state: ClusterState, pod_id: str) -> None:
     pod = _pod(state, pod_id)
     if pod.phase is not PodPhase.EVICTED:
         raise InvalidPhase(pod_id, pod.phase.value, PodPhase.PENDING.value)
-    return _set_phase(state, pod, PodPhase.PENDING)
+    _set_phase(state, pod, PodPhase.PENDING)
 
 
-def terminate(state: ClusterState, pod_id: str) -> ClusterState:
+def terminate(state: ClusterState, pod_id: str) -> None:
     pod = _pod(state, pod_id)
     if pod.phase is PodPhase.TERMINATED:
         raise InvalidPhase(pod_id, pod.phase.value, PodPhase.TERMINATED.value)
-    changes = _unbind(state, pod) if pod_id in state.bindings else {}
-    return _set_phase(state, pod, PodPhase.TERMINATED, **changes)
+    if pod_id in state.bindings:
+        _unbind(state, pod)
+    _set_phase(state, pod, PodPhase.TERMINATED)
 
 
-def retire(state: ClusterState, pod_id: str) -> ClusterState:
-    """Drop a Terminated pod from live state; ``add_pod`` keeps rejecting its id.
-
-    The graveyard is one log shared with the states this one came from, so
-    retiring costs O(1) in the length of the run.  A state that retires
-    from the middle of the log (an older state, or one given a log it did
-    not write) copies its own part first, so no state sees another's
-    retirements.
-    """
+def retire(state: ClusterState, pod_id: str) -> None:
+    """Drop a Terminated pod from live state; ``add_pod`` keeps rejecting its id."""
     pod = _pod(state, pod_id)
     if pod.phase is not PodPhase.TERMINATED:
         raise InvalidPhase(pod_id, pod.phase.value, "Retired")
-    pods = dict(state.pods)
-    del pods[pod_id]
-    by_owner = dict(state.by_owner)
-    siblings = by_owner.pop(pod.owner) - {pod_id}
-    if siblings:
-        by_owner[pod.owner] = siblings
-    counts = dict(state.phase_counts)
-    counts[PodPhase.TERMINATED] -= 1
-    graveyard = state.graveyard
-    if len(graveyard) != state.retired:
-        graveyard = {p: i for p, i in graveyard.items() if i < state.retired}
-    graveyard[pod_id] = state.retired
-    return _evolve(state, pods=pods, by_owner=by_owner, phase_counts=counts,
-                   graveyard=graveyard, retired=state.retired + 1)
+    del state.pods[pod_id]
+    siblings = state.by_owner[pod.owner]
+    siblings.remove(pod_id)
+    if not siblings:
+        del state.by_owner[pod.owner]
+    state.phase_counts[PodPhase.TERMINATED] -= 1
+    state.retired.add(pod_id)
 
 
 def regions(state: ClusterState) -> list[str]:

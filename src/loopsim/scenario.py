@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import re
+import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import yaml
@@ -56,6 +58,12 @@ MANAGER_DEFAULTS = {
 
 TRAFFIC_DEFAULTS = {"base": 0.0, "amplitude": 0.0, "period": 24, "phase": 0, "sigma": 0.0}
 
+# Largest traffic base, amplitude, sigma or step base, in demand units (and
+# phase, in ticks).  A region's demand stays within a few times this, so
+# summing the demand of every region an agent watches cannot overflow to
+# infinity, and neither can the sine's argument.
+MAX_DEMAND = 1e15
+
 EFFECTS = {e.value for e in TaintEffect}
 ROLES = {r.value for r in AgentRole}
 ARTIFACT_KINDS = {"Model", "Dataset"}
@@ -71,7 +79,28 @@ class Scenario:
     data: dict
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _one_of(value, allowed, what: str, where: str) -> str:
+    """*value* when it is one of the *allowed* strings (which an unhashable
+    value, such as a list, cannot be)."""
+    if not isinstance(value, str) or value not in allowed:
+        raise ValidationError(f"{where}: unknown {what} {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, where: str):
+    _mapping(mapping, where)
     if key not in mapping:
         raise ValidationError(f"{where}: missing required key {key!r}")
     return mapping[key]
@@ -79,12 +108,13 @@ def _require(mapping: dict, key: str, where: str):
 
 def _number(kind: type, value, where: str):
     """``kind(value)`` for kind int or float, as a ``ValidationError`` when
-    that fails; a float must also be finite (NaN slips past range checks)."""
+    that fails; the number must also be finite (NaN slips past range checks)
+    and, if an int, small enough to become a float where it meets one."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{where}: expected {kind.__name__}, got {value!r}") from None
-    if kind is float and not math.isfinite(number):
+    if number != number or abs(number) > sys.float_info.max:
         raise ValidationError(f"{where}: must be finite, got {value!r}")
     return number
 
@@ -97,16 +127,30 @@ def _amount(raw: dict, key: str, where: str) -> int:
     return value
 
 
+def _demand(value: float, where: str) -> float:
+    """A traffic number; bounded so that summed demand stays finite."""
+    if abs(value) > MAX_DEMAND:
+        raise ValidationError(f"{where}: must be within ±{MAX_DEMAND:g}, got {value!r}")
+    return value
+
+
+def _pair(value, where: str) -> list:
+    """An already-normalized ``[a, b]`` entry."""
+    if len(_list(value, where)) != 2:
+        raise ValidationError(f"{where}: expected a mapping or a [key, value] pair")
+    return value
+
+
 def _norm_tolerations(raw, where: str) -> list[dict]:
     out = []
-    for i, tol in enumerate(raw or []):
-        key = _require(tol, "key", f"{where}.tolerations[{i}]")
-        effects = _require(tol, "effects", f"{where}.tolerations[{i}]")
+    for i, tol in enumerate(_list(raw or [], f"{where}.tolerations")):
+        at = f"{where}.tolerations[{i}]"
+        key = _require(tol, "key", at)
+        effects = _list(_require(tol, "effects", at), f"{at}.effects")
         if not effects:
-            raise ValidationError(f"{where}.tolerations[{i}]: empty effects list")
+            raise ValidationError(f"{at}: empty effects list")
         for e in effects:
-            if e not in EFFECTS:
-                raise ValidationError(f"{where}.tolerations[{i}]: unknown effect {e!r}")
+            _one_of(e, EFFECTS, "effect", at)
         out.append({"key": str(key), "effects": sorted(effects)})
     return sorted(out, key=lambda t: (t["key"], tuple(t["effects"])))
 
@@ -136,7 +180,7 @@ def normalize(data: dict) -> dict:
     # priority levels
     levels: dict[str, dict] = {}
     default_count = 0
-    for i, lvl in enumerate(data.get("priority_levels", [])):
+    for i, lvl in enumerate(_list(data.get("priority_levels", []), "priority_levels")):
         name = str(_require(lvl, "name", f"priority_levels[{i}]"))
         if name in levels:
             raise ValidationError(f"duplicate priority level {name!r}")
@@ -170,7 +214,7 @@ def normalize(data: dict) -> dict:
         )
     nodes: dict[str, dict] = {}
     node_regions: dict[str, str] = {}
-    for i, node in enumerate(_require(topo, "nodes", "topology")):
+    for i, node in enumerate(_list(_require(topo, "nodes", "topology"), "topology.nodes")):
         node_id = str(_require(node, "id", f"topology.nodes[{i}]"))
         if node_id in nodes:
             raise ValidationError(f"duplicate node id {node_id!r}")
@@ -181,10 +225,9 @@ def normalize(data: dict) -> dict:
         if cpu <= 0 or memory <= 0:
             raise ValidationError(f"node {node_id}: capacity must be positive")
         taints = []
-        for j, taint in enumerate(node.get("taints", [])):
+        for j, taint in enumerate(_list(node.get("taints", []), f"node {node_id}: taints")):
             effect = _require(taint, "effect", f"node {node_id} taint[{j}]")
-            if effect not in EFFECTS:
-                raise ValidationError(f"node {node_id}: unknown taint effect {effect!r}")
+            _one_of(effect, EFFECTS, "taint effect", f"node {node_id}")
             taints.append({"key": str(_require(taint, "key", f"node {node_id} taint[{j}]")),
                            "effect": effect})
         nodes[node_id] = {
@@ -203,14 +246,13 @@ def normalize(data: dict) -> dict:
 
     # agents
     agent_entries: dict[str, dict] = {}
-    for i, raw in enumerate(data.get("agents", [])):
+    for i, raw in enumerate(_list(data.get("agents", []), "agents")):
         agent_id = str(_require(raw, "id", f"agents[{i}]"))
         if agent_id in agent_entries:
             raise ValidationError(f"duplicate agent id {agent_id!r}")
-        role = raw.get("role", "scaler")
-        if role not in ROLES:
-            raise ValidationError(f"agent {agent_id}: unknown role {role!r}")
-        scope = [str(s) for s in _require(raw, "scope", f"agent {agent_id}")]
+        role = _one_of(raw.get("role", "scaler"), ROLES, "role", f"agent {agent_id}")
+        scope = [str(s) for s in _list(_require(raw, "scope", f"agent {agent_id}"),
+                                       f"agent {agent_id}: scope")]
         try:
             agents_mod.classify_size(frozenset(scope), node_regions)
         except (EmptyScope, ValueError) as exc:
@@ -251,7 +293,7 @@ def normalize(data: dict) -> dict:
 
     # initial pods
     pods: dict[str, dict] = {}
-    for i, raw in enumerate(data.get("initial_pods", [])):
+    for i, raw in enumerate(_list(data.get("initial_pods", []), "initial_pods")):
         pod_id = str(_require(raw, "id", f"initial_pods[{i}]"))
         if pod_id in pods:
             raise ValidationError(f"duplicate pod id {pod_id!r}")
@@ -271,30 +313,40 @@ def normalize(data: dict) -> dict:
             "tolerations": _norm_tolerations(raw.get("tolerations"), f"pod {pod_id}"),
         }
     norm["initial_pods"] = sorted(pods.values(), key=lambda p: p["id"])
+    # an agent names the pods it creates <id>-pod-<n>, counting on from the
+    # initial pods it owns; no initial pod may hold one of those names
+    owned = Counter(p["owner"] for p in pods.values())
+    for pod_id in pods:
+        match = re.fullmatch(r"(.+)-pod-(0|[1-9][0-9]*)", pod_id)
+        if match and match[1] in agent_entries and int(match[2]) >= owned[match[1]]:
+            raise ValidationError(
+                f"pod {pod_id}: id is taken by the pods agent {match[1]!r} creates "
+                f"({match[1]}-pod-{owned[match[1]]} onward)"
+            )
 
     # trust relationships
     trust: dict[str, list] = {}
-    for source, entries in (data.get("trust") or {}).items():
+    for source, entries in _mapping(data.get("trust") or {}, "trust").items():
         if source not in agent_entries:
             raise ValidationError(f"trust: unknown source agent {source!r}")
+        where = f"trust[{source}]"
         pairs = []
-        for entry in entries:
+        for entry in _list(entries, where):
             if isinstance(entry, dict):
-                target = str(_require(entry, "acl", f"trust[{source}]"))
-                kinds = _require(entry, "kinds", f"trust[{source}]")
+                target = str(_require(entry, "acl", where))
+                kinds = _list(_require(entry, "kinds", where), f"{where}.kinds")
             else:  # already-normalized [target, kind] pair
-                target, kinds = str(entry[0]), [entry[1]]
+                target, kind = _pair(entry, where)
+                target, kinds = str(target), [kind]
             if target not in agent_entries:
-                raise ValidationError(f"trust[{source}]: unknown agent {target!r}")
+                raise ValidationError(f"{where}: unknown agent {target!r}")
             for kind in kinds:
-                if kind not in ARTIFACT_KINDS:
-                    raise ValidationError(f"trust[{source}]: unknown artifact kind {kind!r}")
-                pairs.append([target, kind])
+                pairs.append([target, _one_of(kind, ARTIFACT_KINDS, "artifact kind", where)])
         trust[str(source)] = sorted(pairs)
     norm["trust"] = dict(sorted(trust.items()))
 
     # manager configuration
-    raw_mgr = data.get("manager") or {}
+    raw_mgr = _mapping(data.get("manager") or {}, "manager")
     mgr: dict = {"e2e_period": _number(
         int, raw_mgr.get("e2e_period", MANAGER_DEFAULTS["e2e_period"]), "manager.e2e_period"
     )}
@@ -302,20 +354,25 @@ def normalize(data: dict) -> dict:
         raise ValidationError("manager.e2e_period must be >= 1")
     for section in ("coherency", "lifecycle", "interference", "knowledge"):
         defaults = MANAGER_DEFAULTS[section]
-        raw_section = raw_mgr.get(section) or {}
+        raw_section = _mapping(raw_mgr.get(section) or {}, f"manager.{section}")
         block = {}
         for key, default in defaults.items():
             block[key] = _number(
                 type(default), raw_section.get(key, default), f"manager.{section}.{key}"
             )
         mgr[section] = block
+    if mgr["coherency"]["window"] < 1 or mgr["coherency"]["min_history"] < 1:
+        raise ValidationError("manager.coherency: window and min_history must be >= 1")
+    if not 0.0 <= mgr["knowledge"]["model_bonus"] <= 1.0:
+        raise ValidationError("manager.knowledge.model_bonus must be in [0, 1]")
     norm["manager"] = mgr
 
     # traffic
     profiles = {}
-    for region, raw in (data.get("traffic") or {}).items():
+    for region, raw in _mapping(data.get("traffic") or {}, "traffic").items():
         if region not in regions:
             raise ValidationError(f"traffic: unknown region {region!r}")
+        _mapping(raw, f"traffic[{region}]")
         profile = {}
         for key, default in TRAFFIC_DEFAULTS.items():
             profile[key] = _number(type(default), raw.get(key, default),
@@ -324,17 +381,18 @@ def normalize(data: dict) -> dict:
             raise ValidationError(f"traffic[{region}]: period must be >= 1")
         if profile["sigma"] < 0:
             raise ValidationError(f"traffic[{region}]: sigma must be >= 0")
+        for key in ("base", "amplitude", "sigma", "phase"):
+            _demand(profile[key], f"traffic[{region}].{key}")
         steps = []
-        for j, step in enumerate(raw.get("steps", [])):
-            if isinstance(step, dict):
-                at = _require(step, "at", f"traffic[{region}].steps[{j}]")
-                base = _require(step, "base", f"traffic[{region}].steps[{j}]")
-            else:  # already-normalized [at, base] pair
-                at, base = step
+        for j, step in enumerate(_list(raw.get("steps", []), f"traffic[{region}].steps")):
             where = f"traffic[{region}].steps[{j}]"
-            steps.append(
-                [_number(int, at, f"{where}.at"), _number(float, base, f"{where}.base")]
-            )
+            if isinstance(step, dict):
+                at = _require(step, "at", where)
+                base = _require(step, "base", where)
+            else:  # already-normalized [at, base] pair
+                at, base = _pair(step, where)
+            steps.append([_number(int, at, f"{where}.at"),
+                          _demand(_number(float, base, f"{where}.base"), f"{where}.base")])
         profile["steps"] = sorted(steps)
         profiles[str(region)] = profile
     for region in regions:
@@ -354,11 +412,9 @@ def normalize_events(
 ) -> list[dict]:
     """Validate and normalize a list of injectable events against a topology."""
     out = []
-    for i, raw in enumerate(raw_events):
+    for i, raw in enumerate(_list(raw_events, label)):
         where = f"{label}[{i}]"
-        kind = _require(raw, "kind", where)
-        if kind not in EVENT_KINDS:
-            raise ValidationError(f"{where}: unknown event kind {kind!r}")
+        kind = _one_of(_require(raw, "kind", where), EVENT_KINDS, "event kind", where)
         tick = _number(int, _require(raw, "tick", where), f"{where}.tick")
         if tick < 0:
             raise ValidationError(f"{where}: tick must be >= 0")
@@ -370,8 +426,8 @@ def normalize_events(
             event["node"] = node_id
             event["key"] = str(_require(raw, "key", where))
             effect = _require(raw, "effect", where) if kind == "taint" else raw.get("effect")
-            if effect is not None and effect not in EFFECTS:
-                raise ValidationError(f"{where}: unknown effect {effect!r}")
+            if kind == "taint" or effect is not None:
+                _one_of(effect, EFFECTS, "effect", where)
             event["effect"] = effect
         elif kind == "slice-request":
             agent_id = str(_require(raw, "agent", where))
@@ -379,7 +435,7 @@ def normalize_events(
                 raise ValidationError(f"{where}: unknown agent {agent_id!r}")
             if agent_roles[agent_id] != AgentRole.SLICE.value:
                 raise ValidationError(f"{where}: agent {agent_id!r} does not place slices")
-            chain = _require(raw, "chain", where)
+            chain = _list(_require(raw, "chain", where), f"{where}.chain")
             if not chain:
                 raise ValidationError(f"{where}: empty slice chain")
             event["agent"] = agent_id
@@ -399,10 +455,9 @@ def normalize_events(
                 if acl not in agent_roles:
                     raise ValidationError(f"{where}: unknown agent {acl!r}")
                 event[field_name] = acl
-            artifact = _require(raw, "artifact", where)
-            if artifact not in ARTIFACT_KINDS:
-                raise ValidationError(f"{where}: unknown artifact kind {artifact!r}")
-            event["artifact"] = artifact
+            event["artifact"] = _one_of(
+                _require(raw, "artifact", where), ARTIFACT_KINDS, "artifact kind", where
+            )
         else:  # release
             event["acl"] = str(_require(raw, "acl", where))
         out.append(event)
@@ -490,9 +545,9 @@ def build_state(norm: dict) -> tuple[ClusterState, dict[str, str]]:
             tolerations=_tolerations(entry["tolerations"]),
             priority=levels[entry["priority"]],
         )
-        state = cluster.add_pod(state, pod)
+        cluster.add_pod(state, pod)
         try:
-            state = cluster.bind(state, pod.id, entry["node"])
+            cluster.bind(state, pod.id, entry["node"])
         except Exception as exc:
             raise ValidationError(f"initial pod {pod.id}: {exc}") from None
     node_regions = {n["id"]: n["region"] for n in norm["nodes"]}

@@ -137,10 +137,10 @@ def schedule(state: ClusterState, pod: Pod) -> Decision:
     return Decision(DecisionKind.PENDING, pod.id, reason="unschedulable")
 
 
-def enforce_no_execute(state: ClusterState) -> tuple[ClusterState, list[tuple[str, str]]]:
+def enforce_no_execute(state: ClusterState) -> list[tuple[str, str]]:
     """Evict bound pods that no longer tolerate their node's hard taints.
 
-    Returns the new state and (node id, pod id) pairs in deterministic order.
+    Returns the (node id, pod id) pairs evicted, in deterministic order.
     Evicted pods are left in phase Evicted; the caller requeues them.
     """
     evicted: list[tuple[str, str]] = []
@@ -150,21 +150,20 @@ def enforce_no_execute(state: ClusterState) -> tuple[ClusterState, list[tuple[st
             continue
         for pod_id in cluster.pods_on(state, node_id):
             if not cluster.tolerates(state.pods[pod_id], node):
-                state = cluster.evict(state, pod_id)
+                cluster.evict(state, pod_id)
                 evicted.append((node_id, pod_id))
-    return state, evicted
+    return evicted
 
 
 @dataclass
 class RoundResult:
-    state: ClusterState
     decisions: list[Decision]
     taint_evictions: list[tuple[str, str]]
     units: list[SchedulerUnit]
 
 
 def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
-    """Run one full scheduling round across every unit.
+    """Run one full scheduling round across every unit, changing *state*.
 
     Order of play: NoExecute enforcement first (its victims requeue into their
     owners' units), then repeatedly pick the non-empty unit with the highest
@@ -183,9 +182,9 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
             by_acl[pod.owner] = unit
         return unit
 
-    state, taint_evictions = enforce_no_execute(state)
+    taint_evictions = enforce_no_execute(state)
     for _, pod_id in taint_evictions:
-        state = cluster.requeue(state, pod_id)
+        cluster.requeue(state, pod_id)
         unit_for(state.pods[pod_id]).queue.append(pod_id)
 
     decisions: list[Decision] = []
@@ -205,13 +204,13 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
         decision = schedule(state, pod)
         decisions.append(decision)
         if decision.kind is DecisionKind.BOUND:
-            state = cluster.bind(state, pod_id, decision.node_id)
+            cluster.bind(state, pod_id, decision.node_id)
         elif decision.kind is DecisionKind.PREEMPT:
             for victim in decision.victims:
-                state = cluster.evict(state, victim)
-                state = cluster.requeue(state, victim)
+                cluster.evict(state, victim)
+                cluster.requeue(state, victim)
                 unit_for(state.pods[victim]).queue.append(victim)
-            state = cluster.bind(state, pod_id, decision.node_id)
+            cluster.bind(state, pod_id, decision.node_id)
         else:
             undecidable.setdefault(unit.acl_id, []).append(pod_id)
 
@@ -225,4 +224,4 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
         if acl_id not in kept:
             kept[acl_id] = SchedulerUnit(acl_id, unit.priority, [])
     result_units = [kept[a] for a in sorted(kept)]
-    return RoundResult(state, decisions, taint_evictions, result_units)
+    return RoundResult(decisions, taint_evictions, result_units)

@@ -200,9 +200,7 @@ class World:
         )
 
     def _settle_receipt(self, intent: ActionIntent) -> None:
-        receipt = self.agents[intent.acl_id].receipts.pop(intent.intent_id, None)
-        if receipt is not None:
-            receipt.outstanding = False
+        self.agents[intent.acl_id].receipts.pop(intent.intent_id, None)
 
     # -- tick phases ------------------------------------------------------
 
@@ -215,12 +213,12 @@ class World:
             kind = event["kind"]
             if kind == "taint":
                 taint = Taint(event["key"], TaintEffect(event["effect"]))
-                self.state = cluster.apply_taint(self.state, event["node"], taint)
+                cluster.apply_taint(self.state, event["node"], taint)
                 self.emit("taint-applied", node=event["node"], key=taint.key,
                           effect=taint.effect.value)
             elif kind == "remove-taint":
                 effect = TaintEffect(event["effect"]) if event.get("effect") else None
-                self.state = cluster.remove_taint(self.state, event["node"], event["key"], effect)
+                cluster.remove_taint(self.state, event["node"], event["key"], effect)
                 self.emit("taint-removed", node=event["node"], key=event["key"])
             elif kind == "slice-request":
                 request = SliceRequest(
@@ -370,7 +368,7 @@ class World:
                         tolerations=spec.tolerations,
                         priority=agent.priority,
                     )
-                    self.state = cluster.add_pod(self.state, pod)
+                    cluster.add_pod(self.state, pod)
                     self.units[agent.id].queue.append(pod_id)
                     self.emit("pod-created", pod=pod_id, acl=agent.id,
                               cpu=spec.request.cpu_millicores,
@@ -381,16 +379,15 @@ class World:
                     pod = self.state.pods.get(pod_id)
                     if pod is None or pod.phase is PodPhase.TERMINATED:
                         continue
-                    self.state = cluster.retire(
-                        cluster.terminate(self.state, pod_id), pod_id
-                    )
+                    cluster.terminate(self.state, pod_id)
+                    cluster.retire(self.state, pod_id)
                     self.emit("pod-terminated", pod=pod_id, acl=intent.acl_id)
             elif intent.kind is ActionKind.POWER_OFF:
                 taint = Taint(POWERED_OFF_KEY, TaintEffect.NO_SCHEDULE)
-                self.state = cluster.apply_taint(self.state, intent.node_id, taint)
+                cluster.apply_taint(self.state, intent.node_id, taint)
                 self.emit("power-off", node=intent.node_id, acl=intent.acl_id)
             else:  # POWER_ON
-                self.state = cluster.remove_taint(self.state, intent.node_id, POWERED_OFF_KEY)
+                cluster.remove_taint(self.state, intent.node_id, POWERED_OFF_KEY)
                 self.emit("power-on", node=intent.node_id, acl=intent.acl_id)
             self.manager.note_execution(t, intent.acl_id, intent.target, intent.direction)
             self._settle_receipt(intent)
@@ -399,7 +396,6 @@ class World:
     def _phase_schedule(self) -> None:
         ordered = [self.units[a] for a in sorted(self.units)]
         result = scheduler.coordinate(self.state, ordered)
-        self.state = result.state
         for node_id, pod_id in result.taint_evictions:
             self.emit("pod-evicted", pod=pod_id, node=node_id, cause="no-execute")
         for decision in result.decisions:
@@ -450,8 +446,8 @@ class World:
         self.emit("tick-end",
                   bound=counts[PodPhase.BOUND],
                   pending=counts[PodPhase.PENDING],
-                  terminated=counts[PodPhase.TERMINATED] + state.retired,
-                  pods=len(state.pods) + state.retired)
+                  terminated=counts[PodPhase.TERMINATED] + len(state.retired),
+                  pods=len(state.pods) + len(state.retired))
 
     def step(self) -> None:
         self._phase_traffic_and_events()

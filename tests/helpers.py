@@ -49,7 +49,7 @@ def state_with(nodes, pods=(), bound=()) -> ClusterState:
     """Build a state through the public ops so that invariants hold."""
     state = ClusterState(nodes={n.id: n for n in nodes})
     for p in pods:
-        state = add_pod(state, p)
+        add_pod(state, p)
     for pid, nid in bound:
-        state = bind(state, pid, nid)
+        bind(state, pid, nid)
     return state

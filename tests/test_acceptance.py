@@ -81,7 +81,7 @@ def test_criterion_03_scheduler_oracle_equivalence():
         got = (
             result.taint_evictions,
             oracle.normalize_decisions(result.decisions),
-            result.state.bindings,
+            state.bindings,
         )
         if got != (want_evictions, want_decisions, want_placement):
             mismatches.append(i)

@@ -261,14 +261,13 @@ class TestExecuteAndReceipts:
         receipts = agents_mod.execute(agent, intents, lambda i: i.tick + 4)
         assert len(receipts) == 1
         assert receipts[0].check_tick == 4
-        assert receipts[0].outstanding
         assert agents_mod.outstanding_targets(agent) == frozenset({agent.target})
 
     def test_settled_receipts_release_the_target(self):
         agent = make_agent()
         intents = plan(agent, 900.0, make_ctx(state_with([node("w", region="waterloo")])))
         agents_mod.execute(agent, intents, lambda i: i.tick)
-        agent.receipts[intents[0].intent_id].outstanding = False
+        del agent.receipts[intents[0].intent_id]
         assert agents_mod.outstanding_targets(agent) == frozenset()
 
     def test_empty_intent_list_empty_receipts(self):

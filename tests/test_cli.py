@@ -106,6 +106,52 @@ class TestRun:
         assert "Traceback" not in err
 
 
+    TWO_REGIONS = (
+        "topology: {nodes: [{id: n1, region: east, cpu: 1000, memory: 1000},"
+        " {id: n2, region: west, cpu: 1000, memory: 1000}]}\n"
+    )
+
+    def run_document(self, capsys, tmp_path, body):
+        path = tmp_path / "doc.yaml"
+        path.write_text("name: doc\n" + self.TWO_REGIONS + body)
+        code, _, err = invoke(capsys, "run", str(path))
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("body, message", [
+        ("topology: {nodes: [5]}\n", "topology.nodes[0]: expected a mapping"),
+        ("topology: {nodes: [{id: n3, region: east, cpu: 1, memory: 1, taints: [3]}]}\n",
+         "node n3 taint[0]: expected a mapping"),
+        ("injected: [7]\n", "injected[0]: expected a mapping"),
+        ("agents: [{id: a, scope: 5}]\n", "agent a: scope: expected a list"),
+        ("traffic: [1]\n", "traffic: expected a mapping"),
+        ("agents: [{id: a, scope: [east]}]\ntrust: [1]\n", "trust: expected a mapping"),
+    ], ids=["node-int", "taint-int", "injected-int", "scope-int", "traffic-list",
+            "trust-list"])
+    def test_misshapen_document_is_an_input_error(self, capsys, tmp_path, body, message):
+        code, err = self.run_document(capsys, tmp_path, body)
+        assert code == 2
+        assert f"error: {message}" in err
+
+    def test_initial_pod_holding_a_generated_id_is_an_input_error(self, capsys, tmp_path):
+        code, err = self.run_document(capsys, tmp_path, (
+            "ticks: 10\n"
+            "agents: [{id: acl1, scope: [east], pod_template: {cpu: 10, memory: 10}}]\n"
+            "traffic: {east: {base: 5000}}\n"
+            "initial_pods: [{id: acl1-pod-0, owner: tenant, node: n1, cpu: 10, memory: 10}]\n"
+        ))
+        assert code == 2
+        assert "error: pod acl1-pod-0: id is taken by the pods agent 'acl1' creates" in err
+
+    def test_traffic_that_would_overflow_is_an_input_error(self, capsys, tmp_path):
+        code, err = self.run_document(capsys, tmp_path, (
+            "agents: [{id: a, scope: [east, west], pod_template: {cpu: 10, memory: 10}}]\n"
+            "traffic: {east: {base: 1.0e308}, west: {base: 1.0e308}}\n"
+        ))
+        assert code == 2
+        assert "error: traffic[east].base: must be within" in err
+
+
 class TestVerify:
     def test_good_trace_verifies(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -87,7 +87,7 @@ class TestCapacity:
     def test_fits_respects_current_occupancy(self):
         state = state_with([node("n", 2000, 4096)], [pod("a", 1500, 3072), pod("b", 1500, 3072)])
         assert cluster.fits(state, state.pods["a"], "n")
-        state = cluster.bind(state, "a", "n")
+        cluster.bind(state, "a", "n")
         assert not cluster.fits(state, state.pods["b"], "n")
 
     def test_zero_request_always_fits(self):
@@ -104,8 +104,8 @@ class TestPhaseMachine:
     def test_bind_then_evict_restores_capacity(self):
         state = state_with([node("n", 2000, 4096)], [pod("p", 500, 1024)])
         before = cluster.free_capacity(state, "n")
-        state = cluster.bind(state, "p", "n")
-        state = cluster.evict(state, "p")
+        cluster.bind(state, "p", "n")
+        cluster.evict(state, "p")
         assert cluster.free_capacity(state, "n") == before
         assert state.pods["p"].phase is PodPhase.EVICTED
         assert "p" not in state.bindings
@@ -131,9 +131,9 @@ class TestPhaseMachine:
         state = state_with([node("n")], [pod("p")])
         with pytest.raises(InvalidPhase):
             cluster.requeue(state, "p")
-        state = cluster.bind(state, "p", "n")
-        state = cluster.evict(state, "p")
-        state = cluster.requeue(state, "p")
+        cluster.bind(state, "p", "n")
+        cluster.evict(state, "p")
+        cluster.requeue(state, "p")
         assert state.pods["p"].phase is PodPhase.PENDING
 
     def test_evict_only_from_bound(self):
@@ -143,7 +143,7 @@ class TestPhaseMachine:
 
     def test_terminate_unbinds_and_is_final(self):
         state = state_with([node("n")], [pod("p")], [("p", "n")])
-        state = cluster.terminate(state, "p")
+        cluster.terminate(state, "p")
         assert state.pods["p"].phase is PodPhase.TERMINATED
         assert "p" not in state.bindings
         with pytest.raises(InvalidPhase):
@@ -154,42 +154,36 @@ class TestPhaseMachine:
         with pytest.raises(UnknownPod):
             cluster.evict(state, "ghost")
 
-    def test_operations_return_new_states(self):
-        state = state_with([node("n")], [pod("p")])
-        bound = cluster.bind(state, "p", "n")
-        assert state.pods["p"].phase is PodPhase.PENDING
-        assert bound.pods["p"].phase is PodPhase.BOUND
-
 
 class TestTaints:
     def test_apply_taint_never_evicts(self):
         state = state_with([node("n")], [pod("p")], [("p", "n")])
-        state = cluster.apply_taint(state, "n", taint("acl9", "NoExecute"))
+        cluster.apply_taint(state, "n", taint("acl9", "NoExecute"))
         assert state.pods["p"].phase is PodPhase.BOUND
         assert taint("acl9", "NoExecute") in state.nodes["n"].taints
 
     def test_apply_duplicate_taint_is_idempotent(self):
         state = state_with([node("n", taints=[taint("k", "NoSchedule")])])
-        again = cluster.apply_taint(state, "n", taint("k", "NoSchedule"))
-        assert again.nodes["n"].taints == state.nodes["n"].taints
+        cluster.apply_taint(state, "n", taint("k", "NoSchedule"))
+        assert state.nodes["n"].taints == frozenset({taint("k", "NoSchedule")})
 
     def test_multiple_taints_coexist(self):
         state = state_with([node("n", taints=[taint("acl1", "PreferNoSchedule")])])
-        state = cluster.apply_taint(state, "n", taint("acl2", "PreferNoSchedule"))
+        cluster.apply_taint(state, "n", taint("acl2", "PreferNoSchedule"))
         assert len(state.nodes["n"].taints) == 2
 
     def test_remove_taint_by_key(self):
         state = state_with(
             [node("n", taints=[taint("k", "NoSchedule"), taint("k", "NoExecute")])]
         )
-        state = cluster.remove_taint(state, "n", "k")
+        cluster.remove_taint(state, "n", "k")
         assert state.nodes["n"].taints == frozenset()
 
     def test_remove_taint_by_key_and_effect(self):
         state = state_with(
             [node("n", taints=[taint("k", "NoSchedule"), taint("k", "NoExecute")])]
         )
-        state = cluster.remove_taint(state, "n", "k", TaintEffect.NO_EXECUTE)
+        cluster.remove_taint(state, "n", "k", TaintEffect.NO_EXECUTE)
         assert state.nodes["n"].taints == frozenset({taint("k", "NoSchedule")})
 
 

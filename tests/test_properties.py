@@ -1,7 +1,10 @@
 """Property-based tests for the invariants the engine promises to hold."""
 
+import copy
+import math
 import random
 
+import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle
@@ -35,9 +38,11 @@ from loopsim.conflicts import (
     Verdict,
     regional,
 )
-from loopsim.scenario import from_dict
+from loopsim.errors import ValidationError
+from loopsim.scenario import BUILTIN_SCENARIOS, from_dict, list_scenarios
 from loopsim.scheduler import coordinate, filter_nodes
 from loopsim.sim import check_invariants, run, verify_trace
+from test_acceptance import random_scenario
 
 KEYS = ("zone", "tier", "power")
 EFFECTS = ("NoSchedule", "PreferNoSchedule", "NoExecute")
@@ -93,14 +98,15 @@ class TestTolerationMonotonicity:
 class TestPhaseMachine:
     @given(st.integers(1, 1900), st.integers(1, 4000))
     def test_bind_evict_requeue_restores_capacity_and_phase(self, cpu, mem):
-        state0 = state_with([node("n1")], pods=[pod("p", cpu=cpu, mem=mem)])
-        free0 = free_capacity(state0, "n1")
-        state1 = bind(state0, "p", "n1")
-        assert used_capacity(state1, "n1") == rv(cpu, mem)
-        state2 = requeue(evict(state1, "p"), "p")
-        assert free_capacity(state2, "n1") == free0
-        assert state2.pods["p"].phase is PodPhase.PENDING
-        assert "p" not in state2.bindings
+        state = state_with([node("n1")], pods=[pod("p", cpu=cpu, mem=mem)])
+        free0 = free_capacity(state, "n1")
+        bind(state, "p", "n1")
+        assert used_capacity(state, "n1") == rv(cpu, mem)
+        evict(state, "p")
+        requeue(state, "p")
+        assert free_capacity(state, "n1") == free0
+        assert state.pods["p"].phase is PodPhase.PENDING
+        assert "p" not in state.bindings
 
     @given(st.lists(st.integers(100, 900), min_size=1, max_size=5))
     def test_used_plus_free_is_total_capacity(self, cpus):
@@ -108,7 +114,7 @@ class TestPhaseMachine:
         state = state_with([node("n1", cpu=8000, mem=8000)], pods=pods)
         for p in pods:
             if free_capacity(state, "n1").covers(p.request):
-                state = bind(state, p.id, "n1")
+                bind(state, p.id, "n1")
         total = used_capacity(state, "n1") + free_capacity(state, "n1")
         assert total == state.nodes["n1"].capacity
 
@@ -154,7 +160,7 @@ class TestSchedulingMatchesOracle:
         result = coordinate(state, units)
         assert result.taint_evictions == evictions
         assert oracle.normalize_decisions(result.decisions) == decisions
-        assert result.state.bindings == placement
+        assert state.bindings == placement
 
 
 class TestArbitrationScaling:
@@ -342,3 +348,49 @@ class TestWholeRunDeterminism:
         report = verify_trace(first, scn)
         assert report.ok
         assert check_invariants(scn.data, first.events) == []
+
+
+# Shapes and extremes a misshapen document may hold in place of any value.
+REPLACEMENTS = (0, -1, 7, 10**6, "x", [], [1], {}, {"k": 1}, None,
+                1e308, -1e308, math.nan)
+
+
+def _source_documents() -> list[dict]:
+    docs = [yaml.safe_load(BUILTIN_SCENARIOS[name]) for name in list_scenarios()]
+    rng = random.Random(20260814)
+    docs += [random_scenario(rng, i).data for i in range(4)]  # normalized form
+    return docs
+
+
+SOURCE_DOCUMENTS = _source_documents()
+
+
+@st.composite
+def misshapen_documents(draw):
+    """A built-in or fuzz scenario document with one value or list entry,
+    at any depth, replaced by another shape or an extreme number."""
+    doc = copy.deepcopy(draw(st.sampled_from(SOURCE_DOCUMENTS)))
+    container = doc
+    while True:
+        key = draw(st.sampled_from(
+            sorted(container) if isinstance(container, dict) else range(len(container))
+        ))
+        inner = container[key]
+        if not (isinstance(inner, (dict, list)) and inner) or draw(st.booleans()):
+            break
+        container = inner
+    container[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return doc
+
+
+class TestMisshapenDocuments:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(misshapen_documents(), st.integers(1, 8))
+    def test_a_document_is_rejected_or_runs_and_verifies(self, doc, ticks):
+        try:
+            scn = from_dict(doc, ticks=ticks)
+        except ValidationError:
+            return
+        trace, _, _ = run(scn)
+        assert verify_trace(trace, scn).ok

@@ -220,11 +220,91 @@ class TestNormalize:
          "alpha: expected float"),
         (minimal(ticks=float("inf")), "ticks: expected int"),
         (minimal(traffic={"east": {"period": None}}), "period: expected int"),
+        (minimal(traffic={"east": {"period": 10**400}}), "period: must be finite"),
     ], ids=["span-0", "span-negative", "hysteresis-negative", "sigma-negative",
             "base-nan", "base-inf", "amplitude-inf", "step-base-nan",
             "node-units-inf", "k-sigma-nan", "period-text", "period-nan", "alpha-text",
-            "ticks-inf", "traffic-period-null"])
+            "ticks-inf", "traffic-period-null", "period-beyond-float"])
     def test_malformed_numbers_rejected(self, data, message):
+        with pytest.raises(ValidationError, match=message):
+            normalize(data)
+
+    @pytest.mark.parametrize("traffic, message", [
+        ({"east": {"base": 1e16}}, r"traffic\[east\].base: must be within"),
+        ({"east": {"base": -1e16}}, r"traffic\[east\].base: must be within"),
+        ({"east": {"amplitude": -1e300}}, r"traffic\[east\].amplitude: must be within"),
+        ({"east": {"sigma": 1e16}}, r"traffic\[east\].sigma: must be within"),
+        ({"east": {"steps": [{"at": 3, "base": 1e308}]}},
+         r"traffic\[east\].steps\[0\].base: must be within"),
+        ({"east": {"steps": [[3, 1e308]]}}, r"steps\[0\].base: must be within"),
+        ({"east": {"phase": 1e308}}, r"traffic\[east\].phase: must be within"),
+    ], ids=["base", "base-negative", "amplitude", "sigma", "step-base", "step-pair",
+            "phase"])
+    def test_demand_beyond_the_bound_rejected(self, traffic, message):
+        with pytest.raises(ValidationError, match=message):
+            normalize(minimal(traffic=traffic))
+
+    @pytest.mark.parametrize("manager, message", [
+        ({"coherency": {"min_history": 0}}, "window and min_history must be >= 1"),
+        ({"coherency": {"window": 0}}, "window and min_history must be >= 1"),
+        ({"knowledge": {"model_bonus": 1e308}}, r"model_bonus must be in \[0, 1\]"),
+        ({"knowledge": {"model_bonus": -0.5}}, r"model_bonus must be in \[0, 1\]"),
+    ], ids=["min-history-0", "window-0", "bonus-huge", "bonus-negative"])
+    def test_manager_settings_out_of_range_rejected(self, manager, message):
+        with pytest.raises(ValidationError, match=message):
+            normalize(minimal(manager=manager))
+
+    def test_demand_at_the_bound_accepted(self):
+        limit = scenario_mod.MAX_DEMAND
+        norm = normalize(minimal(traffic={"east": {
+            "base": limit, "amplitude": -limit, "sigma": limit,
+            "steps": [{"at": 2, "base": -limit}],
+        }}))
+        assert norm["traffic"]["east"]["base"] == limit
+
+    @pytest.mark.parametrize("pod_id, owner, allowed", [
+        ("a-pod-0", "tenant", False),   # a creates a-pod-0 first
+        ("a-pod-7", "tenant", False),
+        ("a-pod-1", "a", False),        # a owns one pod, so it starts at a-pod-1
+        ("a-pod-0", "a", True),
+        ("a-pod-01", "tenant", True),   # never generated: no leading zeros
+        ("b-pod-0", "tenant", True),    # no agent b
+        ("a-pods-0", "tenant", True),
+    ])
+    def test_initial_pod_may_not_take_a_generated_id(self, pod_id, owner, allowed):
+        data = minimal(agents=[{"id": "a", "scope": ["east"]}])
+        data["initial_pods"] = [
+            {"id": pod_id, "owner": owner, "node": "n1", "cpu": 10, "memory": 10}
+        ]
+        if allowed:
+            normalize(data)
+        else:
+            with pytest.raises(ValidationError, match="taken by the pods agent 'a'"):
+                normalize(data)
+
+    @pytest.mark.parametrize("data, message", [
+        (minimal(priority_levels=5), "priority_levels: expected a list"),
+        (minimal(priority_levels=[[1]]), r"priority_levels\[0\]: expected a mapping"),
+        (minimal(agents={"a": 1}), "agents: expected a list"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "role": ["scaler"]}]),
+         "unknown role"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "pod_template": 5}]),
+         "pod_template: expected a mapping"),
+        (minimal(agents=[{"id": "a", "scope": ["east"], "pod_template": {
+            "cpu": 1, "memory": 1, "tolerations": [{"key": "k", "effects": "NoSchedule"}]}}]),
+         r"tolerations\[0\].effects: expected a list"),
+        (minimal(initial_pods=None), "initial_pods: expected a list"),
+        (minimal(manager={"coherency": [1]}), "manager.coherency: expected a mapping"),
+        (minimal(traffic={"east": 5}), r"traffic\[east\]: expected a mapping"),
+        (minimal(traffic={"east": {"steps": [[1, 2, 3]]}}), "pair"),
+        (minimal(agents=[{"id": "a", "scope": ["east"]}], trust={"a": [["a"]]}), "pair"),
+        (minimal(injected=[{"tick": 0, "kind": ["taint"]}]), "unknown event kind"),
+        (minimal(injected=[{"tick": 0, "kind": "taint", "node": "n1", "key": "k",
+                            "effect": None}]), "unknown effect None"),
+    ], ids=["levels-int", "level-list", "agents-mapping", "role-list", "template-int",
+            "effects-str", "initial-pods-null", "section-list", "profile-int",
+            "step-triple", "trust-single", "kind-list", "taint-effect-null"])
+    def test_misshapen_containers_rejected(self, data, message):
         with pytest.raises(ValidationError, match=message):
             normalize(data)
 

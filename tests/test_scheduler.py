@@ -192,8 +192,8 @@ class TestSchedule:
 class TestEnforceNoExecute:
     def test_intolerant_bound_pod_is_evicted(self):
         state = state_with([node("n")], [pod("p", owner="acl2")], [("p", "n")])
-        state = cluster.apply_taint(state, "n", taint("acl1", "NoExecute"))
-        state, evicted = scheduler.enforce_no_execute(state)
+        cluster.apply_taint(state, "n", taint("acl1", "NoExecute"))
+        evicted = scheduler.enforce_no_execute(state)
         assert evicted == [("n", "p")]
         assert state.pods["p"].phase is PodPhase.EVICTED
 
@@ -203,15 +203,15 @@ class TestEnforceNoExecute:
             [pod("p", owner="acl1", tols=[tol("acl1", "NoExecute")])],
             [("p", "n")],
         )
-        state = cluster.apply_taint(state, "n", taint("acl1", "NoExecute"))
-        state, evicted = scheduler.enforce_no_execute(state)
+        cluster.apply_taint(state, "n", taint("acl1", "NoExecute"))
+        evicted = scheduler.enforce_no_execute(state)
         assert evicted == []
         assert state.pods["p"].phase is PodPhase.BOUND
 
     def test_no_schedule_taint_does_not_evict(self):
         state = state_with([node("n")], [pod("p", owner="acl2")], [("p", "n")])
-        state = cluster.apply_taint(state, "n", taint("acl1", "NoSchedule"))
-        state, evicted = scheduler.enforce_no_execute(state)
+        cluster.apply_taint(state, "n", taint("acl1", "NoSchedule"))
+        evicted = scheduler.enforce_no_execute(state)
         assert evicted == []
 
 
@@ -253,10 +253,10 @@ class TestCoordinate:
             ],
             [("a", "w"), ("b", "w")],
         )
-        state = cluster.apply_taint(state, "w", taint("acl1", "NoExecute"))
+        cluster.apply_taint(state, "w", taint("acl1", "NoExecute"))
         result = scheduler.coordinate(state, [])
         assert result.taint_evictions == [("w", "a"), ("w", "b")]
-        assert result.state.bindings == {"a": "c", "b": "c"}
+        assert state.bindings == {"a": "c", "b": "c"}
         # every displaced pod got an explicit decision
         assert {d.pod_id for d in result.decisions} == {"a", "b"}
 
@@ -273,8 +273,8 @@ class TestCoordinate:
         kinds = {d.pod_id: d.kind for d in result.decisions}
         assert kinds["hi"] is DecisionKind.PREEMPT
         assert kinds["low"] is DecisionKind.PENDING
-        assert result.state.bindings == {"hi": "n"}
-        assert result.state.pods["low"].phase is PodPhase.PENDING
+        assert state.bindings == {"hi": "n"}
+        assert state.pods["low"].phase is PodPhase.PENDING
         # the displaced pod stays queued in its owner's unit for next round
         leftover = {u.acl_id: u.queue for u in result.units}
         assert leftover["acl3"] == ["low"]

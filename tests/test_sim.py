@@ -468,12 +468,12 @@ class TestBookkeepingChecks:
             world._phase_bookkeeping()
 
     def test_evicted_pod_left_undecided_raises(self, world):
-        world.state = cluster.evict(world.state, "keeper")
+        cluster.evict(world.state, "keeper")
         with pytest.raises(InvalidPhase, match="keeper"):
             world._phase_bookkeeping()
 
     def test_usage_index_drifting_from_bindings_raises(self, world):
         # an index that forgot the bound pod: fits would still pass against it
-        world.state = cluster._evolve(world.state, node_info={"n1": cluster.NodeInfo()})
+        world.state.node_info["n1"] = cluster.NodeInfo()
         with pytest.raises(IndexDrift, match="n1"):
             world._phase_bookkeeping()
