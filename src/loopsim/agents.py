@@ -210,10 +210,11 @@ def scope_regions(scope: frozenset[str], node_regions: dict[str, str]) -> list[s
 
 
 def monitor(agent: LoopAgent, demand: Callable[[int], float], tick: int) -> MetricWindow:
-    """Collect the last ``span_ticks`` demand samples over the agent's scope."""
+    """Collect the last ``span_ticks`` demand samples over the agent's scope,
+    leaving out those the predictor has already folded."""
     if agent.lifecycle is LifecycleState.SUSPENDED:
         raise SuspendedAgent(agent.id)
-    start = max(0, tick - agent.span_ticks + 1)
+    start = max(0, tick - agent.span_ticks + 1, agent.predictor.last_seen + 1)
     samples = tuple((t, demand(t)) for t in range(start, tick + 1))
     return MetricWindow(agent.target, samples, agent.span_ticks)
 

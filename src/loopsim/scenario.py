@@ -20,7 +20,7 @@ import yaml
 
 from . import agents as agents_mod
 from . import cluster
-from .agents import AgentRole, LoopAgent, PodSpec, PredictorState, SizeClass
+from .agents import AgentRole, LoopAgent, PodSpec, PredictorState
 from .cluster import (
     ClusterState,
     Node,
@@ -36,38 +36,114 @@ from .errors import EmptyScope, ParseError, ValidationError
 from .scheduler import SchedulerUnit
 from .traffic import RegionProfile, TrafficModel
 
-AGENT_DEFAULTS = {
-    "alpha": 0.3,
-    "watermark_high": 0.8,
-    "watermark_low": 0.3,
-    "hysteresis_ticks": 3,
-    "idle_ticks": 5,
-    "period": 1,
-    "span_ticks": 10,
-    "pod_capacity_units": 1000.0,
-    "node_capacity_units": 1000.0,
-}
-
-MANAGER_DEFAULTS = {
-    "e2e_period": 5,
-    "coherency": {"window": 50, "min_history": 10, "k_sigma": 3.0, "epsilon": 1e-6},
-    "lifecycle": {"suspend_after": 3, "reinstate_after": 5},
-    "interference": {"window_ticks": 10, "toggle_threshold": 3, "cooldown_ticks": 10},
-    "knowledge": {"model_bonus": 0.2},
-}
-
-TRAFFIC_DEFAULTS = {"base": 0.0, "amplitude": 0.0, "period": 24, "phase": 0, "sigma": 0.0}
-
 # Largest traffic base, amplitude, sigma or step base, in demand units (and
 # phase, in ticks).  A region's demand stays within a few times this, so
 # summing the demand of every region an agent watches cannot overflow to
 # infinity, and neither can the sine's argument.
 MAX_DEMAND = 1e15
 
-EFFECTS = {e.value for e in TaintEffect}
-ROLES = {r.value for r in AgentRole}
-ARTIFACT_KINDS = {"Model", "Dataset"}
-EVENT_KINDS = {"taint", "remove-taint", "slice-request", "exchange-request", "release"}
+EFFECTS = frozenset(e.value for e in TaintEffect)
+ROLES = frozenset(r.value for r in AgentRole)
+ARTIFACT_KINDS = frozenset({"Model", "Dataset"})
+
+REQUIRED = object()  # the default of a field that has none
+
+
+@dataclass(frozen=True)
+class Field:
+    """One scalar key of a scenario mapping.
+
+    *kind* is int, float, str, bool or the frozenset of allowed strings; str
+    and bool accept any value and convert it.  A field without a default is
+    required, and one whose default is None may also be given as null.  A
+    number must lie within [*low*, *high*], or (*low*, *high*] when
+    *low_open*; a missing bound is no bound.
+    """
+
+    kind: object
+    default: object = REQUIRED
+    low: float | None = None
+    high: float | None = None
+    low_open: bool = False
+
+    def bounds(self) -> str:
+        """The allowed range as text, such as ``>= 1`` or ``in (0, 1]``."""
+        if self.low is None:
+            return ""
+        if self.high is None:
+            return f"{'>' if self.low_open else '>='} {self.low:g}"
+        return f"in {'(' if self.low_open else '['}{self.low:g}, {self.high:g}]"
+
+
+# The field tables.  Lists, ids, cross-references and the rules that tie two
+# fields together are checked by hand in normalize.
+SCENARIO = {"name": Field(str), "seed": Field(int, 0), "ticks": Field(int, 20, low=1)}
+PRIORITY_LEVEL = {
+    "name": Field(str),
+    "value": Field(int),
+    "preemption": Field(bool, True),
+    "global_default": Field(bool, False),
+}
+NODE = {
+    "region": Field(str),
+    "cpu": Field(int, low=0, low_open=True),
+    "memory": Field(int, low=0, low_open=True),
+}
+TAINT = {"key": Field(str), "effect": Field(EFFECTS)}
+TOLERATION = {"key": Field(str)}
+# a negative request would lower node usage
+REQUEST = {"cpu": Field(int, low=0), "memory": Field(int, low=0)}
+INITIAL_POD = {"owner": Field(str), "node": Field(str), **REQUEST}
+AGENT = {
+    "role": Field(ROLES, "scaler"),
+    "alpha": Field(float, 0.3, low=0, high=1, low_open=True),
+    "watermark_high": Field(float, 0.8),
+    "watermark_low": Field(float, 0.3, low=0),
+    "hysteresis_ticks": Field(int, 3, low=0),
+    "idle_ticks": Field(int, 5),
+    "period": Field(int, 1, low=1),
+    "span_ticks": Field(int, 10, low=1),
+    "pod_capacity_units": Field(float, 1000.0, low=0, low_open=True),
+    "node_capacity_units": Field(float, 1000.0),
+}
+# a nested table is a section that may be left out or null
+MANAGER = {
+    "e2e_period": Field(int, 5, low=1),
+    "coherency": {
+        "window": Field(int, 50, low=1),
+        "min_history": Field(int, 10, low=1),
+        "k_sigma": Field(float, 3.0),
+        "epsilon": Field(float, 1e-6),
+    },
+    "lifecycle": {"suspend_after": Field(int, 3), "reinstate_after": Field(int, 5)},
+    "interference": {
+        "window_ticks": Field(int, 10),
+        "toggle_threshold": Field(int, 3),
+        "cooldown_ticks": Field(int, 10),
+    },
+    # a huge bonus would overflow the prediction
+    "knowledge": {"model_bonus": Field(float, 0.2, low=0, high=1)},
+}
+TRAFFIC = {
+    "base": Field(float, 0.0, -MAX_DEMAND, MAX_DEMAND),
+    "amplitude": Field(float, 0.0, -MAX_DEMAND, MAX_DEMAND),
+    "period": Field(int, 24, low=1),
+    "phase": Field(int, 0, -MAX_DEMAND, MAX_DEMAND),
+    "sigma": Field(float, 0.0, 0, MAX_DEMAND),
+}
+STEP = {"at": Field(int), "base": Field(float, REQUIRED, -MAX_DEMAND, MAX_DEMAND)}
+_TICK = {"tick": Field(int, low=0)}
+EVENTS = {
+    "taint": {**_TICK, "node": Field(str), "key": Field(str), "effect": Field(EFFECTS)},
+    "remove-taint": {
+        **_TICK, "node": Field(str), "key": Field(str), "effect": Field(EFFECTS, None),
+    },
+    "slice-request": {**_TICK, "agent": Field(str)},
+    "exchange-request": {
+        **_TICK, "source": Field(str), "target": Field(str), "artifact": Field(ARTIFACT_KINDS),
+    },
+    "release": {**_TICK, "acl": Field(str)},
+}
 
 
 @dataclass(frozen=True)
@@ -119,19 +195,31 @@ def _number(kind: type, value, where: str):
     return number
 
 
-def _amount(raw: dict, key: str, where: str) -> int:
-    """A resource request; a negative one would lower node usage."""
-    value = _number(int, _require(raw, key, where), f"{where}: {key}")
-    if value < 0:
-        raise ValidationError(f"{where}: {key} must be >= 0")
-    return value
-
-
-def _demand(value: float, where: str) -> float:
-    """A traffic number; bounded so that summed demand stays finite."""
-    if abs(value) > MAX_DEMAND:
-        raise ValidationError(f"{where}: must be within ±{MAX_DEMAND:g}, got {value!r}")
-    return value
+def _fields(raw, table: dict, where: str) -> dict:
+    """Check the mapping *raw* against a field *table* and return its fields
+    in table order, defaults filled in.  Keys outside the table are left to
+    the caller."""
+    _mapping(raw, where)
+    out = {}
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            out[key] = _fields(raw.get(key) or {}, spec, f"{where}.{key}")
+            continue
+        value = raw.get(key, spec.default)
+        if value is REQUIRED:
+            raise ValidationError(f"{where}: missing required key {key!r}")
+        if spec.kind is int or spec.kind is float:
+            value = _number(spec.kind, value, f"{where}: {key}")
+            low, high = spec.low, spec.high
+            if (low is not None and (value <= low if spec.low_open else value < low)
+                    or high is not None and value > high):
+                raise ValidationError(f"{where}: {key} must be {spec.bounds()}, got {value!r}")
+        elif spec.kind is str or spec.kind is bool:
+            value = spec.kind(value)
+        elif value is not None or spec.default is not None:
+            _one_of(value, spec.kind, key, where)
+        out[key] = value
+    return out
 
 
 def _pair(value, where: str) -> list:
@@ -145,14 +233,20 @@ def _norm_tolerations(raw, where: str) -> list[dict]:
     out = []
     for i, tol in enumerate(_list(raw or [], f"{where}.tolerations")):
         at = f"{where}.tolerations[{i}]"
-        key = _require(tol, "key", at)
+        entry = _fields(tol, TOLERATION, at)
         effects = _list(_require(tol, "effects", at), f"{at}.effects")
         if not effects:
             raise ValidationError(f"{at}: empty effects list")
         for e in effects:
             _one_of(e, EFFECTS, "effect", at)
-        out.append({"key": str(key), "effects": sorted(effects)})
+        out.append({**entry, "effects": sorted(effects)})
     return sorted(out, key=lambda t: (t["key"], tuple(t["effects"])))
+
+
+def _request(raw, where: str) -> dict:
+    """A pod's resource request and tolerations."""
+    return {**_fields(raw, REQUEST, where),
+            "tolerations": _norm_tolerations(raw.get("tolerations"), where)}
 
 
 def _tolerations(norm: list[dict]) -> frozenset[Toleration]:
@@ -168,31 +262,16 @@ def normalize(data: dict) -> dict:
     Raises ``ValidationError`` on structural problems or dangling references.
     Returns a plain-JSON dict whose canonical dump is stable for hashing.
     """
-    if not isinstance(data, dict):
-        raise ValidationError("scenario document must be a mapping")
-    norm: dict = {}
-    norm["name"] = str(_require(data, "name", "scenario"))
-    norm["seed"] = _number(int, data.get("seed", 0), "seed")
-    norm["ticks"] = _number(int, data.get("ticks", 20), "ticks")
-    if norm["ticks"] < 1:
-        raise ValidationError("ticks must be >= 1")
+    norm = _fields(data, SCENARIO, "scenario")
 
     # priority levels
     levels: dict[str, dict] = {}
-    default_count = 0
-    for i, lvl in enumerate(_list(data.get("priority_levels", []), "priority_levels")):
-        name = str(_require(lvl, "name", f"priority_levels[{i}]"))
-        if name in levels:
-            raise ValidationError(f"duplicate priority level {name!r}")
-        entry = {
-            "name": name,
-            "value": _number(int, _require(lvl, "value", f"priority_levels[{i}]"),
-                             f"priority_levels[{i}].value"),
-            "preemption": bool(lvl.get("preemption", True)),
-            "global_default": bool(lvl.get("global_default", False)),
-        }
-        default_count += entry["global_default"]
-        levels[name] = entry
+    for i, raw in enumerate(_list(data.get("priority_levels", []), "priority_levels")):
+        level = _fields(raw, PRIORITY_LEVEL, f"priority_levels[{i}]")
+        if level["name"] in levels:
+            raise ValidationError(f"duplicate priority level {level['name']!r}")
+        levels[level["name"]] = level
+    default_count = sum(level["global_default"] for level in levels.values())
     if default_count > 1:
         raise ValidationError("more than one priority level marked global_default")
     if default_count == 0:
@@ -206,6 +285,12 @@ def normalize(data: dict) -> dict:
     norm["priority_levels"] = sorted(levels.values(), key=lambda l: l["name"])
     fallback = next(l["name"] for l in norm["priority_levels"] if l["global_default"])
 
+    def priority(raw: dict, where: str) -> str:
+        name = str(raw.get("priority", fallback))
+        if name not in levels:
+            raise ValidationError(f"{where}: unknown priority {name!r}")
+        return name
+
     # topology (an already-normalized document keeps nodes at the top level)
     topo = data.get("topology")
     if topo is None:
@@ -213,33 +298,23 @@ def normalize(data: dict) -> dict:
             data, "topology", "scenario"
         )
     nodes: dict[str, dict] = {}
-    node_regions: dict[str, str] = {}
-    for i, node in enumerate(_list(_require(topo, "nodes", "topology"), "topology.nodes")):
-        node_id = str(_require(node, "id", f"topology.nodes[{i}]"))
+    for i, raw in enumerate(_list(_require(topo, "nodes", "topology"), "topology.nodes")):
+        node_id = str(_require(raw, "id", f"topology.nodes[{i}]"))
         if node_id in nodes:
             raise ValidationError(f"duplicate node id {node_id!r}")
-        cpu = _number(int, _require(node, "cpu", f"node {node_id}"), f"node {node_id}: cpu")
-        memory = _number(
-            int, _require(node, "memory", f"node {node_id}"), f"node {node_id}: memory"
-        )
-        if cpu <= 0 or memory <= 0:
-            raise ValidationError(f"node {node_id}: capacity must be positive")
-        taints = []
-        for j, taint in enumerate(_list(node.get("taints", []), f"node {node_id}: taints")):
-            effect = _require(taint, "effect", f"node {node_id} taint[{j}]")
-            _one_of(effect, EFFECTS, "taint effect", f"node {node_id}")
-            taints.append({"key": str(_require(taint, "key", f"node {node_id} taint[{j}]")),
-                           "effect": effect})
+        where = f"node {node_id}"
+        taints = [
+            _fields(taint, TAINT, f"{where} taint[{j}]")
+            for j, taint in enumerate(_list(raw.get("taints", []), f"{where}: taints"))
+        ]
         nodes[node_id] = {
             "id": node_id,
-            "region": str(_require(node, "region", f"node {node_id}")),
-            "cpu": cpu,
-            "memory": memory,
+            **_fields(raw, NODE, where),
             "taints": sorted(taints, key=lambda t: (t["key"], t["effect"])),
         }
-        node_regions[node_id] = nodes[node_id]["region"]
     norm["nodes"] = sorted(nodes.values(), key=lambda n: n["id"])
-    regions = {n["region"] for n in norm["nodes"]}
+    node_regions = {node_id: node["region"] for node_id, node in nodes.items()}
+    regions = set(node_regions.values())
     overlap = regions & set(nodes)
     if overlap:
         raise ValidationError(f"region names collide with node ids: {sorted(overlap)}")
@@ -250,44 +325,25 @@ def normalize(data: dict) -> dict:
         agent_id = str(_require(raw, "id", f"agents[{i}]"))
         if agent_id in agent_entries:
             raise ValidationError(f"duplicate agent id {agent_id!r}")
-        role = _one_of(raw.get("role", "scaler"), ROLES, "role", f"agent {agent_id}")
-        scope = [str(s) for s in _list(_require(raw, "scope", f"agent {agent_id}"),
-                                       f"agent {agent_id}: scope")]
+        where = f"agent {agent_id}"
+        scope = [str(s) for s in _list(_require(raw, "scope", where), f"{where}: scope")]
         try:
             agents_mod.classify_size(frozenset(scope), node_regions)
         except (EmptyScope, ValueError) as exc:
-            raise ValidationError(f"agent {agent_id}: {exc}") from None
-        priority = str(raw.get("priority", fallback))
-        if priority not in levels:
-            raise ValidationError(f"agent {agent_id}: unknown priority {priority!r}")
-        entry = {"id": agent_id, "role": role, "scope": sorted(scope), "priority": priority}
-        for key, default in AGENT_DEFAULTS.items():
-            value = raw.get(key, default)
-            entry[key] = _number(type(default), value, f"agent {agent_id}: {key}")
-        if not 0.0 < entry["alpha"] <= 1.0:
-            raise ValidationError(f"agent {agent_id}: alpha must be in (0, 1]")
-        if not 0.0 <= entry["watermark_low"] < entry["watermark_high"]:
-            raise ValidationError(f"agent {agent_id}: need 0 <= low < high watermarks")
-        if entry["period"] < 1:
-            raise ValidationError(f"agent {agent_id}: period must be >= 1")
-        if entry["span_ticks"] < 1:
-            raise ValidationError(f"agent {agent_id}: span_ticks must be >= 1")
-        if entry["hysteresis_ticks"] < 0:
-            raise ValidationError(f"agent {agent_id}: hysteresis_ticks must be >= 0")
-        if not entry["pod_capacity_units"] > 0:
-            raise ValidationError(f"agent {agent_id}: pod_capacity_units must be > 0")
-        entry["target"] = str(raw.get("target", f"svc-{agent_id}"))
+            raise ValidationError(f"{where}: {exc}") from None
+        entry = {
+            "id": agent_id,
+            "scope": sorted(scope),
+            "priority": priority(raw, where),
+            **_fields(raw, AGENT, where),
+            "target": str(raw.get("target", f"svc-{agent_id}")),
+        }
+        if not entry["watermark_low"] < entry["watermark_high"]:
+            raise ValidationError(f"{where}: need 0 <= low < high watermarks")
         template = raw.get("pod_template")
-        if template is not None:
-            entry["pod_template"] = {
-                "cpu": _amount(template, "cpu", f"agent {agent_id} pod_template"),
-                "memory": _amount(template, "memory", f"agent {agent_id} pod_template"),
-                "tolerations": _norm_tolerations(
-                    template.get("tolerations"), f"agent {agent_id}"
-                ),
-            }
-        else:
-            entry["pod_template"] = None
+        entry["pod_template"] = (
+            None if template is None else _request(template, f"{where} pod_template")
+        )
         agent_entries[agent_id] = entry
     norm["agents"] = sorted(agent_entries.values(), key=lambda a: a["id"])
 
@@ -297,21 +353,15 @@ def normalize(data: dict) -> dict:
         pod_id = str(_require(raw, "id", f"initial_pods[{i}]"))
         if pod_id in pods:
             raise ValidationError(f"duplicate pod id {pod_id!r}")
-        node_id = str(_require(raw, "node", f"pod {pod_id}"))
-        if node_id not in nodes:
-            raise ValidationError(f"pod {pod_id}: unknown node {node_id!r}")
-        priority = str(raw.get("priority", fallback))
-        if priority not in levels:
-            raise ValidationError(f"pod {pod_id}: unknown priority {priority!r}")
+        where = f"pod {pod_id}"
         pods[pod_id] = {
             "id": pod_id,
-            "owner": str(_require(raw, "owner", f"pod {pod_id}")),
-            "node": node_id,
-            "cpu": _amount(raw, "cpu", f"pod {pod_id}"),
-            "memory": _amount(raw, "memory", f"pod {pod_id}"),
-            "priority": priority,
-            "tolerations": _norm_tolerations(raw.get("tolerations"), f"pod {pod_id}"),
+            **_fields(raw, INITIAL_POD, where),
+            "priority": priority(raw, where),
+            "tolerations": _norm_tolerations(raw.get("tolerations"), where),
         }
+        if pods[pod_id]["node"] not in nodes:
+            raise ValidationError(f"{where}: unknown node {pods[pod_id]['node']!r}")
     norm["initial_pods"] = sorted(pods.values(), key=lambda p: p["id"])
     # an agent names the pods it creates <id>-pod-<n>, counting on from the
     # initial pods it owns; no initial pod may hold one of those names
@@ -345,58 +395,25 @@ def normalize(data: dict) -> dict:
         trust[str(source)] = sorted(pairs)
     norm["trust"] = dict(sorted(trust.items()))
 
-    # manager configuration
-    raw_mgr = _mapping(data.get("manager") or {}, "manager")
-    mgr: dict = {"e2e_period": _number(
-        int, raw_mgr.get("e2e_period", MANAGER_DEFAULTS["e2e_period"]), "manager.e2e_period"
-    )}
-    if mgr["e2e_period"] < 1:
-        raise ValidationError("manager.e2e_period must be >= 1")
-    for section in ("coherency", "lifecycle", "interference", "knowledge"):
-        defaults = MANAGER_DEFAULTS[section]
-        raw_section = _mapping(raw_mgr.get(section) or {}, f"manager.{section}")
-        block = {}
-        for key, default in defaults.items():
-            block[key] = _number(
-                type(default), raw_section.get(key, default), f"manager.{section}.{key}"
-            )
-        mgr[section] = block
-    if mgr["coherency"]["window"] < 1 or mgr["coherency"]["min_history"] < 1:
-        raise ValidationError("manager.coherency: window and min_history must be >= 1")
-    if not 0.0 <= mgr["knowledge"]["model_bonus"] <= 1.0:
-        raise ValidationError("manager.knowledge.model_bonus must be in [0, 1]")
-    norm["manager"] = mgr
+    norm["manager"] = _fields(data.get("manager") or {}, MANAGER, "manager")
 
     # traffic
     profiles = {}
     for region, raw in _mapping(data.get("traffic") or {}, "traffic").items():
         if region not in regions:
             raise ValidationError(f"traffic: unknown region {region!r}")
-        _mapping(raw, f"traffic[{region}]")
-        profile = {}
-        for key, default in TRAFFIC_DEFAULTS.items():
-            profile[key] = _number(type(default), raw.get(key, default),
-                                   f"traffic[{region}].{key}")
-        if profile["period"] < 1:
-            raise ValidationError(f"traffic[{region}]: period must be >= 1")
-        if profile["sigma"] < 0:
-            raise ValidationError(f"traffic[{region}]: sigma must be >= 0")
-        for key in ("base", "amplitude", "sigma", "phase"):
-            _demand(profile[key], f"traffic[{region}].{key}")
+        where = f"traffic[{region}]"
+        profile = _fields(raw, TRAFFIC, where)
         steps = []
-        for j, step in enumerate(_list(raw.get("steps", []), f"traffic[{region}].steps")):
-            where = f"traffic[{region}].steps[{j}]"
-            if isinstance(step, dict):
-                at = _require(step, "at", where)
-                base = _require(step, "base", where)
-            else:  # already-normalized [at, base] pair
-                at, base = _pair(step, where)
-            steps.append([_number(int, at, f"{where}.at"),
-                          _demand(_number(float, base, f"{where}.base"), f"{where}.base")])
+        for j, step in enumerate(_list(raw.get("steps", []), f"{where}.steps")):
+            at = f"{where}.steps[{j}]"
+            if not isinstance(step, dict):  # already-normalized [at, base] pair
+                step = dict(zip(STEP, _pair(step, at)))
+            steps.append(list(_fields(step, STEP, at).values()))
         profile["steps"] = sorted(steps)
         profiles[str(region)] = profile
     for region in regions:
-        profiles.setdefault(region, dict(TRAFFIC_DEFAULTS, steps=[]))
+        profiles.setdefault(region, {**_fields({}, TRAFFIC, "traffic"), "steps": []})
     norm["traffic"] = dict(sorted(profiles.items()))
 
     # injected events
@@ -414,52 +431,22 @@ def normalize_events(
     out = []
     for i, raw in enumerate(_list(raw_events, label)):
         where = f"{label}[{i}]"
-        kind = _one_of(_require(raw, "kind", where), EVENT_KINDS, "event kind", where)
-        tick = _number(int, _require(raw, "tick", where), f"{where}.tick")
-        if tick < 0:
-            raise ValidationError(f"{where}: tick must be >= 0")
-        event: dict = {"tick": tick, "kind": kind}
-        if kind in ("taint", "remove-taint"):
-            node_id = str(_require(raw, "node", where))
-            if node_id not in nodes:
-                raise ValidationError(f"{where}: unknown node {node_id!r}")
-            event["node"] = node_id
-            event["key"] = str(_require(raw, "key", where))
-            effect = _require(raw, "effect", where) if kind == "taint" else raw.get("effect")
-            if kind == "taint" or effect is not None:
-                _one_of(effect, EFFECTS, "effect", where)
-            event["effect"] = effect
-        elif kind == "slice-request":
-            agent_id = str(_require(raw, "agent", where))
-            if agent_id not in agent_roles:
-                raise ValidationError(f"{where}: unknown agent {agent_id!r}")
-            if agent_roles[agent_id] != AgentRole.SLICE.value:
-                raise ValidationError(f"{where}: agent {agent_id!r} does not place slices")
+        kind = _one_of(_require(raw, "kind", where), EVENTS, "event kind", where)
+        event = {"kind": kind, **_fields(raw, EVENTS[kind], where)}
+        if "node" in event and event["node"] not in nodes:
+            raise ValidationError(f"{where}: unknown node {event['node']!r}")
+        for name in ("agent", "source", "target"):  # the agents an event names
+            if name in event and event[name] not in agent_roles:
+                raise ValidationError(f"{where}: unknown agent {event[name]!r}")
+        if kind == "slice-request":
+            if agent_roles[event["agent"]] != AgentRole.SLICE.value:
+                raise ValidationError(f"{where}: agent {event['agent']!r} does not place slices")
             chain = _list(_require(raw, "chain", where), f"{where}.chain")
             if not chain:
                 raise ValidationError(f"{where}: empty slice chain")
-            event["agent"] = agent_id
             event["chain"] = [
-                {
-                    "cpu": _amount(link, "cpu", f"{where}.chain[{j}]"),
-                    "memory": _amount(link, "memory", f"{where}.chain[{j}]"),
-                    "tolerations": _norm_tolerations(
-                        link.get("tolerations"), f"{where}.chain[{j}]"
-                    ),
-                }
-                for j, link in enumerate(chain)
+                _request(link, f"{where}.chain[{j}]") for j, link in enumerate(chain)
             ]
-        elif kind == "exchange-request":
-            for field_name in ("source", "target"):
-                acl = str(_require(raw, field_name, where))
-                if acl not in agent_roles:
-                    raise ValidationError(f"{where}: unknown agent {acl!r}")
-                event[field_name] = acl
-            event["artifact"] = _one_of(
-                _require(raw, "artifact", where), ARTIFACT_KINDS, "artifact kind", where
-            )
-        else:  # release
-            event["acl"] = str(_require(raw, "acl", where))
         out.append(event)
     return out
 
@@ -476,9 +463,7 @@ def scenario_hash(norm: dict) -> str:
 
 
 def from_dict(data: dict, seed: int | None = None, ticks: int | None = None) -> Scenario:
-    if not isinstance(data, dict):
-        raise ValidationError("scenario document must be a mapping")
-    data = dict(data)
+    data = dict(_mapping(data, "scenario"))
     if seed is not None:
         data["seed"] = seed
     if ticks is not None:

@@ -487,20 +487,17 @@ _PHASE_RANK = {
 
 @dataclass
 class Report:
-    hash_ok: bool = True
     divergences: list[dict] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.hash_ok and not self.divergences and not self.violations
+        return not self.divergences and not self.violations
 
     def describe(self) -> str:
         if self.ok:
             return "trace verified: replay identical, all invariants hold"
         parts = []
-        if not self.hash_ok:
-            parts.append("scenario hash mismatch")
         if self.divergences:
             parts.append(f"{len(self.divergences)} diverging line(s)")
             for d in self.divergences[:5]:
@@ -636,8 +633,9 @@ def verify_trace(trace: Trace, scn: Scenario) -> Report:
         scn = effective
     replay, _, _ = run(scn, extra_events=header.get("extra_events") or [])
     report = Report()
-    original = trace.lines()
-    replayed = replay.lines()
+    # a recorded trace is compared as written: its bytes, blank lines and all
+    original = trace.lines() + [""] if trace.text is None else trace.text.split("\n")
+    replayed = replay.lines() + [""]
     for i in range(max(len(original), len(replayed))):
         left = original[i] if i < len(original) else "<missing>"
         right = replayed[i] if i < len(replayed) else "<missing>"

@@ -23,6 +23,8 @@ def _dump(obj: dict) -> str:
 class Trace:
     header: dict
     events: list[dict] = field(default_factory=list)
+    # the text this trace was parsed from, verbatim; verify compares it
+    text: str | None = field(default=None, compare=False, repr=False)
 
     def lines(self) -> list[str]:
         return [_dump(self.header)] + [_dump(e) for e in self.events]
@@ -51,7 +53,7 @@ def parse_trace(text: str) -> Trace:
             events.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad trace event: {exc}", line=i) from None
-    return Trace(header, events)
+    return Trace(header, events, text)
 
 
 def load_trace(path: str) -> Trace:

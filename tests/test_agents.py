@@ -106,6 +106,11 @@ class TestMonitor:
         window = monitor(agent, lambda t: 42.0, tick=0)
         assert window.samples == ((0, 42.0),)
 
+    def test_samples_already_folded_are_left_out(self):
+        agent = make_agent(span_ticks=100, predictor=PredictorState(last_seen=7))
+        window = monitor(agent, lambda t: float(t * 10), tick=9)
+        assert window.samples == ((8, 80.0), (9, 90.0))
+
     def test_suspended_agent_cannot_monitor(self):
         agent = make_agent(lifecycle=LifecycleState.SUSPENDED)
         with pytest.raises(SuspendedAgent):

@@ -149,7 +149,7 @@ class TestRun:
             "traffic: {east: {base: 1.0e308}, west: {base: 1.0e308}}\n"
         ))
         assert code == 2
-        assert "error: traffic[east].base: must be within" in err
+        assert "error: traffic[east]: base must be in [-1e+15, 1e+15]" in err
 
 
 class TestVerify:
@@ -175,6 +175,21 @@ class TestVerify:
         assert code == 3
         assert "1 diverging line(s)" in out
         assert "line 16" in out  # header is line 1, tampered event is seq 14
+
+    @pytest.mark.parametrize("tamper", [
+        lambda lines: lines[:3] + [lines[3].replace(",", ", ", 1)] + lines[4:],
+        lambda lines: lines[:3] + [""] + lines[3:],
+    ], ids=["space-after-comma", "blank-line"])
+    def test_reformatted_trace_fails_with_3(self, capsys, tmp_path, tamper):
+        # both tampers parse to the same events; only the bytes differ
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case1", "--out", str(path))
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(tamper(lines)))
+        assert load_trace(str(path)).events == parse_trace("\n".join(lines)).events
+        code, out, _ = invoke(capsys, "verify", str(path), "case1")
+        assert code == 3
+        assert out.splitlines()[1].startswith("  line 4: expected")
 
     def test_wrong_scenario_fails_with_3(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -1,5 +1,11 @@
 """Scenario parsing, validation, defaults, and hashing."""
 
+import copy
+import json
+import math
+import re
+from pathlib import Path
+
 import pytest
 
 from loopsim import scenario as scenario_mod
@@ -201,12 +207,12 @@ class TestNormalize:
          "span_ticks must be >= 1"),
         (minimal(agents=[{"id": "a", "scope": ["east"], "hysteresis_ticks": -1}]),
          "hysteresis_ticks must be >= 0"),
-        (minimal(traffic={"east": {"base": 100, "sigma": -5}}), "sigma must be >= 0"),
+        (minimal(traffic={"east": {"base": 100, "sigma": -5}}), r"sigma must be in \[0, 1e\+15\]"),
         (minimal(traffic={"east": {"base": float("nan")}}), "base: must be finite"),
         (minimal(traffic={"east": {"base": float("inf")}}), "base: must be finite"),
         (minimal(traffic={"east": {"amplitude": float("-inf")}}), "amplitude: must be finite"),
         (minimal(traffic={"east": {"steps": [{"at": 3, "base": float("nan")}]}}),
-         r"steps\[0\].base: must be finite"),
+         r"steps\[0\]: base: must be finite"),
         (minimal(agents=[{"id": "a", "scope": ["east"],
                           "node_capacity_units": float("inf")}]),
          "node_capacity_units: must be finite"),
@@ -230,14 +236,14 @@ class TestNormalize:
             normalize(data)
 
     @pytest.mark.parametrize("traffic, message", [
-        ({"east": {"base": 1e16}}, r"traffic\[east\].base: must be within"),
-        ({"east": {"base": -1e16}}, r"traffic\[east\].base: must be within"),
-        ({"east": {"amplitude": -1e300}}, r"traffic\[east\].amplitude: must be within"),
-        ({"east": {"sigma": 1e16}}, r"traffic\[east\].sigma: must be within"),
+        ({"east": {"base": 1e16}}, r"traffic\[east\]: base must be in \[-1e\+15, 1e\+15\]"),
+        ({"east": {"base": -1e16}}, r"traffic\[east\]: base must be in \[-1e\+15, 1e\+15\]"),
+        ({"east": {"amplitude": -1e300}}, r"traffic\[east\]: amplitude must be in \["),
+        ({"east": {"sigma": 1e16}}, r"traffic\[east\]: sigma must be in \[0, 1e\+15\]"),
         ({"east": {"steps": [{"at": 3, "base": 1e308}]}},
-         r"traffic\[east\].steps\[0\].base: must be within"),
-        ({"east": {"steps": [[3, 1e308]]}}, r"steps\[0\].base: must be within"),
-        ({"east": {"phase": 1e308}}, r"traffic\[east\].phase: must be within"),
+         r"traffic\[east\].steps\[0\]: base must be in \["),
+        ({"east": {"steps": [[3, 1e308]]}}, r"steps\[0\]: base must be in \["),
+        ({"east": {"phase": 1e308}}, r"traffic\[east\]: phase must be in \["),
     ], ids=["base", "base-negative", "amplitude", "sigma", "step-base", "step-pair",
             "phase"])
     def test_demand_beyond_the_bound_rejected(self, traffic, message):
@@ -245,8 +251,8 @@ class TestNormalize:
             normalize(minimal(traffic=traffic))
 
     @pytest.mark.parametrize("manager, message", [
-        ({"coherency": {"min_history": 0}}, "window and min_history must be >= 1"),
-        ({"coherency": {"window": 0}}, "window and min_history must be >= 1"),
+        ({"coherency": {"min_history": 0}}, "manager.coherency: min_history must be >= 1"),
+        ({"coherency": {"window": 0}}, "manager.coherency: window must be >= 1"),
         ({"knowledge": {"model_bonus": 1e308}}, r"model_bonus must be in \[0, 1\]"),
         ({"knowledge": {"model_bonus": -0.5}}, r"model_bonus must be in \[0, 1\]"),
     ], ids=["min-history-0", "window-0", "bonus-huge", "bonus-negative"])
@@ -374,3 +380,138 @@ class TestBuilders:
         scn = load_scenario("three-acl-conflict")
         trust = scenario_mod.build_trust(scn.data)
         assert trust == {"ran": {("core", "Model")}}
+
+
+# a valid document with one mapping for each field table
+FIELDS_DOCUMENT = {
+    "name": "fields",
+    "priority_levels": [{"name": "gold", "value": 1}],
+    "topology": {"nodes": [{
+        "id": "n1", "region": "east", "cpu": 2000, "memory": 4096,
+        "taints": [{"key": "k", "effect": "PreferNoSchedule"}],
+    }]},
+    "agents": [
+        {"id": "a", "scope": ["east"], "pod_template": {"cpu": 1, "memory": 1}},
+        {"id": "s", "role": "slice", "scope": ["e2e"]},
+    ],
+    "initial_pods": [{
+        "id": "p", "owner": "x", "node": "n1", "cpu": 10, "memory": 10,
+        "tolerations": [{"key": "k", "effects": ["NoSchedule"]}],
+    }],
+    "manager": {"coherency": {}, "lifecycle": {}, "interference": {}, "knowledge": {}},
+    "traffic": {"east": {"steps": [{"at": 1, "base": 1.0}]}},
+    "injected": [
+        {"tick": 0, "kind": "taint", "node": "n1", "key": "m", "effect": "NoSchedule"},
+        {"tick": 0, "kind": "remove-taint", "node": "n1", "key": "m"},
+        {"tick": 0, "kind": "slice-request", "agent": "s", "chain": [{"cpu": 1, "memory": 1}]},
+        {"tick": 0, "kind": "exchange-request", "source": "a", "target": "s",
+         "artifact": "Model"},
+        {"tick": 0, "kind": "release", "acl": "a"},
+    ],
+}
+# (README heading, table, path of its mapping in FIELDS_DOCUMENT, the
+# location that messages name)
+SITES = [
+    ("Top level", scenario_mod.SCENARIO, (), "scenario"),
+    ("`priority_levels[]`", scenario_mod.PRIORITY_LEVEL, ("priority_levels", 0),
+     "priority_levels[0]"),
+    ("`topology.nodes[]`", scenario_mod.NODE, ("topology", "nodes", 0), "node n1"),
+    ("`topology.nodes[].taints[]`", scenario_mod.TAINT,
+     ("topology", "nodes", 0, "taints", 0), "node n1 taint[0]"),
+    ("`tolerations[]`", scenario_mod.TOLERATION, ("initial_pods", 0, "tolerations", 0),
+     "pod p.tolerations[0]"),
+    ("`initial_pods[]`", scenario_mod.INITIAL_POD, ("initial_pods", 0), "pod p"),
+    ("`agents[]`", scenario_mod.AGENT, ("agents", 0), "agent a"),
+    ("Pod requests", scenario_mod.REQUEST, ("agents", 0, "pod_template"),
+     "agent a pod_template"),
+    ("Pod requests", scenario_mod.REQUEST, ("injected", 2, "chain", 0),
+     "injected[2].chain[0]"),
+    ("`manager`", {k: v for k, v in scenario_mod.MANAGER.items()
+                   if isinstance(v, scenario_mod.Field)}, ("manager",), "manager"),
+    *[(f"`manager.{section}`", table, ("manager", section), f"manager.{section}")
+      for section, table in scenario_mod.MANAGER.items() if isinstance(table, dict)],
+    ("`traffic.<region>`", scenario_mod.TRAFFIC, ("traffic", "east"), "traffic[east]"),
+    ("`traffic.<region>.steps[]`", scenario_mod.STEP, ("traffic", "east", "steps", 0),
+     "traffic[east].steps[0]"),
+    *[(f"`injected[]` of kind `{kind}`", table, ("injected", i), f"injected[{i}]")
+      for i, (kind, table) in enumerate(scenario_mod.EVENTS.items())],
+]
+FIELDS = [
+    (heading, path, where, key, spec)
+    for heading, table, path, where in SITES
+    for key, spec in table.items()
+]
+
+
+def _nudge(spec, value, direction):
+    """The next value of the field's kind past *value* in *direction*."""
+    if spec.kind is int:
+        return int(value) + direction
+    return math.nextafter(value, direction * math.inf)
+
+
+def _bound_cases(outside):
+    for heading, path, where, key, spec in FIELDS:
+        if spec.low is not None and (outside or not spec.low_open):
+            value = spec.low if spec.low_open else _nudge(spec, spec.low, -1)
+            yield pytest.param(path, where, key, spec, value if outside else spec.low,
+                               id=f"{where}.{key}-low")
+        if spec.high is not None:
+            value = _nudge(spec, spec.high, 1) if outside else spec.high
+            yield pytest.param(path, where, key, spec, value, id=f"{where}.{key}-high")
+
+
+def _fields_document(path):
+    doc = copy.deepcopy(FIELDS_DOCUMENT)
+    mapping = doc
+    for step in path:
+        mapping = mapping[step]
+    return doc, mapping
+
+
+class TestFieldTables:
+    def test_the_fields_document_normalizes(self):
+        norm = normalize(FIELDS_DOCUMENT)
+        assert [e["kind"] for e in norm["injected"]] == list(scenario_mod.EVENTS)
+
+    @pytest.mark.parametrize("path, where, key, spec, value", _bound_cases(outside=True))
+    def test_value_past_a_bound_rejected(self, path, where, key, spec, value):
+        doc, mapping = _fields_document(path)
+        mapping[key] = value
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{where}: {key} must be {spec.bounds()}")):
+            normalize(doc)
+
+    @pytest.mark.parametrize("path, where, key, spec, value", _bound_cases(outside=False))
+    def test_value_at_an_inclusive_bound_accepted(self, path, where, key, spec, value):
+        doc, mapping = _fields_document(path)
+        mapping[key] = value
+        normalize(doc)
+
+    @pytest.mark.parametrize("path, where, key", [
+        pytest.param(path, where, key, id=f"{where}.{key}")
+        for _, path, where, key, spec in FIELDS if spec.default is scenario_mod.REQUIRED
+    ])
+    def test_missing_required_field_rejected(self, path, where, key):
+        doc, mapping = _fields_document(path)
+        del mapping[key]
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{where}: missing required key {key!r}")):
+            normalize(doc)
+
+    def test_readme_lists_every_field(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        sections = dict(re.findall(r"^#### (.+)\n((?:(?!#).*\n)*)", readme, re.M))
+        missing = []
+        for heading, _, _, key, spec in FIELDS:
+            if isinstance(spec.kind, frozenset):
+                kind = "one of " + ", ".join(f"`{v}`" for v in sorted(spec.kind))
+            else:
+                kind = spec.kind.__name__
+            line = f"- `{key}`: {kind}, " + (
+                "required" if spec.default is scenario_mod.REQUIRED
+                else f"default `{json.dumps(spec.default)}`"
+            ) + (f", {spec.bounds()}" if spec.bounds() else "")
+            if line not in sections.get(heading, "").splitlines():
+                missing.append(f"{heading}: {line}")
+        assert missing == []

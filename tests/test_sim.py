@@ -14,6 +14,7 @@ from loopsim.errors import (
 from loopsim.scenario import from_dict, load_scenario
 from loopsim.sim import World, check_invariants, run, summarize, verify_trace
 from loopsim.trace import load_trace, parse_trace
+from loopsim.traffic import TrafficModel
 
 
 def events_of(trace, kind):
@@ -442,6 +443,35 @@ class TestIdleScenario:
         assert metrics.ticks == 3
         assert [e["tick"] for e in events_of(trace, "tick-end")] == [0, 1, 2]
         assert metrics.intents_submitted == 0
+
+
+class TestFlatCost:
+    def test_wide_span_samples_each_tick_once(self, monkeypatch):
+        # a span longer than the run: monitor must still only draw the
+        # sample analyze has not folded, so the calls per tick stay flat
+        scn = from_dict({
+            "name": "wide-span",
+            "ticks": 300,
+            "topology": {"nodes": [
+                {"id": "n1", "region": "east", "cpu": 1000, "memory": 1000},
+            ]},
+            "agents": [{"id": "a", "scope": ["east"], "span_ticks": 100000}],
+            "traffic": {"east": {"base": 100, "sigma": 5}},
+        })
+        calls = []
+        sample = TrafficModel.sample
+
+        def counted(self, region, tick):
+            calls[-1] += 1
+            return sample(self, region, tick)
+
+        monkeypatch.setattr(TrafficModel, "sample", counted)
+        world = World(scn)
+        for _ in range(scn.ticks):
+            calls.append(0)
+            world.step()
+        # one draw for the traffic event, one for the agent's monitor
+        assert calls == [2] * scn.ticks
 
 
 class TestBookkeepingChecks:
