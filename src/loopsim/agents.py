@@ -53,9 +53,7 @@ class PredictorState:
 
 @dataclass(frozen=True)
 class MetricWindow:
-    target: str
     samples: tuple[tuple[int, float], ...]
-    span_ticks: int
 
 
 class ActionKind(str, Enum):
@@ -216,7 +214,7 @@ def monitor(agent: LoopAgent, demand: Callable[[int], float], tick: int) -> Metr
         raise SuspendedAgent(agent.id)
     start = max(0, tick - agent.span_ticks + 1, agent.predictor.last_seen + 1)
     samples = tuple((t, demand(t)) for t in range(start, tick + 1))
-    return MetricWindow(agent.target, samples, agent.span_ticks)
+    return MetricWindow(samples)
 
 
 def analyze(

@@ -398,9 +398,13 @@ class ConflictManager:
         """
         up_claims: dict[str, list[tuple[str, str, cluster.ResourceVector]]] = {}
         directions: dict[str, list[tuple[str, str, int]]] = {}
+        # tolerations -> top-ranked node, None when no node is tolerated.  The
+        # ranking reads only tolerations, taints and free capacity, and
+        # detection changes none of them, so one ranking per set serves all.
+        top_node: dict[frozenset, str | None] = {}
 
         for intent in intents:
-            for node_id, request in self._claims(intent, state):
+            for node_id, request in self._claims(intent, state, top_node):
                 if request is not None:
                     up_claims.setdefault(node_id, []).append(
                         (intent.acl_id, intent.intent_id, request)
@@ -442,24 +446,33 @@ class ConflictManager:
                 )
         return results
 
-    def _claims(self, intent: ActionIntent, state: ClusterState):
-        """(node, request|None) pairs the intent lays claim to."""
+    def _claims(self, intent: ActionIntent, state: ClusterState,
+                top_node: dict[frozenset, str | None]):
+        """(node, request|None) pairs the intent lays claim to.
+
+        *top_node* maps a toleration set to the node it ranks first; it is
+        filled here and must not outlive one unchanged *state*.
+        """
         out = []
         if intent.kind in (ActionKind.SCALE_UP, ActionKind.INSTANTIATE):
             owner = self.agents[intent.acl_id]
             for i, spec in enumerate(intent.pod_specs):
-                probe = Pod(
-                    id=f"__probe-{intent.intent_id}-{i}",
-                    owner=intent.acl_id,
-                    request=spec.request,
-                    tolerations=spec.tolerations,
-                    priority=owner.priority,
-                )
-                feasible = scheduler.filter_nodes(state, probe)
-                if not feasible:
-                    continue
-                ranked = scheduler.score_nodes(state, probe, feasible)
-                out.append((ranked[0], spec.request))
+                if spec.tolerations not in top_node:
+                    probe = Pod(
+                        id=f"__probe-{intent.intent_id}-{i}",
+                        owner=intent.acl_id,
+                        request=spec.request,
+                        tolerations=spec.tolerations,
+                        priority=owner.priority,
+                    )
+                    feasible = scheduler.filter_nodes(state, probe)
+                    top_node[spec.tolerations] = (
+                        scheduler.score_nodes(state, probe, feasible)[0]
+                        if feasible else None
+                    )
+                node_id = top_node[spec.tolerations]
+                if node_id is not None:
+                    out.append((node_id, spec.request))
         elif intent.kind in (ActionKind.SCALE_DOWN, ActionKind.TERMINATE):
             for pod_id in intent.pod_ids:
                 node_id = state.bindings.get(pod_id)

@@ -435,7 +435,7 @@ def normalize_events(
         event = {"kind": kind, **_fields(raw, EVENTS[kind], where)}
         if "node" in event and event["node"] not in nodes:
             raise ValidationError(f"{where}: unknown node {event['node']!r}")
-        for name in ("agent", "source", "target"):  # the agents an event names
+        for name in ("agent", "source", "target", "acl"):  # the agents an event names
             if name in event and event[name] not in agent_roles:
                 raise ValidationError(f"{where}: unknown agent {event[name]!r}")
         if kind == "slice-request":

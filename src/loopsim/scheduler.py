@@ -3,7 +3,9 @@
 Each control loop owns a ``SchedulerUnit`` (a FIFO of pending pod ids at one
 priority level).  ``coordinate`` runs one cluster-wide round: first NoExecute
 taints are enforced, then units drain in priority order, preempting
-lower-priority pods when capacity demands it.
+lower-priority pods when capacity demands it.  Within a round, a pod whose
+shape (request, tolerations, priority) already came out Pending since the last
+bind or eviction gets that answer again without a second ``schedule`` call.
 """
 
 from __future__ import annotations
@@ -189,6 +191,10 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
 
     decisions: list[Decision] = []
     undecidable: dict[str, list[str]] = {}  # acl -> pods to retry next round
+    # shape -> Pending reason.  ``schedule`` reads nothing of a pod beyond its
+    # shape, and inside this loop only a bind or an eviction changes what it
+    # reads of the nodes, so the memo is exact until the next BOUND or PREEMPT.
+    unschedulable: dict[tuple, str] = {}
 
     def next_unit() -> SchedulerUnit | None:
         live = [u for u in by_acl.values() if u.queue]
@@ -201,17 +207,24 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
         pod = state.pods.get(pod_id)
         if pod is None or pod.phase is not PodPhase.PENDING:
             continue  # stale queue entry (a retired pod is gone from state)
-        decision = schedule(state, pod)
+        shape = (pod.request, pod.tolerations, pod.priority)
+        if shape in unschedulable:
+            decision = Decision(DecisionKind.PENDING, pod_id, reason=unschedulable[shape])
+        else:
+            decision = schedule(state, pod)
         decisions.append(decision)
         if decision.kind is DecisionKind.BOUND:
+            unschedulable.clear()
             cluster.bind(state, pod_id, decision.node_id)
         elif decision.kind is DecisionKind.PREEMPT:
+            unschedulable.clear()
             for victim in decision.victims:
                 cluster.evict(state, victim)
                 cluster.requeue(state, victim)
                 unit_for(state.pods[victim]).queue.append(victim)
             cluster.bind(state, pod_id, decision.node_id)
         else:
+            unschedulable[shape] = decision.reason
             undecidable.setdefault(unit.acl_id, []).append(pod_id)
 
     leftovers = [

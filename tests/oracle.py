@@ -10,7 +10,8 @@ Instance layout (plain dicts throughout):
 
     nodes:  id -> {"region", "cpu", "mem", "taints": {(key, effect), ...}}
     pods:   id -> {"owner", "cpu", "mem", "prio", "preempt",
-                   "tols": {key: {effect, ...}}, "phase", "node"}
+                   "tols": {key: {effect, ...}}, "phase", "node",
+                   optional "level": the owner whose level the pod has}
     units:  acl -> {"prio": int, "queue": [pod ids]}
     levels: acl -> (priority value, preemption enabled)
 """
@@ -279,6 +280,81 @@ def random_instance(rng: random.Random) -> dict:
     return {"nodes": nodes, "pods": pods, "units": units, "levels": levels}
 
 
+def repeated_shape_instance(rng: random.Random) -> dict:
+    """Like ``random_instance``, but each owner submits many pods of one or two
+    shapes (request and tolerations) to nodes too small for them all.
+
+    A round then holds runs of Pending decisions for one shape, broken by
+    binds, by preemptions (owners differ in priority) and, after a surprise
+    NoExecute taint, by evicted pods rejoining the queues.  Some groups carry
+    another owner's priority level, as an initial pod may, so a unit can hold
+    one request at two priorities and drain a higher-priority pod after a
+    lower one.
+    """
+    nodes = {}
+    for i in range(rng.randint(1, 3)):
+        nid = f"n{i}"
+        nodes[nid] = {
+            "region": "east",
+            "cpu": rng.choice((1000, 2000)),
+            "mem": rng.choice((2048, 4096)),
+            "taints": set(),
+        }
+        if rng.random() < 0.4:
+            nodes[nid]["taints"].add((rng.choice(OWNERS), rng.choice(EFFECTS)))
+
+    levels = {
+        owner: (rng.choice(PRIORITY_VALUES), rng.random() < 0.8)
+        for owner in OWNERS
+    }
+    pods = {}
+    for owner in OWNERS:
+        cpu, mem, tols = 0, 0, {}
+        for group in range(rng.randint(1, 2)):
+            if group == 0 or rng.random() < 0.5:
+                cpu, mem = rng.choice((400, 700, 1000)), rng.choice((512, 1024, 2048))
+                tols = {}
+                if rng.random() < 0.5:
+                    tols[rng.choice(OWNERS)] = set(rng.sample(EFFECTS, rng.randint(1, 3)))
+            level = owner if rng.random() < 0.7 else rng.choice(OWNERS)
+            for _ in range(rng.randint(1, 7)):
+                pods[f"p{len(pods):02d}"] = {
+                    "owner": owner,
+                    "level": level,
+                    "cpu": cpu,
+                    "mem": mem,
+                    "prio": levels[level][0],
+                    "preempt": levels[level][1],
+                    "tols": copy.deepcopy(tols),
+                    "phase": "pending",
+                    "node": None,
+                }
+
+    for pid in sorted(pods):
+        entry = pods[pid]
+        if rng.random() < 0.7:
+            continue
+        for nid in sorted(nodes):
+            fc, fm = free(nodes, pods, nid)
+            if tolerates(entry, nodes[nid]) and fc >= entry["cpu"] and fm >= entry["mem"]:
+                entry["phase"] = "bound"
+                entry["node"] = nid
+                break
+
+    if rng.random() < 0.5:
+        nid = rng.choice(sorted(nodes))
+        nodes[nid]["taints"].add((rng.choice(OWNERS), "NoExecute"))
+
+    units: dict[str, dict] = {}
+    pending = [p for p in sorted(pods) if pods[p]["phase"] == "pending"]
+    rng.shuffle(pending)
+    for pid in pending:
+        owner = pods[pid]["owner"]
+        unit = units.setdefault(owner, {"prio": levels[owner][0], "queue": []})
+        unit["queue"].append(pid)
+    return {"nodes": nodes, "pods": pods, "units": units, "levels": levels}
+
+
 def to_engine(inst: dict) -> tuple[ClusterState, list[SchedulerUnit]]:
     """Translate a dict instance into engine values.
 
@@ -312,7 +388,7 @@ def to_engine(inst: dict) -> tuple[ClusterState, list[SchedulerUnit]]:
             entry["owner"],
             ResourceVector(entry["cpu"], entry["mem"]),
             tols,
-            levels[entry["owner"]],
+            levels[entry.get("level", entry["owner"])],
             phase,
         )
         if entry["phase"] == "bound":

@@ -119,27 +119,27 @@ class TestMonitor:
 
 class TestAnalyze:
     def test_alpha_one_tracks_last_sample(self):
-        window = MetricWindow("svc", ((0, 7.0), (1, 42.0)), 10)
+        window = MetricWindow(((0, 7.0), (1, 42.0)))
         prediction, _ = analyze(window, PredictorState(alpha=1.0))
         assert prediction == 42.0
 
     def test_hand_folded_recurrence(self):
         # alpha 0.5, level 0: 10 -> 5, then 20 -> 12.5
-        window = MetricWindow("svc", ((0, 10.0), (1, 20.0)), 10)
+        window = MetricWindow(((0, 10.0), (1, 20.0)))
         prediction, state = analyze(window, PredictorState(alpha=0.5))
         assert prediction == pytest.approx(12.5)
         assert state.level == pytest.approx(12.5)
         assert state.last_seen == 1
 
     def test_samples_are_folded_once(self):
-        window = MetricWindow("svc", ((0, 10.0), (1, 20.0)), 10)
+        window = MetricWindow(((0, 10.0), (1, 20.0)))
         _, state = analyze(window, PredictorState(alpha=0.5))
         again, state2 = analyze(window, state)
         assert again == pytest.approx(12.5)  # nothing new to fold
         assert state2.level == state.level
 
     def test_shared_model_shrinks_error_toward_truth(self):
-        window = MetricWindow("svc", ((0, 10.0), (1, 20.0)), 10)
+        window = MetricWindow(((0, 10.0), (1, 20.0)))
         plain, _ = analyze(window, PredictorState(alpha=0.5))
         shared = PredictorState(
             alpha=0.5, kind=PredictorKind.SHARED_MODEL,
@@ -149,7 +149,7 @@ class TestAnalyze:
         assert abs(boosted - 20.0) == pytest.approx(0.8 * abs(plain - 20.0))
 
     def test_shared_model_without_truth_behaves_like_ewma(self):
-        window = MetricWindow("svc", ((0, 10.0),), 10)
+        window = MetricWindow(((0, 10.0),))
         shared = PredictorState(
             alpha=0.5, kind=PredictorKind.SHARED_MODEL,
             accuracy_bonus=0.2, source="acl2",

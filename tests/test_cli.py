@@ -69,6 +69,13 @@ class TestRun:
         header = parse_trace(out).header
         assert header["extra_events"][0]["key"] == "maintenance"
 
+    def test_release_of_an_unknown_loop_is_an_input_error(self, capsys, tmp_path):
+        events = tmp_path / "ops.jsonl"
+        events.write_text(json.dumps({"tick": 1, "kind": "release", "acl": "ghost"}) + "\n")
+        code, _, err = invoke(capsys, "run", "case1", "--events", str(events))
+        assert code == 2
+        assert "unknown agent 'ghost'" in err
+
     def test_unknown_scenario_is_an_input_error(self, capsys):
         code, _, err = invoke(capsys, "run", "no-such-scenario")
         assert code == 2

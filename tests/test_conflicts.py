@@ -1,8 +1,11 @@
 """Conflict management: coherency, lifecycle, brokering, detection, arbitration."""
 
+import random
+
 import pytest
 
-from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with
+from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with, taint, tol
+from loopsim import scheduler
 from loopsim.agents import (
     ActionIntent,
     ActionKind,
@@ -24,8 +27,11 @@ from loopsim.conflicts import (
     Verdict,
     regional,
 )
-from loopsim.cluster import PriorityLevel
+from loopsim.cluster import Pod, PriorityLevel
 from loopsim.errors import UnknownRegion
+from loopsim.scenario import list_scenarios, load_scenario
+from loopsim.sim import run
+from test_acceptance import random_scenario
 
 REGIONS = {
     "edge-calgary": "calgary",
@@ -338,6 +344,99 @@ class TestDetection:
         mgr.note_execution(2, "a", "edge-waterloo", -1)
         # at tick 9 all of that is stale
         assert mgr.detect_interference(9, [], REGIONS) == []
+
+
+ENGINE_CLAIMS = ConflictManager._claims
+ENGINE_DETECT = ConflictManager.detect_resource_conflicts
+
+
+def probe_per_spec_claims(manager, intent, state, top_node):
+    """Reference claims: a fresh filter and ranking for every pod spec."""
+    if intent.kind not in (ActionKind.SCALE_UP, ActionKind.INSTANTIATE):
+        return ENGINE_CLAIMS(manager, intent, state, top_node)
+    out = []
+    for i, spec in enumerate(intent.pod_specs):
+        probe = Pod(f"__ref-{intent.intent_id}-{i}", intent.acl_id, spec.request,
+                    spec.tolerations, manager.agents[intent.acl_id].priority)
+        feasible = scheduler.filter_nodes(state, probe)
+        if feasible:
+            out.append((scheduler.score_nodes(state, probe, feasible)[0], spec.request))
+    return out
+
+
+class TestRankingPerTolerationSet:
+    """Detection ranks the nodes once per toleration set, not once per spec."""
+
+    @pytest.fixture
+    def rankings(self, monkeypatch):
+        calls = []
+        score_nodes = scheduler.score_nodes
+
+        def counted(state, p, feasible):
+            calls.append(p.tolerations)
+            return score_nodes(state, p, feasible)
+
+        monkeypatch.setattr(scheduler, "score_nodes", counted)
+        return calls
+
+    @staticmethod
+    def reference(monkeypatch, mgr, *args):
+        seq = mgr._conflict_seq
+        with monkeypatch.context() as m:
+            m.setattr(ConflictManager, "_claims", probe_per_spec_claims)
+            want = ENGINE_DETECT(mgr, *args)
+        mgr._conflict_seq = seq
+        return want
+
+    def test_many_specs_rank_once_per_set(self, monkeypatch, rankings):
+        agents = [make_agent(a, value=v) for a, v in (("a", 10), ("b", 5), ("c", 1))]
+        mgr = make_manager(*agents)
+        state = state_with([
+            node("core-toronto", 8000, 16384, region="toronto"),
+            node("edge-calgary", 2000, 4096, region="calgary", taints=[taint("a")]),
+            node("edge-waterloo", 2000, 4096, region="waterloo",
+                 taints=[taint("b", "PreferNoSchedule")]),
+        ])
+        sets = [(), (tol("a"),), (tol("b", "PreferNoSchedule"),)]
+        intents = [
+            make_intent(acl, 0, ActionKind.SCALE_UP, iid=f"{acl}-{n}", specs=[
+                PodSpec(rv(700, 512), frozenset(sets[(n + i) % 3])) for i in range(10)
+            ])
+            for n, acl in enumerate(("a", "b", "c", "a"))
+        ]
+        want = self.reference(monkeypatch, mgr, 0, intents, state, REGIONS)
+        assert len(rankings) == 40
+        rankings.clear()
+        found = mgr.detect_resource_conflicts(0, intents, state, REGIONS)
+        assert len(rankings) == 3
+        assert set(rankings) == {frozenset(s) for s in sets}
+        assert found == want
+        assert [r.targets for r, _ in found] == [
+            ("core-toronto",), ("edge-calgary",), ("edge-waterloo",),
+        ]
+
+    def test_records_match_the_reference_over_whole_runs(self, monkeypatch, rankings):
+        seen = {"records": 0, "reference rankings": 0, "rankings": 0}
+
+        def checked(mgr, tick, intents, state, node_regions):
+            before = len(rankings)
+            want = self.reference(monkeypatch, mgr, tick, intents, state, node_regions)
+            middle = len(rankings)
+            got = ENGINE_DETECT(mgr, tick, intents, state, node_regions)
+            assert got == want, f"tick {tick}"
+            seen["records"] += len(got)
+            seen["reference rankings"] += middle - before
+            seen["rankings"] += len(rankings) - middle
+            return got
+
+        monkeypatch.setattr(ConflictManager, "detect_resource_conflicts", checked)
+        rng = random.Random(20260814)
+        scenarios = [load_scenario(name) for name in list_scenarios()]
+        scenarios += [random_scenario(rng, i) for i in range(20)]
+        for scn in scenarios:
+            run(scn)
+        assert seen["records"] > 0
+        assert seen["rankings"] < seen["reference rankings"]
 
 
 class TestResolve:

@@ -9,9 +9,9 @@ not lean on the indexes they check.
 
 import math
 import random
-import statistics
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -139,6 +139,35 @@ def test_retire_needs_a_terminated_pod():
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)
 
 
+def exact_pstdev(data) -> float:
+    """Population standard deviation rounded once: an exact Fraction variance,
+    then the float nearest to its square root.
+
+    Scaled by 4**k, the root lies in [root, root + 1) with root >= 2**100, so
+    every rounding boundary between floats there is an integer.  An inexact
+    root is stood in for by root + 1/2, which rounds the same way, and the
+    Fraction-to-float conversion rounds correctly.
+    """
+    xs = [Fraction(v) for v in data]
+    mean = sum(xs, Fraction(0)) / len(xs)
+    var = sum(((x - mean) ** 2 for x in xs), Fraction(0)) / len(xs)
+    n, d = var.numerator, var.denominator
+    k = max(0, 101 - (n.bit_length() - d.bit_length()) // 2)
+    scaled = n << 2 * k
+    root = math.isqrt(scaled // d)
+    inexact = root * root * d != scaled
+    return float(Fraction(2 * root + inexact, 1 << (k + 1)))
+
+
+def test_exact_pstdev_reference():
+    assert exact_pstdev([0.0, 0.0, 29.0]) == 13.67073110293992
+    assert exact_pstdev([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == 2.0
+    assert math.copysign(1.0, exact_pstdev([3.0, 3.0])) == 1.0
+    # roots that fall exactly between two subnormals round to the even one
+    assert exact_pstdev([0.0, 5e-324]) == 0.0
+    assert exact_pstdev([0.0, 1.5e-323]) == 1e-323
+
+
 @given(st.lists(finite | st.floats(0.0, 1e-300) | st.integers(-10, 10).map(float),
                 min_size=1, max_size=120),
        st.integers(1, 40))
@@ -146,7 +175,7 @@ def test_running_spread_is_pstdev_bit_for_bit(values, window):
     baseline = CoherencyBaseline(window=window, min_history=1, epsilon=0.0)
     for value in values:
         baseline.check(value, 3.0)
-        expected = statistics.pstdev(baseline.history)
+        expected = exact_pstdev(baseline.history)
         assert math.copysign(1.0, baseline.spread()) == math.copysign(1.0, expected)
         assert baseline.spread() == expected
 
@@ -154,7 +183,7 @@ def test_running_spread_is_pstdev_bit_for_bit(values, window):
 def test_a_history_given_up_front_seeds_the_sums():
     baseline = CoherencyBaseline(window=5, min_history=1, epsilon=0.0,
                                  history=[1.0, 2.0, 4.0])
-    assert baseline.spread() == statistics.pstdev([1.0, 2.0, 4.0])
+    assert baseline.spread() == exact_pstdev([1.0, 2.0, 4.0])
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -128,7 +128,7 @@ class TestSmoothing:
 
     @given(samples_st, st.floats(0.01, 1.0))
     def test_level_stays_within_the_sample_envelope(self, values, alpha):
-        window = MetricWindow("svc", tuple(enumerate(values)), len(values))
+        window = MetricWindow(tuple(enumerate(values)))
         start = values[0]
         _, predictor = analyze(window, PredictorState(alpha=alpha, level=start))
         slack = 1e-9 * max(1.0, abs(max(values)))  # float rounding headroom
@@ -136,7 +136,7 @@ class TestSmoothing:
 
     @given(samples_st, st.floats(0.01, 1.0))
     def test_refolding_the_same_window_changes_nothing(self, values, alpha):
-        window = MetricWindow("svc", tuple(enumerate(values)), len(values))
+        window = MetricWindow(tuple(enumerate(values)))
         first, predictor = analyze(window, PredictorState(alpha=alpha))
         second, again = analyze(window, predictor)
         assert again == predictor
@@ -144,7 +144,7 @@ class TestSmoothing:
 
     @given(samples_st)
     def test_alpha_one_tracks_the_latest_sample(self, values):
-        window = MetricWindow("svc", tuple(enumerate(values)), len(values))
+        window = MetricWindow(tuple(enumerate(values)))
         prediction, _ = analyze(window, PredictorState(alpha=1.0))
         assert prediction == values[-1]
 

@@ -158,6 +158,14 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             normalize(data)
 
+    def test_release_names_a_known_agent(self):
+        data = minimal(
+            agents=[{"id": "a", "scope": ["east"]}],
+            injected=[{"tick": 1, "kind": "release", "acl": "ghost"}],
+        )
+        with pytest.raises(ValidationError, match="unknown agent 'ghost'"):
+            normalize(data)
+
     def test_slice_request_needs_a_slice_agent(self):
         data = minimal(
             agents=[{"id": "a", "scope": ["east"]}],

@@ -1,10 +1,14 @@
 """Scheduler engine: filtering, scoring, preemption, eviction, coordination."""
 
+import random
+from collections import Counter
+
 import pytest
 
+import oracle
 from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with, taint, tol
 from loopsim import cluster, scheduler
-from loopsim.cluster import PodPhase
+from loopsim.cluster import PodPhase, PriorityLevel
 from loopsim.errors import NoVictimSet
 from loopsim.scheduler import DecisionKind, SchedulerUnit
 
@@ -299,6 +303,84 @@ class TestCoordinate:
         state = state_with([node("n")], [pod("p")], [("p", "n")])
         result = scheduler.coordinate(state, [SchedulerUnit("acl1", GOLD, ["p"])])
         assert result.decisions == []  # already bound, nothing to do
+
+
+class TestPendingMemo:
+    """``coordinate`` answers a repeated unschedulable shape without ``schedule``."""
+
+    @pytest.fixture
+    def schedule_calls(self, monkeypatch):
+        calls = []
+        schedule = scheduler.schedule
+
+        def counted(state, p):
+            calls.append(p.id)
+            return schedule(state, p)
+
+        monkeypatch.setattr(scheduler, "schedule", counted)
+        return calls
+
+    @pytest.mark.parametrize("cpu, calls", [(2000, 1), (600, 2)], ids=["none-fit", "one-fits"])
+    def test_identical_pods_schedule_until_the_answer_repeats(self, schedule_calls, cpu, calls):
+        # none-fit: the first Pending answer serves all 30 pods; one-fits: the
+        # first pod binds, which clears the memo, and the second's answer
+        # serves the other 28
+        state = state_with([node("n", 1000, 1000)], [pod(f"p{i:02d}", cpu, 500) for i in range(30)])
+        result = scheduler.coordinate(state, [SchedulerUnit("acl1", GOLD, sorted(state.pods))])
+        pending = [d for d in result.decisions if d.kind is DecisionKind.PENDING]
+        assert len(result.decisions) == 30
+        assert len(pending) == 30 - (calls - 1)
+        assert {d.reason for d in pending} == {"unschedulable"}
+        assert schedule_calls == ["p00", "p01"][:calls]
+
+    def test_a_preemption_clears_the_memo(self, schedule_calls):
+        # s1 cannot fit and may not preempt; t preempts the big bronze pod and
+        # leaves room that s2, of s1's shape, now fits into
+        no_preempt = PriorityLevel("gold-no-preempt", GOLD.value, preemption_enabled=False)
+        state = state_with(
+            [node("n", 1000, 1000)],
+            [
+                pod("v", 900, 500, owner="batch", priority=BRONZE),
+                pod("s1", 500, 100, priority=no_preempt),
+                pod("t", 300, 100, priority=GOLD),
+                pod("s2", 500, 100, priority=no_preempt),
+            ],
+            [("v", "n")],
+        )
+        result = scheduler.coordinate(state, [SchedulerUnit("acl1", GOLD, ["s1", "t", "s2"])])
+        assert [(d.kind, d.pod_id) for d in result.decisions] == [
+            (DecisionKind.PENDING, "s1"),
+            (DecisionKind.PREEMPT, "t"),
+            (DecisionKind.BOUND, "s2"),
+            (DecisionKind.PENDING, "v"),
+        ]
+        assert schedule_calls == ["s1", "t", "s2", "v"]
+
+    def test_matches_the_oracle_on_repeated_shapes(self, schedule_calls):
+        rng = random.Random(20261018)
+        mismatches, problems = [], []
+        kinds, evictions = Counter(), 0
+        for i in range(200):
+            inst = oracle.repeated_shape_instance(rng)
+            want_evictions, want_decisions, want_placement, bad = oracle.run_round(inst)
+            problems.extend(f"instance {i}: {p}" for p in bad)
+            state, units = oracle.to_engine(inst)
+            result = scheduler.coordinate(state, units)
+            got = (
+                result.taint_evictions,
+                oracle.normalize_decisions(result.decisions),
+                state.bindings,
+            )
+            if got != (want_evictions, want_decisions, want_placement):
+                mismatches.append(i)
+            kinds.update(d.kind for d in result.decisions)
+            evictions += len(result.taint_evictions)
+        assert mismatches == []
+        assert problems == []
+        # the memo answered most Pending decisions, with every way a round
+        # changes node state in between
+        assert len(schedule_calls) < kinds[DecisionKind.PENDING] / 2
+        assert min(kinds[DecisionKind.BOUND], kinds[DecisionKind.PREEMPT], evictions) >= 50
 
 
 def oracle_pairs(decisions):
