@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
-from .cluster import ClusterState, PodPhase, PriorityLevel, ResourceVector, Toleration
+from .cluster import ClusterState, PriorityLevel, ResourceVector, Toleration
 from .errors import EmptyScope, SuspendedAgent
 
 
@@ -100,7 +100,6 @@ class ActionIntent:
     magnitude: float                 # predicted demand that motivated the action
     pod_specs: tuple[PodSpec, ...] = ()
     pod_ids: tuple[str, ...] = ()
-    node_id: str | None = None
     vetted: bool = False             # already passed a coherency check once
 
     @property
@@ -256,11 +255,7 @@ class PlanContext:
 
 
 def _owned_pods(agent: LoopAgent, state: ClusterState) -> list[str]:
-    return sorted(
-        p
-        for p in state.by_owner.get(agent.id, ())
-        if state.pods[p].phase in (PodPhase.PENDING, PodPhase.BOUND)
-    )
+    return sorted(state.by_owner.get(agent.id, ()))
 
 
 def _next_intent(agent: LoopAgent, tick: int, kind: ActionKind, target: str,
@@ -323,7 +318,7 @@ def _plan_scaler(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[
                 pod_specs=(agent.pod_template,),
             )
         ]
-    bound = [p for p in pods if ctx.state.pods[p].phase is PodPhase.BOUND]
+    bound = [p for p in pods if p in ctx.state.bindings]
     if not bound:
         return []
     return [
@@ -354,8 +349,7 @@ def _plan_energy(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[
         if ctx.idle_streaks.get(node_id, 0) >= agent.idle_ticks:
             intents.append(
                 _next_intent(
-                    agent, ctx.tick, ActionKind.POWER_OFF, node_id, prediction,
-                    node_id=node_id,
+                    agent, ctx.tick, ActionKind.POWER_OFF, node_id, prediction
                 )
             )
     return intents
@@ -372,8 +366,7 @@ def _plan_balancer(agent: LoopAgent, prediction: float, ctx: PlanContext) -> lis
             continue
         intents.append(
             _next_intent(
-                agent, ctx.tick, ActionKind.POWER_ON, node_id, prediction,
-                node_id=node_id,
+                agent, ctx.tick, ActionKind.POWER_ON, node_id, prediction
             )
         )
     return intents

@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     except HashMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LoopsimError as exc:

@@ -2,17 +2,17 @@
 
 One ``ClusterState`` holds the live cluster, and the operations below change
 it in place and return ``None``, like kube-scheduler's single cache.  Each
-operation checks phase, taints, capacity and ids before it changes anything,
-and raises instead of silently clamping, so a failed operation leaves the
-state as it was.  Nodes and pods themselves are immutable values.  Capacity
-is a two-component vector (cpu millicores, memory MiB) compared
+operation checks bindings, taints, capacity and ids before it changes
+anything, and raises instead of silently clamping, so a failed operation
+leaves the state as it was.  Nodes and pods themselves are immutable values.
+Capacity is a two-component vector (cpu millicores, memory MiB) compared
 component-wise.
 
-A state holds live pods only: a Terminated pod stays until ``retire`` drops
-it and reserves its id, so no query grows with the history of a run.  Like
-kube-scheduler's ``NodeInfo``, the state keeps per-node usage and pod ids,
-pod ids per owner and a count per phase; construction derives them in one
-pass and the operations keep them up instead of re-scanning.
+A live pod is Bound when ``bindings`` holds it and Pending otherwise.
+``terminate`` drops a pod from live state and reserves its id, so no query
+grows with the history of a run.  Like kube-scheduler's ``NodeInfo``, the
+state keeps per-node usage and pod ids and pod ids per owner; construction
+derives them in one pass and the operations keep them up.
 """
 
 from __future__ import annotations
@@ -96,13 +96,6 @@ class PriorityLevel:
     global_default: bool = False
 
 
-class PodPhase(str, Enum):
-    PENDING = "Pending"
-    BOUND = "Bound"
-    EVICTED = "Evicted"
-    TERMINATED = "Terminated"
-
-
 @dataclass(frozen=True)
 class Pod:
     id: str
@@ -110,7 +103,6 @@ class Pod:
     request: ResourceVector
     tolerations: frozenset[Toleration] = frozenset()
     priority: PriorityLevel = PriorityLevel("default", 0, False, True)
-    phase: PodPhase = PodPhase.PENDING
 
 
 @dataclass(frozen=True)
@@ -138,16 +130,15 @@ class NodeInfo:
 @dataclass
 class ClusterState:
     nodes: dict[str, Node] = field(default_factory=dict)
-    # live pods: a retired pod is gone from here, its id kept in ``retired``
+    # live pods: a terminated pod is gone from here, its id kept in ``retired``
     pods: dict[str, Pod] = field(default_factory=dict)
-    # pod id -> node id, defined exactly for pods in phase Bound
+    # pod id -> node id for the Bound pods; every other live pod is Pending
     bindings: dict[str, str] = field(default_factory=dict)
-    # ids of retired pods, reserved: ``add_pod`` rejects them
+    # ids of terminated pods, reserved: ``add_pod`` rejects them
     retired: set[str] = field(default_factory=set)
     # indexes over pods and bindings; derived here, kept up by the operations
     node_info: dict[str, NodeInfo] = field(init=False, repr=False, compare=False)
     by_owner: dict[str, set[str]] = field(init=False, repr=False, compare=False)
-    phase_counts: dict[PodPhase, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bound: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
@@ -160,10 +151,8 @@ class ClusterState:
                 used = used + self.pods[pod_id].request
             self.node_info[node_id] = NodeInfo(used, tuple(sorted(pod_ids)))
         self.by_owner = {}
-        self.phase_counts = dict.fromkeys(PodPhase, 0)
         for pod in self.pods.values():
             self.by_owner.setdefault(pod.owner, set()).add(pod.id)
-            self.phase_counts[pod.phase] += 1
 
 
 def tolerates(pod: Pod, node: Node) -> bool:
@@ -220,7 +209,6 @@ def add_pod(state: ClusterState, pod: Pod) -> None:
         raise ValueError(f"duplicate pod id {pod.id!r}")
     state.pods[pod.id] = pod
     state.by_owner.setdefault(pod.owner, set()).add(pod.id)
-    state.phase_counts[pod.phase] += 1
 
 
 def apply_taint(state: ClusterState, node_id: str, taint: Taint) -> None:
@@ -242,12 +230,6 @@ def remove_taint(
     state.nodes[node_id] = replace(node, taints=keep)
 
 
-def _set_phase(state: ClusterState, pod: Pod, phase: PodPhase) -> None:
-    state.pods[pod.id] = replace(pod, phase=phase)
-    state.phase_counts[pod.phase] -= 1
-    state.phase_counts[phase] += 1
-
-
 def _unbind(state: ClusterState, pod: Pod) -> None:
     node_id = state.bindings.pop(pod.id)
     state.node_info[node_id] = state.node_info[node_id].without_pod(pod)
@@ -256,8 +238,8 @@ def _unbind(state: ClusterState, pod: Pod) -> None:
 def bind(state: ClusterState, pod_id: str, node_id: str) -> None:
     pod = _pod(state, pod_id)
     node = _node(state, node_id)
-    if pod.phase is not PodPhase.PENDING:
-        raise InvalidPhase(pod_id, pod.phase.value, PodPhase.BOUND.value)
+    if pod_id in state.bindings:
+        raise InvalidPhase(pod_id, f"is already bound to {state.bindings[pod_id]!r}")
     if not tolerates(pod, node):
         raise TaintViolation(pod_id, node_id)
     if not fits(state, pod, node_id):
@@ -266,44 +248,27 @@ def bind(state: ClusterState, pod_id: str, node_id: str) -> None:
         )
     state.bindings[pod_id] = node_id
     state.node_info[node_id] = state.node_info[node_id].with_pod(pod)
-    _set_phase(state, pod, PodPhase.BOUND)
 
 
 def evict(state: ClusterState, pod_id: str) -> None:
+    """Unbind a Bound pod; it is Pending again and the caller re-queues it."""
     pod = _pod(state, pod_id)
-    if pod.phase is not PodPhase.BOUND:
-        raise InvalidPhase(pod_id, pod.phase.value, PodPhase.EVICTED.value)
+    if pod_id not in state.bindings:
+        raise InvalidPhase(pod_id, "is not bound, so it cannot be evicted")
     _unbind(state, pod)
-    _set_phase(state, pod, PodPhase.EVICTED)
-
-
-def requeue(state: ClusterState, pod_id: str) -> None:
-    pod = _pod(state, pod_id)
-    if pod.phase is not PodPhase.EVICTED:
-        raise InvalidPhase(pod_id, pod.phase.value, PodPhase.PENDING.value)
-    _set_phase(state, pod, PodPhase.PENDING)
 
 
 def terminate(state: ClusterState, pod_id: str) -> None:
+    """Unbind the pod if it is bound and drop it from live state; ``add_pod``
+    keeps rejecting its id."""
     pod = _pod(state, pod_id)
-    if pod.phase is PodPhase.TERMINATED:
-        raise InvalidPhase(pod_id, pod.phase.value, PodPhase.TERMINATED.value)
     if pod_id in state.bindings:
         _unbind(state, pod)
-    _set_phase(state, pod, PodPhase.TERMINATED)
-
-
-def retire(state: ClusterState, pod_id: str) -> None:
-    """Drop a Terminated pod from live state; ``add_pod`` keeps rejecting its id."""
-    pod = _pod(state, pod_id)
-    if pod.phase is not PodPhase.TERMINATED:
-        raise InvalidPhase(pod_id, pod.phase.value, "Retired")
     del state.pods[pod_id]
     siblings = state.by_owner[pod.owner]
     siblings.remove(pod_id)
     if not siblings:
         del state.by_owner[pod.owner]
-    state.phase_counts[PodPhase.TERMINATED] -= 1
     state.retired.add(pod_id)
 
 

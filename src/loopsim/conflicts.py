@@ -28,7 +28,7 @@ from enum import Enum
 
 from . import cluster, scheduler
 from .agents import ActionIntent, ActionKind, LifecycleState, LoopAgent, SizeClass, scope_regions
-from .cluster import ClusterState, Pod, PriorityLevel
+from .cluster import ClusterState, Pod
 from .errors import UnknownRegion
 
 
@@ -478,8 +478,8 @@ class ConflictManager:
                 node_id = state.bindings.get(pod_id)
                 if node_id is not None:
                     out.append((node_id, None))
-        elif intent.node_id is not None:
-            out.append((intent.node_id, None))
+        else:  # power intents: the target is the node
+            out.append((intent.target, None))
         return out
 
     def _record(self, tick: int, kind: ConflictKind, participants: list[str],

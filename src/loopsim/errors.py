@@ -42,8 +42,8 @@ class TaintViolation(LoopsimError):
 
 
 class InvalidPhase(LoopsimError):
-    def __init__(self, pod_id: str, current: str, wanted: str):
-        super().__init__(f"pod {pod_id!r} is {current}, cannot move to {wanted}")
+    def __init__(self, pod_id: str, detail: str):
+        super().__init__(f"pod {pod_id!r} {detail}")
         self.pod_id = pod_id
 
 

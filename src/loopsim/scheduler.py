@@ -3,9 +3,11 @@
 Each control loop owns a ``SchedulerUnit`` (a FIFO of pending pod ids at one
 priority level).  ``coordinate`` runs one cluster-wide round: first NoExecute
 taints are enforced, then units drain in priority order, preempting
-lower-priority pods when capacity demands it.  Within a round, a pod whose
-shape (request, tolerations, priority) already came out Pending since the last
-bind or eviction gets that answer again without a second ``schedule`` call.
+lower-priority pods when capacity demands it.  An evicted pod is Pending and
+back in its owner's unit at once, so every Pending pod stays queued.  Within
+a round, a pod whose shape (request, tolerations, priority) already came out
+Pending since the last bind or eviction gets that answer again without a
+second ``schedule`` call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import cluster
-from .cluster import ClusterState, Pod, PodPhase, PriorityLevel
+from .cluster import ClusterState, Pod, PriorityLevel
 from .errors import NoVictimSet
 
 
@@ -143,7 +145,7 @@ def enforce_no_execute(state: ClusterState) -> list[tuple[str, str]]:
     """Evict bound pods that no longer tolerate their node's hard taints.
 
     Returns the (node id, pod id) pairs evicted, in deterministic order.
-    Evicted pods are left in phase Evicted; the caller requeues them.
+    Evicted pods are Pending again; the caller re-queues them.
     """
     evicted: list[tuple[str, str]] = []
     for node_id in sorted(state.nodes):
@@ -178,15 +180,12 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
     }
 
     def unit_for(pod: Pod) -> SchedulerUnit:
-        unit = by_acl.get(pod.owner)
-        if unit is None:
-            unit = SchedulerUnit(pod.owner, pod.priority, [])
-            by_acl[pod.owner] = unit
-        return unit
+        if pod.owner not in by_acl:
+            by_acl[pod.owner] = SchedulerUnit(pod.owner, pod.priority, [])
+        return by_acl[pod.owner]
 
     taint_evictions = enforce_no_execute(state)
     for _, pod_id in taint_evictions:
-        cluster.requeue(state, pod_id)
         unit_for(state.pods[pod_id]).queue.append(pod_id)
 
     decisions: list[Decision] = []
@@ -205,36 +204,27 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
     while (unit := next_unit()) is not None:
         pod_id = unit.queue.pop(0)
         pod = state.pods.get(pod_id)
-        if pod is None or pod.phase is not PodPhase.PENDING:
-            continue  # stale queue entry (a retired pod is gone from state)
+        if pod is None or pod_id in state.bindings:
+            continue  # stale queue entry (a terminated pod is gone from state)
         shape = (pod.request, pod.tolerations, pod.priority)
         if shape in unschedulable:
             decision = Decision(DecisionKind.PENDING, pod_id, reason=unschedulable[shape])
         else:
             decision = schedule(state, pod)
         decisions.append(decision)
-        if decision.kind is DecisionKind.BOUND:
-            unschedulable.clear()
-            cluster.bind(state, pod_id, decision.node_id)
-        elif decision.kind is DecisionKind.PREEMPT:
-            unschedulable.clear()
-            for victim in decision.victims:
-                cluster.evict(state, victim)
-                cluster.requeue(state, victim)
-                unit_for(state.pods[victim]).queue.append(victim)
-            cluster.bind(state, pod_id, decision.node_id)
-        else:
+        if decision.kind is DecisionKind.PENDING:
             unschedulable[shape] = decision.reason
             undecidable.setdefault(unit.acl_id, []).append(pod_id)
+            continue
+        unschedulable.clear()
+        for victim in decision.victims:  # none unless PREEMPT
+            cluster.evict(state, victim)
+            unit_for(state.pods[victim]).queue.append(victim)
+        cluster.bind(state, pod_id, decision.node_id)
 
-    leftovers = [
-        SchedulerUnit(acl_id, by_acl[acl_id].priority, queue)
-        for acl_id, queue in undecidable.items()
+    # every known unit stays (empty queues included) so priorities persist
+    result_units = [
+        SchedulerUnit(acl_id, by_acl[acl_id].priority, undecidable.get(acl_id, []))
+        for acl_id in sorted(by_acl)
     ]
-    # keep every known unit alive (empty queues included) so priorities persist
-    kept = {u.acl_id: u for u in leftovers}
-    for acl_id, unit in by_acl.items():
-        if acl_id not in kept:
-            kept[acl_id] = SchedulerUnit(acl_id, unit.priority, [])
-    result_units = [kept[a] for a in sorted(kept)]
     return RoundResult(decisions, taint_evictions, result_units)

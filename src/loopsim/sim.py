@@ -11,7 +11,7 @@ Tick phases, in order:
    contention, routing/buffering),
 5. surviving intents materialize (pods enqueue, terminations, power taints),
 6. one scheduling round runs (NoExecute enforcement, binds, preemptions),
-7. bookkeeping: capacity and phase checks, idle streaks, conservation counts.
+7. bookkeeping: capacity and queue checks, idle streaks, conservation counts.
 
 Running the same scenario twice yields byte-identical traces. The trace is
 the only account of a run: ``Metrics.from_trace`` folds it into counters,
@@ -33,13 +33,13 @@ from .agents import (
     PlanContext,
     SliceRequest,
 )
-from .cluster import POWERED_OFF_KEY, Pod, PodPhase, ResourceVector, Taint, TaintEffect
+from .cluster import POWERED_OFF_KEY, Pod, ResourceVector, Taint, TaintEffect
 from .conflicts import ConflictManager, ExchangeRequest, Grant
 from .errors import (
     CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ValidationError,
 )
 from .scenario import Scenario
-from .trace import TRACE_FORMAT, Trace
+from .trace import EVENT_KINDS, TRACE_FORMAT, Trace
 
 
 @dataclass
@@ -376,19 +376,17 @@ class World:
                               priority=agent.priority.value)
             elif intent.kind in (ActionKind.SCALE_DOWN, ActionKind.TERMINATE):
                 for pod_id in intent.pod_ids:
-                    pod = self.state.pods.get(pod_id)
-                    if pod is None or pod.phase is PodPhase.TERMINATED:
+                    if pod_id not in self.state.pods:
                         continue
                     cluster.terminate(self.state, pod_id)
-                    cluster.retire(self.state, pod_id)
                     self.emit("pod-terminated", pod=pod_id, acl=intent.acl_id)
             elif intent.kind is ActionKind.POWER_OFF:
                 taint = Taint(POWERED_OFF_KEY, TaintEffect.NO_SCHEDULE)
-                cluster.apply_taint(self.state, intent.node_id, taint)
-                self.emit("power-off", node=intent.node_id, acl=intent.acl_id)
+                cluster.apply_taint(self.state, intent.target, taint)
+                self.emit("power-off", node=intent.target, acl=intent.acl_id)
             else:  # POWER_ON
-                cluster.remove_taint(self.state, intent.node_id, POWERED_OFF_KEY)
-                self.emit("power-on", node=intent.node_id, acl=intent.acl_id)
+                cluster.remove_taint(self.state, intent.target, POWERED_OFF_KEY)
+                self.emit("power-on", node=intent.target, acl=intent.acl_id)
             self.manager.note_execution(t, intent.acl_id, intent.target, intent.direction)
             self._settle_receipt(intent)
             self.emit("intent-applied", id=intent.intent_id, acl=intent.acl_id)
@@ -413,10 +411,11 @@ class World:
 
     def _phase_bookkeeping(self) -> None:
         state = self.state
-        counts = state.phase_counts
-        if counts[PodPhase.EVICTED]:
-            pod = next(p for p in state.pods.values() if p.phase is PodPhase.EVICTED)
-            raise InvalidPhase(pod.id, pod.phase.value, "tick-end")
+        # a Pending pod in no unit's queue would never be scheduled again
+        queued = {pod_id for unit in self.units.values() for pod_id in unit.queue}
+        unqueued = state.pods.keys() - state.bindings.keys() - queued
+        if unqueued:
+            raise InvalidPhase(min(unqueued), "is Pending but in no scheduler queue at tick end")
         # usage re-summed from the bindings, not read from node_info: bind
         # checks fit against that index, so only this sum can catch it drifting
         bound: dict[str, list[str]] = {node_id: [] for node_id in state.nodes}
@@ -442,11 +441,10 @@ class World:
                 self.idle_streaks[node_id] = self.idle_streaks.get(node_id, 0) + 1
             else:
                 self.idle_streaks[node_id] = 0
-        # retired pods are Terminated ones that left live state
         self.emit("tick-end",
-                  bound=counts[PodPhase.BOUND],
-                  pending=counts[PodPhase.PENDING],
-                  terminated=counts[PodPhase.TERMINATED] + len(state.retired),
+                  bound=len(state.bindings),
+                  pending=len(state.pods) - len(state.bindings),
+                  terminated=len(state.retired),
                   pods=len(state.pods) + len(state.retired))
 
     def step(self) -> None:
@@ -468,22 +466,6 @@ def run(scn: Scenario, extra_events: list[dict] | None = None) -> tuple[Trace, M
 
 
 # -- verification ---------------------------------------------------------------
-
-# event kinds by tick phase; within one tick the phase may never go backwards
-_PHASE_RANK = {
-    "traffic": 1, "taint-applied": 1, "taint-removed": 1, "slice-requested": 1,
-    "exchange-granted": 1, "exchange-denied": 1, "knowledge-absorbed": 1,
-    "agent-released": 1,
-    "prediction": 2,
-    "intent-submitted": 3,
-    "coherency": 4, "lifecycle": 4, "conflict-detected": 4, "conflict-resolved": 4,
-    "intent-dropped": 4, "intent-requeued": 4, "intent-buffered": 4,
-    "pod-created": 5, "pod-terminated": 5, "power-off": 5, "power-on": 5,
-    "intent-applied": 5,
-    "pod-evicted": 6, "pod-bound": 6, "pod-pending": 6,
-    "tick-end": 7,
-}
-
 
 @dataclass
 class Report:
@@ -541,10 +523,10 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
     evicted_this_tick: dict[str, int] = {}
     for event in events:
         tick, kind, seq = event["tick"], event["kind"], event["seq"]
-        rank = _PHASE_RANK.get(kind)
-        if rank is None:
+        if kind not in EVENT_KINDS:
             violations.append(f"seq {seq}: unknown event kind {kind!r}")
             continue
+        rank = EVENT_KINDS[kind][0]
         if tick != last_tick:
             if tick < last_tick:
                 violations.append(f"seq {seq}: tick went backwards")
@@ -570,6 +552,9 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
             pod_id = event["pod"]
             if pod_id not in requests:
                 violations.append(f"seq {seq}: bound unknown pod {pod_id!r}")
+                continue
+            if event["node"] not in capacity:
+                violations.append(f"seq {seq}: bound {pod_id!r} to unknown node {event['node']!r}")
                 continue
             for victim in event.get("preempted", []):
                 if priority.get(victim, 0) >= priority.get(pod_id, 0):

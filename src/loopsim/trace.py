@@ -2,7 +2,8 @@
 
 Events carry a global sequence number and the tick they occurred in; dumps are
 canonical (sorted keys, fixed separators) so identical runs produce identical
-bytes and replays can be compared line by line.
+bytes and replays can be compared line by line.  ``parse_trace`` rejects an
+event that lacks, or mistypes, a key the readers of a trace use.
 """
 
 from __future__ import annotations
@@ -37,22 +38,87 @@ class Trace:
             fh.write(self.dumps())
 
 
+_INT, _NUMBER, _TEXT = (int,), (int, float), (str,)  # a JSON true is no count
+# the types of each key a reader uses, the same in every kind; any other is text
+_TYPES = {**dict.fromkeys(("seq", "tick", "cpu", "memory", "priority", "until", "bound",
+                           "pending", "terminated", "pods"), _INT),
+          "value": _NUMBER, "truth": _NUMBER, "initial": (list,), "extra_events": (list,)}
+
+# Every event kind, once: its tick-phase rank (within one tick the rank never
+# goes down) and the keys that ``Metrics.from_trace``, ``check_invariants``
+# and ``summarize`` in ``sim`` read of it.
+EVENT_KINDS: dict[str, tuple[int, tuple[str, ...]]] = {
+    "traffic": (1, ()), "taint-applied": (1, ()), "taint-removed": (1, ()),
+    "slice-requested": (1, ()), "exchange-granted": (1, ()), "knowledge-absorbed": (1, ()),
+    "exchange-denied": (1, ("reason",)), "agent-released": (1, ("acl",)),
+    "prediction": (2, ("acl", "value", "truth")), "intent-submitted": (3, ()),
+    "coherency": (4, ("verdict",)), "lifecycle": (4, ("acl", "after")),
+    "conflict-detected": (4, ("conflict",)), "intent-dropped": (4, ("reason",)),
+    "conflict-resolved": (4, ("conflict", "instance", "outcome")),
+    "intent-requeued": (4, ()), "intent-buffered": (4, ()), "intent-applied": (5, ()),
+    "pod-created": (5, ("pod", "cpu", "memory", "priority")), "pod-terminated": (5, ("pod",)),
+    "power-off": (5, ()), "power-on": (5, ()), "pod-evicted": (6, ("pod", "cause")),
+    "pod-bound": (6, ("pod", "node")), "pod-pending": (6, ("pod",)),
+    "tick-end": (7, ("bound", "pending", "terminated", "pods")),
+}
+
+
+def _spec(*keys: str) -> tuple[tuple[str, tuple[type, ...]], ...]:
+    return tuple((key, _TYPES.get(key, _TEXT)) for key in keys)
+
+
+_ENVELOPE = _spec("seq", "tick", "kind")
+_SPECS = {kind: _ENVELOPE + _spec(*keys) for kind, (_, keys) in EVENT_KINDS.items()}
+
+
+def _check(obj, spec, what: str, line: int) -> None:
+    if type(obj) is not dict:
+        raise ParseError(f"bad {what}: not a JSON object", line=line)
+    for key, types in spec:
+        if type(obj.get(key)) not in types:
+            problem = "is missing" if key not in obj else \
+                "must be " + " or ".join(t.__name__ for t in types)
+            raise ParseError(f"bad {what}: {key!r} {problem}", line=line)
+
+
+def _check_event(event, line: int) -> None:
+    """An unknown kind passes: ``check_invariants`` reports it as a violation."""
+    kind = event.get("kind") if type(event) is dict else None
+    kind = kind if type(kind) is str else "trace"
+    spec = _SPECS.get(kind, _ENVELOPE)
+    if kind == "conflict-resolved":  # summarize reads these by outcome
+        arbitrated = event.get("outcome") == "arbitrated"
+        spec += _spec("winner") if arbitrated else _spec("frozen", "until")
+    _check(event, spec, f"{kind} event", line)
+    if "preempted" in event:  # only pod-bound carries it: the victims' ids
+        victims = event["preempted"]
+        if type(victims) is not list or any(type(v) is not str for v in victims):
+            raise ParseError(f"bad {kind} event: 'preempted' must be a list of str", line=line)
+
+
 def parse_trace(text: str) -> Trace:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("empty trace")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad trace header: {exc}", line=1) from None
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise ParseError(f"not a {TRACE_FORMAT} trace")
-    events = []
-    for i, line in enumerate(lines[1:], start=2):
+    """Parse and check a trace; a ``ParseError`` names its line as ``verify`` counts it."""
+    header, events = None, []
+    for i, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
         try:
-            events.append(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad trace event: {exc}", line=i) from None
+            what = "header" if header is None else "event"
+            raise ParseError(f"bad trace {what}: {exc}", line=i) from None
+        if header is not None:
+            _check_event(obj, i)
+            events.append(obj)
+            continue
+        if type(obj) is not dict or obj.get("format") != TRACE_FORMAT:
+            raise ParseError(f"not a {TRACE_FORMAT} trace", line=i)
+        _check(obj, _spec("scenario_hash", "initial", "extra_events"), "trace header", i)
+        for placement in obj["initial"]:
+            _check(placement, _spec("pod", "node"), "initial placement", i)
+        header = obj
+    if header is None:
+        raise ParseError("empty trace")
     return Trace(header, events, text)
 
 

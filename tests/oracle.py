@@ -26,7 +26,6 @@ from loopsim.cluster import (
     ClusterState,
     Node,
     Pod,
-    PodPhase,
     PriorityLevel,
     ResourceVector,
     Taint,
@@ -382,14 +381,12 @@ def to_engine(inst: dict) -> tuple[ClusterState, list[SchedulerUnit]]:
             Toleration(key, frozenset(TaintEffect(e) for e in effects))
             for key, effects in entry["tols"].items()
         )
-        phase = PodPhase.BOUND if entry["phase"] == "bound" else PodPhase.PENDING
         pods[pid] = Pod(
             pid,
             entry["owner"],
             ResourceVector(entry["cpu"], entry["mem"]),
             tols,
             levels[entry.get("level", entry["owner"])],
-            phase,
         )
         if entry["phase"] == "bound":
             bindings[pid] = entry["node"]

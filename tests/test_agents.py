@@ -229,7 +229,7 @@ class TestPlanOtherRoles:
         state = state_with([node("edge-calgary", region="calgary")])
         ctx = make_ctx(state, idle_streaks={"edge-calgary": 2})
         intents = plan(agent, 0.0, ctx)
-        assert [(i.kind, i.node_id) for i in intents] == [
+        assert [(i.kind, i.target) for i in intents] == [
             (ActionKind.POWER_OFF, "edge-calgary")
         ]
 
@@ -253,7 +253,7 @@ class TestPlanOtherRoles:
         ctx = make_ctx(state, powered_off=frozenset({"edge-calgary-2"}))
         # supply is one powered node = 1000; demand above 0.8 * 1000 trips it
         intents = plan(agent, 900.0, ctx)
-        assert [(i.kind, i.node_id) for i in intents] == [
+        assert [(i.kind, i.target) for i in intents] == [
             (ActionKind.POWER_ON, "edge-calgary-2")
         ]
         assert plan(agent, 700.0, ctx) == []

@@ -211,6 +211,69 @@ class TestVerify:
         assert "error:" in err
 
 
+def _drop_node_from_first_binding(lines):
+    idx = next(i for i, line in enumerate(lines) if '"kind":"pod-bound"' in line)
+    event = json.loads(lines[idx])
+    del event["node"]
+    return lines[:idx] + [json.dumps(event)] + lines[idx + 1:]
+
+
+class TestMalformedTrace:
+    """A trace edited into something no run writes is an input error (exit 2)
+    for both readers, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["verify", "summarize"])
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda lines: lines[:2] + ["[1,2]"] + lines[3:], "not a JSON object (line 3)"),
+        (lambda lines: lines[:2] + ["{}"] + lines[3:], "'seq' is missing (line 3)"),
+        (_drop_node_from_first_binding, "pod-bound event: 'node' is missing"),
+    ], ids=["array", "empty-object", "pod-bound-without-node"])
+    def test_malformed_event_is_an_input_error(self, capsys, tmp_path, command,
+                                               tamper, message):
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case2", "--out", str(path))
+        path.write_text("\n".join(tamper(path.read_text().split("\n"))))
+        args = [command, str(path)] + (["case2"] if command == "verify" else [])
+        code, _, err = invoke(capsys, *args)
+        assert code == 2
+        assert err.startswith("error: bad ")
+        assert message in err
+
+    def test_error_names_the_physical_line(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case2", "--out", str(path))
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:3] + ["", "{"] + lines[3:]))
+        code, _, err = invoke(capsys, "summarize", str(path))
+        assert code == 2
+        assert "(line 5)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{path}", "case1"], ["summarize", "{path}"], ["run", "{path}"],
+        ["run", "case1", "--events", "{path}"],
+    ], ids=["verify", "summarize", "run", "events"])
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_bytes(b"\xff\xfe{}"), lambda path: path.mkdir(),
+    ], ids=["not-utf8", "directory"])
+    def test_unreadable_input_file_is_an_input_error(self, capsys, tmp_path, argv, make):
+        path = tmp_path / "input"
+        make(path)
+        code, _, err = invoke(capsys, *(a.format(path=path) for a in argv))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_binding_to_an_unknown_node_is_a_violation(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case2", "--out", str(path))
+        lines = path.read_text().split("\n")
+        idx = next(i for i, line in enumerate(lines) if '"kind":"pod-bound"' in line)
+        lines[idx] = lines[idx].replace('"node":"', '"node":"nowhere-', 1)
+        path.write_text("\n".join(lines))
+        code, out, _ = invoke(capsys, "verify", str(path), "case2")
+        assert code == 3
+        assert "to unknown node 'nowhere-" in out
+
+
 class TestSummarize:
     def test_digest_of_a_recorded_trace(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

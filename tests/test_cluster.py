@@ -1,4 +1,4 @@
-"""Cluster state: vectors, taints, phases, and capacity arithmetic."""
+"""Cluster state: vectors, taints, bindings, and capacity arithmetic."""
 
 import pytest
 
@@ -15,7 +15,7 @@ from helpers import (
     tol,
 )
 from loopsim import cluster
-from loopsim.cluster import PodPhase, TaintEffect
+from loopsim.cluster import TaintEffect
 from loopsim.errors import (
     CapacityExceeded,
     InvalidPhase,
@@ -107,7 +107,7 @@ class TestPhaseMachine:
         cluster.bind(state, "p", "n")
         cluster.evict(state, "p")
         assert cluster.free_capacity(state, "n") == before
-        assert state.pods["p"].phase is PodPhase.EVICTED
+        assert "p" in state.pods
         assert "p" not in state.bindings
 
     def test_bind_rejects_capacity_overflow(self):
@@ -127,14 +127,12 @@ class TestPhaseMachine:
         with pytest.raises(InvalidPhase):
             cluster.bind(state, "p", "n")
 
-    def test_requeue_only_from_evicted(self):
-        state = state_with([node("n")], [pod("p")])
-        with pytest.raises(InvalidPhase):
-            cluster.requeue(state, "p")
-        cluster.bind(state, "p", "n")
+    def test_evicted_pod_can_bind_again(self):
+        state = state_with([node("n")], [pod("p")], [("p", "n")])
         cluster.evict(state, "p")
-        cluster.requeue(state, "p")
-        assert state.pods["p"].phase is PodPhase.PENDING
+        cluster.bind(state, "p", "n")
+        assert state.bindings == {"p": "n"}
+        assert cluster.pods_on(state, "n") == ["p"]
 
     def test_evict_only_from_bound(self):
         state = state_with([node("n")], [pod("p")])
@@ -144,10 +142,17 @@ class TestPhaseMachine:
     def test_terminate_unbinds_and_is_final(self):
         state = state_with([node("n")], [pod("p")], [("p", "n")])
         cluster.terminate(state, "p")
-        assert state.pods["p"].phase is PodPhase.TERMINATED
+        assert "p" not in state.pods
         assert "p" not in state.bindings
-        with pytest.raises(InvalidPhase):
+        assert cluster.pods_on(state, "n") == []
+        with pytest.raises(UnknownPod):
             cluster.terminate(state, "p")
+
+    def test_terminate_a_pending_pod(self):
+        state = state_with([node("n")], [pod("p")])
+        cluster.terminate(state, "p")
+        assert state.pods == {} and state.by_owner == {}
+        assert state.retired == {"p"}
 
     def test_unknown_pod_raises(self):
         state = state_with([node("n")])
@@ -159,7 +164,7 @@ class TestTaints:
     def test_apply_taint_never_evicts(self):
         state = state_with([node("n")], [pod("p")], [("p", "n")])
         cluster.apply_taint(state, "n", taint("acl9", "NoExecute"))
-        assert state.pods["p"].phase is PodPhase.BOUND
+        assert state.bindings == {"p": "n"}
         assert taint("acl9", "NoExecute") in state.nodes["n"].taints
 
     def test_apply_duplicate_taint_is_idempotent(self):

@@ -58,7 +58,7 @@ def make_manager(*agents, **config):
 
 
 def make_intent(acl, tick, kind, target="svc", iid=None, specs=(), pods=(),
-                node_id=None, magnitude=1.0, vetted=False):
+                magnitude=1.0, vetted=False):
     return ActionIntent(
         intent_id=iid or f"{acl}-t{tick}-0",
         acl_id=acl,
@@ -68,7 +68,6 @@ def make_intent(acl, tick, kind, target="svc", iid=None, specs=(), pods=(),
         magnitude=magnitude,
         pod_specs=tuple(specs),
         pod_ids=tuple(pods),
-        node_id=node_id,
         vetted=vetted,
     )
 
@@ -314,8 +313,7 @@ class TestDetection:
         mgr.note_execution(2, "b", "edge-waterloo", +1)
         assert mgr.detect_interference(2, [], REGIONS) == []
         pending = [
-            make_intent("a", 3, ActionKind.POWER_OFF, target="edge-waterloo",
-                        node_id="edge-waterloo")
+            make_intent("a", 3, ActionKind.POWER_OFF, target="edge-waterloo")
         ]
         records = mgr.detect_interference(3, pending, REGIONS)
         assert len(records) == 1
@@ -534,8 +532,7 @@ class TestProcessTick:
         mgr = make_manager(energy, balancer, freeze_cooldown=10)
         mgr.freezes[("energy", "edge-calgary")] = 12
         state = state_with([node("edge-calgary", region="calgary")])
-        intent = make_intent("energy", 5, ActionKind.POWER_OFF,
-                             target="edge-calgary", node_id="edge-calgary")
+        intent = make_intent("energy", 5, ActionKind.POWER_OFF, target="edge-calgary")
         out = mgr.process_tick(5, [intent], state, REGIONS)
         assert [(i.intent_id, r) for i, r in out.dropped] == [
             (intent.intent_id, "frozen")

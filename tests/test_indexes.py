@@ -10,7 +10,6 @@ not lean on the indexes they check.
 import math
 import random
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,9 +19,9 @@ from hypothesis import given, strategies as st
 from helpers import node, pod, state_with
 from loopsim import agents as agents_mod
 from loopsim import cluster
-from loopsim.cluster import PodPhase, ZERO
+from loopsim.cluster import NodeInfo, ZERO
 from loopsim.conflicts import CoherencyBaseline
-from loopsim.errors import InvalidPhase
+from loopsim.errors import CapacityExceeded, InvalidPhase, UnknownPod
 from loopsim.scenario import list_scenarios, load_scenario, loads
 from loopsim.sim import World
 from test_acceptance import random_scenario
@@ -78,16 +77,12 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
     for pod_id in live:
         owners.setdefault(ledger.owner[pod_id], set()).add(pod_id)
     assert state.by_owner == owners
-    phases = dict.fromkeys(PodPhase, 0)
-    phases.update(Counter(p.phase for p in state.pods.values()))
-    assert state.phase_counts == phases
 
     for acl, agent in world.agents.items():
         # each agent's live pods vs a scan of all created pods
         expected = sorted(
             p for p, owner in ledger.owner.items()
             if owner == acl and p not in ledger.terminated
-            and state.pods[p].phase in (PodPhase.PENDING, PodPhase.BOUND)
         )
         assert agents_mod._owned_pods(agent, state) == expected
         # outstanding targets vs a scan of every receipt the trace implies
@@ -123,17 +118,106 @@ def test_contended_indexes_match_rescans():
 def test_retired_id_stays_reserved():
     state = state_with([node("n")], [pod("p")], [("p", "n")])
     cluster.terminate(state, "p")
-    cluster.retire(state, "p")
     assert "p" not in state.pods
     assert cluster.pods_on(state, "n") == []
     with pytest.raises(ValueError, match="duplicate"):
         cluster.add_pod(state, pod("p"))
 
 
-def test_retire_needs_a_terminated_pod():
-    state = state_with([node("n")], [pod("p")])
-    with pytest.raises(InvalidPhase):
-        cluster.retire(state, "p")
+def test_terminate_twice_raises_unknown_pod():
+    state = state_with([node("n")], [pod("p")], [("p", "n")])
+    cluster.terminate(state, "p")
+    with pytest.raises(UnknownPod):
+        cluster.terminate(state, "p")
+    assert state.retired == {"p"}
+    assert cluster.used_capacity(state, "n") == ZERO
+
+
+POOL = [pod(f"p{i}", cpu=200 * (i + 1), mem=100 * (i + 1), owner=f"acl{i % 2}")
+        for i in range(5)]
+OPERATIONS = ("add_pod", "bind", "evict", "terminate")
+
+
+def assert_indexes_match_a_rescan(state: cluster.ClusterState) -> None:
+    for node_id in state.nodes:
+        on = sorted(p for p, n in state.bindings.items() if n == node_id)
+        used = ZERO
+        for pod_id in on:
+            used = used + state.pods[pod_id].request
+        assert state.node_info[node_id] == NodeInfo(used, tuple(on))
+    owners: dict[str, set[str]] = {}
+    for p in state.pods.values():
+        owners.setdefault(p.owner, set()).add(p.id)
+    assert state.by_owner == owners
+
+
+@given(st.lists(st.tuples(st.sampled_from(OPERATIONS), st.integers(0, len(POOL) - 1),
+                          st.sampled_from(("n0", "n1"))), max_size=40))
+def test_random_operations_keep_the_indexes(steps):
+    """add_pod/bind/evict/terminate on one state against a model of ids alone:
+    each call raises exactly when the model says it must, and after every step
+    the indexes equal a rescan and every terminated id stays reserved."""
+    state = state_with([node("n0", 1000, 1000), node("n1", 600, 600)])
+    capacity = {n: state.nodes[n].capacity for n in state.nodes}
+    live: set[str] = set()
+    bound: dict[str, str] = {}
+    gone: set[str] = set()
+    for op, i, node_id in steps:
+        p = POOL[i]
+        if op == "add_pod":
+            if p.id in live or p.id in gone:
+                with pytest.raises(ValueError, match="duplicate"):
+                    cluster.add_pod(state, p)
+            else:
+                cluster.add_pod(state, p)
+                live.add(p.id)
+        elif op == "bind":
+            used = ZERO
+            for other, on in bound.items():
+                if on == node_id:
+                    used = used + POOL[int(other[1:])].request
+            if p.id not in live:
+                expected = UnknownPod
+            elif p.id in bound:
+                expected = InvalidPhase
+            elif not (capacity[node_id] - used).covers(p.request):
+                expected = CapacityExceeded
+            else:
+                expected = None
+            if expected is None:
+                cluster.bind(state, p.id, node_id)
+                bound[p.id] = node_id
+            else:
+                with pytest.raises(expected):
+                    cluster.bind(state, p.id, node_id)
+        elif op == "evict":
+            if p.id not in live:
+                with pytest.raises(UnknownPod):
+                    cluster.evict(state, p.id)
+            elif p.id not in bound:
+                with pytest.raises(InvalidPhase):
+                    cluster.evict(state, p.id)
+            else:
+                cluster.evict(state, p.id)
+                del bound[p.id]
+        else:
+            if p.id not in live:
+                with pytest.raises(UnknownPod):
+                    cluster.terminate(state, p.id)
+            else:
+                cluster.terminate(state, p.id)
+                live.discard(p.id)
+                bound.pop(p.id, None)
+                gone.add(p.id)
+
+        assert set(state.pods) == live
+        assert state.bindings == bound
+        assert state.retired == gone
+        assert_indexes_match_a_rescan(state)
+        for pod_id in gone:
+            with pytest.raises(ValueError, match="duplicate"):
+                cluster.add_pod(state, POOL[int(pod_id[1:])])
+        assert set(state.pods) == live
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)

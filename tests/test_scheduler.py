@@ -8,7 +8,7 @@ import pytest
 import oracle
 from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with, taint, tol
 from loopsim import cluster, scheduler
-from loopsim.cluster import PodPhase, PriorityLevel
+from loopsim.cluster import PriorityLevel
 from loopsim.errors import NoVictimSet
 from loopsim.scheduler import DecisionKind, SchedulerUnit
 
@@ -199,7 +199,7 @@ class TestEnforceNoExecute:
         cluster.apply_taint(state, "n", taint("acl1", "NoExecute"))
         evicted = scheduler.enforce_no_execute(state)
         assert evicted == [("n", "p")]
-        assert state.pods["p"].phase is PodPhase.EVICTED
+        assert "p" in state.pods and "p" not in state.bindings
 
     def test_tolerating_pod_stays(self):
         state = state_with(
@@ -210,7 +210,7 @@ class TestEnforceNoExecute:
         cluster.apply_taint(state, "n", taint("acl1", "NoExecute"))
         evicted = scheduler.enforce_no_execute(state)
         assert evicted == []
-        assert state.pods["p"].phase is PodPhase.BOUND
+        assert state.bindings == {"p": "n"}
 
     def test_no_schedule_taint_does_not_evict(self):
         state = state_with([node("n")], [pod("p", owner="acl2")], [("p", "n")])
@@ -278,7 +278,7 @@ class TestCoordinate:
         assert kinds["hi"] is DecisionKind.PREEMPT
         assert kinds["low"] is DecisionKind.PENDING
         assert state.bindings == {"hi": "n"}
-        assert state.pods["low"].phase is PodPhase.PENDING
+        assert "low" in state.pods
         # the displaced pod stays queued in its owner's unit for next round
         leftover = {u.acl_id: u.queue for u in result.units}
         assert leftover["acl3"] == ["low"]

@@ -7,11 +7,12 @@ import json
 import pytest
 
 from loopsim import cluster
-from loopsim.cluster import ResourceVector
+from loopsim.cluster import Pod, PriorityLevel, ResourceVector
 from loopsim.errors import (
-    CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ValidationError,
+    CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ParseError, ValidationError,
 )
-from loopsim.scenario import from_dict, load_scenario
+from loopsim.scenario import from_dict, list_scenarios, load_scenario
+from loopsim.scheduler import SchedulerUnit
 from loopsim.sim import World, check_invariants, run, summarize, verify_trace
 from loopsim.trace import load_trace, parse_trace
 from loopsim.traffic import TrafficModel
@@ -221,6 +222,52 @@ class TestTraceFormat:
         path = tmp_path / "t.jsonl"
         trace.write(str(path))
         assert load_trace(str(path)).dumps() == trace.dumps()
+
+    BROKEN = (None, 1, 1.5, "x", [], ["x"], [1], {}, True)
+
+    def broken(self, obj: dict):
+        """*obj* with one key dropped or given another JSON shape, every way."""
+        for key in obj:
+            yield {k: v for k, v in obj.items() if k != key}
+            for value in self.BROKEN:
+                yield {**obj, key: value}
+
+    def test_a_broken_event_is_rejected_or_read_cleanly(self):
+        samples = {}  # one event of each kind the built-ins write
+        for name in list_scenarios():
+            scn = load_scenario(name)
+            trace, _, _ = run(scn)
+            for event in trace.events:
+                samples.setdefault(event["kind"], (scn, trace.header, event))
+        assert len(samples) >= 18
+        for scn, header, event in samples.values():
+            for broken in self.broken(event):
+                try:
+                    trace = parse_trace(json.dumps(header) + "\n\n" + json.dumps(broken))
+                except ParseError as exc:
+                    assert exc.line == 3
+                    continue
+                summarize(trace)
+                check_invariants(scn.data, trace.events)
+
+    def test_a_broken_header_is_rejected_or_read_cleanly(self):
+        scn = load_scenario("case1")
+        trace, _, _ = run(scn)
+        events = "\n".join(trace.lines()[1:])
+        headers = list(self.broken(trace.header))
+        headers += [{**trace.header, "initial": [entry]}
+                    for entry in self.broken({"pod": "acl1-pod-0", "node": "core-toronto"})]
+        for header in headers:
+            try:
+                parsed = parse_trace(json.dumps(header) + "\n" + events)
+            except ParseError as exc:
+                assert exc.line == 1
+                continue
+            summarize(parsed)
+            try:
+                verify_trace(parsed, scn)
+            except (HashMismatch, ValidationError):
+                pass
 
 
 class TestDeterminismAndVerify:
@@ -501,6 +548,17 @@ class TestBookkeepingChecks:
         cluster.evict(world.state, "keeper")
         with pytest.raises(InvalidPhase, match="keeper"):
             world._phase_bookkeeping()
+
+    def test_pending_pod_in_no_queue_raises(self, world):
+        cluster.add_pod(world.state, Pod("stray", "ops", ResourceVector(1, 1)))
+        with pytest.raises(InvalidPhase, match="'stray' is Pending but in no scheduler queue"):
+            world._phase_bookkeeping()
+
+    def test_queued_pending_pod_passes(self, world):
+        cluster.add_pod(world.state, Pod("waiting", "ops", ResourceVector(1, 1)))
+        world.units["ops"] = SchedulerUnit("ops", PriorityLevel("ops", 0), ["waiting"])
+        world._phase_bookkeeping()
+        assert world.trace.events[-1]["pending"] == 1
 
     def test_usage_index_drifting_from_bindings_raises(self, world):
         # an index that forgot the bound pod: fits would still pass against it
