@@ -4,6 +4,11 @@ An agent watches the demand signal over its scope, predicts the next value,
 and turns watermark breaches into action intents (scale, instantiate, power).
 Intents do not touch the cluster directly — they go through the conflict
 manager and only survivors are materialized by the simulator.
+
+``resolve_scope`` reads an agent's scope once, when the agent is built, into
+its size class and the sorted regions it covers; the demand it watches, the
+nodes it plans over and the manager instance that handles its conflicts all
+come from those two fields.
 """
 
 from __future__ import annotations
@@ -49,11 +54,6 @@ class PredictorState:
     last_seen: int = -1
     accuracy_bonus: float = 0.0
     source: str | None = None
-
-
-@dataclass(frozen=True)
-class MetricWindow:
-    samples: tuple[tuple[int, float], ...]
 
 
 class ActionKind(str, Enum):
@@ -123,6 +123,7 @@ class LoopAgent:
     role: AgentRole
     scope: frozenset[str]
     size: SizeClass
+    regions: tuple[str, ...]         # sorted; every region for a Mega e2e scope
     priority: PriorityLevel
     predictor: PredictorState = field(default_factory=PredictorState)
     pod_template: PodSpec | None = None
@@ -150,74 +151,61 @@ class LoopAgent:
             self.target = f"svc-{self.id}"
 
 
-def classify_size(scope: frozenset[str], node_regions: dict[str, str]) -> SizeClass:
-    """Size class from what the scope touches.
+def resolve_scope(
+    scope: frozenset[str], node_regions: dict[str, str]
+) -> tuple[SizeClass, tuple[str, ...]]:
+    """Size class and sorted regions of what the scope touches.
 
     Scope entries may be ``e2e``, a region name, a node id, or a container
-    written ``<node-id>/<name>``.  Spanning several regions (or naming e2e)
-    makes an agent Mega; a whole region or several nodes Macro; one node
-    Micro; one container Femto.
+    written ``<node-id>/<name>``; every entry must match one of them.
+    Spanning several regions (or naming e2e) makes an agent Mega; a whole
+    region or several nodes Macro; one node Micro; one container Femto.
+    ``e2e`` covers every region.
     """
     if not scope:
         raise EmptyScope("agent scope is empty")
     region_names = set(node_regions.values())
     touched_regions: set[str] = set()
     touched_nodes: set[str] = set()
-    container_count = 0
-    region_entry = False
+    e2e = False
     for entry in sorted(scope):
         if entry == "e2e":
-            return SizeClass.MEGA
-        if entry in region_names:
-            region_entry = True
+            e2e = True
+        elif entry in region_names:
             touched_regions.add(entry)
         elif entry in node_regions:
             touched_nodes.add(entry)
-            touched_regions.add(node_regions[entry])
         elif "/" in entry and entry.split("/", 1)[0] in node_regions:
-            node_id = entry.split("/", 1)[0]
-            container_count += 1
-            touched_nodes.add(node_id)
-            touched_regions.add(node_regions[node_id])
+            touched_nodes.add(entry.split("/", 1)[0])
         else:
             raise ValueError(f"scope entry {entry!r} matches no region, node, or container")
-    if len(touched_regions) > 1:
-        return SizeClass.MEGA
+    if e2e:
+        return SizeClass.MEGA, tuple(sorted(region_names))
+    region_entry = bool(touched_regions)
+    touched_regions.update(node_regions[n] for n in touched_nodes)
+    regions = tuple(sorted(touched_regions))
+    if len(regions) > 1:
+        return SizeClass.MEGA, regions
     if region_entry or len(touched_nodes) > 1:
-        return SizeClass.MACRO
-    if container_count == len(scope) and len(scope) == 1:
-        return SizeClass.FEMTO
-    return SizeClass.MICRO
+        return SizeClass.MACRO, regions
+    if len(scope) == 1 and touched_nodes != scope:  # the one entry is a container
+        return SizeClass.FEMTO, regions
+    return SizeClass.MICRO, regions
 
 
-def scope_regions(scope: frozenset[str], node_regions: dict[str, str]) -> list[str]:
-    """Regions an agent's scope resolves to; ``e2e`` means all of them."""
-    region_names = set(node_regions.values())
-    out: set[str] = set()
-    for entry in scope:
-        if entry == "e2e":
-            return sorted(region_names)
-        if entry in region_names:
-            out.add(entry)
-        elif entry in node_regions:
-            out.add(node_regions[entry])
-        elif "/" in entry:
-            out.add(node_regions[entry.split("/", 1)[0]])
-    return sorted(out)
-
-
-def monitor(agent: LoopAgent, demand: Callable[[int], float], tick: int) -> MetricWindow:
-    """Collect the last ``span_ticks`` demand samples over the agent's scope,
-    leaving out those the predictor has already folded."""
+def monitor(
+    agent: LoopAgent, demand: Callable[[int], float], tick: int
+) -> tuple[tuple[int, float], ...]:
+    """The last ``span_ticks`` ``(tick, demand)`` samples over the agent's
+    scope, leaving out those the predictor has already folded."""
     if agent.lifecycle is LifecycleState.SUSPENDED:
         raise SuspendedAgent(agent.id)
     start = max(0, tick - agent.span_ticks + 1, agent.predictor.last_seen + 1)
-    samples = tuple((t, demand(t)) for t in range(start, tick + 1))
-    return MetricWindow(samples)
+    return tuple((t, demand(t)) for t in range(start, tick + 1))
 
 
 def analyze(
-    window: MetricWindow,
+    samples: tuple[tuple[int, float], ...],
     predictor: PredictorState,
     ground_truth: float | None = None,
 ) -> tuple[float, PredictorState]:
@@ -226,7 +214,7 @@ def analyze(
     upstream signal, scaling its error down by the accuracy bonus."""
     level = predictor.level
     last = predictor.last_seen
-    for t, value in window.samples:
+    for t, value in samples:
         if t <= last:
             continue
         level = predictor.alpha * value + (1.0 - predictor.alpha) * level

@@ -272,9 +272,5 @@ def terminate(state: ClusterState, pod_id: str) -> None:
     state.retired.add(pod_id)
 
 
-def regions(state: ClusterState) -> list[str]:
-    return sorted({n.region for n in state.nodes.values()})
-
-
 def nodes_in_region(state: ClusterState, region: str) -> list[str]:
     return sorted(n.id for n in state.nodes.values() if n.region == region)

@@ -13,6 +13,9 @@ Responsibilities, in pipeline order per tick:
    instance, and arbitrated by priority,
 6. surviving intents pass to the simulator for materialization.
 
+Routing reads the size class and regions each agent carries from
+``agents.resolve_scope``: a conflict whose participants are all non-Mega and
+cover one region goes to ``regional:<region>``, anything else to ``e2e``.
 Regional instances act on their own tick; the end-to-end instance only acts on
 ticks that are multiples of its period, buffering work in between.
 """
@@ -27,9 +30,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import cluster, scheduler
-from .agents import ActionIntent, ActionKind, LifecycleState, LoopAgent, SizeClass, scope_regions
+from .agents import ActionIntent, ActionKind, LifecycleState, LoopAgent, SizeClass
 from .cluster import ClusterState, Pod
-from .errors import UnknownRegion
 
 
 class ConflictKind(str, Enum):
@@ -213,11 +215,9 @@ TOGGLE_KINDS = frozenset(
 
 
 class ConflictManager:
-    def __init__(self, config: ManagerConfig, agents: dict[str, LoopAgent],
-                 regions: list[str]):
+    def __init__(self, config: ManagerConfig, agents: dict[str, LoopAgent]):
         self.config = config
         self.agents = agents
-        self.regions = list(regions)
         self.baselines: dict[str, CoherencyBaseline] = {}
         self.freezes: dict[tuple[str, str], int] = {}
         # tick, acl, target, direction, in tick order and never later than the
@@ -238,7 +238,7 @@ class ConflictManager:
         period = self.config.e2e_period
         return tick if tick % period == 0 else (tick // period + 1) * period
 
-    def route(self, participant_ids: list[str], node_regions: dict[str, str]) -> str:
+    def route(self, participant_ids: list[str]) -> str:
         """Pick the instance responsible for a set of participants.
 
         Any Mega participant, or scopes straddling regions, escalates to the
@@ -249,17 +249,14 @@ class ConflictManager:
             agent = self.agents[acl]
             if agent.size is SizeClass.MEGA:
                 return E2E
-            touched.update(scope_regions(agent.scope, node_regions))
+            touched.update(agent.regions)
         if len(touched) != 1:
             return E2E
-        region = touched.pop()
-        if region not in self.regions:
-            raise UnknownRegion(region)
-        return regional(region)
+        return regional(touched.pop())
 
-    def submit(self, intent: ActionIntent, node_regions: dict[str, str]) -> int:
+    def submit(self, intent: ActionIntent) -> int:
         """Return the tick at which the owning instance will look at this intent."""
-        instance = self.route([intent.acl_id], node_regions)
+        instance = self.route([intent.acl_id])
         return intent.tick if instance != E2E else self.next_e2e_tick(intent.tick)
 
     # -- coherency / lifecycle ----------------------------------------------
@@ -345,7 +342,7 @@ class ConflictManager:
         )
 
     def detect_interference(
-        self, tick: int, pending: list[ActionIntent], node_regions: dict[str, str]
+        self, tick: int, pending: list[ActionIntent], state: ClusterState
     ) -> list[ConflictRecord]:
         """Flag targets toggled back and forth by several loops recently.
 
@@ -371,7 +368,7 @@ class ConflictManager:
             if self._target_frozen(target, tick):
                 continue  # already resolved; do not re-flag during cooldown
             seq = sorted(entries[target])
-            prev = 1 if target in node_regions else seq[0][2]
+            prev = 1 if target in state.nodes else seq[0][2]
             toggles = 0
             actors = set()
             for _, acl, direction in seq:
@@ -381,14 +378,12 @@ class ConflictManager:
                 prev = direction
             if toggles >= cfg.toggle_threshold and len(actors) >= 2:
                 records.append(
-                    self._record(tick, ConflictKind.INTERFERENCE, sorted(actors), [target],
-                                 node_regions)
+                    self._record(tick, ConflictKind.INTERFERENCE, sorted(actors), [target])
                 )
         return records
 
     def detect_resource_conflicts(
-        self, tick: int, intents: list[ActionIntent], state: ClusterState,
-        node_regions: dict[str, str],
+        self, tick: int, intents: list[ActionIntent], state: ClusterState
     ) -> list[tuple[ConflictRecord, set[str]]]:
         """Group this tick's intents by the node they would act on.
 
@@ -435,15 +430,9 @@ class ConflictManager:
                     participants.update(acls)
                     implicated.update(i for _, i in ups | downs)
             if participants:
-                results.append(
-                    (
-                        self._record(
-                            tick, ConflictKind.RESOURCE_CONTENTION,
-                            sorted(participants), [node_id], node_regions,
-                        ),
-                        implicated,
-                    )
-                )
+                record = self._record(tick, ConflictKind.RESOURCE_CONTENTION,
+                                      sorted(participants), [node_id])
+                results.append((record, implicated))
         return results
 
     def _claims(self, intent: ActionIntent, state: ClusterState,
@@ -483,8 +472,8 @@ class ConflictManager:
         return out
 
     def _record(self, tick: int, kind: ConflictKind, participants: list[str],
-                targets: list[str], node_regions: dict[str, str]) -> ConflictRecord:
-        instance = self.route(participants, node_regions)
+                targets: list[str]) -> ConflictRecord:
+        instance = self.route(participants)
         record = ConflictRecord(
             conflict_id=f"c{self._conflict_seq}",
             tick=tick,
@@ -523,7 +512,6 @@ class ConflictManager:
         tick: int,
         intents: list[ActionIntent],
         state: ClusterState,
-        node_regions: dict[str, str],
     ) -> TickOutcome:
         out = TickOutcome()
         pool: list[ActionIntent] = []
@@ -571,7 +559,7 @@ class ConflictManager:
         pool = kept
 
         # 3. interference detection on recent executions plus this tick's intents
-        for record in self.detect_interference(tick, pool, node_regions):
+        for record in self.detect_interference(tick, pool, state):
             out.detected.append(record)
             resolved = self.resolve(record, tick)
             out.resolved.append(resolved)
@@ -587,9 +575,7 @@ class ConflictManager:
             pool = kept
 
         # 4. resource contention: arbitrate now (regional) or buffer (e2e)
-        for record, implicated in self.detect_resource_conflicts(
-            tick, pool, state, node_regions
-        ):
+        for record, implicated in self.detect_resource_conflicts(tick, pool, state):
             out.detected.append(record)
             if record.instance == E2E and not self.is_e2e_tick(tick):
                 held = [i for i in pool if i.intent_id in implicated]
@@ -609,7 +595,7 @@ class ConflictManager:
 
         # 5. uninvolved intents from end-to-end scoped loops wait for their instance
         for intent in pool:
-            instance = self.route([intent.acl_id], node_regions)
+            instance = self.route([intent.acl_id])
             if instance == E2E and not self.is_e2e_tick(tick):
                 self._held_intents.append(intent)
                 out.buffered.append(intent)

@@ -61,12 +61,6 @@ class SuspendedAgent(LoopsimError):
         self.agent_id = agent_id
 
 
-class UnknownRegion(LoopsimError):
-    def __init__(self, region: str):
-        super().__init__(f"no manager instance covers region {region!r}")
-        self.region = region
-
-
 class ParseError(LoopsimError):
     """Scenario text could not be parsed."""
 

@@ -328,7 +328,7 @@ def normalize(data: dict) -> dict:
         where = f"agent {agent_id}"
         scope = [str(s) for s in _list(_require(raw, "scope", where), f"{where}: scope")]
         try:
-            agents_mod.classify_size(frozenset(scope), node_regions)
+            agents_mod.resolve_scope(frozenset(scope), node_regions)
         except (EmptyScope, ValueError) as exc:
             raise ValidationError(f"{where}: {exc}") from None
         entry = {
@@ -453,8 +453,7 @@ def normalize_events(
 
 def _check_initial_placement(norm: dict) -> None:
     """Initial pods must tolerate their node and fit together."""
-    state, _ = build_state(norm)
-    del state  # build_state raises ValidationError on any violation
+    build_state(norm)  # raises ValidationError on any violation
 
 
 def scenario_hash(norm: dict) -> str:
@@ -508,7 +507,7 @@ def priority_levels(norm: dict) -> dict[str, PriorityLevel]:
     }
 
 
-def build_state(norm: dict) -> tuple[ClusterState, dict[str, str]]:
+def build_state(norm: dict) -> ClusterState:
     levels = priority_levels(norm)
     nodes = {
         entry["id"]: Node(
@@ -535,8 +534,7 @@ def build_state(norm: dict) -> tuple[ClusterState, dict[str, str]]:
             cluster.bind(state, pod.id, entry["node"])
         except Exception as exc:
             raise ValidationError(f"initial pod {pod.id}: {exc}") from None
-    node_regions = {n["id"]: n["region"] for n in norm["nodes"]}
-    return state, node_regions
+    return state
 
 
 def build_agents(norm: dict) -> dict[str, LoopAgent]:
@@ -548,6 +546,7 @@ def build_agents(norm: dict) -> dict[str, LoopAgent]:
         owned[pod["owner"]] = owned.get(pod["owner"], 0) + 1
     for entry in norm["agents"]:
         scope = frozenset(entry["scope"])
+        size, regions = agents_mod.resolve_scope(scope, node_regions)
         template = None
         if entry["pod_template"] is not None:
             template = PodSpec(
@@ -560,7 +559,8 @@ def build_agents(norm: dict) -> dict[str, LoopAgent]:
             id=entry["id"],
             role=AgentRole(entry["role"]),
             scope=scope,
-            size=agents_mod.classify_size(scope, node_regions),
+            size=size,
+            regions=regions,
             priority=levels[entry["priority"]],
             predictor=PredictorState(alpha=entry["alpha"]),
             pod_template=template,

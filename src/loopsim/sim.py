@@ -146,14 +146,10 @@ class World:
     def __init__(self, scn: Scenario, extra_events: list[dict] | None = None):
         norm = scn.data
         self.scenario = scn
-        self.state, self.node_regions = scenario_mod.build_state(norm)
+        self.state = scenario_mod.build_state(norm)
         self.agents = scenario_mod.build_agents(norm)
         self.units = scenario_mod.build_units(norm, self.agents)
-        self.manager = ConflictManager(
-            scenario_mod.build_manager_config(norm),
-            self.agents,
-            cluster.regions(self.state),
-        )
+        self.manager = ConflictManager(scenario_mod.build_manager_config(norm), self.agents)
         self.manager.trust = scenario_mod.build_trust(norm)
         self.traffic = scenario_mod.build_traffic(norm)
         self.extra_events = list(extra_events or [])
@@ -182,7 +178,8 @@ class World:
         self.idle_streaks: dict[str, int] = {n: 0 for n in self.state.nodes}
         self.pending_slices: list[SliceRequest] = []
         self._slice_seq = 0
-        self.requeued: dict[int, list[ActionIntent]] = {}
+        # intents the manager requeued last tick; the next tick takes them all
+        self.requeued: list[ActionIntent] = []
 
     # -- helpers ---------------------------------------------------------
 
@@ -260,15 +257,15 @@ class World:
                 continue
             if t % agent.period != 0:
                 continue
-            regions = agents_mod.scope_regions(agent.scope, self.node_regions)
+            regions = agent.regions
 
-            def demand(tt: int, rs=tuple(regions)) -> float:
+            def demand(tt: int, rs=regions) -> float:
                 return sum(self.traffic.sample(r, tt) for r in rs)
 
-            window = agents_mod.monitor(agent, demand, t)
+            samples = agents_mod.monitor(agent, demand, t)
             truth = sum(self.traffic.truth(r, t) for r in regions)
             prediction, agent.predictor = agents_mod.analyze(
-                window, agent.predictor, ground_truth=truth
+                samples, agent.predictor, ground_truth=truth
             )
             self.emit("prediction", acl=acl, value=prediction, truth=truth)
 
@@ -304,10 +301,7 @@ class World:
     def _phase_submit(self, planned: list[tuple[str, list[ActionIntent]]]) -> list[ActionIntent]:
         submitted: list[ActionIntent] = []
         for acl, intents in planned:
-            receipts = agents_mod.execute(
-                self.agents[acl], intents,
-                lambda i: self.manager.submit(i, self.node_regions),
-            )
+            receipts = agents_mod.execute(self.agents[acl], intents, self.manager.submit)
             for intent, receipt in zip(intents, receipts):
                 self.emit("intent-submitted", id=intent.intent_id, acl=acl,
                           action=intent.kind.value, target=intent.target,
@@ -317,8 +311,8 @@ class World:
 
     def _phase_manager(self, submitted: list[ActionIntent]):
         t = self.tick
-        pool = self.requeued.pop(t, []) + submitted
-        outcome = self.manager.process_tick(t, pool, self.state, self.node_regions)
+        pool, self.requeued = self.requeued + submitted, []
+        outcome = self.manager.process_tick(t, pool, self.state)
         for acl, magnitude, verdict in outcome.verdicts:
             self.emit("coherency", acl=acl, magnitude=magnitude, verdict=verdict.value)
         for acl, old, new in outcome.lifecycle_changes:
@@ -345,7 +339,7 @@ class World:
             self.emit("intent-dropped", id=intent.intent_id, acl=intent.acl_id,
                       reason=reason)
         for intent in outcome.requeued:
-            self.requeued.setdefault(t + 1, []).append(intent)
+            self.requeued.append(intent)
             self.emit("intent-requeued", id=intent.intent_id, acl=intent.acl_id,
                       next_tick=t + 1)
         for intent in outcome.buffered:

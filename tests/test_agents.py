@@ -9,7 +9,6 @@ from loopsim.agents import (
     AgentRole,
     LifecycleState,
     LoopAgent,
-    MetricWindow,
     PlanContext,
     PodSpec,
     PredictorKind,
@@ -17,9 +16,9 @@ from loopsim.agents import (
     SizeClass,
     SliceRequest,
     analyze,
-    classify_size,
     monitor,
     plan,
+    resolve_scope,
 )
 from loopsim.errors import EmptyScope, SuspendedAgent
 
@@ -33,11 +32,13 @@ REGIONS = {
 
 def make_agent(role=AgentRole.SCALER, scope=("waterloo",), **overrides):
     scope = frozenset(scope)
+    size, regions = resolve_scope(scope, REGIONS)
     defaults = dict(
         id="acl1",
         role=role,
         scope=scope,
-        size=classify_size(scope, REGIONS),
+        size=size,
+        regions=regions,
         priority=GOLD,
         pod_template=PodSpec(rv(500, 1024)),
     )
@@ -61,55 +62,68 @@ def make_ctx(state=None, tick=0, **overrides):
 
 
 class TestClassifySize:
+    """``resolve_scope``: the size class and the sorted regions of a scope."""
+
     def test_single_container_is_femto(self):
-        assert classify_size(frozenset({"edge-calgary/cache"}), REGIONS) is SizeClass.FEMTO
+        assert resolve_scope(frozenset({"edge-calgary/cache"}), REGIONS) == (
+            SizeClass.FEMTO, ("calgary",))
 
     def test_single_node_is_micro(self):
-        assert classify_size(frozenset({"edge-calgary"}), REGIONS) is SizeClass.MICRO
+        assert resolve_scope(frozenset({"edge-calgary"}), REGIONS) == (
+            SizeClass.MICRO, ("calgary",))
 
     def test_region_scope_is_macro(self):
-        assert classify_size(frozenset({"calgary"}), REGIONS) is SizeClass.MACRO
+        assert resolve_scope(frozenset({"calgary"}), REGIONS) == (
+            SizeClass.MACRO, ("calgary",))
 
     def test_two_nodes_one_region_is_macro(self):
         scope = frozenset({"edge-calgary", "edge-calgary-2"})
-        assert classify_size(scope, REGIONS) is SizeClass.MACRO
+        assert resolve_scope(scope, REGIONS) == (SizeClass.MACRO, ("calgary",))
 
     def test_nodes_in_two_regions_is_mega(self):
         scope = frozenset({"edge-calgary", "edge-waterloo"})
-        assert classify_size(scope, REGIONS) is SizeClass.MEGA
+        assert resolve_scope(scope, REGIONS) == (
+            SizeClass.MEGA, ("calgary", "waterloo"))
 
     def test_e2e_marker_is_mega(self):
-        assert classify_size(frozenset({"e2e"}), REGIONS) is SizeClass.MEGA
+        assert resolve_scope(frozenset({"e2e", "edge-calgary"}), REGIONS) == (
+            SizeClass.MEGA, ("calgary", "toronto", "waterloo"))
 
     def test_empty_scope_raises(self):
         with pytest.raises(EmptyScope):
-            classify_size(frozenset(), REGIONS)
+            resolve_scope(frozenset(), REGIONS)
 
     def test_unknown_entry_raises(self):
         with pytest.raises(ValueError):
-            classify_size(frozenset({"atlantis"}), REGIONS)
+            resolve_scope(frozenset({"atlantis"}), REGIONS)
+
+    @pytest.mark.parametrize("bogus", ["aaa-bogus", "zzz-bogus"])
+    def test_unknown_entry_beside_e2e_raises(self, bogus):
+        # whichever side of "e2e" the bad entry sorts to
+        with pytest.raises(ValueError, match=bogus):
+            resolve_scope(frozenset({"e2e", bogus}), REGIONS)
 
     def test_scope_regions_e2e_means_all(self):
-        assert agents_mod.scope_regions(frozenset({"e2e"}), REGIONS) == [
+        assert resolve_scope(frozenset({"e2e"}), REGIONS)[1] == (
             "calgary", "toronto", "waterloo",
-        ]
+        )
 
 
 class TestMonitor:
     def test_window_is_last_span_ticks(self):
         agent = make_agent(span_ticks=3)
-        window = monitor(agent, lambda t: float(t * 10), tick=9)
-        assert window.samples == ((7, 70.0), (8, 80.0), (9, 90.0))
+        samples = monitor(agent, lambda t: float(t * 10), tick=9)
+        assert samples == ((7, 70.0), (8, 80.0), (9, 90.0))
 
     def test_tick_zero_single_sample(self):
         agent = make_agent(span_ticks=5)
-        window = monitor(agent, lambda t: 42.0, tick=0)
-        assert window.samples == ((0, 42.0),)
+        samples = monitor(agent, lambda t: 42.0, tick=0)
+        assert samples == ((0, 42.0),)
 
     def test_samples_already_folded_are_left_out(self):
         agent = make_agent(span_ticks=100, predictor=PredictorState(last_seen=7))
-        window = monitor(agent, lambda t: float(t * 10), tick=9)
-        assert window.samples == ((8, 80.0), (9, 90.0))
+        samples = monitor(agent, lambda t: float(t * 10), tick=9)
+        assert samples == ((8, 80.0), (9, 90.0))
 
     def test_suspended_agent_cannot_monitor(self):
         agent = make_agent(lifecycle=LifecycleState.SUSPENDED)
@@ -119,27 +133,27 @@ class TestMonitor:
 
 class TestAnalyze:
     def test_alpha_one_tracks_last_sample(self):
-        window = MetricWindow(((0, 7.0), (1, 42.0)))
+        window = ((0, 7.0), (1, 42.0))
         prediction, _ = analyze(window, PredictorState(alpha=1.0))
         assert prediction == 42.0
 
     def test_hand_folded_recurrence(self):
         # alpha 0.5, level 0: 10 -> 5, then 20 -> 12.5
-        window = MetricWindow(((0, 10.0), (1, 20.0)))
+        window = ((0, 10.0), (1, 20.0))
         prediction, state = analyze(window, PredictorState(alpha=0.5))
         assert prediction == pytest.approx(12.5)
         assert state.level == pytest.approx(12.5)
         assert state.last_seen == 1
 
     def test_samples_are_folded_once(self):
-        window = MetricWindow(((0, 10.0), (1, 20.0)))
+        window = ((0, 10.0), (1, 20.0))
         _, state = analyze(window, PredictorState(alpha=0.5))
         again, state2 = analyze(window, state)
         assert again == pytest.approx(12.5)  # nothing new to fold
         assert state2.level == state.level
 
     def test_shared_model_shrinks_error_toward_truth(self):
-        window = MetricWindow(((0, 10.0), (1, 20.0)))
+        window = ((0, 10.0), (1, 20.0))
         plain, _ = analyze(window, PredictorState(alpha=0.5))
         shared = PredictorState(
             alpha=0.5, kind=PredictorKind.SHARED_MODEL,
@@ -149,7 +163,7 @@ class TestAnalyze:
         assert abs(boosted - 20.0) == pytest.approx(0.8 * abs(plain - 20.0))
 
     def test_shared_model_without_truth_behaves_like_ewma(self):
-        window = MetricWindow(((0, 10.0),))
+        window = ((0, 10.0),)
         shared = PredictorState(
             alpha=0.5, kind=PredictorKind.SHARED_MODEL,
             accuracy_bonus=0.2, source="acl2",

@@ -150,6 +150,13 @@ class TestRun:
         assert code == 2
         assert "error: pod acl1-pod-0: id is taken by the pods agent 'acl1' creates" in err
 
+    @pytest.mark.parametrize("scope", ["[e2e, zzz-bogus]", "[aaa-bogus, e2e]"])
+    def test_scope_entry_matching_nothing_is_an_input_error(self, capsys, tmp_path, scope):
+        code, err = self.run_document(capsys, tmp_path, f"agents: [{{id: a, scope: {scope}}}]\n")
+        assert code == 2
+        assert "error: agent a: scope entry '" in err
+        assert "-bogus' matches no region, node, or container" in err
+
     def test_traffic_that_would_overflow_is_an_input_error(self, capsys, tmp_path):
         code, err = self.run_document(capsys, tmp_path, (
             "agents: [{id: a, scope: [east, west], pod_template: {cpu: 10, memory: 10}}]\n"

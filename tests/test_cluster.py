@@ -197,7 +197,6 @@ class TestTopologyQueries:
         state = state_with(
             [node("a", region="east"), node("b", region="west"), node("c", region="east")]
         )
-        assert cluster.regions(state) == ["east", "west"]
         assert cluster.nodes_in_region(state, "east") == ["a", "c"]
         assert cluster.nodes_in_region(state, "nowhere") == []
 

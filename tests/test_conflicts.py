@@ -13,7 +13,7 @@ from loopsim.agents import (
     LifecycleState,
     LoopAgent,
     PodSpec,
-    classify_size,
+    resolve_scope,
 )
 from loopsim.conflicts import (
     E2E,
@@ -28,7 +28,6 @@ from loopsim.conflicts import (
     regional,
 )
 from loopsim.cluster import Pod, PriorityLevel
-from loopsim.errors import UnknownRegion
 from loopsim.scenario import list_scenarios, load_scenario
 from loopsim.sim import run
 from test_acceptance import random_scenario
@@ -42,11 +41,13 @@ REGIONS = {
 
 def make_agent(aid, value=10, scope=("waterloo",), role=AgentRole.SCALER):
     scope = frozenset(scope)
+    size, regions = resolve_scope(scope, REGIONS)
     return LoopAgent(
         id=aid,
         role=role,
         scope=scope,
-        size=classify_size(scope, REGIONS),
+        size=size,
+        regions=regions,
         priority=PriorityLevel(f"lvl-{aid}", value),
     )
 
@@ -54,7 +55,12 @@ def make_agent(aid, value=10, scope=("waterloo",), role=AgentRole.SCALER):
 def make_manager(*agents, **config):
     cfg = ManagerConfig(**config)
     byid = {a.id: a for a in agents}
-    return ConflictManager(cfg, byid, sorted(set(REGIONS.values())))
+    return ConflictManager(cfg, byid)
+
+
+def topology():
+    """A cluster of the nodes in ``REGIONS``."""
+    return state_with([node(n, region=r) for n, r in REGIONS.items()])
 
 
 def make_intent(acl, tick, kind, target="svc", iid=None, specs=(), pods=(),
@@ -208,26 +214,19 @@ class TestRouting:
     def test_single_region_scopes_stay_regional(self):
         a, b = make_agent("a"), make_agent("b")
         mgr = make_manager(a, b)
-        assert mgr.route(["a", "b"], REGIONS) == regional("waterloo")
+        assert mgr.route(["a", "b"]) == regional("waterloo")
 
     def test_mega_participant_escalates(self):
         a = make_agent("a")
         mega = make_agent("slice", scope=("e2e",))
         mgr = make_manager(a, mega)
-        assert mgr.route(["a", "slice"], REGIONS) == E2E
+        assert mgr.route(["a", "slice"]) == E2E
 
     def test_cross_region_scopes_escalate(self):
         a = make_agent("a", scope=("waterloo",))
         b = make_agent("b", scope=("toronto",))
         mgr = make_manager(a, b)
-        assert mgr.route(["a", "b"], REGIONS) == E2E
-
-    def test_unknown_region_raises(self):
-        a = make_agent("a")
-        mgr = make_manager(a)
-        mgr.regions = ["toronto"]  # waterloo no longer managed
-        with pytest.raises(UnknownRegion):
-            mgr.route(["a"], REGIONS)
+        assert mgr.route(["a", "b"]) == E2E
 
     def test_e2e_tick_arithmetic(self):
         mgr = make_manager(make_agent("a"), e2e_period=5)
@@ -244,8 +243,8 @@ class TestRouting:
                                       specs=[PodSpec(rv(1, 1))])
         mega_intent = make_intent("slice", 7, ActionKind.INSTANTIATE,
                                   specs=[PodSpec(rv(1, 1))])
-        assert mgr.submit(regional_intent, REGIONS) == 7
-        assert mgr.submit(mega_intent, REGIONS) == 10
+        assert mgr.submit(regional_intent) == 7
+        assert mgr.submit(mega_intent) == 10
 
 
 class TestDetection:
@@ -265,7 +264,7 @@ class TestDetection:
             make_intent("a", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(1500, 3072))]),
             make_intent("b", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(1500, 3072))]),
         ]
-        found = mgr.detect_resource_conflicts(0, intents, state, REGIONS)
+        found = mgr.detect_resource_conflicts(0, intents, state)
         assert len(found) == 1
         record, implicated = found[0]
         assert record.kind is ConflictKind.RESOURCE_CONTENTION
@@ -281,7 +280,7 @@ class TestDetection:
             make_intent("a", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(500, 1024))]),
             make_intent("b", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(500, 1024))]),
         ]
-        assert mgr.detect_resource_conflicts(0, intents, state, REGIONS) == []
+        assert mgr.detect_resource_conflicts(0, intents, state) == []
 
     def test_single_intent_is_never_a_conflict(self):
         a = make_agent("a")
@@ -290,7 +289,7 @@ class TestDetection:
         intents = [
             make_intent("a", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(1900, 4000))])
         ]
-        assert mgr.detect_resource_conflicts(0, intents, state, REGIONS) == []
+        assert mgr.detect_resource_conflicts(0, intents, state) == []
 
     def test_opposite_directions_on_one_node_collide(self):
         a, b = make_agent("a"), make_agent("b", value=5)
@@ -301,7 +300,7 @@ class TestDetection:
             make_intent("a", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(100, 128))]),
             make_intent("b", 0, ActionKind.SCALE_DOWN, pods=["b-pod"]),
         ]
-        found = mgr.detect_resource_conflicts(0, intents, state, REGIONS)
+        found = mgr.detect_resource_conflicts(0, intents, state)
         assert len(found) == 1
         assert found[0][0].participants == ("a", "b")
 
@@ -311,11 +310,11 @@ class TestDetection:
         # off(1), on(2): two toggles so far (node starts powered-on)
         mgr.note_execution(1, "a", "edge-waterloo", -1)
         mgr.note_execution(2, "b", "edge-waterloo", +1)
-        assert mgr.detect_interference(2, [], REGIONS) == []
+        assert mgr.detect_interference(2, [], topology()) == []
         pending = [
             make_intent("a", 3, ActionKind.POWER_OFF, target="edge-waterloo")
         ]
-        records = mgr.detect_interference(3, pending, REGIONS)
+        records = mgr.detect_interference(3, pending, topology())
         assert len(records) == 1
         assert records[0].kind is ConflictKind.INTERFERENCE
         assert records[0].participants == ("a", "b")
@@ -325,14 +324,14 @@ class TestDetection:
         mgr = make_manager(a, b, toggle_threshold=3)
         for t in range(6):
             mgr.note_execution(t, "a" if t % 2 else "b", "svc", +1)
-        assert mgr.detect_interference(6, [], REGIONS) == []
+        assert mgr.detect_interference(6, [], topology()) == []
 
     def test_single_actor_oscillation_is_not_interference(self):
         a = make_agent("a")
         mgr = make_manager(a, toggle_threshold=3)
         for t, direction in enumerate((+1, -1, +1, -1, +1, -1)):
             mgr.note_execution(t, "a", "svc", direction)
-        assert mgr.detect_interference(6, [], REGIONS) == []
+        assert mgr.detect_interference(6, [], topology()) == []
 
     def test_old_history_falls_out_of_the_window(self):
         a, b = make_agent("a", value=3), make_agent("b", value=7)
@@ -341,7 +340,18 @@ class TestDetection:
         mgr.note_execution(1, "b", "edge-waterloo", +1)
         mgr.note_execution(2, "a", "edge-waterloo", -1)
         # at tick 9 all of that is stale
-        assert mgr.detect_interference(9, [], REGIONS) == []
+        assert mgr.detect_interference(9, [], topology()) == []
+
+    def test_scaler_target_naming_a_node_starts_powered_on(self):
+        # down, up, down: three toggles from powered-on, two from the first
+        # observed direction, which a target that is no node starts from
+        a, b = make_agent("a", value=3), make_agent("b", value=7)
+        for target, found in (("edge-waterloo", 1), ("svc-waterloo", 0)):
+            mgr = make_manager(a, b, toggle_threshold=3)
+            mgr.note_execution(1, "a", target, -1)
+            mgr.note_execution(2, "b", target, +1)
+            pending = [make_intent("a", 3, ActionKind.SCALE_DOWN, target=target)]
+            assert len(mgr.detect_interference(3, pending, topology())) == found
 
 
 ENGINE_CLAIMS = ConflictManager._claims
@@ -402,10 +412,10 @@ class TestRankingPerTolerationSet:
             ])
             for n, acl in enumerate(("a", "b", "c", "a"))
         ]
-        want = self.reference(monkeypatch, mgr, 0, intents, state, REGIONS)
+        want = self.reference(monkeypatch, mgr, 0, intents, state)
         assert len(rankings) == 40
         rankings.clear()
-        found = mgr.detect_resource_conflicts(0, intents, state, REGIONS)
+        found = mgr.detect_resource_conflicts(0, intents, state)
         assert len(rankings) == 3
         assert set(rankings) == {frozenset(s) for s in sets}
         assert found == want
@@ -416,11 +426,11 @@ class TestRankingPerTolerationSet:
     def test_records_match_the_reference_over_whole_runs(self, monkeypatch, rankings):
         seen = {"records": 0, "reference rankings": 0, "rankings": 0}
 
-        def checked(mgr, tick, intents, state, node_regions):
+        def checked(mgr, tick, intents, state):
             before = len(rankings)
-            want = self.reference(monkeypatch, mgr, tick, intents, state, node_regions)
+            want = self.reference(monkeypatch, mgr, tick, intents, state)
             middle = len(rankings)
-            got = ENGINE_DETECT(mgr, tick, intents, state, node_regions)
+            got = ENGINE_DETECT(mgr, tick, intents, state)
             assert got == want, f"tick {tick}"
             seen["records"] += len(got)
             seen["reference rankings"] += middle - before
@@ -442,7 +452,7 @@ class TestResolve:
         a, b = make_agent("acl1", value=10), make_agent("acl2", value=5)
         mgr = make_manager(a, b)
         record = mgr._record(0, ConflictKind.RESOURCE_CONTENTION,
-                             ["acl1", "acl2"], ["edge-waterloo"], REGIONS)
+                             ["acl1", "acl2"], ["edge-waterloo"])
         resolved = mgr.resolve(record, 0)
         assert resolved.resolution.kind == "arbitrated"
         assert resolved.resolution.winner == "acl1"
@@ -452,7 +462,7 @@ class TestResolve:
         a, b = make_agent("beta", value=5), make_agent("alfa", value=5)
         mgr = make_manager(a, b)
         record = mgr._record(0, ConflictKind.RESOURCE_CONTENTION,
-                             ["alfa", "beta"], ["edge-waterloo"], REGIONS)
+                             ["alfa", "beta"], ["edge-waterloo"])
         assert mgr.resolve(record, 0).resolution.winner == "alfa"
 
     def test_interference_freezes_the_lowest_priority(self):
@@ -460,7 +470,7 @@ class TestResolve:
         balancer = make_agent("balancer", value=7, scope=("calgary",))
         mgr = make_manager(energy, balancer, freeze_cooldown=10)
         record = mgr._record(4, ConflictKind.INTERFERENCE,
-                             ["balancer", "energy"], ["edge-calgary"], REGIONS)
+                             ["balancer", "energy"], ["edge-calgary"])
         resolved = mgr.resolve(record, 4)
         assert resolved.resolution.kind == "frozen"
         assert resolved.resolution.frozen_acl == "energy"
@@ -475,7 +485,7 @@ class TestResolve:
             b = make_agent("b", value=9 * factor)
             mgr = make_manager(a, b)
             record = mgr._record(0, ConflictKind.RESOURCE_CONTENTION,
-                                 ["a", "b"], ["edge-waterloo"], REGIONS)
+                                 ["a", "b"], ["edge-waterloo"])
             assert mgr.resolve(record, 0).resolution.winner == "b"
 
 
@@ -488,7 +498,7 @@ class TestProcessTick:
             make_intent("acl1", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(1500, 3072))]),
             make_intent("acl2", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(1500, 3072))]),
         ]
-        out = mgr.process_tick(0, intents, state, REGIONS)
+        out = mgr.process_tick(0, intents, state)
         assert [r.kind for r in out.detected] == [ConflictKind.RESOURCE_CONTENTION]
         assert [r.resolution.winner for r in out.resolved] == ["acl1"]
         assert [i.acl_id for i in out.survivors] == ["acl1"]
@@ -503,13 +513,13 @@ class TestProcessTick:
             out = mgr.process_tick(
                 t, [make_intent("acl1", t, ActionKind.SCALE_UP, iid=f"i{t}",
                                 specs=[PodSpec(rv(10, 10))], magnitude=5.0)],
-                state, REGIONS,
+                state,
             )
             assert not out.dropped
         out = mgr.process_tick(
             4, [make_intent("acl1", 4, ActionKind.SCALE_UP, iid="spike",
                             specs=[PodSpec(rv(10, 10))], magnitude=500.0)],
-            state, REGIONS,
+            state,
         )
         assert [(i.intent_id, reason) for i, reason in out.dropped] == [
             ("spike", "anomalous")
@@ -522,7 +532,7 @@ class TestProcessTick:
         state = state_with([node("edge-waterloo", region="waterloo")])
         intent = make_intent("acl1", 1, ActionKind.SCALE_UP, vetted=True,
                              specs=[PodSpec(rv(10, 10))], magnitude=9e9)
-        out = mgr.process_tick(1, [intent], state, REGIONS)
+        out = mgr.process_tick(1, [intent], state)
         assert out.verdicts == []
         assert [i.intent_id for i in out.survivors] == [intent.intent_id]
 
@@ -533,7 +543,7 @@ class TestProcessTick:
         mgr.freezes[("energy", "edge-calgary")] = 12
         state = state_with([node("edge-calgary", region="calgary")])
         intent = make_intent("energy", 5, ActionKind.POWER_OFF, target="edge-calgary")
-        out = mgr.process_tick(5, [intent], state, REGIONS)
+        out = mgr.process_tick(5, [intent], state)
         assert [(i.intent_id, r) for i, r in out.dropped] == [
             (intent.intent_id, "frozen")
         ]
@@ -550,13 +560,13 @@ class TestProcessTick:
             make_intent("slice", 7, ActionKind.INSTANTIATE,
                         specs=[PodSpec(rv(1500, 3072))], vetted=True),
         ]
-        out7 = mgr.process_tick(7, intents, state, REGIONS)
+        out7 = mgr.process_tick(7, intents, state)
         assert [r.instance for r in out7.detected] == [E2E]
         assert out7.resolved == []          # buffered, not settled
         assert out7.survivors == []
-        out8 = mgr.process_tick(8, [], state, REGIONS)
+        out8 = mgr.process_tick(8, [], state)
         assert out8.resolved == []
-        out10 = mgr.process_tick(10, [], state, REGIONS)
+        out10 = mgr.process_tick(10, [], state)
         assert [r.resolution.winner for r in out10.resolved] == ["slice"]
         assert [i.acl_id for i in out10.survivors] == ["slice"]
         assert [i.acl_id for i in out10.requeued] == ["ran"]
@@ -567,8 +577,8 @@ class TestProcessTick:
         state = state_with([node("edge-waterloo", region="waterloo")])
         intent = make_intent("slice", 7, ActionKind.INSTANTIATE,
                              specs=[PodSpec(rv(10, 10))], vetted=True)
-        out7 = mgr.process_tick(7, [intent], state, REGIONS)
+        out7 = mgr.process_tick(7, [intent], state)
         assert [i.intent_id for i in out7.buffered] == [intent.intent_id]
         assert out7.survivors == []
-        out10 = mgr.process_tick(10, [], state, REGIONS)
+        out10 = mgr.process_tick(10, [], state)
         assert [i.intent_id for i in out10.survivors] == [intent.intent_id]

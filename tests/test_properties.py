@@ -12,11 +12,10 @@ from helpers import node, pod, rv, state_with, taint, tol
 from loopsim.agents import (
     AgentRole,
     LoopAgent,
-    MetricWindow,
     PredictorState,
     SizeClass,
     analyze,
-    classify_size,
+    resolve_scope,
 )
 from loopsim.cluster import (
     PriorityLevel,
@@ -125,7 +124,7 @@ class TestSmoothing:
 
     @given(samples_st, st.floats(0.01, 1.0))
     def test_level_stays_within_the_sample_envelope(self, values, alpha):
-        window = MetricWindow(tuple(enumerate(values)))
+        window = tuple(enumerate(values))
         start = values[0]
         _, predictor = analyze(window, PredictorState(alpha=alpha, level=start))
         slack = 1e-9 * max(1.0, abs(max(values)))  # float rounding headroom
@@ -133,7 +132,7 @@ class TestSmoothing:
 
     @given(samples_st, st.floats(0.01, 1.0))
     def test_refolding_the_same_window_changes_nothing(self, values, alpha):
-        window = MetricWindow(tuple(enumerate(values)))
+        window = tuple(enumerate(values))
         first, predictor = analyze(window, PredictorState(alpha=alpha))
         second, again = analyze(window, predictor)
         assert again == predictor
@@ -141,7 +140,7 @@ class TestSmoothing:
 
     @given(samples_st)
     def test_alpha_one_tracks_the_latest_sample(self, values):
-        window = MetricWindow(tuple(enumerate(values)))
+        window = tuple(enumerate(values))
         prediction, _ = analyze(window, PredictorState(alpha=1.0))
         assert prediction == values[-1]
 
@@ -175,11 +174,12 @@ class TestArbitrationScaling:
                 role=AgentRole.SCALER,
                 scope=frozenset({"east"}),
                 size=SizeClass.MICRO,
+                regions=("east",),
                 priority=PriorityLevel(f"lvl-{aid}", value),
             )
             for aid, value in values.items()
         }
-        return ConflictManager(ManagerConfig(), agents, ["east"])
+        return ConflictManager(ManagerConfig(), agents)
 
     def record(self, kind, participants):
         return ConflictRecord(
@@ -240,20 +240,22 @@ class TestRoutingPartition:
         agents = {}
         for i, scope in enumerate(scopes):
             aid = f"acl{i}"
+            size, regions = resolve_scope(scope, self.regions)
             agents[aid] = LoopAgent(
                 id=aid,
                 role=AgentRole.SCALER,
                 scope=scope,
-                size=classify_size(scope, self.regions),
+                size=size,
+                regions=regions,
                 priority=PriorityLevel("lvl", 1),
             )
-        return ConflictManager(ManagerConfig(), agents, ["east", "west"])
+        return ConflictManager(ManagerConfig(), agents)
 
     @given(scopes_st)
     def test_every_group_routes_to_exactly_one_instance(self, scopes):
         manager = self.manager_with(scopes)
         ids = sorted(manager.agents)
-        instance = manager.route(ids, self.regions)
+        instance = manager.route(ids)
         valid = {E2E, regional("east"), regional("west")}
         assert instance in valid
 
@@ -261,7 +263,7 @@ class TestRoutingPartition:
     def test_e2e_exactly_when_mega_or_straddling(self, scopes):
         manager = self.manager_with(scopes)
         ids = sorted(manager.agents)
-        instance = manager.route(ids, self.regions)
+        instance = manager.route(ids)
         touched = set()
         mega = False
         for aid in ids:

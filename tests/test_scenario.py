@@ -121,6 +121,13 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             normalize(data)
 
+    @pytest.mark.parametrize("bogus", ["aaa-bogus", "zzz-bogus"])
+    def test_unknown_scope_entry_beside_e2e_rejected(self, bogus):
+        # whether the bad entry sorts before "e2e" or after it
+        data = minimal(agents=[{"id": "a", "scope": ["e2e", bogus]}])
+        with pytest.raises(ValidationError, match=f"agent a: scope entry '{bogus}'"):
+            normalize(data)
+
     def test_bad_taint_effect_rejected(self):
         data = minimal()
         data["topology"]["nodes"][0]["taints"] = [{"key": "k", "effect": "Sometimes"}]
@@ -361,9 +368,9 @@ topology:
 class TestBuilders:
     def test_build_state_places_initial_pods(self):
         scn = load_scenario("case2")
-        state, node_regions = scenario_mod.build_state(scn.data)
+        state = scenario_mod.build_state(scn.data)
         assert state.bindings["tenant-web"] == "edge-calgary"
-        assert node_regions["edge-calgary"] == "calgary"
+        assert state.nodes["edge-calgary"].region == "calgary"
 
     def test_build_agents_carry_scenario_settings(self):
         scn = load_scenario("case1")
