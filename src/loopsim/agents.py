@@ -3,7 +3,10 @@
 An agent watches the demand signal over its scope, predicts the next value,
 and turns watermark breaches into action intents (scale, instantiate, power).
 Intents do not touch the cluster directly — they go through the conflict
-manager and only survivors are materialized by the simulator.
+manager and only survivors are materialized by the simulator.  An agent
+keeps no record of what it has in flight: the simulator hands
+``outstanding_targets`` the intents still requeued or held by the manager,
+and a scaler, energy or balancer agent plans nothing for those targets.
 
 ``resolve_scope`` reads an agent's scope once, when the agent is built, into
 its size class and the sorted regions it covers; the demand it watches, the
@@ -86,7 +89,6 @@ class PodSpec:
 class SliceRequest:
     id: str
     agent_id: str
-    tick: int
     chain: tuple[PodSpec, ...]
 
 
@@ -105,16 +107,6 @@ class ActionIntent:
     @property
     def direction(self) -> int:
         return DIRECTION[self.kind]
-
-
-@dataclass
-class Receipt:
-    """An intent in flight; the simulator deletes it once the intent
-    materializes or is dropped."""
-
-    intent_id: str
-    target: str
-    check_tick: int
 
 
 @dataclass
@@ -142,7 +134,6 @@ class LoopAgent:
     normal_streak: int = 0
     last_scale_tick: int | None = None
     last_scale_direction: int = 0
-    receipts: dict[str, Receipt] = field(default_factory=dict)
     intent_seq: int = 0
     pod_seq: int = 0
 
@@ -360,22 +351,18 @@ def _plan_balancer(agent: LoopAgent, prediction: float, ctx: PlanContext) -> lis
     return intents
 
 
-def execute(agent: LoopAgent, intents: list[ActionIntent], submit) -> list[Receipt]:
-    """Hand intents to the conflict manager; remember a receipt for each."""
+def execute(agent: LoopAgent, intents: list[ActionIntent], submit) -> list[int]:
+    """Hand intents to the conflict manager; return the tick at which its
+    owning instance will look at each."""
     if agent.lifecycle is LifecycleState.SUSPENDED:
         raise SuspendedAgent(agent.id)
-    receipts = []
-    for intent in intents:
-        check_tick = submit(intent)
-        receipt = Receipt(intent.intent_id, intent.target, check_tick)
-        agent.receipts[intent.intent_id] = receipt
-        receipts.append(receipt)
-    return receipts
+    return [submit(intent) for intent in intents]
 
 
-def outstanding_targets(agent: LoopAgent) -> frozenset[str]:
-    """Targets of the receipts still held, i.e. of the intents in flight."""
-    return frozenset(r.target for r in agent.receipts.values())
+def outstanding_targets(agent: LoopAgent, in_flight: list[ActionIntent]) -> frozenset[str]:
+    """Targets of the agent's intents among *in_flight*: those submitted but
+    neither applied nor dropped yet."""
+    return frozenset(i.target for i in in_flight if i.acl_id == agent.id)
 
 
 def absorb_knowledge(agent: LoopAgent, grant) -> bool:

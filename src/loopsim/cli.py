@@ -12,7 +12,7 @@ import sys
 
 from . import scenario as scenario_mod
 from . import sim
-from .errors import HashMismatch, LoopsimError, ParseError, ValidationError
+from .errors import HashMismatch, LoopsimError
 from .trace import load_trace
 
 
@@ -108,10 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     except HashMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LoopsimError as exc:
+    except (LoopsimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,8 @@ Routing reads the size class and regions each agent carries from
 ``agents.resolve_scope``: a conflict whose participants are all non-Mega and
 cover one region goes to ``regional:<region>``, anything else to ``e2e``.
 Regional instances act on their own tick; the end-to-end instance only acts on
-ticks that are multiples of its period, buffering work in between.
+ticks that are multiples of its period, buffering work in between; ``held()``
+lists the intents it buffers.
 """
 
 from __future__ import annotations
@@ -253,6 +254,11 @@ class ConflictManager:
         if len(touched) != 1:
             return E2E
         return regional(touched.pop())
+
+    def held(self) -> list[ActionIntent]:
+        """Intents the end-to-end instance holds until its next tick: those
+        buffered alone, then those inside buffered conflicts."""
+        return self._held_intents + [i for _, held in self._held_conflicts for i in held]
 
     def submit(self, intent: ActionIntent) -> int:
         """Return the tick at which the owning instance will look at this intent."""

@@ -149,6 +149,11 @@ class World:
         self.state = scenario_mod.build_state(norm)
         self.agents = scenario_mod.build_agents(norm)
         self.units = scenario_mod.build_units(norm, self.agents)
+        # no operation adds or removes a node or moves it to another region
+        self.scope_nodes = {
+            acl: tuple(n for r in agent.regions for n in cluster.nodes_in_region(self.state, r))
+            for acl, agent in self.agents.items()
+        }
         self.manager = ConflictManager(scenario_mod.build_manager_config(norm), self.agents)
         self.manager.trust = scenario_mod.build_trust(norm)
         self.traffic = scenario_mod.build_traffic(norm)
@@ -196,9 +201,6 @@ class World:
             if any(t.key == POWERED_OFF_KEY for t in n.taints)
         )
 
-    def _settle_receipt(self, intent: ActionIntent) -> None:
-        self.agents[intent.acl_id].receipts.pop(intent.intent_id, None)
-
     # -- tick phases ------------------------------------------------------
 
     def _phase_traffic_and_events(self) -> None:
@@ -221,7 +223,6 @@ class World:
                 request = SliceRequest(
                     id=f"slice-req-{self._slice_seq}",
                     agent_id=event["agent"],
-                    tick=t,
                     chain=scenario_mod.chain_specs(event),
                 )
                 self._slice_seq += 1
@@ -251,6 +252,9 @@ class World:
         t = self.tick
         planned: list[tuple[str, list[ActionIntent]]] = []
         powered_off = self.powered_off()  # planning never changes the cluster
+        # every intent submitted but neither applied nor dropped; nothing
+        # changes it before _phase_submit, which runs after every loop planned
+        in_flight = self.requeued + self.manager.held()
         for acl in sorted(self.agents):
             agent = self.agents[acl]
             if agent.lifecycle is LifecycleState.SUSPENDED:
@@ -269,19 +273,14 @@ class World:
             )
             self.emit("prediction", acl=acl, value=prediction, truth=truth)
 
-            scope_nodes = tuple(
-                n for r in regions for n in cluster.nodes_in_region(self.state, r)
-            )
-            my_slices = tuple(
-                s for s in self.pending_slices if s.agent_id == acl and s.tick <= t
-            )
+            my_slices = tuple(s for s in self.pending_slices if s.agent_id == acl)
             ctx = PlanContext(
                 tick=t,
                 state=self.state,
-                scope_nodes=scope_nodes,
+                scope_nodes=self.scope_nodes[acl],
                 idle_streaks=self.idle_streaks,
                 powered_off=powered_off,
-                outstanding_targets=agents_mod.outstanding_targets(agent),
+                outstanding_targets=agents_mod.outstanding_targets(agent, in_flight),
                 slice_requests=my_slices,
             )
             intents = agents_mod.plan(agent, prediction, ctx)
@@ -301,11 +300,11 @@ class World:
     def _phase_submit(self, planned: list[tuple[str, list[ActionIntent]]]) -> list[ActionIntent]:
         submitted: list[ActionIntent] = []
         for acl, intents in planned:
-            receipts = agents_mod.execute(self.agents[acl], intents, self.manager.submit)
-            for intent, receipt in zip(intents, receipts):
+            check_ticks = agents_mod.execute(self.agents[acl], intents, self.manager.submit)
+            for intent, check_tick in zip(intents, check_ticks):
                 self.emit("intent-submitted", id=intent.intent_id, acl=acl,
                           action=intent.kind.value, target=intent.target,
-                          magnitude=intent.magnitude, check_tick=receipt.check_tick)
+                          magnitude=intent.magnitude, check_tick=check_tick)
             submitted.extend(intents)
         return submitted
 
@@ -335,7 +334,6 @@ class World:
                 payload["until"] = res.until_tick
             self.emit("conflict-resolved", **payload)
         for intent, reason in outcome.dropped:
-            self._settle_receipt(intent)
             self.emit("intent-dropped", id=intent.intent_id, acl=intent.acl_id,
                       reason=reason)
         for intent in outcome.requeued:
@@ -382,7 +380,6 @@ class World:
                 cluster.remove_taint(self.state, intent.target, POWERED_OFF_KEY)
                 self.emit("power-on", node=intent.target, acl=intent.acl_id)
             self.manager.note_execution(t, intent.acl_id, intent.target, intent.direction)
-            self._settle_receipt(intent)
             self.emit("intent-applied", id=intent.intent_id, acl=intent.acl_id)
 
     def _phase_schedule(self) -> None:

@@ -233,7 +233,7 @@ class TestPlanOtherRoles:
     def test_slice_agent_instantiates_pending_requests(self):
         agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
         chain = (PodSpec(rv(500, 1024)), PodSpec(rv(500, 1024)))
-        request = SliceRequest("s-0", "acl1", 3, chain)
+        request = SliceRequest("s-0", "acl1", chain)
         intents = plan(agent, 0.0, make_ctx(tick=3, slice_requests=(request,)))
         assert [i.kind for i in intents] == [ActionKind.INSTANTIATE]
         assert intents[0].pod_specs == chain
@@ -273,23 +273,26 @@ class TestPlanOtherRoles:
         assert plan(agent, 700.0, ctx) == []
 
 
-class TestExecuteAndReceipts:
-    def test_execute_records_receipts(self):
+class TestExecute:
+    def test_execute_returns_check_ticks(self):
         agent = make_agent()
         intents = plan(agent, 900.0, make_ctx(state_with([node("w", region="waterloo")])))
-        receipts = agents_mod.execute(agent, intents, lambda i: i.tick + 4)
-        assert len(receipts) == 1
-        assert receipts[0].check_tick == 4
-        assert agents_mod.outstanding_targets(agent) == frozenset({agent.target})
+        assert agents_mod.execute(agent, intents, lambda i: i.tick + 4) == [4]
 
-    def test_settled_receipts_release_the_target(self):
-        agent = make_agent()
-        intents = plan(agent, 900.0, make_ctx(state_with([node("w", region="waterloo")])))
-        agents_mod.execute(agent, intents, lambda i: i.tick)
-        del agent.receipts[intents[0].intent_id]
-        assert agents_mod.outstanding_targets(agent) == frozenset()
+    def test_execute_returns_one_check_tick_per_intent_in_order(self):
+        agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
+        reqs = tuple(SliceRequest(f"s-{i}", "acl1", (PodSpec(rv(1, 1)),)) for i in range(3))
+        intents = plan(agent, 0.0, make_ctx(tick=7, slice_requests=reqs))
+        seen = []
 
-    def test_empty_intent_list_empty_receipts(self):
+        def submit(intent):
+            seen.append(intent.intent_id)
+            return intent.tick + len(seen)
+
+        assert agents_mod.execute(agent, intents, submit) == [8, 9, 10]
+        assert seen == [i.intent_id for i in intents]
+
+    def test_empty_intent_list_no_check_ticks(self):
         agent = make_agent()
         assert agents_mod.execute(agent, [], lambda i: 0) == []
 
@@ -298,10 +301,39 @@ class TestExecuteAndReceipts:
         with pytest.raises(SuspendedAgent):
             agents_mod.execute(agent, [], lambda i: 0)
 
+    def test_outstanding_targets_are_this_loops_in_flight_targets(self):
+        agent = make_agent()
+        intents = plan(agent, 900.0, make_ctx(state_with([node("w", region="waterloo")])))
+        other = make_agent(id="acl2", role=AgentRole.ENERGY, scope=("calgary",),
+                           idle_ticks=1)
+        state = state_with([node("edge-calgary", region="calgary")])
+        theirs = plan(other, 0.0, make_ctx(state, idle_streaks={"edge-calgary": 1}))
+        assert [i.target for i in theirs] == ["edge-calgary"]
+        assert agents_mod.outstanding_targets(agent, theirs + intents) == frozenset(
+            {agent.target})
+        assert agents_mod.outstanding_targets(agent, theirs) == frozenset()
+        assert agents_mod.outstanding_targets(other, theirs + intents) == frozenset(
+            {"edge-calgary"})
+
+    def test_an_intent_out_of_flight_releases_its_target(self):
+        agent = make_agent()
+        state = state_with([node("w", region="waterloo")])
+        intents = plan(agent, 900.0, make_ctx(state))
+        agents_mod.execute(agent, intents, lambda i: i.tick)
+        in_flight = list(intents)
+        blocked = make_ctx(state, tick=9,
+                           outstanding_targets=agents_mod.outstanding_targets(agent, in_flight))
+        assert plan(agent, 900.0, blocked) == []
+        in_flight.remove(intents[0])  # applied or dropped
+        assert agents_mod.outstanding_targets(agent, in_flight) == frozenset()
+        free = make_ctx(state, tick=9,
+                        outstanding_targets=agents_mod.outstanding_targets(agent, in_flight))
+        assert [i.kind for i in plan(agent, 900.0, free)] == [ActionKind.SCALE_UP]
+
     def test_intent_ids_are_unique_and_ordered(self):
         agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
         reqs = tuple(
-            SliceRequest(f"s-{i}", "acl1", 0, (PodSpec(rv(1, 1)),)) for i in range(3)
+            SliceRequest(f"s-{i}", "acl1", (PodSpec(rv(1, 1)),)) for i in range(3)
         )
         intents = plan(agent, 0.0, make_ctx(slice_requests=reqs))
         assert [i.intent_id for i in intents] == [

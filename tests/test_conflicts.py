@@ -564,9 +564,13 @@ class TestProcessTick:
         assert [r.instance for r in out7.detected] == [E2E]
         assert out7.resolved == []          # buffered, not settled
         assert out7.survivors == []
+        held = [i.intent_id for i in intents]
+        assert [i.intent_id for i in mgr.held()] == held
         out8 = mgr.process_tick(8, [], state)
         assert out8.resolved == []
+        assert [i.intent_id for i in mgr.held()] == held
         out10 = mgr.process_tick(10, [], state)
+        assert mgr.held() == []
         assert [r.resolution.winner for r in out10.resolved] == ["slice"]
         assert [i.acl_id for i in out10.survivors] == ["slice"]
         assert [i.acl_id for i in out10.requeued] == ["ran"]
@@ -580,5 +584,7 @@ class TestProcessTick:
         out7 = mgr.process_tick(7, [intent], state)
         assert [i.intent_id for i in out7.buffered] == [intent.intent_id]
         assert out7.survivors == []
+        assert mgr.held() == [intent]
         out10 = mgr.process_tick(10, [], state)
         assert [i.intent_id for i in out10.survivors] == [intent.intent_id]
+        assert mgr.held() == []

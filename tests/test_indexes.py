@@ -4,7 +4,9 @@ contended benchmark run.
 
 The re-derivations scan the bindings, the live pods, and the trace (every
 pod created and terminated, every intent submitted and settled), so they do
-not lean on the indexes they check.
+not lean on the indexes they check; the intents a loop has in flight, read
+from ``World.requeued`` and ``ConflictManager.held()``, are held against the
+trace the same way.
 """
 
 import math
@@ -49,7 +51,11 @@ class TraceLedger:
             elif kind == "pod-terminated":
                 self.terminated.add(event["pod"])
             elif kind == "intent-submitted":
-                self.unsettled[event["id"]] = (event["acl"], event["target"])
+                entry = (event["acl"], event["target"])
+                # only a slice loop may stack a second intent on one target
+                if self.world.agents[event["acl"]].role is not agents_mod.AgentRole.SLICE:
+                    assert entry not in self.unsettled.values(), event
+                self.unsettled[event["id"]] = entry
             elif kind in ("intent-applied", "intent-dropped"):
                 del self.unsettled[event["id"]]
         self.read = len(events)
@@ -78,6 +84,7 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
         owners.setdefault(ledger.owner[pod_id], set()).add(pod_id)
     assert state.by_owner == owners
 
+    in_flight = world.requeued + world.manager.held()
     for acl, agent in world.agents.items():
         # each agent's live pods vs a scan of all created pods
         expected = sorted(
@@ -85,10 +92,19 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
             if owner == acl and p not in ledger.terminated
         )
         assert agents_mod._owned_pods(agent, state) == expected
-        # outstanding targets vs a scan of every receipt the trace implies
-        in_flight = {i: target for i, (a, target) in ledger.unsettled.items() if a == acl}
-        assert set(agent.receipts) == set(in_flight)
-        assert agents_mod.outstanding_targets(agent) == frozenset(in_flight.values())
+        # the nodes a loop plans over vs a scan of every node's region
+        assert world.scope_nodes[acl] == tuple(
+            n for r in agent.regions
+            for n in sorted(x.id for x in state.nodes.values() if x.region == r)
+        )
+        # intents in flight vs every intent the trace has submitted but not
+        # yet applied or dropped
+        unsettled = {i: target for i, (a, target) in ledger.unsettled.items() if a == acl}
+        ids = [i.intent_id for i in in_flight if i.acl_id == acl]
+        assert len(ids) == len(set(ids))
+        assert set(ids) == set(unsettled)
+        assert agents_mod.outstanding_targets(agent, in_flight) == frozenset(
+            unsettled.values())
 
 
 def run_checked(scn) -> None:
