@@ -44,19 +44,15 @@ class LifecycleState(str, Enum):
     SUSPENDED = "Suspended"
 
 
-class PredictorKind(str, Enum):
-    EWMA = "ewma"
-    SHARED_MODEL = "shared-model"
-
-
 @dataclass(frozen=True)
 class PredictorState:
-    kind: PredictorKind = PredictorKind.EWMA
+    """An EWMA of demand.  A granted Model artifact sets ``accuracy_bonus``;
+    above 0 it makes the predictor a shared model (see ``analyze``)."""
+
     alpha: float = 0.3
     level: float = 0.0
     last_seen: int = -1
     accuracy_bonus: float = 0.0
-    source: str | None = None
 
 
 class ActionKind(str, Enum):
@@ -211,13 +207,10 @@ def analyze(
         level = predictor.alpha * value + (1.0 - predictor.alpha) * level
         last = t
     prediction = level
-    if (
-        predictor.kind is PredictorKind.SHARED_MODEL
-        and ground_truth is not None
-        and predictor.accuracy_bonus > 0.0
-    ):
-        prediction = level + predictor.accuracy_bonus * (ground_truth - level)
-    return prediction, replace(predictor, level=level, last_seen=last)
+    bonus = predictor.accuracy_bonus
+    if ground_truth is not None and bonus > 0.0:
+        prediction = level + bonus * (ground_truth - level)
+    return prediction, PredictorState(predictor.alpha, level, last, bonus)
 
 
 @dataclass(frozen=True)
@@ -291,21 +284,21 @@ def _plan_scaler(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[
     if direction > 0:
         if agent.pod_template is None:
             return []
-        return [
-            _next_intent(
-                agent, ctx.tick, ActionKind.SCALE_UP, agent.target, prediction,
-                pod_specs=(agent.pod_template,),
-            )
-        ]
-    bound = [p for p in pods if p in ctx.state.bindings]
-    if not bound:
-        return []
-    return [
-        _next_intent(
+        intent = _next_intent(
+            agent, ctx.tick, ActionKind.SCALE_UP, agent.target, prediction,
+            pod_specs=(agent.pod_template,),
+        )
+    else:
+        bound = [p for p in pods if p in ctx.state.bindings]
+        if not bound:
+            return []
+        intent = _next_intent(
             agent, ctx.tick, ActionKind.SCALE_DOWN, agent.target, prediction,
             pod_ids=(max(bound),),
         )
-    ]
+    agent.last_scale_tick = ctx.tick
+    agent.last_scale_direction = direction
+    return [intent]
 
 
 def _plan_slice(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
@@ -368,19 +361,15 @@ def outstanding_targets(agent: LoopAgent, in_flight: list[ActionIntent]) -> froz
 def absorb_knowledge(agent: LoopAgent, grant) -> bool:
     """Fold a granted artifact into the agent.  Idempotent per artifact id.
 
-    A model grant upgrades the predictor in place (same level, same alpha) and
-    records where it came from; a dataset grant widens the sampling window.
+    A model grant upgrades the predictor in place (same level, same alpha) to
+    a shared model with the grant's accuracy bonus; a dataset grant widens
+    the sampling window.
     """
     if grant.artifact_id in agent.knowledge:
         return False
     agent.knowledge.add(grant.artifact_id)
     if grant.kind == "Model":
-        agent.predictor = replace(
-            agent.predictor,
-            kind=PredictorKind.SHARED_MODEL,
-            accuracy_bonus=grant.accuracy_bonus,
-            source=grant.source,
-        )
+        agent.predictor = replace(agent.predictor, accuracy_bonus=grant.accuracy_bonus)
     else:
         agent.span_ticks = agent.span_ticks + grant.sample_count
     return True

@@ -24,7 +24,6 @@ lists the intents it buffers.
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -100,9 +99,10 @@ def _sqrt_ratio(n: int, m: int) -> float:
 class CoherencyBaseline:
     """Rolling window of action magnitudes for one loop.
 
-    The population spread comes from exact running sums of x and x**2 over
-    the window and a correctly rounded square root, so it is the float that
-    ``statistics.pstdev`` returns (3.11 and later) at O(1) per sample.  Every
+    The mean and the population spread come from exact running sums of x and
+    x**2 over the window, a correctly rounded division and square root, so
+    they are the floats that ``statistics.fmean`` and ``statistics.pstdev``
+    (3.11 and later) return, at O(1) per sample whatever the window.  Every
     finite float is an integer over a power of two, so the sums are kept as
     integers over one shared power of two: exact like ``Fraction`` sums, and
     about ten times cheaper because no step reduces by a gcd.  A non-finite
@@ -112,13 +112,14 @@ class CoherencyBaseline:
     window: int
     min_history: int
     epsilon: float
-    history: list[float] = field(default_factory=list)
+    history: deque[float] = field(default_factory=deque)
     # sum(x) * 2**_exp, sum(x*x) * 2**(2*_exp), over the finite samples
     _sum: int = field(init=False, repr=False, compare=False)
     _sum_sq: int = field(init=False, repr=False, compare=False)
     _exp: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.history = deque(self.history)
         self._sum = self._sum_sq = self._exp = 0
         for value in self.history:
             self._add(value, 1)
@@ -136,6 +137,11 @@ class CoherencyBaseline:
         self._sum += sign * num
         self._sum_sq += sign * num * num
 
+    def mean(self) -> float:
+        """``statistics.fmean`` of ``history``: the correctly rounded sum,
+        then one division."""
+        return (self._sum / (1 << self._exp)) / len(self.history)
+
     def spread(self) -> float:
         """Population standard deviation of ``history`` (at least one value)."""
         n = len(self.history)
@@ -145,14 +151,13 @@ class CoherencyBaseline:
     def check(self, magnitude: float, k_sigma: float) -> Verdict:
         verdict = Verdict.NORMAL
         if len(self.history) >= self.min_history:
-            mean = statistics.fmean(self.history)
             spread = max(self.spread(), self.epsilon)
-            if abs(magnitude - mean) > k_sigma * spread:
+            if abs(magnitude - self.mean()) > k_sigma * spread:
                 verdict = Verdict.ANOMALOUS
         self._add(magnitude, 1)
         self.history.append(magnitude)
         if len(self.history) > self.window:
-            self._add(self.history.pop(0), -1)
+            self._add(self.history.popleft(), -1)
         return verdict
 
 
@@ -342,11 +347,6 @@ class ConflictManager:
         until = self.freezes.get((acl, target))
         return until is not None and tick < until
 
-    def _target_frozen(self, target: str, tick: int) -> bool:
-        return any(
-            key[1] == target and tick < until for key, until in self.freezes.items()
-        )
-
     def detect_interference(
         self, tick: int, pending: list[ActionIntent], state: ClusterState
     ) -> list[ConflictRecord]:
@@ -369,9 +369,10 @@ class ConflictManager:
                 entries.setdefault(intent.target, []).append(
                     (tick, intent.acl_id, intent.direction)
                 )
+        frozen = {target for (_, target), until in self.freezes.items() if tick < until}
         records = []
         for target in sorted(entries):
-            if self._target_frozen(target, tick):
+            if target in frozen:
                 continue  # already resolved; do not re-flag during cooldown
             seq = sorted(entries[target])
             prev = 1 if target in state.nodes else seq[0][2]

@@ -33,7 +33,7 @@ from .cluster import (
 )
 from .conflicts import ManagerConfig
 from .errors import EmptyScope, ParseError, ValidationError
-from .scheduler import SchedulerUnit
+from .scheduler import PendingQueue
 from .traffic import RegionProfile, TrafficModel
 
 # Largest traffic base, amplitude, sigma or step base, in demand units (and
@@ -100,11 +100,11 @@ AGENT = {
     "watermark_high": Field(float, 0.8),
     "watermark_low": Field(float, 0.3, low=0),
     "hysteresis_ticks": Field(int, 3, low=0),
-    "idle_ticks": Field(int, 5),
+    "idle_ticks": Field(int, 5, low=0),
     "period": Field(int, 1, low=1),
     "span_ticks": Field(int, 10, low=1),
     "pod_capacity_units": Field(float, 1000.0, low=0, low_open=True),
-    "node_capacity_units": Field(float, 1000.0),
+    "node_capacity_units": Field(float, 1000.0, low=0, low_open=True),
 }
 # a nested table is a section that may be left out or null
 MANAGER = {
@@ -112,14 +112,17 @@ MANAGER = {
     "coherency": {
         "window": Field(int, 50, low=1),
         "min_history": Field(int, 10, low=1),
-        "k_sigma": Field(float, 3.0),
-        "epsilon": Field(float, 1e-6),
+        "k_sigma": Field(float, 3.0, low=0),
+        "epsilon": Field(float, 1e-6, low=0),
     },
-    "lifecycle": {"suspend_after": Field(int, 3), "reinstate_after": Field(int, 5)},
+    "lifecycle": {
+        "suspend_after": Field(int, 3, low=1),
+        "reinstate_after": Field(int, 5, low=1),
+    },
     "interference": {
-        "window_ticks": Field(int, 10),
-        "toggle_threshold": Field(int, 3),
-        "cooldown_ticks": Field(int, 10),
+        "window_ticks": Field(int, 10, low=1),
+        "toggle_threshold": Field(int, 3, low=1),
+        "cooldown_ticks": Field(int, 10, low=0),
     },
     # a huge bonus would overflow the prediction
     "knowledge": {"model_bonus": Field(float, 0.2, low=0, high=1)},
@@ -579,16 +582,14 @@ def build_agents(norm: dict) -> dict[str, LoopAgent]:
     return agents
 
 
-def build_units(norm: dict, agents: dict[str, LoopAgent]) -> dict[str, SchedulerUnit]:
+def build_queue(norm: dict, agents: dict[str, LoopAgent]) -> PendingQueue:
+    """An empty pending queue ranking each loop's pods at the loop's priority,
+    and an initial pod's owner that is no loop at its first pod's priority."""
     levels = priority_levels(norm)
-    units = {
-        acl: SchedulerUnit(acl, agent.priority, []) for acl, agent in agents.items()
-    }
+    queue = PendingQueue({acl: agent.priority.value for acl, agent in agents.items()})
     for pod in norm["initial_pods"]:
-        owner = pod["owner"]
-        if owner not in units:
-            units[owner] = SchedulerUnit(owner, levels[pod["priority"]], [])
-    return units
+        queue.ranks.setdefault(pod["owner"], levels[pod["priority"]].value)
+    return queue
 
 
 def build_manager_config(norm: dict) -> ManagerConfig:

@@ -1,23 +1,24 @@
-"""Scheduling engine: per-loop queues, scoring, preemption, taint enforcement.
+"""Scheduling engine: one pending queue, scoring, preemption, taint enforcement.
 
-Each control loop owns a ``SchedulerUnit`` (a FIFO of pending pod ids at one
-priority level).  ``coordinate`` runs one cluster-wide round: first NoExecute
-taints are enforced, then units drain in priority order, preempting
-lower-priority pods when capacity demands it.  An evicted pod is Pending and
-back in its owner's unit at once, so every Pending pod stays queued.  Within
-a round, a pod whose shape (request, tolerations, priority) already came out
+Every Pending pod waits in one ``PendingQueue``, a heap in order of play
+(owner's priority, owner's id, arrival) like kube-scheduler's ``activeQ``.
+``coordinate`` runs one cluster-wide round: first NoExecute taints are
+enforced, then the queue drains, preempting lower-priority pods when
+capacity demands it.  An evicted pod is Pending and back in the queue at
+once, so every Pending pod stays queued.  Within a round, a pod whose shape (request, tolerations, priority) already came out
 Pending since the last bind or eviction gets that answer again without a
 second ``schedule`` call.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import cluster
-from .cluster import ClusterState, Pod, PriorityLevel
+from .cluster import ClusterState, Pod
 from .errors import NoVictimSet
 
 
@@ -37,10 +38,20 @@ class Decision:
 
 
 @dataclass
-class SchedulerUnit:
-    acl_id: str
-    priority: PriorityLevel
-    queue: list[str] = field(default_factory=list)
+class PendingQueue:
+    """A heap of (-rank, owner, arrival, pod id).  *ranks* maps an owner to
+    the priority value its pods play at, by default its first pod's."""
+
+    ranks: dict[str, int] = field(default_factory=dict)
+    entries: list[tuple[int, str, int, str]] = field(default_factory=list)
+    _arrival: itertools.count = field(default_factory=itertools.count, init=False, repr=False)
+
+    def push(self, pod: Pod) -> None:
+        rank = self.ranks.setdefault(pod.owner, pod.priority.value)
+        heapq.heappush(self.entries, (-rank, pod.owner, next(self._arrival), pod.id))
+
+    def ids(self) -> set[str]:
+        return {entry[3] for entry in self.entries}
 
 
 def filter_nodes(state: ClusterState, pod: Pod) -> set[str]:
@@ -163,46 +174,32 @@ def enforce_no_execute(state: ClusterState) -> list[tuple[str, str]]:
 class RoundResult:
     decisions: list[Decision]
     taint_evictions: list[tuple[str, str]]
-    units: list[SchedulerUnit]
 
 
-def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
-    """Run one full scheduling round across every unit, changing *state*.
+def coordinate(state: ClusterState, queue: PendingQueue) -> RoundResult:
+    """Run one full scheduling round, changing *state* and *queue*.
 
-    Order of play: NoExecute enforcement first (its victims requeue into their
-    owners' units), then repeatedly pick the non-empty unit with the highest
-    priority (ties by loop id) and schedule its head pod.  Preemption victims
-    are evicted mid-round and requeued the same way, so every displaced pod is
-    either re-bound or carries an explicit Pending decision by round end.
+    Order of play: NoExecute enforcement first (its victims join the queue),
+    then schedule the pod of the queue's smallest entry until it is empty.
+    Preemption victims are evicted mid-round and pushed the same way, so every
+    displaced pod is either re-bound or carries an explicit Pending decision
+    by round end, and only the Pending entries stay queued for the next round.
     """
-    by_acl: dict[str, SchedulerUnit] = {
-        u.acl_id: SchedulerUnit(u.acl_id, u.priority, list(u.queue)) for u in units
-    }
-
-    def unit_for(pod: Pod) -> SchedulerUnit:
-        if pod.owner not in by_acl:
-            by_acl[pod.owner] = SchedulerUnit(pod.owner, pod.priority, [])
-        return by_acl[pod.owner]
-
     taint_evictions = enforce_no_execute(state)
     for _, pod_id in taint_evictions:
-        unit_for(state.pods[pod_id]).queue.append(pod_id)
+        queue.push(state.pods[pod_id])
 
     decisions: list[Decision] = []
-    undecidable: dict[str, list[str]] = {}  # acl -> pods to retry next round
+    entries = queue.entries
+    pending = []  # entries to retry next round
     # shape -> Pending reason.  ``schedule`` reads nothing of a pod beyond its
     # shape, and inside this loop only a bind or an eviction changes what it
     # reads of the nodes, so the memo is exact until the next BOUND or PREEMPT.
     unschedulable: dict[tuple, str] = {}
 
-    def next_unit() -> SchedulerUnit | None:
-        live = [u for u in by_acl.values() if u.queue]
-        if not live:
-            return None
-        return min(live, key=lambda u: (-u.priority.value, u.acl_id))
-
-    while (unit := next_unit()) is not None:
-        pod_id = unit.queue.pop(0)
+    while entries:
+        entry = heapq.heappop(entries)
+        pod_id = entry[3]
         pod = state.pods.get(pod_id)
         if pod is None or pod_id in state.bindings:
             continue  # stale queue entry (a terminated pod is gone from state)
@@ -214,17 +211,16 @@ def coordinate(state: ClusterState, units: list[SchedulerUnit]) -> RoundResult:
         decisions.append(decision)
         if decision.kind is DecisionKind.PENDING:
             unschedulable[shape] = decision.reason
-            undecidable.setdefault(unit.acl_id, []).append(pod_id)
+            pending.append(entry)
             continue
         unschedulable.clear()
         for victim in decision.victims:  # none unless PREEMPT
             cluster.evict(state, victim)
-            unit_for(state.pods[victim]).queue.append(victim)
+            queue.push(state.pods[victim])
         cluster.bind(state, pod_id, decision.node_id)
 
-    # every known unit stays (empty queues included) so priorities persist
-    result_units = [
-        SchedulerUnit(acl_id, by_acl[acl_id].priority, undecidable.get(acl_id, []))
-        for acl_id in sorted(by_acl)
-    ]
-    return RoundResult(decisions, taint_evictions, result_units)
+    # not the popped order as is: a victim that outranks the preemptor was
+    # pushed with a smaller key than entries set aside before it
+    entries.extend(pending)
+    heapq.heapify(entries)
+    return RoundResult(decisions, taint_evictions)

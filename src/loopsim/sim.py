@@ -9,8 +9,11 @@ Tick phases, in order:
 3. intents are submitted to the conflict manager,
 4. the manager runs its pipeline (coherency, freezes, interference,
    contention, routing/buffering),
-5. surviving intents materialize (pods enqueue, terminations, power taints),
-6. one scheduling round runs (NoExecute enforcement, binds, preemptions),
+5. surviving intents materialize (pods join ``World.queue``, terminations,
+   power taints),
+6. one scheduling round drains that queue in order of play (the owning
+   loop's priority, then its id, then arrival; NoExecute enforcement, binds,
+   preemptions) and keeps only the pods left Pending in it,
 7. bookkeeping: capacity and queue checks, idle streaks, conservation counts.
 
 Running the same scenario twice yields byte-identical traces. The trace is
@@ -148,7 +151,7 @@ class World:
         self.scenario = scn
         self.state = scenario_mod.build_state(norm)
         self.agents = scenario_mod.build_agents(norm)
-        self.units = scenario_mod.build_units(norm, self.agents)
+        self.queue = scenario_mod.build_queue(norm, self.agents)
         # no operation adds or removes a node or moves it to another region
         self.scope_nodes = {
             acl: tuple(n for r in agent.regions for n in cluster.nodes_in_region(self.state, r))
@@ -289,10 +292,6 @@ class World:
                 self.pending_slices = [
                     s for s in self.pending_slices if s.id not in consumed
                 ]
-            for intent in intents:
-                if intent.kind in (ActionKind.SCALE_UP, ActionKind.SCALE_DOWN):
-                    agent.last_scale_tick = t
-                    agent.last_scale_direction = intent.direction
             if intents:
                 planned.append((acl, intents))
         return planned
@@ -361,7 +360,7 @@ class World:
                         priority=agent.priority,
                     )
                     cluster.add_pod(self.state, pod)
-                    self.units[agent.id].queue.append(pod_id)
+                    self.queue.push(pod)
                     self.emit("pod-created", pod=pod_id, acl=agent.id,
                               cpu=spec.request.cpu_millicores,
                               memory=spec.request.memory_mib,
@@ -383,8 +382,7 @@ class World:
             self.emit("intent-applied", id=intent.intent_id, acl=intent.acl_id)
 
     def _phase_schedule(self) -> None:
-        ordered = [self.units[a] for a in sorted(self.units)]
-        result = scheduler.coordinate(self.state, ordered)
+        result = scheduler.coordinate(self.state, self.queue)
         for node_id, pod_id in result.taint_evictions:
             self.emit("pod-evicted", pod=pod_id, node=node_id, cause="no-execute")
         for decision in result.decisions:
@@ -398,13 +396,11 @@ class World:
                           preempted=list(decision.victims))
             else:
                 self.emit("pod-pending", pod=decision.pod_id, reason=decision.reason)
-        self.units = {u.acl_id: u for u in result.units}
 
     def _phase_bookkeeping(self) -> None:
         state = self.state
-        # a Pending pod in no unit's queue would never be scheduled again
-        queued = {pod_id for unit in self.units.values() for pod_id in unit.queue}
-        unqueued = state.pods.keys() - state.bindings.keys() - queued
+        # a Pending pod not in the queue would never be scheduled again
+        unqueued = state.pods.keys() - state.bindings.keys() - self.queue.ids()
         if unqueued:
             raise InvalidPhase(min(unqueued), "is Pending but in no scheduler queue at tick end")
         # usage re-summed from the bindings, not read from node_info: bind

@@ -32,7 +32,7 @@ from loopsim.cluster import (
     TaintEffect,
     Toleration,
 )
-from loopsim.scheduler import DecisionKind, SchedulerUnit
+from loopsim.scheduler import DecisionKind, PendingQueue
 
 HARD = {"NoSchedule", "NoExecute"}
 SOFT = "PreferNoSchedule"
@@ -167,7 +167,7 @@ def run_round(inst: dict) -> tuple[list, list, dict, list[str]]:
         for acl, u in inst["units"].items()
     }
 
-    def unit_for(pid):
+    def owner_unit(pid):
         owner = pods[pid]["owner"]
         if owner not in units:
             units[owner] = {"prio": pods[pid]["prio"], "queue": []}
@@ -182,7 +182,7 @@ def run_round(inst: dict) -> tuple[list, list, dict, list[str]]:
                 pods[pid]["phase"] = "pending"
                 pods[pid]["node"] = None
                 evictions.append((nid, pid))
-                unit_for(pid)["queue"].append(pid)
+                owner_unit(pid)["queue"].append(pid)
 
     decisions = []
     problems = []
@@ -205,7 +205,7 @@ def run_round(inst: dict) -> tuple[list, list, dict, list[str]]:
             for victim in victims:
                 pods[victim]["phase"] = "pending"
                 pods[victim]["node"] = None
-                unit_for(victim)["queue"].append(victim)
+                owner_unit(victim)["queue"].append(victim)
             pods[pid]["phase"] = "bound"
             pods[pid]["node"] = nid
     placement = {p: pods[p]["node"] for p in pods if pods[p]["phase"] == "bound"}
@@ -354,7 +354,7 @@ def repeated_shape_instance(rng: random.Random) -> dict:
     return {"nodes": nodes, "pods": pods, "units": units, "levels": levels}
 
 
-def to_engine(inst: dict) -> tuple[ClusterState, list[SchedulerUnit]]:
+def to_engine(inst: dict) -> tuple[ClusterState, PendingQueue]:
     """Translate a dict instance into engine values.
 
     Bound pods are written directly into the state (the equivalent of binding
@@ -391,11 +391,11 @@ def to_engine(inst: dict) -> tuple[ClusterState, list[SchedulerUnit]]:
         if entry["phase"] == "bound":
             bindings[pid] = entry["node"]
     state = ClusterState(nodes=nodes, pods=pods, bindings=bindings)
-    units = [
-        SchedulerUnit(acl, levels[acl], list(u["queue"]))
-        for acl, u in sorted(inst["units"].items())
-    ]
-    return state, units
+    queue = PendingQueue({acl: levels[acl].value for acl in inst["units"]})
+    for unit in inst["units"].values():
+        for pid in unit["queue"]:
+            queue.push(pods[pid])
+    return state, queue
 
 
 def normalize_decisions(decisions) -> list[tuple]:

@@ -76,8 +76,8 @@ def test_criterion_03_scheduler_oracle_equivalence():
         inst = oracle.random_instance(rng)
         want_evictions, want_decisions, want_placement, bad = oracle.run_round(inst)
         problems.extend(f"instance {i}: {p}" for p in bad)
-        state, units = oracle.to_engine(inst)
-        result = coordinate(state, units)
+        state, queue = oracle.to_engine(inst)
+        result = coordinate(state, queue)
         got = (
             result.taint_evictions,
             oracle.normalize_decisions(result.decisions),

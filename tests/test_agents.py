@@ -11,7 +11,6 @@ from loopsim.agents import (
     LoopAgent,
     PlanContext,
     PodSpec,
-    PredictorKind,
     PredictorState,
     SizeClass,
     SliceRequest,
@@ -155,19 +154,13 @@ class TestAnalyze:
     def test_shared_model_shrinks_error_toward_truth(self):
         window = ((0, 10.0), (1, 20.0))
         plain, _ = analyze(window, PredictorState(alpha=0.5))
-        shared = PredictorState(
-            alpha=0.5, kind=PredictorKind.SHARED_MODEL,
-            accuracy_bonus=0.2, source="acl2",
-        )
+        shared = PredictorState(alpha=0.5, accuracy_bonus=0.2)
         boosted, _ = analyze(window, shared, ground_truth=20.0)
         assert abs(boosted - 20.0) == pytest.approx(0.8 * abs(plain - 20.0))
 
     def test_shared_model_without_truth_behaves_like_ewma(self):
         window = ((0, 10.0),)
-        shared = PredictorState(
-            alpha=0.5, kind=PredictorKind.SHARED_MODEL,
-            accuracy_bonus=0.2, source="acl2",
-        )
+        shared = PredictorState(alpha=0.5, accuracy_bonus=0.2)
         boosted, _ = analyze(window, shared)
         plain, _ = analyze(window, PredictorState(alpha=0.5))
         assert boosted == plain
@@ -207,10 +200,21 @@ class TestPlanScaler:
         agent = make_agent(hysteresis_ticks=3)
         state = state_with([node("w", region="waterloo")])
         assert plan(agent, 900.0, make_ctx(state, tick=5)) != []
-        agent.last_scale_tick = 5
-        agent.last_scale_direction = 1
+        assert (agent.last_scale_tick, agent.last_scale_direction) == (5, 1)
         assert plan(agent, 900.0, make_ctx(state, tick=6)) == []
+        assert agent.last_scale_tick == 5  # a blocked plan records nothing
         assert plan(agent, 900.0, make_ctx(state, tick=8)) != []
+        assert agent.last_scale_tick == 8
+
+    def test_scale_down_records_its_direction(self):
+        agent = make_agent()
+        state = state_with(
+            [node("w", region="waterloo")],
+            [pod("acl1-pod-0", owner="acl1")],
+            [("acl1-pod-0", "w")],
+        )
+        assert plan(agent, 100.0, make_ctx(state, tick=4)) != []
+        assert (agent.last_scale_tick, agent.last_scale_direction) == (4, -1)
 
     def test_outstanding_receipt_suppresses_planning(self):
         agent = make_agent()
@@ -355,8 +359,6 @@ class TestAbsorbKnowledge:
         agent = make_agent()
         level_before = agent.predictor.level
         assert agents_mod.absorb_knowledge(agent, FakeGrant("a1", "Model"))
-        assert agent.predictor.kind is PredictorKind.SHARED_MODEL
-        assert agent.predictor.source == "acl2"
         assert agent.predictor.accuracy_bonus == 0.2
         assert agent.predictor.level == level_before  # learning is not reset
 

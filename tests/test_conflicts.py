@@ -100,13 +100,13 @@ class TestCoherencyBaseline:
         baseline = CoherencyBaseline(window=50, min_history=1, epsilon=1e-6)
         baseline.check(2.0, 3.0)
         baseline.check(100.0, 3.0)
-        assert baseline.history == [2.0, 100.0]
+        assert list(baseline.history) == [2.0, 100.0]
 
     def test_window_is_bounded(self):
         baseline = CoherencyBaseline(window=5, min_history=1, epsilon=1e-6)
         for i in range(9):
             baseline.check(float(i), 3.0)
-        assert baseline.history == [4.0, 5.0, 6.0, 7.0, 8.0]
+        assert list(baseline.history) == [4.0, 5.0, 6.0, 7.0, 8.0]
 
 
 class TestLifecycle:

@@ -11,6 +11,7 @@ trace the same way.
 
 import math
 import random
+import statistics
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -280,6 +281,16 @@ def test_running_spread_is_pstdev_bit_for_bit(values, window):
         assert baseline.spread() == expected
 
 
+@given(st.lists(finite | st.floats(0.0, 1e-300) | st.integers(-10, 10).map(float),
+                min_size=1, max_size=120),
+       st.integers(1, 40))
+def test_running_mean_is_fmean_bit_for_bit(values, window):
+    baseline = CoherencyBaseline(window=window, min_history=1, epsilon=0.0)
+    for value in values:
+        baseline.check(value, 3.0)
+        assert baseline.mean() == statistics.fmean(list(baseline.history))
+
+
 def test_a_history_given_up_front_seeds_the_sums():
     baseline = CoherencyBaseline(window=5, min_history=1, epsilon=0.0,
                                  history=[1.0, 2.0, 4.0])
@@ -292,7 +303,7 @@ def test_a_non_finite_magnitude_is_refused(value):
                                  history=[1.0, 2.0])
     with pytest.raises(ValueError, match="not finite"):
         baseline.check(value, 3.0)
-    assert baseline.history == [1.0, 2.0]
+    assert list(baseline.history) == [1.0, 2.0]
     assert baseline.spread() == 0.5
     with pytest.raises(ValueError, match="not finite"):
         CoherencyBaseline(window=5, min_history=1, epsilon=0.0, history=[1.0, value])

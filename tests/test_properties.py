@@ -152,8 +152,8 @@ class TestSchedulingMatchesOracle:
         inst = oracle.random_instance(random.Random(seed))
         evictions, decisions, placement, problems = oracle.run_round(inst)
         assert problems == []
-        state, units = oracle.to_engine(inst)
-        result = coordinate(state, units)
+        state, queue = oracle.to_engine(inst)
+        result = coordinate(state, queue)
         assert result.taint_evictions == evictions
         assert oracle.normalize_decisions(result.decisions) == decisions
         assert state.bindings == placement

@@ -391,6 +391,23 @@ class TestBuilders:
         agents = scenario_mod.build_agents(normalize(data))
         assert agents["a"].pod_seq == 1
 
+    def test_build_queue_ranks_loops_and_other_initial_owners(self):
+        # "ops" is no loop; its first pod by id, not by listing, sets its rank
+        data = minimal(
+            priority_levels=[{"name": "low", "value": 1}, {"name": "high", "value": 9}],
+            agents=[{"id": "a", "scope": ["east"], "priority": "low"}],
+        )
+        data["initial_pods"] = [
+            {"id": "ops-b", "owner": "ops", "node": "n1", "cpu": 10, "memory": 10,
+             "priority": "high"},
+            {"id": "ops-a", "owner": "ops", "node": "n1", "cpu": 10, "memory": 10,
+             "priority": "low"},
+        ]
+        norm = normalize(data)
+        queue = scenario_mod.build_queue(norm, scenario_mod.build_agents(norm))
+        assert queue.ranks == {"a": 1, "ops": 1}
+        assert queue.entries == []
+
     def test_build_trust_pairs(self):
         scn = load_scenario("three-acl-conflict")
         trust = scenario_mod.build_trust(scn.data)

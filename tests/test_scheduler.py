@@ -1,5 +1,6 @@
 """Scheduler engine: filtering, scoring, preemption, eviction, coordination."""
 
+import heapq
 import random
 from collections import Counter
 
@@ -10,7 +11,21 @@ from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with, taint, tol
 from loopsim import cluster, scheduler
 from loopsim.cluster import PriorityLevel
 from loopsim.errors import NoVictimSet
-from loopsim.scheduler import DecisionKind, SchedulerUnit
+from loopsim.scheduler import DecisionKind, PendingQueue
+
+
+def queue_of(state, *pod_ids, ranks=None):
+    """A pending queue holding *pod_ids* in order; an owner missing from
+    *ranks* plays at its first pod's priority."""
+    queue = PendingQueue(dict(ranks or {}))
+    for pod_id in pod_ids:
+        queue.push(state.pods[pod_id])
+    return queue
+
+
+def drain(queue):
+    """The queued pod ids in order of play, emptying *queue*."""
+    return [heapq.heappop(queue.entries)[3] for _ in range(len(queue.entries))]
 
 
 def three_node_state(extra_pods=(), bound=()):
@@ -221,7 +236,7 @@ class TestEnforceNoExecute:
 
 class TestCoordinate:
     def test_both_units_bind_in_priority_order(self):
-        # two units with one pod each competing for the marked edge:
+        # two loops with one pod each competing for the marked edge:
         # gold goes first and takes it, silver falls back to the big core node
         state = three_node_state(
             [
@@ -231,11 +246,7 @@ class TestCoordinate:
                     tols=[tol("acl2", "PreferNoSchedule")]),
             ]
         )
-        units = [
-            SchedulerUnit("acl1", GOLD, ["acl1-pod"]),
-            SchedulerUnit("acl2", SILVER, ["acl2-pod"]),
-        ]
-        result = scheduler.coordinate(state, units)
+        result = scheduler.coordinate(state, queue_of(state, "acl2-pod", "acl1-pod"))
         assert oracle_pairs(result.decisions) == [
             ("acl1-pod", "edge-waterloo"),
             ("acl2-pod", "core-toronto"),
@@ -243,7 +254,7 @@ class TestCoordinate:
 
     def test_empty_queues_empty_decisions(self):
         state = three_node_state()
-        result = scheduler.coordinate(state, [SchedulerUnit("acl1", GOLD, [])])
+        result = scheduler.coordinate(state, PendingQueue({"acl1": GOLD.value}))
         assert result.decisions == []
         assert result.taint_evictions == []
 
@@ -258,7 +269,7 @@ class TestCoordinate:
             [("a", "w"), ("b", "w")],
         )
         cluster.apply_taint(state, "w", taint("acl1", "NoExecute"))
-        result = scheduler.coordinate(state, [])
+        result = scheduler.coordinate(state, PendingQueue())
         assert result.taint_evictions == [("w", "a"), ("w", "b")]
         assert state.bindings == {"a": "c", "b": "c"}
         # every displaced pod got an explicit decision
@@ -273,15 +284,16 @@ class TestCoordinate:
             ],
             [("low", "n")],
         )
-        result = scheduler.coordinate(state, [SchedulerUnit("acl1", GOLD, ["hi"])])
+        queue = queue_of(state, "hi")
+        result = scheduler.coordinate(state, queue)
         kinds = {d.pod_id: d.kind for d in result.decisions}
         assert kinds["hi"] is DecisionKind.PREEMPT
         assert kinds["low"] is DecisionKind.PENDING
         assert state.bindings == {"hi": "n"}
         assert "low" in state.pods
-        # the displaced pod stays queued in its owner's unit for next round
-        leftover = {u.acl_id: u.queue for u in result.units}
-        assert leftover["acl3"] == ["low"]
+        # the displaced pod stays queued for next round, at its owner's rank
+        assert queue.ranks["acl3"] == BRONZE.value
+        assert drain(queue) == ["low"]
 
     def test_priority_order_not_submission_order(self):
         state = state_with(
@@ -291,18 +303,67 @@ class TestCoordinate:
                 pod("gold-pod", 1500, 3072, owner="a-acl", priority=GOLD),
             ],
         )
-        units = [
-            SchedulerUnit("b-acl", SILVER, ["silver-pod"]),
-            SchedulerUnit("a-acl", GOLD, ["gold-pod"]),
-        ]
-        result = scheduler.coordinate(state, units)
+        result = scheduler.coordinate(state, queue_of(state, "silver-pod", "gold-pod"))
         assert result.decisions[0].pod_id == "gold-pod"
         assert result.decisions[0].kind is DecisionKind.BOUND
 
     def test_stale_queue_entries_are_skipped(self):
         state = state_with([node("n")], [pod("p")], [("p", "n")])
-        result = scheduler.coordinate(state, [SchedulerUnit("acl1", GOLD, ["p"])])
+        queue = queue_of(state, "p")
+        result = scheduler.coordinate(state, queue)
         assert result.decisions == []  # already bound, nothing to do
+        assert queue.entries == []
+
+    def test_loop_rank_not_pod_priority_orders_play(self):
+        # a loop ranked above another plays first even with lower-priority pods
+        state = state_with(
+            [node("n", 8000, 16384)],
+            [pod("a", owner="lo", priority=GOLD), pod("b", owner="hi", priority=BRONZE)],
+        )
+        queue = queue_of(state, "a", "b", ranks={"hi": 10, "lo": 5})
+        assert drain(queue) == ["b", "a"]
+
+    def test_left_pending_precedes_a_later_pod_of_its_loop(self):
+        # round 1 leaves "old" Pending behind a blocker; round 2 frees room
+        # for one of "old" and "new", and "old", queued first, takes it
+        state = state_with(
+            [node("n", 1000, 1000)],
+            [pod("blocker", 1000, 500, owner="ops"), pod("old", 500, 500)],
+            [("blocker", "n")],
+        )
+        queue = queue_of(state, "old")
+        first = scheduler.coordinate(state, queue)
+        assert [(d.kind, d.pod_id) for d in first.decisions] == [(DecisionKind.PENDING, "old")]
+        cluster.terminate(state, "blocker")
+        cluster.add_pod(state, pod("new", 1000, 500))
+        queue.push(state.pods["new"])
+        second = scheduler.coordinate(state, queue)
+        assert [(d.kind, d.pod_id) for d in second.decisions] == [
+            (DecisionKind.BOUND, "old"),
+            (DecisionKind.PENDING, "new"),
+        ]
+        assert drain(queue) == ["new"]
+
+    def test_pending_entries_are_restored_as_a_heap(self):
+        # "lo" sets "u" aside, then "t" preempts "h", which ranks above
+        # everything "lo" queued: left Pending after "u", it must play first
+        state = state_with(
+            [node("n", 1000, 1000)],
+            [
+                pod("h", 1000, 500, owner="hi", priority=BRONZE),
+                pod("u", 2000, 500, owner="lo", priority=SILVER),
+                pod("t", 1000, 500, owner="lo", priority=SILVER),
+            ],
+            [("h", "n")],
+        )
+        queue = queue_of(state, "u", "t", ranks={"hi": 10, "lo": 5})
+        result = scheduler.coordinate(state, queue)
+        assert [(d.kind, d.pod_id) for d in result.decisions] == [
+            (DecisionKind.PENDING, "u"),
+            (DecisionKind.PREEMPT, "t"),
+            (DecisionKind.PENDING, "h"),
+        ]
+        assert drain(queue) == ["h", "u"]
 
 
 class TestPendingMemo:
@@ -326,7 +387,7 @@ class TestPendingMemo:
         # first pod binds, which clears the memo, and the second's answer
         # serves the other 28
         state = state_with([node("n", 1000, 1000)], [pod(f"p{i:02d}", cpu, 500) for i in range(30)])
-        result = scheduler.coordinate(state, [SchedulerUnit("acl1", GOLD, sorted(state.pods))])
+        result = scheduler.coordinate(state, queue_of(state, *sorted(state.pods)))
         pending = [d for d in result.decisions if d.kind is DecisionKind.PENDING]
         assert len(result.decisions) == 30
         assert len(pending) == 30 - (calls - 1)
@@ -347,7 +408,7 @@ class TestPendingMemo:
             ],
             [("v", "n")],
         )
-        result = scheduler.coordinate(state, [SchedulerUnit("acl1", GOLD, ["s1", "t", "s2"])])
+        result = scheduler.coordinate(state, queue_of(state, "s1", "t", "s2"))
         assert [(d.kind, d.pod_id) for d in result.decisions] == [
             (DecisionKind.PENDING, "s1"),
             (DecisionKind.PREEMPT, "t"),
@@ -364,8 +425,8 @@ class TestPendingMemo:
             inst = oracle.repeated_shape_instance(rng)
             want_evictions, want_decisions, want_placement, bad = oracle.run_round(inst)
             problems.extend(f"instance {i}: {p}" for p in bad)
-            state, units = oracle.to_engine(inst)
-            result = scheduler.coordinate(state, units)
+            state, queue = oracle.to_engine(inst)
+            result = scheduler.coordinate(state, queue)
             got = (
                 result.taint_evictions,
                 oracle.normalize_decisions(result.decisions),

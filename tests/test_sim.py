@@ -7,12 +7,11 @@ import json
 import pytest
 
 from loopsim import cluster
-from loopsim.cluster import Pod, PriorityLevel, ResourceVector
+from loopsim.cluster import Pod, ResourceVector
 from loopsim.errors import (
     CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ParseError, ValidationError,
 )
 from loopsim.scenario import from_dict, list_scenarios, load_scenario
-from loopsim.scheduler import SchedulerUnit
 from loopsim.sim import World, check_invariants, run, summarize, verify_trace
 from loopsim.trace import load_trace, parse_trace
 from loopsim.traffic import TrafficModel
@@ -556,7 +555,7 @@ class TestBookkeepingChecks:
 
     def test_queued_pending_pod_passes(self, world):
         cluster.add_pod(world.state, Pod("waiting", "ops", ResourceVector(1, 1)))
-        world.units["ops"] = SchedulerUnit("ops", PriorityLevel("ops", 0), ["waiting"])
+        world.queue.push(world.state.pods["waiting"])
         world._phase_bookkeeping()
         assert world.trace.events[-1]["pending"] == 1
 
