@@ -42,7 +42,7 @@ from .errors import (
     CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ValidationError,
 )
 from .scenario import Scenario
-from .trace import EVENT_KINDS, TRACE_FORMAT, Trace
+from .trace import EVENT_KINDS, TRACE_FORMAT, Trace, _dump
 
 
 @dataclass
@@ -255,9 +255,11 @@ class World:
         t = self.tick
         planned: list[tuple[str, list[ActionIntent]]] = []
         powered_off = self.powered_off()  # planning never changes the cluster
-        # every intent submitted but neither applied nor dropped; nothing
-        # changes it before _phase_submit, which runs after every loop planned
-        in_flight = self.requeued + self.manager.held()
+        # every intent submitted but neither applied nor dropped, by loop; nothing
+        # changes them before _phase_submit, which runs after every loop planned
+        in_flight: dict[str, list[ActionIntent]] = {}
+        for intent in self.requeued + self.manager.held():
+            in_flight.setdefault(intent.acl_id, []).append(intent)
         for acl in sorted(self.agents):
             agent = self.agents[acl]
             if agent.lifecycle is LifecycleState.SUSPENDED:
@@ -283,7 +285,8 @@ class World:
                 scope_nodes=self.scope_nodes[acl],
                 idle_streaks=self.idle_streaks,
                 powered_off=powered_off,
-                outstanding_targets=agents_mod.outstanding_targets(agent, in_flight),
+                outstanding_targets=agents_mod.outstanding_targets(
+                    agent, in_flight.get(acl, [])),
                 slice_requests=my_slices,
             )
             intents = agents_mod.plan(agent, prediction, ctx)
@@ -593,8 +596,9 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
 
 
 def verify_trace(trace: Trace, scn: Scenario) -> Report:
-    """Replay the scenario named by the trace header and compare byte-for-byte,
-    then re-check invariants from the recorded events alone."""
+    """Replay the scenario named by the trace header tick by tick, comparing each
+    replayed line byte for byte with the recorded one, then re-check invariants
+    from the recorded events alone."""
     header = trace.header
     if header.get("scenario_hash") != scn.hash:
         effective = scenario_mod.from_dict(
@@ -603,16 +607,29 @@ def verify_trace(trace: Trace, scn: Scenario) -> Report:
         if header.get("scenario_hash") != effective.hash:
             raise HashMismatch(effective.hash, header.get("scenario_hash", ""))
         scn = effective
-    replay, _, _ = run(scn, extra_events=header.get("extra_events") or [])
     report = Report()
     # a recorded trace is compared as written: its bytes, blank lines and all
     original = trace.lines() + [""] if trace.text is None else trace.text.split("\n")
-    replayed = replay.lines() + [""]
-    for i in range(max(len(original), len(replayed))):
-        left = original[i] if i < len(original) else "<missing>"
-        right = replayed[i] if i < len(replayed) else "<missing>"
-        if left != right:
-            report.divergences.append({"line": i + 1, "actual": left, "expected": right})
+
+    def compare(i: int, expected: str) -> None:
+        actual = original[i] if i < len(original) else "<missing>"
+        if actual != expected:
+            report.divergences.append({"line": i + 1, "actual": actual, "expected": expected})
+
+    world = World(scn, extra_events=header.get("extra_events") or [])
+    compare(0, _dump(world.trace.header))
+    line = 1
+    # the replay is held one tick at a time: its lines are compared as each tick
+    # ends, then its events go (nothing in the engine reads them back)
+    for _ in range(scn.ticks):
+        world.step()
+        for event in world.trace.events:
+            compare(line, _dump(event))
+            line += 1
+        world.trace.events.clear()
+    compare(line, "")
+    for i in range(line + 1, len(original)):
+        compare(i, "<missing>")
     report.violations = check_invariants(scn.data, trace.events)
     return report
 

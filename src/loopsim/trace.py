@@ -1,8 +1,11 @@
 """Trace format: one JSON header line, then one JSON line per event.
 
-Events carry a global sequence number and the tick they occurred in; dumps are
-canonical (sorted keys, fixed separators) so identical runs produce identical
-bytes and replays can be compared line by line.  ``parse_trace`` rejects an
+Events carry a global sequence number and the tick they occurred in. A line is
+exactly ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``: sorted
+keys, no spaces, non-ASCII text as ``\\u`` escapes, and ``NaN``/``Infinity``
+allowed, so identical runs produce identical bytes; ``verify`` compares its
+replay with the recorded lines one tick at a time. ``parse_trace`` reads each
+line as ``json.loads`` would, with the same error messages, and rejects an
 event that lacks, or mistypes, a key the readers of a trace use.
 """
 
@@ -16,8 +19,35 @@ from .errors import ParseError
 TRACE_FORMAT = "loopsim-trace/1"
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# The encoder and scanner ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+# and ``json.loads`` build or reach on every call, built once. The encoder skips
+# only the circular-reference check: an event is a fresh, acyclic dict.
+if json.encoder.c_make_encoder is not None:
+    _ENCODE = json.encoder.c_make_encoder(  # markers, default, encoder, indent,
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ":", ",", True, False, True)  # key and item separators, sort_keys, skipkeys, allow_nan
+
+    def _dump(obj: dict) -> str:
+        return "".join(_ENCODE(obj, 0))  # a list before 3.12, a tuple since
+else:  # no _json accelerator
+    _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _load(line: str):
+    """``json.loads(line)``: the same value, or a ``JSONDecodeError`` with the same text."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    try:
+        obj, end = _SCAN(line, _SPACE(line, 0).end())
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line, err.value) from None
+    end = _SPACE(line, end).end()
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
 
 
 @dataclass
@@ -103,7 +133,7 @@ def parse_trace(text: str) -> Trace:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _load(line)
         except json.JSONDecodeError as exc:
             what = "header" if header is None else "event"
             raise ParseError(f"bad trace {what}: {exc}", line=i) from None
