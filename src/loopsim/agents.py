@@ -5,8 +5,8 @@ and turns watermark breaches into action intents (scale, instantiate, power).
 Intents do not touch the cluster directly — they go through the conflict
 manager and only survivors are materialized by the simulator.  An agent
 keeps no record of what it has in flight: the simulator hands
-``outstanding_targets`` the intents still requeued or held by the manager,
-and a scaler, energy or balancer agent plans nothing for those targets.
+``outstanding_targets`` the intents the manager still holds, and a scaler,
+energy or balancer agent plans nothing for those targets.
 
 ``resolve_scope`` reads an agent's scope once, when the agent is built, into
 its size class and the sorted regions it covers; the demand it watches, the
@@ -59,7 +59,6 @@ class ActionKind(str, Enum):
     SCALE_UP = "scale-up"
     SCALE_DOWN = "scale-down"
     INSTANTIATE = "instantiate"
-    TERMINATE = "terminate"
     POWER_OFF = "power-off"
     POWER_ON = "power-on"
 
@@ -70,7 +69,6 @@ DIRECTION = {
     ActionKind.INSTANTIATE: 1,
     ActionKind.POWER_ON: 1,
     ActionKind.SCALE_DOWN: -1,
-    ActionKind.TERMINATE: -1,
     ActionKind.POWER_OFF: -1,
 }
 
@@ -98,7 +96,6 @@ class ActionIntent:
     magnitude: float                 # predicted demand that motivated the action
     pod_specs: tuple[PodSpec, ...] = ()
     pod_ids: tuple[str, ...] = ()
-    vetted: bool = False             # already passed a coherency check once
 
     @property
     def direction(self) -> int:

@@ -67,9 +67,9 @@ class TaintEffect(str, Enum):
 # Effects that make a taint *hard*: an intolerant pod may not be (or remain) placed.
 HARD_EFFECTS = frozenset({TaintEffect.NO_SCHEDULE, TaintEffect.NO_EXECUTE})
 
-# Reserved taint key marking a node that has been powered down.  No pod
-# tolerates it, so a powered-off node never attracts new work; running pods
-# stay put (the effect is NoSchedule, not NoExecute).
+# Reserved taint key marking a node that has been powered down.  Validation
+# rejects a toleration of it, so a powered-off node never attracts new work;
+# running pods stay put (the effect is NoSchedule, not NoExecute).
 POWERED_OFF_KEY = "powered-off"
 
 

@@ -3,14 +3,14 @@
 Responsibilities, in pipeline order per tick:
 
 1. buffered end-to-end work due this tick is resolved/released,
-2. each incoming intent gets a coherency verdict (rolling z-score) and the
-   issuing agent's lifecycle advances,
+2. each fresh intent gets a coherency verdict (rolling z-score) and the
+   issuing agent's lifecycle advances; last tick's requeued intents skip it,
 3. intents on frozen (loop, target) pairs are dropped,
 4. interference (back-and-forth toggling of one target by several loops) is
    detected and the lowest-priority participant frozen,
 5. resource contention (combined claims exceeding a node, or opposite-direction
    actions on one node) is detected, routed to a regional or the end-to-end
-   instance, and arbitrated by priority,
+   instance, and arbitrated by priority; losers are requeued for next tick,
 6. surviving intents pass to the simulator for materialization.
 
 Routing reads the size class and regions each agent carries from
@@ -18,7 +18,7 @@ Routing reads the size class and regions each agent carries from
 cover one region goes to ``regional:<region>``, anything else to ``e2e``.
 Regional instances act on their own tick; the end-to-end instance only acts on
 ticks that are multiples of its period, buffering work in between; ``held()``
-lists the intents it buffers.
+lists every intent submitted but neither applied nor dropped, one object each.
 """
 
 from __future__ import annotations
@@ -169,7 +169,6 @@ class Grant:
     kind: str                        # "Model" | "Dataset"
     accuracy_bonus: float = 0.0
     sample_count: int = 0
-    tick: int = 0
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,6 @@ class ExchangeRequest:
     source: str
     target: str
     kind: str
-    tick: int
 
 
 @dataclass
@@ -229,6 +227,8 @@ class ConflictManager:
         # tick, acl, target, direction, in tick order and never later than the
         # tick detect_interference looks at; that call trims it to its window
         self.action_history: deque[tuple[int, str, str, int]] = deque()
+        # intents requeued at the last tick; the next tick retries them all
+        self._requeued: list[ActionIntent] = []
         self._held_conflicts: list[tuple[ConflictRecord, list[ActionIntent]]] = []
         self._held_intents: list[ActionIntent] = []
         self.trust: dict[str, set[tuple[str, str]]] = {}
@@ -261,9 +261,11 @@ class ConflictManager:
         return regional(touched.pop())
 
     def held(self) -> list[ActionIntent]:
-        """Intents the end-to-end instance holds until its next tick: those
-        buffered alone, then those inside buffered conflicts."""
-        return self._held_intents + [i for _, held in self._held_conflicts for i in held]
+        """Every intent submitted but neither applied nor dropped: those
+        requeued for the next tick, then those the end-to-end instance
+        buffers alone, then those inside its buffered conflicts."""
+        return (self._requeued + self._held_intents
+                + [i for _, held in self._held_conflicts for i in held])
 
     def submit(self, intent: ActionIntent) -> int:
         """Return the tick at which the owning instance will look at this intent."""
@@ -334,7 +336,6 @@ class ConflictManager:
             kind=request.kind,
             accuracy_bonus=self.config.model_bonus if request.kind == "Model" else 0.0,
             sample_count=source.span_ticks if request.kind == "Dataset" else 0,
-            tick=request.tick,
         )
         return grant
 
@@ -469,7 +470,7 @@ class ConflictManager:
                 node_id = top_node[spec.tolerations]
                 if node_id is not None:
                     out.append((node_id, spec.request))
-        elif intent.kind in (ActionKind.SCALE_DOWN, ActionKind.TERMINATE):
+        elif intent.kind is ActionKind.SCALE_DOWN:
             for pod_id in intent.pod_ids:
                 node_id = state.bindings.get(pod_id)
                 if node_id is not None:
@@ -522,6 +523,7 @@ class ConflictManager:
     ) -> TickOutcome:
         out = TickOutcome()
         pool: list[ActionIntent] = []
+        retry, self._requeued = self._requeued, []
 
         # 0. end-to-end instance wakes up: settle buffered conflicts and intents
         if self.is_e2e_tick(tick):
@@ -532,17 +534,15 @@ class ConflictManager:
                 winner = resolved.resolution.winner
                 for intent in held:
                     if intent.acl_id == winner:
-                        pool.append(replace(intent, vetted=True))
+                        pool.append(intent)
                     else:
-                        out.requeued.append(replace(intent, vetted=True))
+                        out.requeued.append(intent)
             flushed, self._held_intents = self._held_intents, []
-            pool.extend(replace(i, vetted=True) for i in flushed)
+            pool.extend(flushed)
 
-        # 1. coherency + lifecycle on fresh intents, in stable order
+        # 1. coherency + lifecycle on fresh intents; those that pass join the retries
+        passed = []
         for intent in sorted(intents, key=lambda i: (i.acl_id, i.intent_id)):
-            if intent.vetted:
-                pool.append(intent)
-                continue
             agent = self.agents[intent.acl_id]
             verdict = self.coherency_check(intent.acl_id, intent.magnitude)
             out.verdicts.append((intent.acl_id, intent.magnitude, verdict))
@@ -552,7 +552,8 @@ class ConflictManager:
             if verdict is Verdict.ANOMALOUS:
                 out.dropped.append((intent, "anomalous"))
             else:
-                pool.append(intent)
+                passed.append(intent)
+        pool.extend(sorted(retry + passed, key=lambda i: (i.acl_id, i.intent_id)))
 
         # 2. freezes from earlier interference rulings; expired ones go
         for key in [k for k, until in self.freezes.items() if until <= tick]:
@@ -595,7 +596,7 @@ class ConflictManager:
             kept = []
             for intent in pool:
                 if intent.intent_id in implicated and intent.acl_id != winner:
-                    out.requeued.append(replace(intent, vetted=True))
+                    out.requeued.append(intent)
                 else:
                     kept.append(intent)
             pool = kept
@@ -608,4 +609,5 @@ class ConflictManager:
                 out.buffered.append(intent)
             else:
                 out.survivors.append(intent)
+        self._requeued = out.requeued
         return out

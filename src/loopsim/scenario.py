@@ -237,6 +237,8 @@ def _norm_tolerations(raw, where: str) -> list[dict]:
     for i, tol in enumerate(_list(raw or [], f"{where}.tolerations")):
         at = f"{where}.tolerations[{i}]"
         entry = _fields(tol, TOLERATION, at)
+        if entry["key"] == cluster.POWERED_OFF_KEY:
+            raise ValidationError(f"{at}: the key {entry['key']!r} is reserved")
         effects = _list(_require(tol, "effects", at), f"{at}.effects")
         if not effects:
             raise ValidationError(f"{at}: empty effects list")

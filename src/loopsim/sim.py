@@ -186,8 +186,6 @@ class World:
         self.idle_streaks: dict[str, int] = {n: 0 for n in self.state.nodes}
         self.pending_slices: list[SliceRequest] = []
         self._slice_seq = 0
-        # intents the manager requeued last tick; the next tick takes them all
-        self.requeued: list[ActionIntent] = []
 
     # -- helpers ---------------------------------------------------------
 
@@ -234,7 +232,7 @@ class World:
                           links=len(request.chain))
             elif kind == "exchange-request":
                 request = ExchangeRequest(event["source"], event["target"],
-                                          event["artifact"], t)
+                                          event["artifact"])
                 result = self.manager.broker_exchange(request)
                 if isinstance(result, Grant):
                     self.emit("exchange-granted", artifact=result.artifact_id,
@@ -258,7 +256,7 @@ class World:
         # every intent submitted but neither applied nor dropped, by loop; nothing
         # changes them before _phase_submit, which runs after every loop planned
         in_flight: dict[str, list[ActionIntent]] = {}
-        for intent in self.requeued + self.manager.held():
+        for intent in self.manager.held():
             in_flight.setdefault(intent.acl_id, []).append(intent)
         for acl in sorted(self.agents):
             agent = self.agents[acl]
@@ -312,8 +310,7 @@ class World:
 
     def _phase_manager(self, submitted: list[ActionIntent]):
         t = self.tick
-        pool, self.requeued = self.requeued + submitted, []
-        outcome = self.manager.process_tick(t, pool, self.state)
+        outcome = self.manager.process_tick(t, submitted, self.state)
         for acl, magnitude, verdict in outcome.verdicts:
             self.emit("coherency", acl=acl, magnitude=magnitude, verdict=verdict.value)
         for acl, old, new in outcome.lifecycle_changes:
@@ -339,7 +336,6 @@ class World:
             self.emit("intent-dropped", id=intent.intent_id, acl=intent.acl_id,
                       reason=reason)
         for intent in outcome.requeued:
-            self.requeued.append(intent)
             self.emit("intent-requeued", id=intent.intent_id, acl=intent.acl_id,
                       next_tick=t + 1)
         for intent in outcome.buffered:
@@ -368,7 +364,7 @@ class World:
                               cpu=spec.request.cpu_millicores,
                               memory=spec.request.memory_mib,
                               priority=agent.priority.value)
-            elif intent.kind in (ActionKind.SCALE_DOWN, ActionKind.TERMINATE):
+            elif intent.kind is ActionKind.SCALE_DOWN:
                 for pod_id in intent.pod_ids:
                     if pod_id not in self.state.pods:
                         continue

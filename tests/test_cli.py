@@ -165,6 +165,22 @@ class TestRun:
         assert code == 2
         assert "error: traffic[east]: base must be in [-1e+15, 1e+15]" in err
 
+    def test_pod_tolerating_powered_off_is_an_input_error(self, capsys, tmp_path):
+        """Such a pod would land on a node the energy loop has powered off."""
+        code, err = self.run_document(capsys, tmp_path, (
+            "ticks: 8\n"
+            "traffic: {east: {base: 900}}\n"
+            "agents:\n"
+            "  - {id: e, role: energy, scope: [east], idle_ticks: 1}\n"
+            "  - id: s\n"
+            "    scope: [east]\n"
+            "    pod_template: {cpu: 100, memory: 100,\n"
+            "                   tolerations: [{key: powered-off, effects: [NoSchedule]}]}\n"
+        ))
+        assert code == 2
+        assert ("error: agent s pod_template.tolerations[0]: "
+                "the key 'powered-off' is reserved") in err
+
 
 class TestVerify:
     def test_good_trace_verifies(self, capsys, tmp_path):

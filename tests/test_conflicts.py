@@ -1,6 +1,9 @@
 """Conflict management: coherency, lifecycle, brokering, detection, arbitration."""
 
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +31,12 @@ from loopsim.conflicts import (
     regional,
 )
 from loopsim.cluster import Pod, PriorityLevel
-from loopsim.scenario import list_scenarios, load_scenario
+from loopsim.scenario import list_scenarios, load_scenario, loads
 from loopsim.sim import run
 from test_acceptance import random_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 REGIONS = {
     "edge-calgary": "calgary",
@@ -64,7 +70,7 @@ def topology():
 
 
 def make_intent(acl, tick, kind, target="svc", iid=None, specs=(), pods=(),
-                magnitude=1.0, vetted=False):
+                magnitude=1.0):
     return ActionIntent(
         intent_id=iid or f"{acl}-t{tick}-0",
         acl_id=acl,
@@ -74,7 +80,6 @@ def make_intent(acl, tick, kind, target="svc", iid=None, specs=(), pods=(),
         magnitude=magnitude,
         pod_specs=tuple(specs),
         pod_ids=tuple(pods),
-        vetted=vetted,
     )
 
 
@@ -169,21 +174,21 @@ class TestBroker:
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
         mgr = make_manager(ran, core)
         mgr.trust = {"ran": {("core", "Model")}}
-        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model", 2))
+        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model"))
         assert isinstance(result, Grant)
         assert result.accuracy_bonus == mgr.config.model_bonus
 
     def test_untrusted_target_is_denied(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
         mgr = make_manager(ran, core)
-        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model", 2))
+        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model"))
         assert result == Denial("ran", "core", "Model", "NotTrusted")
 
     def test_kind_mismatch_is_denied(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
         mgr = make_manager(ran, core)
         mgr.trust = {"ran": {("core", "Dataset")}}
-        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model", 2))
+        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model"))
         assert isinstance(result, Denial) and result.reason == "NotTrusted"
 
     def test_suspended_source_is_denied(self):
@@ -191,12 +196,12 @@ class TestBroker:
         ran.lifecycle = LifecycleState.SUSPENDED
         mgr = make_manager(ran, core)
         mgr.trust = {"ran": {("core", "Model")}}
-        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model", 2))
+        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model"))
         assert isinstance(result, Denial) and result.reason == "SourceSuspended"
 
     def test_unknown_agent_is_denied(self):
         mgr = make_manager(make_agent("ran"))
-        result = mgr.broker_exchange(ExchangeRequest("ran", "ghost", "Model", 2))
+        result = mgr.broker_exchange(ExchangeRequest("ran", "ghost", "Model"))
         assert isinstance(result, Denial) and result.reason == "UnknownAgent"
 
     def test_dataset_grant_carries_sample_count(self):
@@ -205,7 +210,7 @@ class TestBroker:
         core = make_agent("core", scope=("toronto",))
         mgr = make_manager(ran, core)
         mgr.trust = {"ran": {("core", "Dataset")}}
-        grant = mgr.broker_exchange(ExchangeRequest("ran", "core", "Dataset", 2))
+        grant = mgr.broker_exchange(ExchangeRequest("ran", "core", "Dataset"))
         assert grant.sample_count == 12
         assert grant.accuracy_bonus == 0.0
 
@@ -503,7 +508,8 @@ class TestProcessTick:
         assert [r.resolution.winner for r in out.resolved] == ["acl1"]
         assert [i.acl_id for i in out.survivors] == ["acl1"]
         assert [i.acl_id for i in out.requeued] == ["acl2"]
-        assert out.requeued[0].vetted  # skips re-vetting when it comes back
+        assert out.requeued[0] is intents[1]  # the same object, not a copy
+        assert mgr.held() == [intents[1]]
 
     def test_anomalous_magnitude_drops_the_intent(self):
         a = make_agent("acl1")
@@ -526,15 +532,22 @@ class TestProcessTick:
         ]
         assert a.lifecycle is LifecycleState.UNDER_OBSERVATION
 
-    def test_vetted_intents_skip_coherency(self):
-        a = make_agent("acl1")
-        mgr = make_manager(a)
-        state = state_with([node("edge-waterloo", region="waterloo")])
-        intent = make_intent("acl1", 1, ActionKind.SCALE_UP, vetted=True,
-                             specs=[PodSpec(rv(10, 10))], magnitude=9e9)
-        out = mgr.process_tick(1, [intent], state)
+    def test_a_requeued_intent_is_not_checked_again(self):
+        a, b = make_agent("acl1", value=10), make_agent("acl2", value=5)
+        mgr = make_manager(a, b)
+        state = state_with([node("edge-waterloo", 2000, 4096, region="waterloo")])
+        intents = [
+            make_intent("acl1", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(1500, 3072))]),
+            make_intent("acl2", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(1500, 3072))]),
+        ]
+        out = mgr.process_tick(0, intents, state)
+        assert out.requeued == [intents[1]]
+        seen = len(mgr.baselines["acl2"].history)
+        out = mgr.process_tick(1, [], state)
         assert out.verdicts == []
-        assert [i.intent_id for i in out.survivors] == [intent.intent_id]
+        assert len(mgr.baselines["acl2"].history) == seen
+        assert out.survivors == [intents[1]]
+        assert mgr.held() == []
 
     def test_frozen_agent_intents_are_dropped(self):
         energy = make_agent("energy", value=3, scope=("calgary",))
@@ -558,7 +571,7 @@ class TestProcessTick:
         intents = [
             make_intent("ran", 7, ActionKind.SCALE_UP, specs=[PodSpec(rv(1500, 3072))]),
             make_intent("slice", 7, ActionKind.INSTANTIATE,
-                        specs=[PodSpec(rv(1500, 3072))], vetted=True),
+                        specs=[PodSpec(rv(1500, 3072))]),
         ]
         out7 = mgr.process_tick(7, intents, state)
         assert [r.instance for r in out7.detected] == [E2E]
@@ -570,7 +583,7 @@ class TestProcessTick:
         assert out8.resolved == []
         assert [i.intent_id for i in mgr.held()] == held
         out10 = mgr.process_tick(10, [], state)
-        assert mgr.held() == []
+        assert mgr.held() == [intents[0]]   # the loser, requeued for tick 11
         assert [r.resolution.winner for r in out10.resolved] == ["slice"]
         assert [i.acl_id for i in out10.survivors] == ["slice"]
         assert [i.acl_id for i in out10.requeued] == ["ran"]
@@ -580,7 +593,7 @@ class TestProcessTick:
         mgr = make_manager(slice_acl, e2e_period=5)
         state = state_with([node("edge-waterloo", region="waterloo")])
         intent = make_intent("slice", 7, ActionKind.INSTANTIATE,
-                             specs=[PodSpec(rv(10, 10))], vetted=True)
+                             specs=[PodSpec(rv(10, 10))])
         out7 = mgr.process_tick(7, [intent], state)
         assert [i.intent_id for i in out7.buffered] == [intent.intent_id]
         assert out7.survivors == []
@@ -588,3 +601,22 @@ class TestProcessTick:
         out10 = mgr.process_tick(10, [], state)
         assert [i.intent_id for i in out10.survivors] == [intent.intent_id]
         assert mgr.held() == []
+
+
+def test_each_submitted_intent_gets_one_coherency_check():
+    """On every tick of the built-ins, the fuzz scenarios and a contended run,
+    the trace holds one coherency verdict per intent submitted that tick, so
+    an intent requeued for a retry is not checked again."""
+    rng = random.Random(20260814)
+    scenarios = [load_scenario(name) for name in list_scenarios()]
+    scenarios += [random_scenario(rng, i) for i in range(20)]
+    scenarios.append(loads(workloads.generate("contended", 1)))
+    requeued = 0
+    for scn in scenarios:
+        trace, _, _ = run(scn)
+        counts = Counter((e["tick"], e["kind"]) for e in trace.events)
+        for tick in range(scn.ticks):
+            assert counts[tick, "coherency"] == counts[tick, "intent-submitted"], (
+                scn.name, tick)
+        requeued += sum(n for (_, kind), n in counts.items() if kind == "intent-requeued")
+    assert requeued > 0

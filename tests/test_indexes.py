@@ -5,8 +5,8 @@ contended benchmark run.
 The re-derivations scan the bindings, the live pods, and the trace (every
 pod created and terminated, every intent submitted and settled), so they do
 not lean on the indexes they check; the intents a loop has in flight, read
-from ``World.requeued`` and ``ConflictManager.held()``, are held against the
-trace the same way.
+from ``ConflictManager.held()`` (requeued, buffered alone or inside a
+buffered conflict), are held against the trace the same way.
 """
 
 import math
@@ -85,7 +85,7 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
         owners.setdefault(ledger.owner[pod_id], set()).add(pod_id)
     assert state.by_owner == owners
 
-    in_flight = world.requeued + world.manager.held()
+    in_flight = world.manager.held()
     for acl, agent in world.agents.items():
         # each agent's live pods vs a scan of all created pods
         expected = sorted(

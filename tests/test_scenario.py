@@ -20,6 +20,9 @@ from loopsim.scenario import (
 )
 
 
+RESERVED = [{"key": "powered-off", "effects": ["NoSchedule"]}]
+
+
 def minimal(**overrides):
     data = {
         "name": "mini",
@@ -213,6 +216,25 @@ class TestNormalize:
             "initial-pod-cpu", "chain-memory"])
     def test_out_of_range_values_rejected(self, data, message):
         with pytest.raises(ValidationError, match=message):
+            normalize(data)
+
+    @pytest.mark.parametrize("data, where", [
+        (minimal(agents=[{"id": "a", "scope": ["east"], "pod_template": {
+            "cpu": 1, "memory": 1, "tolerations": RESERVED}}]),
+         r"agent a pod_template\.tolerations\[0\]"),
+        (minimal(initial_pods=[{"id": "p", "owner": "x", "node": "n1", "cpu": 1,
+                                "memory": 1, "tolerations": RESERVED}]),
+         r"pod p\.tolerations\[0\]"),
+        (minimal(
+            agents=[{"id": "s", "role": "slice", "scope": ["east"]}],
+            injected=[{"tick": 0, "kind": "slice-request", "agent": "s",
+                       "chain": [{"cpu": 1, "memory": 1, "tolerations": RESERVED}]}],
+        ), r"chain\[0\]\.tolerations\[0\]"),
+    ], ids=["pod-template", "initial-pod", "chain-link"])
+    def test_tolerating_powered_off_rejected(self, data, where):
+        """No pod may tolerate the reserved key, so a powered-off node takes
+        no new work."""
+        with pytest.raises(ValidationError, match=f"{where}: the key 'powered-off' is reserved"):
             normalize(data)
 
     @pytest.mark.parametrize("data, message", [
