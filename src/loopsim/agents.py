@@ -9,9 +9,10 @@ keeps no record of what it has in flight: the simulator hands
 energy or balancer agent plans nothing for those targets.
 
 ``resolve_scope`` reads an agent's scope once, when the agent is built, into
-its size class and the sorted regions it covers; the demand it watches, the
-nodes it plans over and the manager instance that handles its conflicts all
-come from those two fields.
+its size class, the sorted regions it covers and the nodes it names.  The
+regions give the demand it watches and, with the size class, the manager
+instance that handles its conflicts; an energy or balancer agent plans over
+the nodes.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ class ActionIntent:
 class LoopAgent:
     id: str
     role: AgentRole
-    scope: frozenset[str]
     size: SizeClass
     regions: tuple[str, ...]         # sorted; every region for a Mega e2e scope
+    nodes: tuple[str, ...]           # what the scope names, region by region
     priority: PriorityLevel
     predictor: PredictorState = field(default_factory=PredictorState)
     pod_template: PodSpec | None = None
@@ -137,14 +138,20 @@ class LoopAgent:
 
 def resolve_scope(
     scope: frozenset[str], node_regions: dict[str, str]
-) -> tuple[SizeClass, tuple[str, ...]]:
-    """Size class and sorted regions of what the scope touches.
+) -> tuple[SizeClass, tuple[str, ...], tuple[str, ...]]:
+    """Size class, sorted regions and nodes of what the scope touches.
 
     Scope entries may be ``e2e``, a region name, a node id, or a container
     written ``<node-id>/<name>``; every entry must match one of them.
     Spanning several regions (or naming e2e) makes an agent Mega; a whole
     region or several nodes Macro; one node Micro; one container Femto.
     ``e2e`` covers every region.
+
+    The nodes are those the scope names: a node entry gives that node, a
+    container its node, a region entry every node in the region and ``e2e``
+    every node; they are ordered region by region, each region's by id.  The
+    scope is resolved once, when the agent is built, which holds because no
+    operation adds or removes a node or moves it to another region.
     """
     if not scope:
         raise EmptyScope("agent scope is empty")
@@ -164,17 +171,19 @@ def resolve_scope(
         else:
             raise ValueError(f"scope entry {entry!r} matches no region, node, or container")
     if e2e:
-        return SizeClass.MEGA, tuple(sorted(region_names))
-    region_entry = bool(touched_regions)
-    touched_regions.update(node_regions[n] for n in touched_nodes)
-    regions = tuple(sorted(touched_regions))
-    if len(regions) > 1:
-        return SizeClass.MEGA, regions
-    if region_entry or len(touched_nodes) > 1:
-        return SizeClass.MACRO, regions
+        touched_regions = region_names
+    regions = tuple(sorted(touched_regions | {node_regions[n] for n in touched_nodes}))
+    nodes = tuple(sorted(
+        touched_nodes | {n for n, r in node_regions.items() if r in touched_regions},
+        key=lambda n: (node_regions[n], n),
+    ))
+    if e2e or len(regions) > 1:
+        return SizeClass.MEGA, regions, nodes
+    if touched_regions or len(touched_nodes) > 1:
+        return SizeClass.MACRO, regions, nodes
     if len(scope) == 1 and touched_nodes != scope:  # the one entry is a container
-        return SizeClass.FEMTO, regions
-    return SizeClass.MICRO, regions
+        return SizeClass.FEMTO, regions, nodes
+    return SizeClass.MICRO, regions, nodes
 
 
 def monitor(
@@ -216,7 +225,6 @@ class PlanContext:
 
     tick: int
     state: ClusterState
-    scope_nodes: tuple[str, ...]
     idle_streaks: dict[str, int]
     powered_off: frozenset[str]
     outstanding_targets: frozenset[str]
@@ -312,7 +320,7 @@ def _plan_slice(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[A
 
 def _plan_energy(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
     intents = []
-    for node_id in ctx.scope_nodes:
+    for node_id in agent.nodes:
         if node_id in ctx.powered_off or node_id in ctx.outstanding_targets:
             continue
         if ctx.idle_streaks.get(node_id, 0) >= agent.idle_ticks:
@@ -325,12 +333,12 @@ def _plan_energy(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[
 
 
 def _plan_balancer(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
-    powered_on = [n for n in ctx.scope_nodes if n not in ctx.powered_off]
+    powered_on = [n for n in agent.nodes if n not in ctx.powered_off]
     supply = len(powered_on) * agent.node_capacity_units
     if prediction <= agent.watermark_high * supply:
         return []
     intents = []
-    for node_id in ctx.scope_nodes:
+    for node_id in agent.nodes:
         if node_id not in ctx.powered_off or node_id in ctx.outstanding_targets:
             continue
         intents.append(

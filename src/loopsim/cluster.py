@@ -64,7 +64,9 @@ class TaintEffect(str, Enum):
     NO_EXECUTE = "NoExecute"
 
 
-# Effects that make a taint *hard*: an intolerant pod may not be (or remain) placed.
+# Effects that make a taint *hard*: an intolerant pod may not be placed.  Only a
+# NoExecute taint also evicts the intolerant pods already running (the scheduler's
+# enforcement pass).
 HARD_EFFECTS = frozenset({TaintEffect.NO_SCHEDULE, TaintEffect.NO_EXECUTE})
 
 # Reserved taint key marking a node that has been powered down.  Validation
@@ -93,7 +95,6 @@ class PriorityLevel:
     name: str
     value: int
     preemption_enabled: bool = True
-    global_default: bool = False
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class Pod:
     owner: str
     request: ResourceVector
     tolerations: frozenset[Toleration] = frozenset()
-    priority: PriorityLevel = PriorityLevel("default", 0, False, True)
+    priority: PriorityLevel = PriorityLevel("default", 0, False)
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,3 @@ def terminate(state: ClusterState, pod_id: str) -> None:
     if not siblings:
         del state.by_owner[pod.owner]
     state.retired.add(pod_id)
-
-
-def nodes_in_region(state: ClusterState, region: str) -> list[str]:
-    return sorted(n.id for n in state.nodes.values() if n.region == region)

@@ -261,6 +261,14 @@ def _tolerations(norm: list[dict]) -> frozenset[Toleration]:
     )
 
 
+def _pod_spec(request: dict) -> PodSpec:
+    """The pod spec of a normalized request (a pod template or a chain link)."""
+    return PodSpec(
+        request=ResourceVector(request["cpu"], request["memory"]),
+        tolerations=_tolerations(request["tolerations"]),
+    )
+
+
 def normalize(data: dict) -> dict:
     """Validate a parsed scenario document and fill in every default.
 
@@ -507,7 +515,7 @@ def list_scenarios() -> list[str]:
 
 def priority_levels(norm: dict) -> dict[str, PriorityLevel]:
     return {
-        l["name"]: PriorityLevel(l["name"], l["value"], l["preemption"], l["global_default"])
+        l["name"]: PriorityLevel(l["name"], l["value"], l["preemption"])
         for l in norm["priority_levels"]
     }
 
@@ -550,25 +558,17 @@ def build_agents(norm: dict) -> dict[str, LoopAgent]:
     for pod in norm["initial_pods"]:
         owned[pod["owner"]] = owned.get(pod["owner"], 0) + 1
     for entry in norm["agents"]:
-        scope = frozenset(entry["scope"])
-        size, regions = agents_mod.resolve_scope(scope, node_regions)
-        template = None
-        if entry["pod_template"] is not None:
-            template = PodSpec(
-                request=ResourceVector(
-                    entry["pod_template"]["cpu"], entry["pod_template"]["memory"]
-                ),
-                tolerations=_tolerations(entry["pod_template"]["tolerations"]),
-            )
+        size, regions, nodes = agents_mod.resolve_scope(frozenset(entry["scope"]), node_regions)
+        template = entry["pod_template"]
         agent = LoopAgent(
             id=entry["id"],
             role=AgentRole(entry["role"]),
-            scope=scope,
             size=size,
             regions=regions,
+            nodes=nodes,
             priority=levels[entry["priority"]],
             predictor=PredictorState(alpha=entry["alpha"]),
-            pod_template=template,
+            pod_template=None if template is None else _pod_spec(template),
             pod_capacity_units=entry["pod_capacity_units"],
             node_capacity_units=entry["node_capacity_units"],
             watermark_high=entry["watermark_high"],
@@ -634,13 +634,7 @@ def build_trust(norm: dict) -> dict[str, set[tuple[str, str]]]:
 
 
 def chain_specs(event: dict) -> tuple[PodSpec, ...]:
-    return tuple(
-        PodSpec(
-            request=ResourceVector(link["cpu"], link["memory"]),
-            tolerations=_tolerations(link["tolerations"]),
-        )
-        for link in event["chain"]
-    )
+    return tuple(_pod_spec(link) for link in event["chain"])
 
 
 # -- built-in scenarios --------------------------------------------------------

@@ -153,18 +153,24 @@ def schedule(state: ClusterState, pod: Pod) -> Decision:
 
 
 def enforce_no_execute(state: ClusterState) -> list[tuple[str, str]]:
-    """Evict bound pods that no longer tolerate their node's hard taints.
+    """Evict bound pods that do not tolerate a NoExecute taint on their node.
 
-    Returns the (node id, pod id) pairs evicted, in deterministic order.
-    Evicted pods are Pending again; the caller re-queues them.
+    A NoSchedule taint keeps new pods off a node but never evicts a running
+    one, so only the NoExecute taints are checked here.  Returns the (node
+    id, pod id) pairs evicted, in deterministic order.  Evicted pods are
+    Pending again; the caller re-queues them.
     """
     evicted: list[tuple[str, str]] = []
     for node_id in sorted(state.nodes):
-        node = state.nodes[node_id]
-        if not any(t.effect is cluster.TaintEffect.NO_EXECUTE for t in node.taints):
+        no_execute = [
+            t for t in state.nodes[node_id].taints
+            if t.effect is cluster.TaintEffect.NO_EXECUTE
+        ]
+        if not no_execute:
             continue
         for pod_id in cluster.pods_on(state, node_id):
-            if not cluster.tolerates(state.pods[pod_id], node):
+            tolerations = state.pods[pod_id].tolerations
+            if not all(any(tol.matches(t) for tol in tolerations) for t in no_execute):
                 cluster.evict(state, pod_id)
                 evicted.append((node_id, pod_id))
     return evicted

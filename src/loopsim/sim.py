@@ -152,11 +152,6 @@ class World:
         self.state = scenario_mod.build_state(norm)
         self.agents = scenario_mod.build_agents(norm)
         self.queue = scenario_mod.build_queue(norm, self.agents)
-        # no operation adds or removes a node or moves it to another region
-        self.scope_nodes = {
-            acl: tuple(n for r in agent.regions for n in cluster.nodes_in_region(self.state, r))
-            for acl, agent in self.agents.items()
-        }
         self.manager = ConflictManager(scenario_mod.build_manager_config(norm), self.agents)
         self.manager.trust = scenario_mod.build_trust(norm)
         self.traffic = scenario_mod.build_traffic(norm)
@@ -280,7 +275,6 @@ class World:
             ctx = PlanContext(
                 tick=t,
                 state=self.state,
-                scope_nodes=self.scope_nodes[acl],
                 idle_streaks=self.idle_streaks,
                 powered_off=powered_off,
                 outstanding_targets=agents_mod.outstanding_targets(

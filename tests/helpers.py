@@ -17,7 +17,7 @@ PLATINUM = PriorityLevel("platinum", 20)
 GOLD = PriorityLevel("gold", 10)
 SILVER = PriorityLevel("silver", 5)
 BRONZE = PriorityLevel("bronze", 1)
-DEFAULT = PriorityLevel("default", 0, preemption_enabled=False, global_default=True)
+DEFAULT = PriorityLevel("default", 0, preemption_enabled=False)
 
 ALL_EFFECTS = ("NoSchedule", "PreferNoSchedule", "NoExecute")
 

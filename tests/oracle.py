@@ -175,10 +175,10 @@ def run_round(inst: dict) -> tuple[list, list, dict, list[str]]:
 
     evictions = []
     for nid in sorted(nodes):
-        if not any(e == "NoExecute" for _, e in nodes[nid]["taints"]):
-            continue
+        # only an untolerated NoExecute taint evicts a running pod
+        no_execute = [key for key, e in nodes[nid]["taints"] if e == "NoExecute"]
         for pid in bound_on(pods, nid):
-            if not tolerates(pods[pid], nodes[nid]):
+            if not all("NoExecute" in pods[pid]["tols"].get(key, ()) for key in no_execute):
                 pods[pid]["phase"] = "pending"
                 pods[pid]["node"] = None
                 evictions.append((nid, pid))

@@ -30,14 +30,13 @@ REGIONS = {
 
 
 def make_agent(role=AgentRole.SCALER, scope=("waterloo",), **overrides):
-    scope = frozenset(scope)
-    size, regions = resolve_scope(scope, REGIONS)
+    size, regions, nodes = resolve_scope(frozenset(scope), REGIONS)
     defaults = dict(
         id="acl1",
         role=role,
-        scope=scope,
         size=size,
         regions=regions,
+        nodes=nodes,
         priority=GOLD,
         pod_template=PodSpec(rv(500, 1024)),
     )
@@ -51,7 +50,6 @@ def make_ctx(state=None, tick=0, **overrides):
     defaults = dict(
         tick=tick,
         state=state,
-        scope_nodes=tuple(sorted(state.nodes)),
         idle_streaks={},
         powered_off=frozenset(),
         outstanding_targets=frozenset(),
@@ -61,32 +59,53 @@ def make_ctx(state=None, tick=0, **overrides):
 
 
 class TestClassifySize:
-    """``resolve_scope``: the size class and the sorted regions of a scope."""
+    """``resolve_scope``: the size class, the sorted regions and the nodes of
+    a scope."""
 
     def test_single_container_is_femto(self):
         assert resolve_scope(frozenset({"edge-calgary/cache"}), REGIONS) == (
-            SizeClass.FEMTO, ("calgary",))
+            SizeClass.FEMTO, ("calgary",), ("edge-calgary",))
 
     def test_single_node_is_micro(self):
         assert resolve_scope(frozenset({"edge-calgary"}), REGIONS) == (
-            SizeClass.MICRO, ("calgary",))
+            SizeClass.MICRO, ("calgary",), ("edge-calgary",))
+
+    def test_node_beside_others_in_its_region_names_only_itself(self):
+        assert resolve_scope(frozenset({"edge-calgary-2"}), REGIONS) == (
+            SizeClass.MICRO, ("calgary",), ("edge-calgary-2",))
 
     def test_region_scope_is_macro(self):
         assert resolve_scope(frozenset({"calgary"}), REGIONS) == (
-            SizeClass.MACRO, ("calgary",))
+            SizeClass.MACRO, ("calgary",), ("edge-calgary", "edge-calgary-2"))
 
     def test_two_nodes_one_region_is_macro(self):
         scope = frozenset({"edge-calgary", "edge-calgary-2"})
-        assert resolve_scope(scope, REGIONS) == (SizeClass.MACRO, ("calgary",))
+        assert resolve_scope(scope, REGIONS) == (
+            SizeClass.MACRO, ("calgary",), ("edge-calgary", "edge-calgary-2"))
 
     def test_nodes_in_two_regions_is_mega(self):
         scope = frozenset({"edge-calgary", "edge-waterloo"})
         assert resolve_scope(scope, REGIONS) == (
-            SizeClass.MEGA, ("calgary", "waterloo"))
+            SizeClass.MEGA, ("calgary", "waterloo"), ("edge-calgary", "edge-waterloo"))
+
+    def test_region_and_a_node_elsewhere_is_mega_ordered_by_region(self):
+        scope = frozenset({"calgary", "core-toronto"})
+        assert resolve_scope(scope, REGIONS) == (
+            SizeClass.MEGA,
+            ("calgary", "toronto"),
+            ("edge-calgary", "edge-calgary-2", "core-toronto"),
+        )
 
     def test_e2e_marker_is_mega(self):
         assert resolve_scope(frozenset({"e2e", "edge-calgary"}), REGIONS) == (
-            SizeClass.MEGA, ("calgary", "toronto", "waterloo"))
+            SizeClass.MEGA,
+            ("calgary", "toronto", "waterloo"),
+            ("edge-calgary", "edge-calgary-2", "core-toronto", "edge-waterloo"),
+        )
+
+    def test_e2e_over_one_region_is_mega(self):
+        assert resolve_scope(frozenset({"e2e"}), {"a": "r", "b": "r"}) == (
+            SizeClass.MEGA, ("r",), ("a", "b"))
 
     def test_empty_scope_raises(self):
         with pytest.raises(EmptyScope):
@@ -243,7 +262,8 @@ class TestPlanOtherRoles:
         assert intents[0].pod_specs == chain
 
     def test_energy_agent_powers_off_idle_nodes(self):
-        agent = make_agent(role=AgentRole.ENERGY, scope=("calgary",), idle_ticks=2)
+        agent = make_agent(role=AgentRole.ENERGY, scope=("calgary",), idle_ticks=2,
+                           nodes=("edge-calgary",))
         state = state_with([node("edge-calgary", region="calgary")])
         ctx = make_ctx(state, idle_streaks={"edge-calgary": 2})
         intents = plan(agent, 0.0, ctx)
@@ -252,7 +272,8 @@ class TestPlanOtherRoles:
         ]
 
     def test_energy_agent_skips_busy_and_off_nodes(self):
-        agent = make_agent(role=AgentRole.ENERGY, scope=("calgary",), idle_ticks=2)
+        agent = make_agent(role=AgentRole.ENERGY, scope=("calgary",), idle_ticks=2,
+                           nodes=("edge-calgary",))
         state = state_with([node("edge-calgary", region="calgary")])
         assert plan(agent, 0.0, make_ctx(state, idle_streaks={"edge-calgary": 1})) == []
         ctx = make_ctx(
@@ -262,8 +283,18 @@ class TestPlanOtherRoles:
         )
         assert plan(agent, 0.0, ctx) == []
 
+    def test_energy_agent_plans_over_its_own_nodes_only(self):
+        agent = make_agent(role=AgentRole.ENERGY, scope=("edge-calgary",), idle_ticks=1)
+        assert agent.nodes == ("edge-calgary",)
+        state = state_with(
+            [node("edge-calgary", region="calgary"), node("edge-calgary-2", region="calgary")]
+        )
+        ctx = make_ctx(state, idle_streaks={"edge-calgary": 3, "edge-calgary-2": 3})
+        assert [i.target for i in plan(agent, 0.0, ctx)] == ["edge-calgary"]
+
     def test_balancer_powers_on_when_saturated(self):
         agent = make_agent(role=AgentRole.BALANCER, scope=("calgary",),
+                           nodes=("edge-calgary", "edge-calgary-2"),
                            node_capacity_units=1000.0)
         state = state_with(
             [node("edge-calgary", region="calgary"), node("edge-calgary-2", region="calgary")]
@@ -275,6 +306,19 @@ class TestPlanOtherRoles:
             (ActionKind.POWER_ON, "edge-calgary-2")
         ]
         assert plan(agent, 700.0, ctx) == []
+
+    def test_balancer_counts_and_powers_on_its_own_nodes_only(self):
+        agent = make_agent(role=AgentRole.BALANCER, scope=("edge-calgary-2",),
+                           node_capacity_units=1000.0)
+        assert agent.nodes == ("edge-calgary-2",)
+        state = state_with(
+            [node("edge-calgary", region="calgary"), node("edge-calgary-2", region="calgary")]
+        )
+        both_off = make_ctx(state, powered_off=frozenset({"edge-calgary", "edge-calgary-2"}))
+        assert [i.target for i in plan(agent, 1.0, both_off)] == ["edge-calgary-2"]
+        # the neighbour's power is not the loop's supply
+        neighbour_on = make_ctx(state, powered_off=frozenset({"edge-calgary-2"}))
+        assert [i.target for i in plan(agent, 1.0, neighbour_on)] == ["edge-calgary-2"]
 
 
 class TestExecute:
@@ -309,7 +353,7 @@ class TestExecute:
         agent = make_agent()
         intents = plan(agent, 900.0, make_ctx(state_with([node("w", region="waterloo")])))
         other = make_agent(id="acl2", role=AgentRole.ENERGY, scope=("calgary",),
-                           idle_ticks=1)
+                           idle_ticks=1, nodes=("edge-calgary",))
         state = state_with([node("edge-calgary", region="calgary")])
         theirs = plan(other, 0.0, make_ctx(state, idle_streaks={"edge-calgary": 1}))
         assert [i.target for i in theirs] == ["edge-calgary"]

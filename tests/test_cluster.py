@@ -193,13 +193,6 @@ class TestTaints:
 
 
 class TestTopologyQueries:
-    def test_regions_and_nodes_in_region(self):
-        state = state_with(
-            [node("a", region="east"), node("b", region="west"), node("c", region="east")]
-        )
-        assert cluster.nodes_in_region(state, "east") == ["a", "c"]
-        assert cluster.nodes_in_region(state, "nowhere") == []
-
     def test_pods_on_sorted(self):
         state = state_with(
             [node("n", 4000, 8192)],

@@ -46,14 +46,13 @@ REGIONS = {
 
 
 def make_agent(aid, value=10, scope=("waterloo",), role=AgentRole.SCALER):
-    scope = frozenset(scope)
-    size, regions = resolve_scope(scope, REGIONS)
+    size, regions, nodes = resolve_scope(frozenset(scope), REGIONS)
     return LoopAgent(
         id=aid,
         role=role,
-        scope=scope,
         size=size,
         regions=regions,
+        nodes=nodes,
         priority=PriorityLevel(f"lvl-{aid}", value),
     )
 

@@ -85,6 +85,20 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
         owners.setdefault(ledger.owner[pod_id], set()).add(pod_id)
     assert state.by_owner == owners
 
+    node_region = {n["id"]: n["region"] for n in world.scenario.data["nodes"]}
+    named_nodes = {}
+    for entry in world.scenario.data["agents"]:
+        named = named_nodes[entry["id"]] = set()
+        for item in entry["scope"]:
+            if item == "e2e":
+                named.update(node_region)
+            elif item in node_region:
+                named.add(item)
+            elif item in node_region.values():
+                named.update(n for n, r in node_region.items() if r == item)
+            else:  # a container, <node>/<name>
+                named.add(item.split("/", 1)[0])
+
     in_flight = world.manager.held()
     for acl, agent in world.agents.items():
         # each agent's live pods vs a scan of all created pods
@@ -93,11 +107,9 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
             if owner == acl and p not in ledger.terminated
         )
         assert agents_mod._owned_pods(agent, state) == expected
-        # the nodes a loop plans over vs a scan of every node's region
-        assert world.scope_nodes[acl] == tuple(
-            n for r in agent.regions
-            for n in sorted(x.id for x in state.nodes.values() if x.region == r)
-        )
+        # the nodes a loop plans over vs its scope entries read by hand
+        assert agent.nodes == tuple(
+            sorted(named_nodes[acl], key=lambda n: (node_region[n], n)))
         # intents in flight vs every intent the trace has submitted but not
         # yet applied or dropped
         unsettled = {i: target for i, (a, target) in ledger.unsettled.items() if a == acl}

@@ -172,9 +172,9 @@ class TestArbitrationScaling:
             aid: LoopAgent(
                 id=aid,
                 role=AgentRole.SCALER,
-                scope=frozenset({"east"}),
                 size=SizeClass.MICRO,
                 regions=("east",),
+                nodes=("n-east",),
                 priority=PriorityLevel(f"lvl-{aid}", value),
             )
             for aid, value in values.items()
@@ -240,13 +240,13 @@ class TestRoutingPartition:
         agents = {}
         for i, scope in enumerate(scopes):
             aid = f"acl{i}"
-            size, regions = resolve_scope(scope, self.regions)
+            size, regions, nodes = resolve_scope(scope, self.regions)
             agents[aid] = LoopAgent(
                 id=aid,
                 role=AgentRole.SCALER,
-                scope=scope,
                 size=size,
                 regions=regions,
+                nodes=nodes,
                 priority=PriorityLevel("lvl", 1),
             )
         return ConflictManager(ManagerConfig(), agents)
@@ -266,10 +266,9 @@ class TestRoutingPartition:
         instance = manager.route(ids)
         touched = set()
         mega = False
-        for aid in ids:
-            agent = manager.agents[aid]
-            mega = mega or agent.size is SizeClass.MEGA
-            for item in agent.scope:
+        for i, scope in enumerate(scopes):
+            mega = mega or manager.agents[f"acl{i}"].size is SizeClass.MEGA
+            for item in scope:
                 touched.add(self.regions.get(item.split("/")[0], item))
         if mega or len(touched) != 1:
             assert instance == E2E

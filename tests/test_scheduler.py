@@ -233,6 +233,27 @@ class TestEnforceNoExecute:
         evicted = scheduler.enforce_no_execute(state)
         assert evicted == []
 
+    def test_no_schedule_taint_beside_a_tolerated_no_execute_does_not_evict(self):
+        state = state_with(
+            [node("n")],
+            [pod("p", owner="acl1", tols=[tol("m", "NoExecute")])],
+            [("p", "n")],
+        )
+        cluster.apply_taint(state, "n", taint("k", "NoSchedule"))
+        cluster.apply_taint(state, "n", taint("m", "NoExecute"))
+        assert scheduler.enforce_no_execute(state) == []
+        assert state.bindings == {"p": "n"}
+
+    def test_one_untolerated_no_execute_taint_evicts(self):
+        state = state_with(
+            [node("n")],
+            [pod("p", owner="acl1", tols=[tol("m", "NoExecute")])],
+            [("p", "n")],
+        )
+        cluster.apply_taint(state, "n", taint("m", "NoExecute"))
+        cluster.apply_taint(state, "n", taint("x", "NoExecute"))
+        assert scheduler.enforce_no_execute(state) == [("n", "p")]
+
 
 class TestCoordinate:
     def test_both_units_bind_in_priority_order(self):

@@ -491,6 +491,48 @@ class TestIdleScenario:
         assert metrics.intents_submitted == 0
 
 
+class TestScopeReach:
+    def test_micro_energy_loop_powers_off_only_its_node(self):
+        # nodes a and b share region r; the loop's scope names a alone
+        scn = from_dict({
+            "name": "micro",
+            "ticks": 3,
+            "topology": {"nodes": [
+                {"id": "a", "region": "r", "cpu": 1000, "memory": 1000},
+                {"id": "b", "region": "r", "cpu": 1000, "memory": 1000},
+            ]},
+            "agents": [{"id": "e", "role": "energy", "scope": ["a"], "idle_ticks": 1}],
+        })
+        trace, _, world = run(scn)
+        assert world.agents["e"].nodes == ("a",)
+        assert [(e["tick"], e["node"]) for e in events_of(trace, "power-off")] == [(1, "a")]
+        assert verify_trace(parse_trace(trace.dumps()), scn).ok
+
+
+class TestNoExecuteEnforcement:
+    def test_tolerated_no_execute_beside_no_schedule_keeps_the_pod(self):
+        scn = from_dict({
+            "name": "no-execute",
+            "ticks": 4,
+            "topology": {"nodes": [
+                {"id": "n1", "region": "r", "cpu": 1000, "memory": 1000},
+                {"id": "n2", "region": "r", "cpu": 1000, "memory": 1000},
+            ]},
+            "initial_pods": [{
+                "id": "p", "owner": "o", "node": "n1", "cpu": 100, "memory": 100,
+                "tolerations": [{"key": "m", "effects": ["NoExecute"]}],
+            }],
+            "injected": [
+                {"tick": 1, "kind": "taint", "node": "n1", "key": "k", "effect": "NoSchedule"},
+                {"tick": 2, "kind": "taint", "node": "n1", "key": "m", "effect": "NoExecute"},
+            ],
+        })
+        trace, _, world = run(scn)
+        assert events_of(trace, "pod-evicted") == []
+        assert world.state.bindings == {"p": "n1"}
+        assert verify_trace(parse_trace(trace.dumps()), scn).ok
+
+
 class TestFlatCost:
     def test_wide_span_samples_each_tick_once(self, monkeypatch):
         # a span longer than the run: monitor must still only draw the
