@@ -64,6 +64,7 @@ def _cmd_run(args) -> int:
     if args.out:
         trace.write(args.out)
     else:
+        sys.stdout.reconfigure(newline="\n")  # no "\r" added on any OS, as --out writes
         sys.stdout.write(trace.dumps())
     if args.summary:
         print(sim.summarize(trace), file=sys.stderr)

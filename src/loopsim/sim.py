@@ -588,7 +588,13 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
 def verify_trace(trace: Trace, scn: Scenario) -> Report:
     """Replay the scenario named by the trace header tick by tick, comparing each
     replayed line byte for byte with the recorded one, then re-check invariants
-    from the recorded events alone."""
+    from the recorded events alone.
+
+    The recorded text is walked by offset, never split: each replayed line is
+    compared with the text up to the next ``"\n"``. The replay ends with the
+    empty line after the last newline; past its end each recorded line is
+    expected as ``"<missing>"``, and past the text's end each replayed line
+    reads as ``"<missing>"``."""
     header = trace.header
     if header.get("scenario_hash") != scn.hash:
         effective = scenario_mod.from_dict(
@@ -599,27 +605,32 @@ def verify_trace(trace: Trace, scn: Scenario) -> Report:
         scn = effective
     report = Report()
     # a recorded trace is compared as written: its bytes, blank lines and all
-    original = trace.lines() + [""] if trace.text is None else trace.text.split("\n")
+    text = trace.dumps() if trace.text is None else trace.text
+    line, pos = 0, 0  # lines compared; where the next recorded line starts (None: past the end)
 
-    def compare(i: int, expected: str) -> None:
-        actual = original[i] if i < len(original) else "<missing>"
+    def compare(expected: str) -> None:
+        nonlocal line, pos
+        line += 1
+        if pos is None:
+            actual = "<missing>"
+        else:
+            end = text.find("\n", pos)
+            actual, pos = (text[pos:], None) if end < 0 else (text[pos:end], end + 1)
         if actual != expected:
-            report.divergences.append({"line": i + 1, "actual": actual, "expected": expected})
+            report.divergences.append({"line": line, "actual": actual, "expected": expected})
 
     world = World(scn, extra_events=header.get("extra_events") or [])
-    compare(0, _dump(world.trace.header))
-    line = 1
+    compare(_dump(world.trace.header))
     # the replay is held one tick at a time: its lines are compared as each tick
     # ends, then its events go (nothing in the engine reads them back)
     for _ in range(scn.ticks):
         world.step()
         for event in world.trace.events:
-            compare(line, _dump(event))
-            line += 1
+            compare(_dump(event))
         world.trace.events.clear()
-    compare(line, "")
-    for i in range(line + 1, len(original)):
-        compare(i, "<missing>")
+    compare("")
+    while pos is not None:
+        compare("<missing>")
     report.violations = check_invariants(scn.data, trace.events)
     return report
 

@@ -4,9 +4,14 @@ Events carry a global sequence number and the tick they occurred in. A line is
 exactly ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``: sorted
 keys, no spaces, non-ASCII text as ``\\u`` escapes, and ``NaN``/``Infinity``
 allowed, so identical runs produce identical bytes; ``verify`` compares its
-replay with the recorded lines one tick at a time. ``parse_trace`` reads each
-line as ``json.loads`` would, with the same error messages, and rejects an
-event that lacks, or mistypes, a key the readers of a trace use.
+replay with the recorded text one tick at a time. A file is read and written
+with no newline translation, so the bytes compared are the bytes on disk.
+
+``parse_trace`` reads each line as ``json.loads`` would, with the same error
+messages, and rejects an event that lacks, or mistypes, a key the readers of
+a trace use. It lets go of each line once read, and its events share one
+copy of each key and of each text value, so a parsed trace is about the size
+of the engine's own events.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ class Trace:
         return "\n".join(self.lines()) + "\n"
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:  # "\n", on every OS
             fh.write(self.dumps())
 
 
@@ -129,7 +134,13 @@ def _check_event(event, line: int) -> None:
 def parse_trace(text: str) -> Trace:
     """Parse and check a trace; a ``ParseError`` names its line as ``verify`` counts it."""
     header, events = None, []
-    for i, line in enumerate(text.split("\n"), start=1):
+    share = {}.setdefault  # one copy of each key and text value, for every event
+    lines = text.split("\n")
+    lines.reverse()  # popped from the end, so each line goes once it is read
+    i = 0
+    while lines:
+        line = lines.pop()
+        i += 1
         if not line.strip():
             continue
         try:
@@ -139,7 +150,8 @@ def parse_trace(text: str) -> Trace:
             raise ParseError(f"bad trace {what}: {exc}", line=i) from None
         if header is not None:
             _check_event(obj, i)
-            events.append(obj)
+            events.append({share(k, k): share(v, v) if type(v) is str else v
+                           for k, v in obj.items()})
             continue
         if type(obj) is not dict or obj.get("format") != TRACE_FORMAT:
             raise ParseError(f"not a {TRACE_FORMAT} trace", line=i)
@@ -153,5 +165,5 @@ def parse_trace(text: str) -> Trace:
 
 
 def load_trace(path: str) -> Trace:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:  # no "\r" rewritten: verify sees the bytes
         return parse_trace(fh.read())

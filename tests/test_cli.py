@@ -1,12 +1,14 @@
 """Command line entry points, exercised through main(argv)."""
 
+import io
 import json
+import sys
 
 import pytest
 
 from loopsim.cli import main
 from loopsim.scenario import list_scenarios, load_scenario
-from loopsim.sim import run
+from loopsim.sim import run, verify_trace
 from loopsim.trace import load_trace, parse_trace
 
 
@@ -25,6 +27,15 @@ class TestRun:
         assert err == ""
         expected, _, _ = run(load_scenario("case1"))
         assert out == expected.dumps()
+
+    def test_stdout_trace_is_written_without_newline_translation(self, monkeypatch):
+        # a stdout that writes "\r\n" for "\n", as a console's does on Windows
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", newline="\r\n"))
+        assert main(["run", "case1"]) == 0
+        sys.stdout.flush()
+        expected, _, _ = run(load_scenario("case1"))
+        assert raw.getvalue() == expected.dumps().encode()
 
     def test_out_writes_a_file(self, capsys, tmp_path):
         path = tmp_path / "case1.jsonl"
@@ -220,6 +231,29 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", str(path), "case1")
         assert code == 3
         assert out.splitlines()[1].startswith("  line 4: expected")
+
+    def test_crlf_trace_fails_with_3(self, capsys, tmp_path):
+        # a file is compared as written: CRLF endings are not read back as "\n"
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case1", "--out", str(path))
+        lines = path.read_bytes().decode().split("\n")
+        path.write_bytes("\r\n".join(lines).encode())
+        code, out, _ = invoke(capsys, "verify", str(path), "case1")
+        assert code == 3
+        assert out.startswith(f"{len(lines) - 1} diverging line(s)")
+        report = verify_trace(load_trace(str(path)), load_scenario("case1"))
+        assert report.divergences == [
+            {"line": i + 1, "actual": line + "\r", "expected": line}
+            for i, line in enumerate(lines) if line]
+
+    def test_crlf_trace_still_summarizes(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case1", "--out", str(path))
+        _, expected, _ = invoke(capsys, "summarize", str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        code, out, _ = invoke(capsys, "summarize", str(path))
+        assert code == 0
+        assert out == expected
 
     def test_wrong_scenario_fails_with_3(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -1,17 +1,25 @@
 """The trace codec against the json module, and verify's line-by-line compare."""
 
+import gc
 import importlib.util
 import json
+import random
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopsim import trace as trace_mod
 from loopsim.errors import ParseError
-from loopsim.scenario import load_scenario
+from loopsim.scenario import list_scenarios, load_scenario, loads
 from loopsim.sim import run, verify_trace
-from loopsim.trace import _dump, _load, parse_trace
+from loopsim.trace import TRACE_FORMAT, _dump, _load, parse_trace
+from test_acceptance import random_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def reference_dump(obj) -> str:
@@ -80,7 +88,7 @@ LOAD_CASES = [
     "nul", "tru", '"\\ud800"', '"\\x"', '"abc', "01", "-", "1.", ".5", "1e", "1e999",
     "NaN", "-Infinity", "Infinity", " [1, 2.5, -0.0, null, true] ", '{"b":1,"a":[{}]}',
     "{}", "[]", '""', "0", "-0", str(2 ** 200), "  ", " {}", '{"a":1}\n',
-    '{"a":1}\x00', "\x00",
+    '{"a":1}\x00', "\x00", "\x0c{}", '{"a":1}\x0c', '{"a":1', '{"a":[1,2]',
 ]
 
 
@@ -113,6 +121,103 @@ class TestLoad:
         assert str(err.value) == expected
 
 
+def reference_parse(lines):
+    """What ``parse_trace("\\n".join(lines))`` must give, by the plain rule: each
+    non-blank line read by ``json.loads``, the first one the header."""
+    header, events = None, []
+    for i, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        what = "header" if header is None else "event"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return "error", f"bad trace {what}: {exc} (line {i})"
+        if type(obj) is not dict:
+            problem = f"not a {TRACE_FORMAT} trace" if header is None else \
+                "bad trace event: not a JSON object"
+            return "error", f"{problem} (line {i})"
+        if header is None:
+            header = obj
+        else:
+            events.append(obj)
+    return "value", repr(events)
+
+
+def parsed(lines):
+    try:
+        trace = parse_trace("\n".join(lines))
+    except ParseError as exc:
+        return "error", str(exc)
+    return "value", repr(trace.events)
+
+
+# the same event, written otherwise: what json.loads reads as it
+SPACING = [lambda line: line, lambda line: json.dumps(json.loads(line), sort_keys=True),
+           lambda line: json.dumps(json.loads(line), indent=None, separators=(" ,", " : "))]
+PADDING = st.text(st.sampled_from(" \t\r"), max_size=3)  # JSON whitespace
+# skipped as blank: str.strip() clears them, JSON whitespace or not
+BLANKS = st.lists(st.sampled_from(["", " ", "\t", "\r", " \r ", "\x0c", "\u3000"]), max_size=2)
+# one line no run writes: not an object, extra data, a BOM, cut short, a
+# character str.strip() takes for space but JSON does not
+MALFORMED = [lambda line: "[1,2]", lambda line: "7", lambda line: line + " x",
+             lambda line: line + line, lambda line: "\ufeff" + line,
+             lambda line: line[:-1], lambda line: "\x0c" + line, lambda line: line + "\x0c"]
+
+
+class TestParseTrace:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reads_each_line_as_json_loads(self, case1, data):
+        lines = case1[2][:-1]
+        bad = data.draw(st.none() | st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(MALFORMED))
+        built = []
+        for i, line in enumerate(lines):
+            built += data.draw(BLANKS)
+            line = data.draw(st.sampled_from(SPACING))(line)
+            line = data.draw(PADDING) + line + data.draw(PADDING)
+            built.append(edit(line) if i == bad else line)
+        built += data.draw(BLANKS)
+        assert parsed(built) == reference_parse(built)
+
+    def test_reads_back_every_pinned_run(self):
+        rng = random.Random(20260814)
+        scenarios = [load_scenario(name) for name in list_scenarios()]
+        scenarios += [random_scenario(rng, i) for i in range(20)]
+        scenarios += [loads(workloads.generate(name, 1), ticks=150)
+                      for name in ("steady-long", "contended")]
+        for scn in scenarios:
+            trace = run(scn)[0]
+            assert parse_trace(trace.dumps()) == trace, scn.data["name"]
+
+    def test_parsed_events_share_their_keys_and_text(self):
+        # steady-long (seed 1) at 200 ticks: retained heap, not wall time
+        text = run(loads(workloads.generate("steady-long", 1), ticks=200))[0].dumps()
+        lines = [line for line in text.split("\n") if line.strip()]
+        assert len(lines) == 5607
+
+        def retained(build) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                kept = build()  # noqa: F841 (held while the heap is read)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        plain = retained(lambda: [json.loads(line) for line in lines])
+        shared = retained(lambda: parse_trace(text))
+        assert shared <= 0.6 * plain, (shared, plain)
+
+        events = parse_trace(text).events
+        keys = [key for event in events for key in event]
+        assert len({id(key) for key in keys}) == len(set(keys))
+        kinds = [event["kind"] for event in events]
+        assert len({id(kind) for kind in kinds}) == len(set(kinds))
+
+
 @pytest.fixture(scope="module")
 def case1():
     scn = load_scenario("case1")
@@ -126,7 +231,46 @@ def divergences(text, scn):
     return verify_trace(parse_trace(text), scn).divergences
 
 
+def line_by_line(text, replayed):
+    """verify's compare, written plainly: *text* split at every "\\n" against
+    the replay's lines (the empty line after the last newline included)."""
+    recorded = text.split("\n")
+    found = []
+    for i in range(max(len(recorded), len(replayed))):
+        actual = recorded[i] if i < len(recorded) else "<missing>"
+        expected = replayed[i] if i < len(replayed) else "<missing>"
+        if actual != expected:
+            found.append({"line": i + 1, "actual": actual, "expected": expected})
+    return found
+
+
+def _edited(line):
+    return _dump({**json.loads(line), "note": "edited"})
+
+
 class TestVerifyCompare:
+    # case1's tick 1 is lines 18 to 26 (0-based 17 to 25); its last line is 38
+    @pytest.mark.parametrize("index, edit", [
+        (17, _edited), (22, _edited), (25, _edited), (0, _edited),
+        (22, lambda line: line + "\r"), (25, lambda line: line + "\r"),
+        (37, lambda line: line + "\r"),
+    ], ids=["first-of-tick", "middle-of-tick", "tick-end", "header",
+            "cr-mid-tick", "cr-on-tick-end", "cr-on-last-line"])
+    def test_reports_as_a_plain_line_compare(self, case1, index, edit):
+        scn, _, lines = case1
+        assert [json.loads(lines[i])["tick"] for i in (16, 17, 25, 26)] == [0, 1, 1, 2]
+        assert json.loads(lines[25])["kind"] == "tick-end"
+        tampered = list(lines)
+        tampered[index] = edit(lines[index])
+        text = "\n".join(tampered)
+        assert divergences(text, scn) == line_by_line(text, lines) == [
+            {"line": index + 1, "actual": tampered[index], "expected": lines[index]}]
+
+    def test_cr_after_the_last_newline_diverges(self, case1):
+        scn, text, lines = case1
+        assert divergences(text + "\r", scn) == line_by_line(text + "\r", lines) == [
+            {"line": 39, "actual": "\r", "expected": ""}]
+
     def test_last_two_lines_cut_off(self, case1):
         scn, _, lines = case1
         assert divergences("\n".join(lines[:36]) + "\n", scn) == [
