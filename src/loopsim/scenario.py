@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -41,6 +42,16 @@ from .traffic import RegionProfile, TrafficModel
 # summing the demand of every region an agent watches cannot overflow to
 # infinity, and neither can the sine's argument.
 MAX_DEMAND = 1e15
+
+# PyYAML's LibYAML bindings when it has them: the same data as its pure-Python
+# loader, about 8x faster.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+# Deepest nesting of collections a scenario document may have; the built-ins
+# nest at most 8 deep.  Both loaders build the tree by recursion: the
+# pure-Python one raises RecursionError past about 1000 levels, and LibYAML's
+# crashes the process with a segmentation fault past some tens of thousands.
+MAX_DEPTH = 64
 
 EFFECTS = frozenset(e.value for e in TaintEffect)
 ROLES = frozenset(r.value for r in AgentRole)
@@ -484,10 +495,47 @@ def from_dict(data: dict, seed: int | None = None, ticks: int | None = None) -> 
     return Scenario(norm["name"], norm["seed"], norm["ticks"], scenario_hash(norm), norm)
 
 
+def _too_deep(event) -> ParseError:
+    return ParseError(f"scenario nests deeper than {MAX_DEPTH} levels", event.start_mark.line + 1)
+
+
+def _check_depth(text: str) -> None:
+    """Raise a ``ParseError`` at the first event of *text* that nests deeper
+    than ``MAX_DEPTH`` collections.  An alias is as deep as the node it names,
+    and one inside the node it names is too deep (a cycle)."""
+    heights = {}  # anchor -> the height of the node it names, in collections
+    stack = []  # each open collection: [its anchor, the height of its tallest child]
+    for event in yaml.parse(text, Loader=YAML_LOADER):
+        kind = type(event)
+        if kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            if len(stack) == MAX_DEPTH:
+                raise _too_deep(event)
+            if event.anchor is not None:
+                heights[event.anchor] = math.inf  # until it closes
+            stack.append([event.anchor, 0])
+            continue
+        if kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            anchor, tallest = stack.pop()
+            height = tallest + 1
+        elif kind is yaml.ScalarEvent:
+            anchor, height = event.anchor, 0
+        elif kind is yaml.AliasEvent:
+            anchor, height = None, heights.get(event.anchor, 0)  # an unknown one fails to load
+            if len(stack) + height > MAX_DEPTH:
+                raise _too_deep(event)
+        else:  # stream and document start and end
+            continue
+        if anchor is not None:
+            heights[anchor] = height
+        if stack and stack[-1][1] < height:
+            stack[-1][1] = height
+
+
 def loads(text: str, seed: int | None = None, ticks: int | None = None) -> Scenario:
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        _check_depth(text)
+        data = yaml.load(text, Loader=YAML_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml's lone surrogate
         line = None
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

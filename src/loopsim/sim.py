@@ -688,4 +688,6 @@ def load_events_file(path: str) -> list[dict]:
                 events.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{i}: bad event line: {exc}") from None
+            except RecursionError:
+                raise ValidationError(f"{path}:{i}: bad event line: nested too deeply") from None
     return events

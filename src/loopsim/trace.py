@@ -8,8 +8,8 @@ replay with the recorded text one tick at a time. A file is read and written
 with no newline translation, so the bytes compared are the bytes on disk.
 
 ``parse_trace`` reads each line as ``json.loads`` would, with the same error
-messages, and rejects an event that lacks, or mistypes, a key the readers of
-a trace use. It lets go of each line once read, and its events share one
+messages, and rejects a line nested too deeply to read and an event that
+lacks, or mistypes, a key the readers of a trace use. It lets go of each line once read, and its events share one
 copy of each key and of each text value, so a parsed trace is about the size
 of the engine's own events.
 """
@@ -145,9 +145,10 @@ def parse_trace(text: str) -> Trace:
             continue
         try:
             obj = _load(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             what = "header" if header is None else "event"
-            raise ParseError(f"bad trace {what}: {exc}", line=i) from None
+            problem = exc if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+            raise ParseError(f"bad trace {what}: {problem}", line=i) from None
         if header is not None:
             _check_event(obj, i)
             events.append({share(k, k): share(v, v) if type(v) is str else v

@@ -87,6 +87,13 @@ class TestRun:
         assert code == 2
         assert "unknown agent 'ghost'" in err
 
+    def test_events_line_nested_100000_deep_is_an_input_error(self, capsys, tmp_path):
+        events = tmp_path / "ops.jsonl"
+        events.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        code, _, err = invoke(capsys, "run", "case1", "--events", str(events))
+        assert code == 2
+        assert err == f"error: {events}:1: bad event line: nested too deeply\n"
+
     def test_unknown_scenario_is_an_input_error(self, capsys):
         code, _, err = invoke(capsys, "run", "no-such-scenario")
         assert code == 2
@@ -295,6 +302,17 @@ class TestMalformedTrace:
         assert code == 2
         assert err.startswith("error: bad ")
         assert message in err
+
+    @pytest.mark.parametrize("command", ["verify", "summarize"])
+    def test_event_nested_100000_deep_is_an_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case2", "--out", str(path))
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:3] + ["[" * 100_000 + "]" * 100_000] + lines[3:]))
+        args = [command, str(path)] + (["case2"] if command == "verify" else [])
+        code, _, err = invoke(capsys, *args)
+        assert code == 2
+        assert err == "error: bad trace event: nested too deeply (line 4)\n"
 
     def test_error_names_the_physical_line(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -12,7 +12,9 @@ from loopsim.errors import (
     CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ParseError, ValidationError,
 )
 from loopsim.scenario import from_dict, list_scenarios, load_scenario
-from loopsim.sim import World, check_invariants, run, summarize, verify_trace
+from loopsim.sim import (
+    World, check_invariants, load_events_file, run, summarize, verify_trace,
+)
 from loopsim.trace import load_trace, parse_trace
 from loopsim.traffic import TrafficModel
 
@@ -444,6 +446,14 @@ class TestSuspensionAndRelease:
     def test_extra_events_are_validated(self):
         with pytest.raises(ValidationError):
             run(self.scenario(), extra_events=[{"tick": 0, "kind": "nonsense"}])
+
+    def test_an_events_line_nested_too_deeply_is_named(self, tmp_path):
+        path = tmp_path / "ops.jsonl"
+        path.write_text('{"tick": 1, "kind": "release", "acl": "x"}\n\n'
+                        + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(ValidationError) as err:
+            load_events_file(str(path))
+        assert str(err.value) == f"{path}:3: bad event line: nested too deeply"
 
 
 class TestSummarize:

@@ -181,6 +181,14 @@ class TestParseTrace:
         built += data.draw(BLANKS)
         assert parsed(built) == reference_parse(built)
 
+    @pytest.mark.parametrize("at, what", [(0, "header"), (3, "event")])
+    def test_a_line_nested_too_deeply_is_a_parse_error(self, case1, at, what):
+        lines = case1[2][:-1]
+        lines[at:at] = ["", "[" * 100_000 + "]" * 100_000]  # blank lines count
+        with pytest.raises(ParseError) as err:
+            parse_trace("\n".join(lines))
+        assert str(err.value) == f"bad trace {what}: nested too deeply (line {at + 2})"
+
     def test_reads_back_every_pinned_run(self):
         rng = random.Random(20260814)
         scenarios = [load_scenario(name) for name in list_scenarios()]
