@@ -17,9 +17,9 @@ the nodes.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Set
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
 
 from .cluster import ClusterState, PriorityLevel, ResourceVector, Toleration
 from .errors import EmptyScope, SuspendedAgent
@@ -226,13 +226,9 @@ class PlanContext:
     tick: int
     state: ClusterState
     idle_streaks: dict[str, int]
-    powered_off: frozenset[str]
+    powered_off: Set[str]
     outstanding_targets: frozenset[str]
     slice_requests: tuple[SliceRequest, ...] = ()
-
-
-def _owned_pods(agent: LoopAgent, state: ClusterState) -> list[str]:
-    return sorted(state.by_owner.get(agent.id, ()))
 
 
 def _next_intent(agent: LoopAgent, tick: int, kind: ActionKind, target: str,
@@ -266,7 +262,7 @@ def plan(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIn
 def _plan_scaler(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
     if agent.target in ctx.outstanding_targets:
         return []  # an earlier scale action is still in flight
-    pods = _owned_pods(agent, ctx.state)
+    pods = ctx.state.by_owner.get(agent.id, ())
     replicas = len(pods)
     direction = 0
     if replicas == 0:
@@ -294,12 +290,13 @@ def _plan_scaler(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[
             pod_specs=(agent.pod_template,),
         )
     else:
-        bound = [p for p in pods if p in ctx.state.bindings]
-        if not bound:
+        bindings = ctx.state.bindings
+        victim = max((p for p in pods if p in bindings), default=None)
+        if victim is None:
             return []
         intent = _next_intent(
             agent, ctx.tick, ActionKind.SCALE_DOWN, agent.target, prediction,
-            pod_ids=(max(bound),),
+            pod_ids=(victim,),
         )
     agent.last_scale_tick = ctx.tick
     agent.last_scale_direction = direction

@@ -10,9 +10,20 @@ component-wise.
 
 A live pod is Bound when ``bindings`` holds it and Pending otherwise.
 ``terminate`` drops a pod from live state and reserves its id, so no query
-grows with the history of a run.  Like kube-scheduler's ``NodeInfo``, the
-state keeps per-node usage and pod ids and pod ids per owner; construction
-derives them in one pass and the operations keep them up.
+grows with the history of a run.  Like kube-scheduler's ``NodeInfo`` and
+its snapshot, the state keeps these indexes; construction derives them and
+the operations keep them up:
+
+- ``node_info``: per node, the summed requests and the ids of its bound pods
+  (``bind``, ``evict``, ``terminate``);
+- ``by_owner``: per owner, the ids of its live pods (``add_pod``,
+  ``terminate``);
+- ``powered_off``: the nodes carrying a ``powered-off`` taint
+  (``apply_taint``, ``remove_taint``);
+- ``eligible``: per toleration set, the tier of every node it tolerates.  The
+  scheduler fills an entry the first time it ranks for that set, and
+  ``apply_taint`` and ``remove_taint``, the only operations that change a
+  taint, drop them all.
 """
 
 from __future__ import annotations
@@ -140,6 +151,10 @@ class ClusterState:
     # indexes over pods and bindings; derived here, kept up by the operations
     node_info: dict[str, NodeInfo] = field(init=False, repr=False, compare=False)
     by_owner: dict[str, set[str]] = field(init=False, repr=False, compare=False)
+    powered_off: set[str] = field(init=False, repr=False, compare=False)
+    # tolerations -> {node id: tier}, filled by ``scheduler.eligible_nodes``
+    eligible: dict[frozenset[Toleration], dict[str, int]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bound: dict[str, list[str]] = {node_id: [] for node_id in self.nodes}
@@ -154,6 +169,12 @@ class ClusterState:
         self.by_owner = {}
         for pod in self.pods.values():
             self.by_owner.setdefault(pod.owner, set()).add(pod.id)
+        self.powered_off = {n.id for n in self.nodes.values() if _powered_off(n)}
+        self.eligible = {}
+
+
+def _powered_off(node: Node) -> bool:
+    return any(t.key == POWERED_OFF_KEY for t in node.taints)
 
 
 def tolerates(pod: Pod, node: Node) -> bool:
@@ -212,11 +233,20 @@ def add_pod(state: ClusterState, pod: Pod) -> None:
     state.by_owner.setdefault(pod.owner, set()).add(pod.id)
 
 
+def _set_taints(state: ClusterState, node: Node, taints: frozenset[Taint]) -> None:
+    node = state.nodes[node.id] = replace(node, taints=taints)
+    if _powered_off(node):
+        state.powered_off.add(node.id)
+    else:
+        state.powered_off.discard(node.id)
+    state.eligible.clear()
+
+
 def apply_taint(state: ClusterState, node_id: str, taint: Taint) -> None:
     """Add a taint. Never evicts by itself; NoExecute enforcement is a
     separate scheduler pass so that evictions land in the trace in order."""
     node = _node(state, node_id)
-    state.nodes[node_id] = replace(node, taints=node.taints | {taint})
+    _set_taints(state, node, node.taints | {taint})
 
 
 def remove_taint(
@@ -228,7 +258,7 @@ def remove_taint(
         for t in node.taints
         if not (t.key == key and (effect is None or t.effect == effect))
     )
-    state.nodes[node_id] = replace(node, taints=keep)
+    _set_taints(state, node, keep)
 
 
 def _unbind(state: ClusterState, pod: Pod) -> None:

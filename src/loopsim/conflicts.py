@@ -16,6 +16,7 @@ Responsibilities, in pipeline order per tick:
 Routing reads the size class and regions each agent carries from
 ``agents.resolve_scope``: a conflict whose participants are all non-Mega and
 cover one region goes to ``regional:<region>``, anything else to ``e2e``.
+Each loop's own instance, ``home``, is resolved once, at construction.
 Regional instances act on their own tick; the end-to-end instance only acts on
 ticks that are multiples of its period, buffering work in between; ``held()``
 lists every intent submitted but neither applied nor dropped, one object each.
@@ -222,6 +223,9 @@ class ConflictManager:
     def __init__(self, config: ManagerConfig, agents: dict[str, LoopAgent]):
         self.config = config
         self.agents = agents
+        # the instance that handles each loop alone: it reads only the loop's
+        # size and regions, which no operation changes
+        self.home = {acl: self.route([acl]) for acl in agents}
         self.baselines: dict[str, CoherencyBaseline] = {}
         self.freezes: dict[tuple[str, str], int] = {}
         # tick, acl, target, direction, in tick order and never later than the
@@ -269,8 +273,9 @@ class ConflictManager:
 
     def submit(self, intent: ActionIntent) -> int:
         """Return the tick at which the owning instance will look at this intent."""
-        instance = self.route([intent.acl_id])
-        return intent.tick if instance != E2E else self.next_e2e_tick(intent.tick)
+        if self.home[intent.acl_id] != E2E:
+            return intent.tick
+        return self.next_e2e_tick(intent.tick)
 
     # -- coherency / lifecycle ----------------------------------------------
 
@@ -462,7 +467,7 @@ class ConflictManager:
                         tolerations=spec.tolerations,
                         priority=owner.priority,
                     )
-                    feasible = scheduler.filter_nodes(state, probe)
+                    feasible = scheduler.eligible_nodes(state, probe)
                     top_node[spec.tolerations] = (
                         scheduler.score_nodes(state, probe, feasible)[0]
                         if feasible else None
@@ -603,8 +608,7 @@ class ConflictManager:
 
         # 5. uninvolved intents from end-to-end scoped loops wait for their instance
         for intent in pool:
-            instance = self.route([intent.acl_id])
-            if instance == E2E and not self.is_e2e_tick(tick):
+            if self.home[intent.acl_id] == E2E and not self.is_e2e_tick(tick):
                 self._held_intents.append(intent)
                 out.buffered.append(intent)
             else:

@@ -65,10 +65,10 @@ class Field:
     """One scalar key of a scenario mapping.
 
     *kind* is int, float, str, bool or the frozenset of allowed strings; str
-    and bool accept any value and convert it.  A field without a default is
-    required, and one whose default is None may also be given as null.  A
-    number must lie within [*low*, *high*], or (*low*, *high*] when
-    *low_open*; a missing bound is no bound.
+    accepts any scalar and bool any value, and both convert it.  A field
+    without a default is required, and one whose default is None may also be
+    given as null.  A number must lie within [*low*, *high*], or (*low*,
+    *high*] when *low_open*; a missing bound is no bound.
     """
 
     kind: object
@@ -181,11 +181,27 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _shown(value) -> str:
+    """*value* as an error message quotes it: a scalar's repr, a list's or a
+    mapping's type name.  Through aliases a few bytes of YAML can name a list
+    of any size."""
+    if isinstance(value, (list, tuple, dict)):
+        return type(value).__name__
+    return repr(value)
+
+
+def _text(value, where: str) -> str:
+    """``str(value)`` for a scalar; a list or a mapping is refused."""
+    if isinstance(value, (list, tuple, dict)):
+        raise ValidationError(f"{where}: expected text, got {_shown(value)}")
+    return str(value)
+
+
 def _one_of(value, allowed, what: str, where: str) -> str:
     """*value* when it is one of the *allowed* strings (which an unhashable
     value, such as a list, cannot be)."""
     if not isinstance(value, str) or value not in allowed:
-        raise ValidationError(f"{where}: unknown {what} {value!r}")
+        raise ValidationError(f"{where}: unknown {what} {_shown(value)}")
     return value
 
 
@@ -203,7 +219,7 @@ def _number(kind: type, value, where: str):
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+        raise ValidationError(f"{where}: expected {kind.__name__}, got {_shown(value)}") from None
     if number != number or abs(number) > sys.float_info.max:
         raise ValidationError(f"{where}: must be finite, got {value!r}")
     return number
@@ -228,8 +244,10 @@ def _fields(raw, table: dict, where: str) -> dict:
             if (low is not None and (value <= low if spec.low_open else value < low)
                     or high is not None and value > high):
                 raise ValidationError(f"{where}: {key} must be {spec.bounds()}, got {value!r}")
-        elif spec.kind is str or spec.kind is bool:
-            value = spec.kind(value)
+        elif spec.kind is str:
+            value = _text(value, f"{where}: {key}")
+        elif spec.kind is bool:
+            value = bool(value)
         elif value is not None or spec.default is not None:
             _one_of(value, spec.kind, key, where)
         out[key] = value
@@ -310,7 +328,7 @@ def normalize(data: dict) -> dict:
     fallback = next(l["name"] for l in norm["priority_levels"] if l["global_default"])
 
     def priority(raw: dict, where: str) -> str:
-        name = str(raw.get("priority", fallback))
+        name = _text(raw.get("priority", fallback), f"{where}: priority")
         if name not in levels:
             raise ValidationError(f"{where}: unknown priority {name!r}")
         return name
@@ -323,7 +341,7 @@ def normalize(data: dict) -> dict:
         )
     nodes: dict[str, dict] = {}
     for i, raw in enumerate(_list(_require(topo, "nodes", "topology"), "topology.nodes")):
-        node_id = str(_require(raw, "id", f"topology.nodes[{i}]"))
+        node_id = _text(_require(raw, "id", f"topology.nodes[{i}]"), f"topology.nodes[{i}]: id")
         if node_id in nodes:
             raise ValidationError(f"duplicate node id {node_id!r}")
         where = f"node {node_id}"
@@ -346,11 +364,12 @@ def normalize(data: dict) -> dict:
     # agents
     agent_entries: dict[str, dict] = {}
     for i, raw in enumerate(_list(data.get("agents", []), "agents")):
-        agent_id = str(_require(raw, "id", f"agents[{i}]"))
+        agent_id = _text(_require(raw, "id", f"agents[{i}]"), f"agents[{i}]: id")
         if agent_id in agent_entries:
             raise ValidationError(f"duplicate agent id {agent_id!r}")
         where = f"agent {agent_id}"
-        scope = [str(s) for s in _list(_require(raw, "scope", where), f"{where}: scope")]
+        scope = [_text(s, f"{where}: scope")
+                 for s in _list(_require(raw, "scope", where), f"{where}: scope")]
         try:
             agents_mod.resolve_scope(frozenset(scope), node_regions)
         except (EmptyScope, ValueError) as exc:
@@ -360,7 +379,7 @@ def normalize(data: dict) -> dict:
             "scope": sorted(scope),
             "priority": priority(raw, where),
             **_fields(raw, AGENT, where),
-            "target": str(raw.get("target", f"svc-{agent_id}")),
+            "target": _text(raw.get("target", f"svc-{agent_id}"), f"{where}: target"),
         }
         if not entry["watermark_low"] < entry["watermark_high"]:
             raise ValidationError(f"{where}: need 0 <= low < high watermarks")
@@ -374,7 +393,7 @@ def normalize(data: dict) -> dict:
     # initial pods
     pods: dict[str, dict] = {}
     for i, raw in enumerate(_list(data.get("initial_pods", []), "initial_pods")):
-        pod_id = str(_require(raw, "id", f"initial_pods[{i}]"))
+        pod_id = _text(_require(raw, "id", f"initial_pods[{i}]"), f"initial_pods[{i}]: id")
         if pod_id in pods:
             raise ValidationError(f"duplicate pod id {pod_id!r}")
         where = f"pod {pod_id}"
@@ -407,16 +426,16 @@ def normalize(data: dict) -> dict:
         pairs = []
         for entry in _list(entries, where):
             if isinstance(entry, dict):
-                target = str(_require(entry, "acl", where))
+                target = _text(_require(entry, "acl", where), f"{where}: acl")
                 kinds = _list(_require(entry, "kinds", where), f"{where}.kinds")
             else:  # already-normalized [target, kind] pair
                 target, kind = _pair(entry, where)
-                target, kinds = str(target), [kind]
+                target, kinds = _text(target, where), [kind]
             if target not in agent_entries:
                 raise ValidationError(f"{where}: unknown agent {target!r}")
             for kind in kinds:
                 pairs.append([target, _one_of(kind, ARTIFACT_KINDS, "artifact kind", where)])
-        trust[str(source)] = sorted(pairs)
+        trust[_text(source, "trust")] = sorted(pairs)
     norm["trust"] = dict(sorted(trust.items()))
 
     norm["manager"] = _fields(data.get("manager") or {}, MANAGER, "manager")
@@ -435,7 +454,7 @@ def normalize(data: dict) -> dict:
                 step = dict(zip(STEP, _pair(step, at)))
             steps.append(list(_fields(step, STEP, at).values()))
         profile["steps"] = sorted(steps)
-        profiles[str(region)] = profile
+        profiles[_text(region, "traffic")] = profile
     for region in regions:
         profiles.setdefault(region, {**_fields({}, TRAFFIC, "traffic"), "steps": []})
     norm["traffic"] = dict(sorted(profiles.items()))

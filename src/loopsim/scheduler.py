@@ -5,15 +5,22 @@ Every Pending pod waits in one ``PendingQueue``, a heap in order of play
 ``coordinate`` runs one cluster-wide round: first NoExecute taints are
 enforced, then the queue drains, preempting lower-priority pods when
 capacity demands it.  An evicted pod is Pending and back in the queue at
-once, so every Pending pod stays queued.  Within a round, a pod whose shape (request, tolerations, priority) already came out
-Pending since the last bind or eviction gets that answer again without a
-second ``schedule`` call.
+once, so every Pending pod stays queued.  Within a round, a pod whose shape
+(request, tolerations, priority) already came out Pending since the last bind
+or eviction gets that answer again without a second ``schedule`` call.
+
+Which nodes a pod tolerates, and in which tier each falls, depends only on
+its tolerations and the nodes' taints, so ``eligible_nodes`` derives it once
+per toleration set and keeps it in ``ClusterState.eligible`` until a taint
+changes; a ranking then only orders those nodes by the free room
+``node_info`` holds.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -84,15 +91,34 @@ def score_tier(state: ClusterState, pod: Pod, node_id: str) -> int:
     return 2 if unmatched_soft else 1
 
 
-def score_nodes(state: ClusterState, pod: Pod, feasible: set[str]) -> list[str]:
-    """Order feasible nodes: tier, then most free cpu, most free memory, id."""
+def eligible_nodes(state: ClusterState, pod: Pod) -> dict[str, int]:
+    """The tier (``score_tier``) of every node the pod tolerates
+    (``filter_nodes``), by node id.
+
+    Both read only the pod's tolerations and the nodes' taints, so the answer
+    is kept in ``state.eligible`` per toleration set until a taint changes.
+    """
+    tiers = state.eligible.get(pod.tolerations)
+    if tiers is None:
+        tiers = state.eligible[pod.tolerations] = {
+            node_id: score_tier(state, pod, node_id)
+            for node_id in sorted(filter_nodes(state, pod))
+        }
+    return tiers
+
+
+def score_nodes(state: ClusterState, pod: Pod, feasible: Iterable[str]) -> list[str]:
+    """Order feasible nodes, which the pod must tolerate: tier, then most free
+    cpu, most free memory, id."""
+    tiers = eligible_nodes(state, pod)
+    nodes, info = state.nodes, state.node_info
 
     def key(node_id: str):
-        free = cluster.free_capacity(state, node_id)
+        capacity, used = nodes[node_id].capacity, info[node_id].used
         return (
-            score_tier(state, pod, node_id),
-            -free.cpu_millicores,
-            -free.memory_mib,
+            tiers[node_id],
+            used.cpu_millicores - capacity.cpu_millicores,
+            used.memory_mib - capacity.memory_mib,
             node_id,
         )
 
@@ -135,8 +161,7 @@ def schedule(state: ClusterState, pod: Pod) -> Decision:
     Walks the scored node list twice: once looking for free room, then (if the
     pod's priority level allows it) once more looking for a preemptable set.
     """
-    feasible = filter_nodes(state, pod)
-    ranked = score_nodes(state, pod, feasible)
+    ranked = score_nodes(state, pod, eligible_nodes(state, pod))
     for node_id in ranked:
         if cluster.fits(state, pod, node_id):
             return Decision(DecisionKind.BOUND, pod.id, node_id)

@@ -16,6 +16,11 @@ Tick phases, in order:
    preemptions) and keeps only the pods left Pending in it,
 7. bookkeeping: capacity and queue checks, idle streaks, conservation counts.
 
+A tick derives what several loops or pods share once: the loops over the same
+regions share one summed demand per tick sampled and one truth, each region's
+truth is asked once, and bookkeeping walks a node order taken at set-up (no
+operation adds or removes a node).
+
 Running the same scenario twice yields byte-identical traces. The trace is
 the only account of a run: ``Metrics.from_trace`` folds it into counters,
 and ``summarize`` renders that fold.
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import agents as agents_mod
@@ -32,6 +38,7 @@ from . import cluster, scenario as scenario_mod, scheduler
 from .agents import (
     ActionIntent,
     ActionKind,
+    AgentRole,
     LifecycleState,
     PlanContext,
     SliceRequest,
@@ -42,6 +49,7 @@ from .errors import (
     CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ValidationError,
 )
 from .scenario import Scenario
+from .traffic import TrafficModel
 from .trace import EVENT_KINDS, TRACE_FORMAT, Trace, _dump
 
 
@@ -145,6 +153,19 @@ class Metrics:
         return m
 
 
+def _summed_demand(traffic: TrafficModel, regions: tuple[str, ...]) -> Callable[[int], float]:
+    """Demand over *regions* at a tick, each tick summed once."""
+    sums: dict[int, float] = {}
+
+    def demand(tick: int) -> float:
+        value = sums.get(tick)
+        if value is None:
+            value = sums[tick] = sum(traffic.sample(r, tick) for r in regions)
+        return value
+
+    return demand
+
+
 class World:
     def __init__(self, scn: Scenario, extra_events: list[dict] | None = None):
         norm = scn.data
@@ -179,23 +200,16 @@ class World:
         self.tick = 0
         self._seq = 0
         self.idle_streaks: dict[str, int] = {n: 0 for n in self.state.nodes}
+        # bookkeeping's node order: no operation adds or removes a node
+        self._node_ids = sorted(self.state.nodes)
         self.pending_slices: list[SliceRequest] = []
         self._slice_seq = 0
 
     # -- helpers ---------------------------------------------------------
 
     def emit(self, kind: str, **payload) -> None:
-        event = {"seq": self._seq, "tick": self.tick, "kind": kind}
-        event.update(payload)
-        self.trace.events.append(event)
+        self.trace.events.append({"seq": self._seq, "tick": self.tick, "kind": kind, **payload})
         self._seq += 1
-
-    def powered_off(self) -> frozenset[str]:
-        return frozenset(
-            n.id
-            for n in self.state.nodes.values()
-            if any(t.key == POWERED_OFF_KEY for t in n.taints)
-        )
 
     # -- tick phases ------------------------------------------------------
 
@@ -247,12 +261,16 @@ class World:
     def _phase_agents(self) -> list[tuple[str, list[ActionIntent]]]:
         t = self.tick
         planned: list[tuple[str, list[ActionIntent]]] = []
-        powered_off = self.powered_off()  # planning never changes the cluster
+        traffic = self.traffic
         # every intent submitted but neither applied nor dropped, by loop; nothing
         # changes them before _phase_submit, which runs after every loop planned
         in_flight: dict[str, list[ActionIntent]] = {}
         for intent in self.manager.held():
             in_flight.setdefault(intent.acl_id, []).append(intent)
+        # what loops over the same regions share this tick, summed demand and
+        # truth, and each region's truth: the same sums in the same order
+        shared: dict[tuple[str, ...], tuple[Callable[[int], float], float]] = {}
+        region_truth: dict[str, float] = {}
         for acl in sorted(self.agents):
             agent = self.agents[acl]
             if agent.lifecycle is LifecycleState.SUSPENDED:
@@ -260,25 +278,32 @@ class World:
             if t % agent.period != 0:
                 continue
             regions = agent.regions
-
-            def demand(tt: int, rs=regions) -> float:
-                return sum(self.traffic.sample(r, tt) for r in rs)
+            if regions not in shared:
+                for r in regions:
+                    if r not in region_truth:
+                        region_truth[r] = traffic.truth(r, t)
+                shared[regions] = (_summed_demand(traffic, regions),
+                                   sum(region_truth[r] for r in regions))
+            demand, truth = shared[regions]
 
             samples = agents_mod.monitor(agent, demand, t)
-            truth = sum(self.traffic.truth(r, t) for r in regions)
             prediction, agent.predictor = agents_mod.analyze(
                 samples, agent.predictor, ground_truth=truth
             )
             self.emit("prediction", acl=acl, value=prediction, truth=truth)
 
-            my_slices = tuple(s for s in self.pending_slices if s.agent_id == acl)
+            # validation addresses a slice request to a slice loop only
+            my_slices = ()
+            if agent.role is AgentRole.SLICE:
+                my_slices = tuple(s for s in self.pending_slices if s.agent_id == acl)
+            mine = in_flight.get(acl)
             ctx = PlanContext(
                 tick=t,
                 state=self.state,
                 idle_streaks=self.idle_streaks,
-                powered_off=powered_off,
-                outstanding_targets=agents_mod.outstanding_targets(
-                    agent, in_flight.get(acl, [])),
+                powered_off=self.state.powered_off,  # planning never changes the cluster
+                outstanding_targets=(frozenset() if mine is None
+                                     else agents_mod.outstanding_targets(agent, mine)),
                 slice_requests=my_slices,
             )
             intents = agents_mod.plan(agent, prediction, ctx)
@@ -398,29 +423,31 @@ class World:
             raise InvalidPhase(min(unqueued), "is Pending but in no scheduler queue at tick end")
         # usage re-summed from the bindings, not read from node_info: bind
         # checks fit against that index, so only this sum can catch it drifting
-        bound: dict[str, list[str]] = {node_id: [] for node_id in state.nodes}
+        bound: dict[str, list[str]] = {node_id: [] for node_id in self._node_ids}
         for pod_id, node_id in state.bindings.items():
             bound[node_id].append(pod_id)
-        off = self.powered_off()
-        for node_id in sorted(state.nodes):
-            pod_ids = bound[node_id]
+        off = state.powered_off
+        pods, nodes, node_info, idle = state.pods, state.nodes, state.node_info, self.idle_streaks
+        for node_id, pod_ids in bound.items():
             cpu = memory = 0
             for pod_id in pod_ids:
-                request = state.pods[pod_id].request
+                request = pods[pod_id].request
                 cpu += request.cpu_millicores
                 memory += request.memory_mib
-            used = ResourceVector(cpu, memory)
-            capacity = state.nodes[node_id].capacity
-            if not capacity.covers(used):
-                raise CapacityExceeded(node_id, f"{used} used of {capacity}")
-            info = state.node_info[node_id]
-            if info.used != used or info.pods != tuple(sorted(pod_ids)):
+            capacity = nodes[node_id].capacity
+            if cpu > capacity.cpu_millicores or memory > capacity.memory_mib:
+                raise CapacityExceeded(
+                    node_id, f"{ResourceVector(cpu, memory)} used of {capacity}")
+            info = node_info[node_id]
+            if (info.used.cpu_millicores != cpu or info.used.memory_mib != memory
+                    or info.pods != tuple(sorted(pod_ids))):
                 raise IndexDrift(node_id, f"index has {info.used} for {list(info.pods)}, "
-                                          f"bindings give {used} for {sorted(pod_ids)}")
+                                          f"bindings give {ResourceVector(cpu, memory)} "
+                                          f"for {sorted(pod_ids)}")
             if node_id not in off and not pod_ids:
-                self.idle_streaks[node_id] = self.idle_streaks.get(node_id, 0) + 1
+                idle[node_id] = idle.get(node_id, 0) + 1
             else:
-                self.idle_streaks[node_id] = 0
+                idle[node_id] = 0
         self.emit("tick-end",
                   bound=len(state.bindings),
                   pending=len(state.pods) - len(state.bindings),

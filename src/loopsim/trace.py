@@ -69,8 +69,11 @@ class Trace:
         return "\n".join(self.lines()) + "\n"
 
     def write(self, path: str) -> None:
+        """Write ``dumps()``'s bytes line by line, never holding the whole text."""
         with open(path, "w", encoding="utf-8", newline="") as fh:  # "\n", on every OS
-            fh.write(self.dumps())
+            fh.write(_dump(self.header) + "\n")
+            for event in self.events:
+                fh.write(_dump(event) + "\n")
 
 
 _INT, _NUMBER, _TEXT = (int,), (int, float), (str,)  # a JSON true is no count

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with, taint, tol
-from loopsim import scheduler
+from loopsim import cluster, scheduler
 from loopsim.agents import (
     ActionIntent,
     ActionKind,
@@ -362,6 +362,22 @@ ENGINE_CLAIMS = ConflictManager._claims
 ENGINE_DETECT = ConflictManager.detect_resource_conflicts
 
 
+REFERENCE_RANKINGS = []  # the toleration set of every fresh ranking below
+
+
+def fresh_ranking(state, probe):
+    """Tier, most free cpu, most free memory, id, over a fresh filter: no
+    index of the state is read."""
+    REFERENCE_RANKINGS.append(probe.tolerations)
+
+    def key(node_id):
+        free = cluster.free_capacity(state, node_id)
+        return (scheduler.score_tier(state, probe, node_id), -free.cpu_millicores,
+                -free.memory_mib, node_id)
+
+    return sorted(scheduler.filter_nodes(state, probe), key=key)
+
+
 def probe_per_spec_claims(manager, intent, state, top_node):
     """Reference claims: a fresh filter and ranking for every pod spec."""
     if intent.kind not in (ActionKind.SCALE_UP, ActionKind.INSTANTIATE):
@@ -370,17 +386,19 @@ def probe_per_spec_claims(manager, intent, state, top_node):
     for i, spec in enumerate(intent.pod_specs):
         probe = Pod(f"__ref-{intent.intent_id}-{i}", intent.acl_id, spec.request,
                     spec.tolerations, manager.agents[intent.acl_id].priority)
-        feasible = scheduler.filter_nodes(state, probe)
-        if feasible:
-            out.append((scheduler.score_nodes(state, probe, feasible)[0], spec.request))
+        ranked = fresh_ranking(state, probe)
+        if ranked:
+            out.append((ranked[0], spec.request))
     return out
 
 
 class TestRankingPerTolerationSet:
-    """Detection ranks the nodes once per toleration set, not once per spec."""
+    """Detection ranks the nodes (``score_nodes``) once per toleration set, not
+    once per spec, and finds what a fresh ranking per spec finds."""
 
     @pytest.fixture
     def rankings(self, monkeypatch):
+        REFERENCE_RANKINGS.clear()
         calls = []
         score_nodes = scheduler.score_nodes
 
@@ -417,8 +435,8 @@ class TestRankingPerTolerationSet:
             for n, acl in enumerate(("a", "b", "c", "a"))
         ]
         want = self.reference(monkeypatch, mgr, 0, intents, state)
-        assert len(rankings) == 40
-        rankings.clear()
+        assert len(REFERENCE_RANKINGS) == 40
+        assert rankings == []
         found = mgr.detect_resource_conflicts(0, intents, state)
         assert len(rankings) == 3
         assert set(rankings) == {frozenset(s) for s in sets}
@@ -431,14 +449,14 @@ class TestRankingPerTolerationSet:
         seen = {"records": 0, "reference rankings": 0, "rankings": 0}
 
         def checked(mgr, tick, intents, state):
-            before = len(rankings)
+            reference_before, before = len(REFERENCE_RANKINGS), len(rankings)
             want = self.reference(monkeypatch, mgr, tick, intents, state)
-            middle = len(rankings)
+            assert len(rankings) == before
             got = ENGINE_DETECT(mgr, tick, intents, state)
             assert got == want, f"tick {tick}"
             seen["records"] += len(got)
-            seen["reference rankings"] += middle - before
-            seen["rankings"] += len(rankings) - middle
+            seen["reference rankings"] += len(REFERENCE_RANKINGS) - reference_before
+            seen["rankings"] += len(rankings) - before
             return got
 
         monkeypatch.setattr(ConflictManager, "detect_resource_conflicts", checked)

@@ -19,12 +19,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import node, pod, state_with
+from helpers import node, pod, state_with, taint, tol
 from loopsim import agents as agents_mod
-from loopsim import cluster
+from loopsim import cluster, scheduler
 from loopsim.cluster import NodeInfo, ZERO
 from loopsim.conflicts import CoherencyBaseline
-from loopsim.errors import CapacityExceeded, InvalidPhase, UnknownPod
+from loopsim.errors import CapacityExceeded, InvalidPhase, TaintViolation, UnknownPod
 from loopsim.scenario import list_scenarios, load_scenario, loads
 from loopsim.sim import World
 from test_acceptance import random_scenario
@@ -60,6 +60,17 @@ class TraceLedger:
             elif kind in ("intent-applied", "intent-dropped"):
                 del self.unsettled[event["id"]]
         self.read = len(events)
+
+
+def powered_off_by_scan(state: cluster.ClusterState) -> set[str]:
+    return {n.id for n in state.nodes.values()
+            if any(t.key == cluster.POWERED_OFF_KEY for t in n.taints)}
+
+
+def eligibility_by_scan(state: cluster.ClusterState, tolerations) -> dict[str, int]:
+    probe = cluster.Pod("probe", "probe", ZERO, tolerations)
+    return {n: scheduler.score_tier(state, probe, n)
+            for n in sorted(scheduler.filter_nodes(state, probe))}
 
 
 def check_indexes(world: World, ledger: TraceLedger) -> None:
@@ -99,6 +110,12 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
             else:  # a container, <node>/<name>
                 named.add(item.split("/", 1)[0])
 
+    # the powered-off set vs a scan of the taints; every kept eligibility
+    # entry vs a fresh filter and tiering
+    assert state.powered_off == powered_off_by_scan(state)
+    for tolerations, tiers in state.eligible.items():
+        assert tiers == eligibility_by_scan(state, tolerations)
+
     in_flight = world.manager.held()
     for acl, agent in world.agents.items():
         # each agent's live pods vs a scan of all created pods
@@ -106,7 +123,7 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
             p for p, owner in ledger.owner.items()
             if owner == acl and p not in ledger.terminated
         )
-        assert agents_mod._owned_pods(agent, state) == expected
+        assert sorted(state.by_owner.get(acl, ())) == expected
         # the nodes a loop plans over vs its scope entries read by hand
         assert agent.nodes == tuple(
             sorted(named_nodes[acl], key=lambda n: (node_region[n], n)))
@@ -247,6 +264,89 @@ def test_random_operations_keep_the_indexes(steps):
             with pytest.raises(ValueError, match="duplicate"):
                 cluster.add_pod(state, POOL[int(pod_id[1:])])
         assert set(state.pods) == live
+
+
+TAINTS = [taint(cluster.POWERED_OFF_KEY), taint("a"), taint("a", "NoExecute"),
+          taint("b", "PreferNoSchedule"), taint("c")]
+TOLERATION_SETS = [frozenset(), frozenset({tol("a")}), frozenset({tol("a", "NoSchedule")}),
+                   frozenset({tol("b", "PreferNoSchedule")}), frozenset({tol("a"), tol("c")})]
+SHAPED = [pod(f"q{i}", cpu=300 * (i + 1), mem=200, tols=TOLERATION_SETS[i])
+          for i in range(len(TOLERATION_SETS))]
+TAINT_OPERATIONS = st.one_of(
+    st.tuples(st.just("apply_taint"), st.sampled_from(("n0", "n1", "n2")),
+              st.sampled_from(TAINTS)),
+    st.tuples(st.just("remove_taint"), st.sampled_from(("n0", "n1", "n2")),
+              st.sampled_from([(t.key, t.effect) for t in TAINTS]
+                              + [(t.key, None) for t in TAINTS])),
+    st.tuples(st.sampled_from(("bind", "evict", "schedule")),
+              st.integers(0, len(SHAPED) - 1), st.sampled_from(("n0", "n1", "n2"))),
+)
+
+
+def reference_ranking(state: cluster.ClusterState, p: cluster.Pod) -> list[str]:
+    """The ranking as it read before the eligibility index: a fresh filter,
+    then tier, most free cpu, most free memory and id from ``free_capacity``."""
+    def key(node_id):
+        free = cluster.free_capacity(state, node_id)
+        return (scheduler.score_tier(state, p, node_id), -free.cpu_millicores,
+                -free.memory_mib, node_id)
+    return sorted(scheduler.filter_nodes(state, p), key=key)
+
+
+@given(st.lists(TAINT_OPERATIONS, max_size=40))
+def test_taint_changes_keep_the_eligibility_and_powered_off_indexes(steps):
+    """apply_taint/remove_taint/bind/evict, with schedule filling the
+    eligibility index: after every step each kept entry equals a fresh
+    derivation, every toleration set ranks as it did before the index, and
+    the powered-off set equals a scan of the taints."""
+    state = state_with([node("n0", 1000, 1000), node("n1", 800, 800),
+                        node("n2", 600, 600, taints=[taint(cluster.POWERED_OFF_KEY)])],
+                       SHAPED)
+    for op, a, b in steps:
+        if op == "apply_taint":
+            cluster.apply_taint(state, a, b)
+        elif op == "remove_taint":
+            cluster.remove_taint(state, a, *b)
+        elif op == "schedule":
+            p = SHAPED[a]
+            assert scheduler.schedule(state, p).node_id in (
+                None, *(n for n in reference_ranking(state, p)))
+        elif op == "bind":
+            p = SHAPED[a]
+            try:
+                cluster.bind(state, p.id, b)
+            except (InvalidPhase, CapacityExceeded, TaintViolation):
+                pass
+        else:
+            try:
+                cluster.evict(state, SHAPED[a].id)
+            except InvalidPhase:
+                pass
+
+        assert state.powered_off == powered_off_by_scan(state)
+        assert set(state.eligible) <= set(TOLERATION_SETS)
+        for tolerations, tiers in state.eligible.items():
+            assert tiers == eligibility_by_scan(state, tolerations)
+        for p in SHAPED:
+            ranked = scheduler.score_nodes(state, p, scheduler.eligible_nodes(state, p))
+            assert ranked == reference_ranking(state, p)
+        assert_indexes_match_a_rescan(state)
+
+
+def test_a_taint_between_two_schedule_calls_changes_the_answer():
+    state = state_with([node("n0", 1000, 1000), node("n1", 2000, 2000)], [pod("p", 100, 100)])
+    p = state.pods["p"]
+    assert scheduler.schedule(state, p).node_id == "n1"  # the most free room
+    assert set(state.eligible) == {p.tolerations}
+    cluster.apply_taint(state, "n1", taint("a"))
+    assert state.eligible == {}
+    assert scheduler.schedule(state, p).node_id == "n0"
+    cluster.remove_taint(state, "n1", "a")
+    assert scheduler.schedule(state, p).node_id == "n1"
+    # a soft taint keeps the node eligible but moves it to the last tier
+    cluster.apply_taint(state, "n1", taint("b", "PreferNoSchedule"))
+    assert scheduler.schedule(state, p).node_id == "n0"
+    assert scheduler.eligible_nodes(state, p) == {"n0": 1, "n1": 2}
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)

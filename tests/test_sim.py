@@ -3,20 +3,26 @@
 import copy
 import dataclasses
 import json
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from loopsim import cluster
+from loopsim import cluster, scheduler
 from loopsim.cluster import Pod, ResourceVector
 from loopsim.errors import (
     CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ParseError, ValidationError,
 )
-from loopsim.scenario import from_dict, list_scenarios, load_scenario
+from loopsim.scenario import from_dict, list_scenarios, load_scenario, loads
 from loopsim.sim import (
     World, check_invariants, load_events_file, run, summarize, verify_trace,
 )
 from loopsim.trace import load_trace, parse_trace
 from loopsim.traffic import TrafficModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def events_of(trace, kind):
@@ -570,6 +576,91 @@ class TestFlatCost:
             world.step()
         # one draw for the traffic event, one for the agent's monitor
         assert calls == [2] * scn.ticks
+
+
+class TestWorkCounts:
+    """What a tick derives, counted by call: the counts depend on the scenario
+    alone, not on the host."""
+
+    @pytest.fixture(scope="class", params=["steady-long", "contended"])
+    def counted(self, request):
+        scn = loads(workloads.generate(request.param, 1), ticks=200)
+        world = World(scn)
+        truths = Counter()     # (region, tick) -> truth calls while loops plan
+        tolerates = Counter()  # (taint changes so far, tolerations, node) -> calls outside bind
+        seen = Counter()       # calls of the counted operations
+        inside = set()         # the flagged operations running now
+        patches = []
+
+        def patch(owner, name, wrapper):
+            original = getattr(owner, name)
+            patches.append((owner, name, original))
+            setattr(owner, name, wrapper(original))
+
+        def counting(key, flag=False):
+            def wrapper(fn):
+                def wrapped(*args):
+                    seen[key] += 1
+                    if flag:
+                        inside.add(key)
+                    try:
+                        return fn(*args)
+                    finally:
+                        inside.discard(key)
+                return wrapped
+            return wrapper
+
+        def truth(fn):
+            def wrapped(self, region, tick):
+                if "agents" in inside:
+                    truths[region, tick] += 1
+                return fn(self, region, tick)
+            return wrapped
+
+        def tolerates_(fn):
+            def wrapped(p, n):
+                if "binds" in inside:
+                    seen["bind_checks"] += 1
+                else:
+                    tolerates[seen["taint_changes"], p.tolerations, n.id] += 1
+                return fn(p, n)
+            return wrapped
+
+        patch(World, "_phase_agents", counting("agents", flag=True))
+        patch(TrafficModel, "truth", truth)
+        patch(cluster, "tolerates", tolerates_)
+        patch(cluster, "bind", counting("binds", flag=True))
+        patch(cluster, "apply_taint", counting("taint_changes"))
+        patch(cluster, "remove_taint", counting("taint_changes"))
+        patch(scheduler, "schedule", counting("schedules"))
+        try:
+            for _ in range(scn.ticks):
+                world.step()
+        finally:
+            for owner, name, original in reversed(patches):
+                setattr(owner, name, original)
+        return world, truths, tolerates, seen
+
+    def test_loops_ask_each_region_truth_once_a_tick(self, counted):
+        # ten or eleven loops over two regions share each region's truth
+        world, truths, _, _ = counted
+        assert len(world.agents) >= 10
+        assert set(truths.values()) == {1}
+        assert len(truths) == 2 * 200
+
+    def test_eligibility_is_derived_once_per_toleration_set_and_taint_change(self, counted):
+        world, _, tolerates, seen = counted
+        nodes = len(world.state.nodes)
+        assert set(tolerates.values()) == {1}
+        # one derivation per (taint change, toleration set): every node once
+        per_epoch = Counter((epoch, tols) for epoch, tols, _ in tolerates)
+        assert set(per_epoch.values()) == {nodes}
+        sets = {tols for _, tols, _ in tolerates}
+        assert len(tolerates) <= len(sets) * nodes * (seen["taint_changes"] + 1)
+        # not once per pod scheduled
+        assert len(per_epoch) < seen["schedules"] / 2
+        # bind keeps its own taint check
+        assert seen["bind_checks"] == seen["binds"] > 0
 
 
 class TestBookkeepingChecks:

@@ -325,3 +325,30 @@ class TestVerifyCompare:
             {"line": i + 1, "actual": lines[i], "expected": clean[i] if i < 39 else "<missing>"}
             for i in range(first, 40)
         ]
+
+
+class TestWrite:
+    """``Trace.write`` streams the bytes ``dumps()`` returns, one line at a time."""
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_file_bytes_equal_dumps(self, tmp_path, name):
+        trace = run(load_scenario(name))[0]
+        path = tmp_path / "t.jsonl"
+        trace.write(str(path))
+        assert path.read_bytes() == trace.dumps().encode("utf-8")
+
+    def test_non_ascii_and_an_empty_trace(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        for trace in (trace_mod.Trace({"format": TRACE_FORMAT, "name": "café \ud83d"}),
+                      trace_mod.Trace({"format": TRACE_FORMAT},
+                                      [{"seq": 0, "tick": 0, "kind": "x\n\r "}])):
+            trace.write(str(path))
+            assert path.read_bytes() == trace.dumps().encode("utf-8")
+
+    def test_the_whole_text_is_never_built(self, tmp_path, monkeypatch):
+        trace = run(loads(workloads.generate("steady-long", 1), ticks=100))[0]
+        monkeypatch.setattr(trace_mod.Trace, "dumps", None)
+        monkeypatch.setattr(trace_mod.Trace, "lines", None)
+        trace.write(str(tmp_path / "t.jsonl"))
+        monkeypatch.undo()
+        assert (tmp_path / "t.jsonl").read_bytes() == trace.dumps().encode("utf-8")

@@ -6,6 +6,7 @@ give the same scenario for every document the engine is fed, and neither may
 be handed a document nested deep enough to crash it.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -168,3 +169,87 @@ class TestDepthGuard:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == f"error: scenario nests deeper than {MAX_DEPTH} levels (line {line})\n"
+
+
+def aliases(levels: int) -> str:
+    """Anchors a0 .. a<levels>: a0 is a list of ten scalars and each further
+    one a list of ten aliases of the one before, so a<n> expands to 10**(n+1)
+    scalars in about 60 * n bytes."""
+    lines = ["a0: &a0 [" + ", ".join(["x"] * 10) + "]"]
+    lines += [f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]"
+              for i in range(1, levels + 1)]
+    return "\n".join(lines) + "\n"
+
+
+# a valid scenario with every text field a document can alias marked: the
+# mark is replaced by a huge alias, or by a plain value to check the template
+ALIASED = """\
+name: {name}
+priority_levels: [{{name: {level}, value: 10}}]
+topology: {{nodes: [{{id: {node}, region: {region}, cpu: 1000, memory: 1000}}]}}
+agents:
+  - {{id: {agent}, scope: [{scope}], priority: {priority}, target: {target}}}
+  - {{id: b, scope: [r], role: {role}}}
+initial_pods: [{{id: {pod}, owner: {owner}, node: n0, cpu: 1, memory: 1}}]
+trust: {{s: [{{acl: {acl}, kinds: [Model]}}, [{pair}, Dataset]]}}
+traffic: {{{traffic}: {{base: 1}}}}
+injected: [{{tick: 1, kind: taint, node: n0, key: {taint_key}, effect: NoSchedule}}]
+seed: {seed}
+"""
+PLAIN = {"name": "t", "level": "gold", "node": "n0", "region": "r", "agent": "s",
+         "scope": "r", "priority": "gold", "target": "svc", "role": "scaler", "pod": "p",
+         "owner": "s", "acl": "b", "pair": "b", "traffic": "r", "taint_key": "k", "seed": 1}
+# a region is a mapping key, which YAML may not make a list
+PARSE_ERRORS = {"traffic"}
+
+
+class TestAliasExpansion:
+    """No value whose aliases expand it past any size gets converted whole:
+    a text field refuses a list or a mapping, and an error message names
+    one by its type."""
+
+    def test_the_template_is_valid(self):
+        assert loads(ALIASED.format(**PLAIN)).name == "t"
+
+    def test_a_name_of_a_million_scalars_is_refused_at_once(self):
+        text = aliases(5) + "name: *a5\n"
+        assert len(text) < 400
+        with pytest.raises(ValidationError, match="^scenario: name: expected text, got list$"):
+            loads(text)
+
+    def test_a_1kb_document_in_each_field_is_refused_in_a_child(self, tmp_path):
+        # one child process under a memory limit runs every document, so a
+        # regression fails here instead of exhausting the host
+        texts = {}
+        for field in PLAIN:
+            text = aliases(15) + ALIASED.format(**{**PLAIN, field: "*a15"})
+            assert 1000 < len(text) < 1500
+            texts[field] = text
+        (tmp_path / "docs.json").write_text(json.dumps(texts))
+        code = (
+            "import json, resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from loopsim.scenario import loads\n"
+            "out = {}\n"
+            "for field, text in json.load(open(sys.argv[1])).items():\n"
+            "    start = time.perf_counter()\n"
+            "    try:\n"
+            "        loads(text)\n"
+            "        got = 'loaded'\n"
+            "    except Exception as exc:\n"
+            "        got = type(exc).__name__ + ': ' + str(exc)[:200]\n"
+            "    out[field] = (got, time.perf_counter() - start)\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(loopsim.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "docs.json")],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        results = json.loads(done.stdout)
+        for field, (got, seconds) in results.items():
+            want = "ParseError" if field in PARSE_ERRORS else "ValidationError"
+            assert got.startswith(want + ": "), (field, got)
+            assert "'x'" not in got, (field, got)  # no element of the list quoted
+            assert seconds < 0.5, (field, seconds)
+        assert set(results) == set(PLAIN)
