@@ -8,6 +8,12 @@ keeps no record of what it has in flight: the simulator hands
 ``outstanding_targets`` the intents the manager still holds, and a scaler,
 energy or balancer agent plans nothing for those targets.
 
+``plan`` receives the facts a loop may read beside itself, each as its own
+argument: the tick, the cluster state (a scaler counts its pods in
+``by_owner``; energy and balancer loops read ``powered_off``), the nodes'
+idle streaks, the targets in flight and, for a slice loop, the slice requests
+addressed to it.  Planning never changes the cluster.
+
 ``resolve_scope`` reads an agent's scope once, when the agent is built, into
 its size class, the sorted regions it covers and the nodes it names.  The
 regions give the demand it watches and, with the size class, the manager
@@ -219,18 +225,6 @@ def analyze(
     return prediction, PredictorState(predictor.alpha, level, last, bonus)
 
 
-@dataclass(frozen=True)
-class PlanContext:
-    """Everything plan() may look at besides the agent itself."""
-
-    tick: int
-    state: ClusterState
-    idle_streaks: dict[str, int]
-    powered_off: Set[str]
-    outstanding_targets: frozenset[str]
-    slice_requests: tuple[SliceRequest, ...] = ()
-
-
 def _next_intent(agent: LoopAgent, tick: int, kind: ActionKind, target: str,
                  magnitude: float, **extra) -> ActionIntent:
     intent = ActionIntent(
@@ -246,23 +240,38 @@ def _next_intent(agent: LoopAgent, tick: int, kind: ActionKind, target: str,
     return intent
 
 
-def plan(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
-    """Turn a prediction into intents according to the agent's role."""
+def plan(
+    agent: LoopAgent,
+    prediction: float,
+    tick: int,
+    state: ClusterState,
+    idle_streaks: dict[str, int],
+    outstanding: frozenset[str] = frozenset(),
+    slice_requests: tuple[SliceRequest, ...] = (),
+) -> list[ActionIntent]:
+    """Turn a prediction into intents according to the agent's role.
+
+    *outstanding* holds the targets of the agent's intents still in flight
+    (``outstanding_targets``) and *slice_requests* the requests addressed to
+    it; each role reads only what it needs of these and of *state*.
+    """
     if agent.lifecycle is LifecycleState.SUSPENDED:
         raise SuspendedAgent(agent.id)
     if agent.role is AgentRole.SCALER:
-        return _plan_scaler(agent, prediction, ctx)
+        return _plan_scaler(agent, prediction, tick, state, outstanding)
     if agent.role is AgentRole.SLICE:
-        return _plan_slice(agent, prediction, ctx)
+        return _plan_slice(agent, prediction, tick, slice_requests)
     if agent.role is AgentRole.ENERGY:
-        return _plan_energy(agent, prediction, ctx)
-    return _plan_balancer(agent, prediction, ctx)
+        return _plan_energy(agent, prediction, tick, state.powered_off, idle_streaks,
+                            outstanding)
+    return _plan_balancer(agent, prediction, tick, state.powered_off, outstanding)
 
 
-def _plan_scaler(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
-    if agent.target in ctx.outstanding_targets:
+def _plan_scaler(agent: LoopAgent, prediction: float, tick: int, state: ClusterState,
+                 outstanding: frozenset[str]) -> list[ActionIntent]:
+    if agent.target in outstanding:
         return []  # an earlier scale action is still in flight
-    pods = ctx.state.by_owner.get(agent.id, ())
+    pods = state.by_owner.get(agent.id, ())
     replicas = len(pods)
     direction = 0
     if replicas == 0:
@@ -279,69 +288,69 @@ def _plan_scaler(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[
     if (
         agent.last_scale_tick is not None
         and direction == agent.last_scale_direction
-        and ctx.tick - agent.last_scale_tick < agent.hysteresis_ticks
+        and tick - agent.last_scale_tick < agent.hysteresis_ticks
     ):
         return []
     if direction > 0:
         if agent.pod_template is None:
             return []
         intent = _next_intent(
-            agent, ctx.tick, ActionKind.SCALE_UP, agent.target, prediction,
+            agent, tick, ActionKind.SCALE_UP, agent.target, prediction,
             pod_specs=(agent.pod_template,),
         )
     else:
-        bindings = ctx.state.bindings
+        bindings = state.bindings
         victim = max((p for p in pods if p in bindings), default=None)
         if victim is None:
             return []
         intent = _next_intent(
-            agent, ctx.tick, ActionKind.SCALE_DOWN, agent.target, prediction,
+            agent, tick, ActionKind.SCALE_DOWN, agent.target, prediction,
             pod_ids=(victim,),
         )
-    agent.last_scale_tick = ctx.tick
+    agent.last_scale_tick = tick
     agent.last_scale_direction = direction
     return [intent]
 
 
-def _plan_slice(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
+def _plan_slice(agent: LoopAgent, prediction: float, tick: int,
+                slice_requests: tuple[SliceRequest, ...]) -> list[ActionIntent]:
     intents = []
-    for request in ctx.slice_requests:
+    for request in slice_requests:
         intents.append(
             _next_intent(
-                agent, ctx.tick, ActionKind.INSTANTIATE, agent.target, prediction,
+                agent, tick, ActionKind.INSTANTIATE, agent.target, prediction,
                 pod_specs=request.chain,
             )
         )
     return intents
 
 
-def _plan_energy(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
+def _plan_energy(agent: LoopAgent, prediction: float, tick: int, powered_off: Set[str],
+                 idle_streaks: dict[str, int],
+                 outstanding: frozenset[str]) -> list[ActionIntent]:
     intents = []
     for node_id in agent.nodes:
-        if node_id in ctx.powered_off or node_id in ctx.outstanding_targets:
+        if node_id in powered_off or node_id in outstanding:
             continue
-        if ctx.idle_streaks.get(node_id, 0) >= agent.idle_ticks:
+        if idle_streaks.get(node_id, 0) >= agent.idle_ticks:
             intents.append(
-                _next_intent(
-                    agent, ctx.tick, ActionKind.POWER_OFF, node_id, prediction
-                )
+                _next_intent(agent, tick, ActionKind.POWER_OFF, node_id, prediction)
             )
     return intents
 
 
-def _plan_balancer(agent: LoopAgent, prediction: float, ctx: PlanContext) -> list[ActionIntent]:
-    powered_on = [n for n in agent.nodes if n not in ctx.powered_off]
+def _plan_balancer(agent: LoopAgent, prediction: float, tick: int, powered_off: Set[str],
+                   outstanding: frozenset[str]) -> list[ActionIntent]:
+    powered_on = [n for n in agent.nodes if n not in powered_off]
     supply = len(powered_on) * agent.node_capacity_units
     if prediction <= agent.watermark_high * supply:
         return []
     intents = []
     for node_id in agent.nodes:
-        if node_id not in ctx.powered_off or node_id in ctx.outstanding_targets:
+        if node_id not in powered_off or node_id in outstanding:
             continue
         intents.append(
-            _next_intent(
-                agent, ctx.tick, ActionKind.POWER_ON, node_id, prediction
-            )
+            _next_intent(agent, tick, ActionKind.POWER_ON, node_id, prediction)
         )
     return intents
 

@@ -177,7 +177,7 @@ def _powered_off(node: Node) -> bool:
     return any(t.key == POWERED_OFF_KEY for t in node.taints)
 
 
-def tolerates(pod: Pod, node: Node) -> bool:
+def tolerates(tolerations: frozenset[Toleration], node: Node) -> bool:
     """True when every hard taint on the node is matched by some toleration.
 
     ``PreferNoSchedule`` taints never block placement; they only demote the
@@ -186,7 +186,7 @@ def tolerates(pod: Pod, node: Node) -> bool:
     for taint in node.taints:
         if taint.effect not in HARD_EFFECTS:
             continue
-        if not any(tol.matches(taint) for tol in pod.tolerations):
+        if not any(tol.matches(taint) for tol in tolerations):
             return False
     return True
 
@@ -271,7 +271,7 @@ def bind(state: ClusterState, pod_id: str, node_id: str) -> None:
     node = _node(state, node_id)
     if pod_id in state.bindings:
         raise InvalidPhase(pod_id, f"is already bound to {state.bindings[pod_id]!r}")
-    if not tolerates(pod, node):
+    if not tolerates(pod.tolerations, node):
         raise TaintViolation(pod_id, node_id)
     if not fits(state, pod, node_id):
         raise CapacityExceeded(

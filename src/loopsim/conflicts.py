@@ -10,7 +10,9 @@ Responsibilities, in pipeline order per tick:
    detected and the lowest-priority participant frozen,
 5. resource contention (combined claims exceeding a node, or opposite-direction
    actions on one node) is detected, routed to a regional or the end-to-end
-   instance, and arbitrated by priority; losers are requeued for next tick,
+   instance, and arbitrated by priority; losers are requeued for next tick.
+   A pod spec claims the node the scheduler ranks first for its tolerations
+   (``scheduler.score_nodes``), one ranking per toleration set,
 6. surviving intents pass to the simulator for materialization.
 
 Routing reads the size class and regions each agent carries from
@@ -32,7 +34,7 @@ from enum import Enum
 
 from . import cluster, scheduler
 from .agents import ActionIntent, ActionKind, LifecycleState, LoopAgent, SizeClass
-from .cluster import ClusterState, Pod
+from .cluster import ClusterState
 
 
 class ConflictKind(str, Enum):
@@ -180,13 +182,6 @@ class Denial:
     reason: str                      # "NotTrusted" | "SourceSuspended" | "UnknownAgent"
 
 
-@dataclass(frozen=True)
-class ExchangeRequest:
-    source: str
-    target: str
-    kind: str
-
-
 @dataclass
 class ManagerConfig:
     e2e_period: int = 5
@@ -324,25 +319,25 @@ class ConflictManager:
 
     # -- knowledge exchange ---------------------------------------------------
 
-    def broker_exchange(self, request: ExchangeRequest) -> Grant | Denial:
-        source = self.agents.get(request.source)
-        target = self.agents.get(request.target)
-        if source is None or target is None:
-            return Denial(request.source, request.target, request.kind, "UnknownAgent")
-        if source.lifecycle is LifecycleState.SUSPENDED:
-            return Denial(request.source, request.target, request.kind, "SourceSuspended")
-        if (request.target, request.kind) not in self.trust.get(request.source, set()):
-            return Denial(request.source, request.target, request.kind, "NotTrusted")
+    def broker_exchange(self, source: str, target: str, kind: str) -> Grant | Denial:
+        """Grant *target* the *kind* of artifact ("Model" or "Dataset") that
+        *source* offers, or say why not."""
+        giver = self.agents.get(source)
+        if giver is None or target not in self.agents:
+            return Denial(source, target, kind, "UnknownAgent")
+        if giver.lifecycle is LifecycleState.SUSPENDED:
+            return Denial(source, target, kind, "SourceSuspended")
+        if (target, kind) not in self.trust.get(source, set()):
+            return Denial(source, target, kind, "NotTrusted")
         self._grant_seq += 1
-        grant = Grant(
-            artifact_id=f"{request.source}-{request.kind.lower()}-{self._grant_seq}",
-            source=request.source,
-            target=request.target,
-            kind=request.kind,
-            accuracy_bonus=self.config.model_bonus if request.kind == "Model" else 0.0,
-            sample_count=source.span_ticks if request.kind == "Dataset" else 0,
+        return Grant(
+            artifact_id=f"{source}-{kind.lower()}-{self._grant_seq}",
+            source=source,
+            target=target,
+            kind=kind,
+            accuracy_bonus=self.config.model_bonus if kind == "Model" else 0.0,
+            sample_count=giver.span_ticks if kind == "Dataset" else 0,
         )
-        return grant
 
     # -- detection -------------------------------------------------------------
 
@@ -438,10 +433,8 @@ class ConflictManager:
             ups = {(acl, iid) for acl, iid, d in dirs if d > 0}
             downs = {(acl, iid) for acl, iid, d in dirs if d < 0}
             if ups and downs and {a for a, _ in ups} != {a for a, _ in downs}:
-                acls = {a for a, _ in ups} | {a for a, _ in downs}
-                if len(acls) >= 2:
-                    participants.update(acls)
-                    implicated.update(i for _, i in ups | downs)
+                participants.update(a for a, _ in ups | downs)
+                implicated.update(i for _, i in ups | downs)
             if participants:
                 record = self._record(tick, ConflictKind.RESOURCE_CONTENTION,
                                       sorted(participants), [node_id])
@@ -457,21 +450,10 @@ class ConflictManager:
         """
         out = []
         if intent.kind in (ActionKind.SCALE_UP, ActionKind.INSTANTIATE):
-            owner = self.agents[intent.acl_id]
-            for i, spec in enumerate(intent.pod_specs):
+            for spec in intent.pod_specs:
                 if spec.tolerations not in top_node:
-                    probe = Pod(
-                        id=f"__probe-{intent.intent_id}-{i}",
-                        owner=intent.acl_id,
-                        request=spec.request,
-                        tolerations=spec.tolerations,
-                        priority=owner.priority,
-                    )
-                    feasible = scheduler.eligible_nodes(state, probe)
-                    top_node[spec.tolerations] = (
-                        scheduler.score_nodes(state, probe, feasible)[0]
-                        if feasible else None
-                    )
+                    ranked = scheduler.score_nodes(state, spec.tolerations)
+                    top_node[spec.tolerations] = ranked[0] if ranked else None
                 node_id = top_node[spec.tolerations]
                 if node_id is not None:
                     out.append((node_id, spec.request))

@@ -47,10 +47,6 @@ class InvalidPhase(LoopsimError):
         self.pod_id = pod_id
 
 
-class NoVictimSet(LoopsimError):
-    """No preemptable set of pods frees enough room for the incoming pod."""
-
-
 class EmptyScope(LoopsimError):
     """An agent scope must name at least one container, node, or region."""
 

@@ -463,7 +463,9 @@ def normalize(data: dict) -> dict:
     agent_roles = {a: e["role"] for a, e in agent_entries.items()}
     norm["injected"] = normalize_events(data.get("injected", []), set(nodes), agent_roles)
 
-    _check_initial_placement(norm)
+    # initial pods must tolerate their node and fit together: building the
+    # state raises ValidationError on any violation
+    build_state(norm)
     return norm
 
 
@@ -492,11 +494,6 @@ def normalize_events(
             ]
         out.append(event)
     return out
-
-
-def _check_initial_placement(norm: dict) -> None:
-    """Initial pods must tolerate their node and fit together."""
-    build_state(norm)  # raises ValidationError on any violation
 
 
 def scenario_hash(norm: dict) -> str:

@@ -9,24 +9,23 @@ once, so every Pending pod stays queued.  Within a round, a pod whose shape
 (request, tolerations, priority) already came out Pending since the last bind
 or eviction gets that answer again without a second ``schedule`` call.
 
-Which nodes a pod tolerates, and in which tier each falls, depends only on
-its tolerations and the nodes' taints, so ``eligible_nodes`` derives it once
-per toleration set and keeps it in ``ClusterState.eligible`` until a taint
-changes; a ranking then only orders those nodes by the free room
-``node_info`` holds.
+Rankings are asked of a toleration set, not of a pod: which nodes a pod
+tolerates, and in which tier each falls, depends only on its tolerations and
+the nodes' taints.  ``eligible_nodes`` derives that once per toleration set
+and keeps it in ``ClusterState.eligible`` until a taint changes;
+``score_nodes`` then only orders those nodes by the free room ``node_info``
+holds.  The conflict manager ranks a pod spec's tolerations the same way.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import cluster
-from .cluster import ClusterState, Pod
-from .errors import NoVictimSet
+from .cluster import ClusterState, Pod, Toleration
 
 
 class DecisionKind(str, Enum):
@@ -61,27 +60,29 @@ class PendingQueue:
         return {entry[3] for entry in self.entries}
 
 
-def filter_nodes(state: ClusterState, pod: Pod) -> set[str]:
+def filter_nodes(state: ClusterState, tolerations: frozenset[Toleration]) -> set[str]:
     """Feasible nodes: every hard taint tolerated.  Capacity is deliberately
     not checked here — a full node can still be won through preemption."""
     return {
         node_id
         for node_id, node in state.nodes.items()
-        if cluster.tolerates(pod, node)
+        if cluster.tolerates(tolerations, node)
     }
 
 
-def score_tier(state: ClusterState, pod: Pod, node_id: str) -> int:
+def score_tier(
+    state: ClusterState, tolerations: frozenset[Toleration], node_id: str
+) -> int:
     """Rank band for a feasible node.
 
-    0 — the node carries a taint this pod tolerates: it was marked for this
-        pod's owner, so the owner's work gravitates there first;
-    1 — untainted (from this pod's point of view);
+    0 — the node carries a taint the tolerations match: it was marked for
+        their owner, so the owner's work gravitates there first;
+    1 — untainted (from these tolerations' point of view);
     2 — only soft taints meant for someone else.
     """
     node = state.nodes[node_id]
     matched = any(
-        tol.matches(taint) for taint in node.taints for tol in pod.tolerations
+        tol.matches(taint) for taint in node.taints for tol in tolerations
     )
     if matched:
         return 0
@@ -91,26 +92,28 @@ def score_tier(state: ClusterState, pod: Pod, node_id: str) -> int:
     return 2 if unmatched_soft else 1
 
 
-def eligible_nodes(state: ClusterState, pod: Pod) -> dict[str, int]:
-    """The tier (``score_tier``) of every node the pod tolerates
+def eligible_nodes(
+    state: ClusterState, tolerations: frozenset[Toleration]
+) -> dict[str, int]:
+    """The tier (``score_tier``) of every node the tolerations admit
     (``filter_nodes``), by node id.
 
-    Both read only the pod's tolerations and the nodes' taints, so the answer
-    is kept in ``state.eligible`` per toleration set until a taint changes.
+    Both read only the tolerations and the nodes' taints, so the answer is
+    kept in ``state.eligible`` per toleration set until a taint changes.
     """
-    tiers = state.eligible.get(pod.tolerations)
+    tiers = state.eligible.get(tolerations)
     if tiers is None:
-        tiers = state.eligible[pod.tolerations] = {
-            node_id: score_tier(state, pod, node_id)
-            for node_id in sorted(filter_nodes(state, pod))
+        tiers = state.eligible[tolerations] = {
+            node_id: score_tier(state, tolerations, node_id)
+            for node_id in sorted(filter_nodes(state, tolerations))
         }
     return tiers
 
 
-def score_nodes(state: ClusterState, pod: Pod, feasible: Iterable[str]) -> list[str]:
-    """Order feasible nodes, which the pod must tolerate: tier, then most free
-    cpu, most free memory, id."""
-    tiers = eligible_nodes(state, pod)
+def score_nodes(state: ClusterState, tolerations: frozenset[Toleration]) -> list[str]:
+    """Order the nodes the tolerations admit: tier, then most free cpu, most
+    free memory, id.  Empty when no node admits them."""
+    tiers = eligible_nodes(state, tolerations)
     nodes, info = state.nodes, state.node_info
 
     def key(node_id: str):
@@ -122,16 +125,16 @@ def score_nodes(state: ClusterState, pod: Pod, feasible: Iterable[str]) -> list[
             node_id,
         )
 
-    return sorted(feasible, key=key)
+    return sorted(tiers, key=key)
 
 
 def select_preemption_victims(
     state: ClusterState, pod: Pod, node_id: str
-) -> frozenset[str]:
+) -> frozenset[str] | None:
     """Smallest set of strictly-lower-priority pods whose removal fits *pod*.
 
     Minimality order: fewest victims, then lowest summed priority value, then
-    lexicographic pod ids.  Raises ``NoVictimSet`` when no subset suffices.
+    lexicographic pod ids.  ``None`` when no subset suffices.
     """
     free = cluster.free_capacity(state, node_id)
     candidates = sorted(
@@ -152,7 +155,7 @@ def select_preemption_victims(
                 best = rank
         if best is not None:
             return frozenset(best[1])
-    raise NoVictimSet(f"no victim set on {node_id!r} admits pod {pod.id!r}")
+    return None
 
 
 def schedule(state: ClusterState, pod: Pod) -> Decision:
@@ -161,19 +164,17 @@ def schedule(state: ClusterState, pod: Pod) -> Decision:
     Walks the scored node list twice: once looking for free room, then (if the
     pod's priority level allows it) once more looking for a preemptable set.
     """
-    ranked = score_nodes(state, pod, eligible_nodes(state, pod))
+    ranked = score_nodes(state, pod.tolerations)
     for node_id in ranked:
         if cluster.fits(state, pod, node_id):
             return Decision(DecisionKind.BOUND, pod.id, node_id)
     if pod.priority.preemption_enabled:
         for node_id in ranked:
-            try:
-                victims = select_preemption_victims(state, pod, node_id)
-            except NoVictimSet:
-                continue
-            return Decision(
-                DecisionKind.PREEMPT, pod.id, node_id, victims=tuple(sorted(victims))
-            )
+            victims = select_preemption_victims(state, pod, node_id)
+            if victims is not None:
+                return Decision(
+                    DecisionKind.PREEMPT, pod.id, node_id, victims=tuple(sorted(victims))
+                )
     return Decision(DecisionKind.PENDING, pod.id, reason="unschedulable")
 
 

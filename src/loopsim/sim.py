@@ -40,11 +40,10 @@ from .agents import (
     ActionKind,
     AgentRole,
     LifecycleState,
-    PlanContext,
     SliceRequest,
 )
 from .cluster import POWERED_OFF_KEY, Pod, ResourceVector, Taint, TaintEffect
-from .conflicts import ConflictManager, ExchangeRequest, Grant
+from .conflicts import ConflictManager, Grant
 from .errors import (
     CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ValidationError,
 )
@@ -240,9 +239,8 @@ class World:
                 self.emit("slice-requested", id=request.id, agent=request.agent_id,
                           links=len(request.chain))
             elif kind == "exchange-request":
-                request = ExchangeRequest(event["source"], event["target"],
-                                          event["artifact"])
-                result = self.manager.broker_exchange(request)
+                result = self.manager.broker_exchange(event["source"], event["target"],
+                                                      event["artifact"])
                 if isinstance(result, Grant):
                     self.emit("exchange-granted", artifact=result.artifact_id,
                               source=result.source, target=result.target,
@@ -297,16 +295,10 @@ class World:
             if agent.role is AgentRole.SLICE:
                 my_slices = tuple(s for s in self.pending_slices if s.agent_id == acl)
             mine = in_flight.get(acl)
-            ctx = PlanContext(
-                tick=t,
-                state=self.state,
-                idle_streaks=self.idle_streaks,
-                powered_off=self.state.powered_off,  # planning never changes the cluster
-                outstanding_targets=(frozenset() if mine is None
-                                     else agents_mod.outstanding_targets(agent, mine)),
-                slice_requests=my_slices,
-            )
-            intents = agents_mod.plan(agent, prediction, ctx)
+            outstanding = (frozenset() if mine is None
+                           else agents_mod.outstanding_targets(agent, mine))
+            intents = agents_mod.plan(agent, prediction, t, self.state, self.idle_streaks,
+                                      outstanding, my_slices)
             if my_slices and intents:
                 consumed = {s.id for s in my_slices}
                 self.pending_slices = [

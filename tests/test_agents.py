@@ -1,15 +1,18 @@
 """Control-loop agents: sizing, monitoring, prediction, planning, execution."""
 
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
-from helpers import GOLD, node, pod, rv, state_with
+from helpers import GOLD, node, pod, rv, state_with, taint
 from loopsim import agents as agents_mod
 from loopsim.agents import (
     ActionKind,
     AgentRole,
     LifecycleState,
     LoopAgent,
-    PlanContext,
     PodSpec,
     PredictorState,
     SizeClass,
@@ -19,7 +22,14 @@ from loopsim.agents import (
     plan,
     resolve_scope,
 )
+from loopsim.cluster import POWERED_OFF_KEY
 from loopsim.errors import EmptyScope, SuspendedAgent
+from loopsim.scenario import list_scenarios, load_scenario, loads
+from loopsim.sim import run
+from test_acceptance import random_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 REGIONS = {
     "edge-calgary": "calgary",
@@ -44,18 +54,16 @@ def make_agent(role=AgentRole.SCALER, scope=("waterloo",), **overrides):
     return LoopAgent(**defaults)
 
 
-def make_ctx(state=None, tick=0, **overrides):
-    if state is None:
-        state = state_with([node("edge-waterlooo", region="waterloo")])
-    defaults = dict(
-        tick=tick,
-        state=state,
-        idle_streaks={},
-        powered_off=frozenset(),
-        outstanding_targets=frozenset(),
-    )
-    defaults.update(overrides)
-    return PlanContext(**defaults)
+def waterloo():
+    return state_with([node("w", region="waterloo")])
+
+
+def calgary(*off):
+    """The two calgary nodes, those named in *off* powered off."""
+    return state_with([
+        node(n, region="calgary", taints=[taint(POWERED_OFF_KEY)] if n in off else [])
+        for n in ("edge-calgary", "edge-calgary-2")
+    ])
 
 
 class TestClassifySize:
@@ -188,8 +196,8 @@ class TestAnalyze:
 class TestPlanScaler:
     def test_high_utilization_scales_up(self):
         agent = make_agent()
-        state = state_with([node("w", region="waterloo")])
-        intents = plan(agent, 900.0, make_ctx(state))  # no pods yet, 900 > 0.3*1000
+        # no pods yet, 900 > 0.3*1000
+        intents = plan(agent, 900.0, tick=0, state=waterloo(), idle_streaks={})
         assert [i.kind for i in intents] == [ActionKind.SCALE_UP]
         assert intents[0].pod_specs == (agent.pod_template,)
         assert intents[0].target == agent.target
@@ -202,7 +210,7 @@ class TestPlanScaler:
             [("acl1-pod-0", "w")],
         )
         # one replica at 500/1000 utilization sits between the watermarks
-        assert plan(agent, 500.0, make_ctx(state)) == []
+        assert plan(agent, 500.0, tick=0, state=state, idle_streaks={}) == []
 
     def test_low_utilization_scales_down_newest(self):
         agent = make_agent()
@@ -211,18 +219,18 @@ class TestPlanScaler:
             [pod("acl1-pod-0", owner="acl1"), pod("acl1-pod-1", owner="acl1")],
             [("acl1-pod-0", "w"), ("acl1-pod-1", "w")],
         )
-        intents = plan(agent, 100.0, make_ctx(state))
+        intents = plan(agent, 100.0, tick=0, state=state, idle_streaks={})
         assert [i.kind for i in intents] == [ActionKind.SCALE_DOWN]
         assert intents[0].pod_ids == ("acl1-pod-1",)
 
     def test_hysteresis_blocks_repeat_in_same_direction(self):
         agent = make_agent(hysteresis_ticks=3)
-        state = state_with([node("w", region="waterloo")])
-        assert plan(agent, 900.0, make_ctx(state, tick=5)) != []
+        state = waterloo()
+        assert plan(agent, 900.0, tick=5, state=state, idle_streaks={}) != []
         assert (agent.last_scale_tick, agent.last_scale_direction) == (5, 1)
-        assert plan(agent, 900.0, make_ctx(state, tick=6)) == []
+        assert plan(agent, 900.0, tick=6, state=state, idle_streaks={}) == []
         assert agent.last_scale_tick == 5  # a blocked plan records nothing
-        assert plan(agent, 900.0, make_ctx(state, tick=8)) != []
+        assert plan(agent, 900.0, tick=8, state=state, idle_streaks={}) != []
         assert agent.last_scale_tick == 8
 
     def test_scale_down_records_its_direction(self):
@@ -232,24 +240,22 @@ class TestPlanScaler:
             [pod("acl1-pod-0", owner="acl1")],
             [("acl1-pod-0", "w")],
         )
-        assert plan(agent, 100.0, make_ctx(state, tick=4)) != []
+        assert plan(agent, 100.0, tick=4, state=state, idle_streaks={}) != []
         assert (agent.last_scale_tick, agent.last_scale_direction) == (4, -1)
 
     def test_outstanding_receipt_suppresses_planning(self):
         agent = make_agent()
-        state = state_with([node("w", region="waterloo")])
-        ctx = make_ctx(state, outstanding_targets=frozenset({agent.target}))
-        assert plan(agent, 900.0, ctx) == []
+        assert plan(agent, 900.0, tick=0, state=waterloo(), idle_streaks={},
+                    outstanding=frozenset({agent.target})) == []
 
     def test_zero_replicas_quiet_demand_stays_idle(self):
         agent = make_agent()
-        state = state_with([node("w", region="waterloo")])
-        assert plan(agent, 100.0, make_ctx(state)) == []
+        assert plan(agent, 100.0, tick=0, state=waterloo(), idle_streaks={}) == []
 
     def test_suspended_agent_cannot_plan(self):
         agent = make_agent(lifecycle=LifecycleState.SUSPENDED)
         with pytest.raises(SuspendedAgent):
-            plan(agent, 0.0, make_ctx())
+            plan(agent, 0.0, tick=0, state=waterloo(), idle_streaks={})
 
 
 class TestPlanOtherRoles:
@@ -257,7 +263,8 @@ class TestPlanOtherRoles:
         agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
         chain = (PodSpec(rv(500, 1024)), PodSpec(rv(500, 1024)))
         request = SliceRequest("s-0", "acl1", chain)
-        intents = plan(agent, 0.0, make_ctx(tick=3, slice_requests=(request,)))
+        intents = plan(agent, 0.0, tick=3, state=waterloo(), idle_streaks={},
+                       slice_requests=(request,))
         assert [i.kind for i in intents] == [ActionKind.INSTANTIATE]
         assert intents[0].pod_specs == chain
 
@@ -265,8 +272,7 @@ class TestPlanOtherRoles:
         agent = make_agent(role=AgentRole.ENERGY, scope=("calgary",), idle_ticks=2,
                            nodes=("edge-calgary",))
         state = state_with([node("edge-calgary", region="calgary")])
-        ctx = make_ctx(state, idle_streaks={"edge-calgary": 2})
-        intents = plan(agent, 0.0, ctx)
+        intents = plan(agent, 0.0, tick=0, state=state, idle_streaks={"edge-calgary": 2})
         assert [(i.kind, i.target) for i in intents] == [
             (ActionKind.POWER_OFF, "edge-calgary")
         ]
@@ -274,63 +280,54 @@ class TestPlanOtherRoles:
     def test_energy_agent_skips_busy_and_off_nodes(self):
         agent = make_agent(role=AgentRole.ENERGY, scope=("calgary",), idle_ticks=2,
                            nodes=("edge-calgary",))
-        state = state_with([node("edge-calgary", region="calgary")])
-        assert plan(agent, 0.0, make_ctx(state, idle_streaks={"edge-calgary": 1})) == []
-        ctx = make_ctx(
-            state,
-            idle_streaks={"edge-calgary": 9},
-            powered_off=frozenset({"edge-calgary"}),
-        )
-        assert plan(agent, 0.0, ctx) == []
+        state = calgary()
+        assert plan(agent, 0.0, tick=0, state=state, idle_streaks={"edge-calgary": 1}) == []
+        assert plan(agent, 0.0, tick=0, state=calgary("edge-calgary"),
+                    idle_streaks={"edge-calgary": 9}) == []
 
     def test_energy_agent_plans_over_its_own_nodes_only(self):
         agent = make_agent(role=AgentRole.ENERGY, scope=("edge-calgary",), idle_ticks=1)
         assert agent.nodes == ("edge-calgary",)
-        state = state_with(
-            [node("edge-calgary", region="calgary"), node("edge-calgary-2", region="calgary")]
-        )
-        ctx = make_ctx(state, idle_streaks={"edge-calgary": 3, "edge-calgary-2": 3})
-        assert [i.target for i in plan(agent, 0.0, ctx)] == ["edge-calgary"]
+        intents = plan(agent, 0.0, tick=0, state=calgary(),
+                       idle_streaks={"edge-calgary": 3, "edge-calgary-2": 3})
+        assert [i.target for i in intents] == ["edge-calgary"]
 
     def test_balancer_powers_on_when_saturated(self):
         agent = make_agent(role=AgentRole.BALANCER, scope=("calgary",),
                            nodes=("edge-calgary", "edge-calgary-2"),
                            node_capacity_units=1000.0)
-        state = state_with(
-            [node("edge-calgary", region="calgary"), node("edge-calgary-2", region="calgary")]
-        )
-        ctx = make_ctx(state, powered_off=frozenset({"edge-calgary-2"}))
+        state = calgary("edge-calgary-2")
         # supply is one powered node = 1000; demand above 0.8 * 1000 trips it
-        intents = plan(agent, 900.0, ctx)
+        intents = plan(agent, 900.0, tick=0, state=state, idle_streaks={})
         assert [(i.kind, i.target) for i in intents] == [
             (ActionKind.POWER_ON, "edge-calgary-2")
         ]
-        assert plan(agent, 700.0, ctx) == []
+        assert plan(agent, 700.0, tick=0, state=state, idle_streaks={}) == []
 
     def test_balancer_counts_and_powers_on_its_own_nodes_only(self):
         agent = make_agent(role=AgentRole.BALANCER, scope=("edge-calgary-2",),
                            node_capacity_units=1000.0)
         assert agent.nodes == ("edge-calgary-2",)
-        state = state_with(
-            [node("edge-calgary", region="calgary"), node("edge-calgary-2", region="calgary")]
-        )
-        both_off = make_ctx(state, powered_off=frozenset({"edge-calgary", "edge-calgary-2"}))
-        assert [i.target for i in plan(agent, 1.0, both_off)] == ["edge-calgary-2"]
+        both_off = calgary("edge-calgary", "edge-calgary-2")
+        intents = plan(agent, 1.0, tick=0, state=both_off, idle_streaks={})
+        assert [i.target for i in intents] == ["edge-calgary-2"]
         # the neighbour's power is not the loop's supply
-        neighbour_on = make_ctx(state, powered_off=frozenset({"edge-calgary-2"}))
-        assert [i.target for i in plan(agent, 1.0, neighbour_on)] == ["edge-calgary-2"]
+        neighbour_on = calgary("edge-calgary-2")
+        intents = plan(agent, 1.0, tick=0, state=neighbour_on, idle_streaks={})
+        assert [i.target for i in intents] == ["edge-calgary-2"]
 
 
 class TestExecute:
     def test_execute_returns_check_ticks(self):
         agent = make_agent()
-        intents = plan(agent, 900.0, make_ctx(state_with([node("w", region="waterloo")])))
+        intents = plan(agent, 900.0, tick=0, state=waterloo(), idle_streaks={})
         assert agents_mod.execute(agent, intents, lambda i: i.tick + 4) == [4]
 
     def test_execute_returns_one_check_tick_per_intent_in_order(self):
         agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
         reqs = tuple(SliceRequest(f"s-{i}", "acl1", (PodSpec(rv(1, 1)),)) for i in range(3))
-        intents = plan(agent, 0.0, make_ctx(tick=7, slice_requests=reqs))
+        intents = plan(agent, 0.0, tick=7, state=waterloo(), idle_streaks={},
+                       slice_requests=reqs)
         seen = []
 
         def submit(intent):
@@ -351,11 +348,11 @@ class TestExecute:
 
     def test_outstanding_targets_are_this_loops_in_flight_targets(self):
         agent = make_agent()
-        intents = plan(agent, 900.0, make_ctx(state_with([node("w", region="waterloo")])))
+        intents = plan(agent, 900.0, tick=0, state=waterloo(), idle_streaks={})
         other = make_agent(id="acl2", role=AgentRole.ENERGY, scope=("calgary",),
                            idle_ticks=1, nodes=("edge-calgary",))
         state = state_with([node("edge-calgary", region="calgary")])
-        theirs = plan(other, 0.0, make_ctx(state, idle_streaks={"edge-calgary": 1}))
+        theirs = plan(other, 0.0, tick=0, state=state, idle_streaks={"edge-calgary": 1})
         assert [i.target for i in theirs] == ["edge-calgary"]
         assert agents_mod.outstanding_targets(agent, theirs + intents) == frozenset(
             {agent.target})
@@ -365,28 +362,78 @@ class TestExecute:
 
     def test_an_intent_out_of_flight_releases_its_target(self):
         agent = make_agent()
-        state = state_with([node("w", region="waterloo")])
-        intents = plan(agent, 900.0, make_ctx(state))
+        state = waterloo()
+        intents = plan(agent, 900.0, tick=0, state=state, idle_streaks={})
         agents_mod.execute(agent, intents, lambda i: i.tick)
         in_flight = list(intents)
-        blocked = make_ctx(state, tick=9,
-                           outstanding_targets=agents_mod.outstanding_targets(agent, in_flight))
-        assert plan(agent, 900.0, blocked) == []
+        blocked = agents_mod.outstanding_targets(agent, in_flight)
+        assert plan(agent, 900.0, tick=9, state=state, idle_streaks={},
+                    outstanding=blocked) == []
         in_flight.remove(intents[0])  # applied or dropped
         assert agents_mod.outstanding_targets(agent, in_flight) == frozenset()
-        free = make_ctx(state, tick=9,
-                        outstanding_targets=agents_mod.outstanding_targets(agent, in_flight))
-        assert [i.kind for i in plan(agent, 900.0, free)] == [ActionKind.SCALE_UP]
+        free = agents_mod.outstanding_targets(agent, in_flight)
+        intents = plan(agent, 900.0, tick=9, state=state, idle_streaks={}, outstanding=free)
+        assert [i.kind for i in intents] == [ActionKind.SCALE_UP]
 
     def test_intent_ids_are_unique_and_ordered(self):
         agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
         reqs = tuple(
             SliceRequest(f"s-{i}", "acl1", (PodSpec(rv(1, 1)),)) for i in range(3)
         )
-        intents = plan(agent, 0.0, make_ctx(slice_requests=reqs))
+        intents = plan(agent, 0.0, tick=0, state=waterloo(), idle_streaks={},
+                       slice_requests=reqs)
         assert [i.intent_id for i in intents] == [
             "acl1-t0-0", "acl1-t0-1", "acl1-t0-2",
         ]
+
+
+def cluster_snapshot(state):
+    """Everything of the cluster a plan could read, copied."""
+    return (
+        dict(state.pods),
+        dict(state.bindings),
+        {node_id: node.taints for node_id, node in state.nodes.items()},
+        set(state.powered_off),
+        dict(state.node_info),
+        {owner: set(pods) for owner, pods in state.by_owner.items()},
+    )
+
+
+class TestPlanningLeavesTheClusterUnchanged:
+    """Energy and balancer loops read ``state.powered_off`` itself, which
+    holds only because no plan changes the cluster: checked around every
+    ``plan`` call of whole runs."""
+
+    @pytest.fixture
+    def roles(self, monkeypatch):
+        planned = []
+        original = agents_mod.plan
+
+        def checked(agent, prediction, tick, state, *args):
+            before = cluster_snapshot(state)
+            intents = original(agent, prediction, tick, state, *args)
+            assert cluster_snapshot(state) == before, (agent.id, tick)
+            planned.append(agent.role)
+            return intents
+
+        monkeypatch.setattr(agents_mod, "plan", checked)
+        return planned
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_builtins(self, roles, name):
+        run(load_scenario(name))
+        assert roles
+
+    def test_fuzz(self, roles):
+        rng = random.Random(20260814)
+        for i in range(20):
+            run(random_scenario(rng, i))
+        # every role that reads the cluster
+        assert {AgentRole.SCALER, AgentRole.ENERGY, AgentRole.BALANCER} <= set(roles)
+
+    def test_contended(self, roles):
+        run(loads(workloads.generate("contended", 1), ticks=150))
+        assert roles
 
 
 class FakeGrant:

@@ -45,31 +45,31 @@ class TestResourceVector:
 
 class TestTolerates:
     def test_no_taints_vacuously_true(self):
-        assert cluster.tolerates(pod("p"), node("n"))
+        assert cluster.tolerates(frozenset(), node("n"))
 
     def test_matching_no_execute_toleration(self):
         n = node("n", taints=[taint("acl1", "NoExecute")])
-        assert cluster.tolerates(pod("p", tols=[tol("acl1", "NoExecute")]), n)
+        assert cluster.tolerates(frozenset({tol("acl1", "NoExecute")}), n)
 
     def test_unmatched_hard_taint_blocks(self):
         n = node("n", taints=[taint("acl1", "NoExecute")])
-        assert not cluster.tolerates(pod("p"), n)
+        assert not cluster.tolerates(frozenset(), n)
 
     def test_prefer_no_schedule_is_soft(self):
         n = node("n", taints=[taint("acl1", "PreferNoSchedule")])
-        assert cluster.tolerates(pod("p"), n)
+        assert cluster.tolerates(frozenset(), n)
 
     def test_toleration_must_match_key_and_effect(self):
         n = node("n", taints=[taint("acl1", "NoSchedule")])
-        assert not cluster.tolerates(pod("p", tols=[tol("acl2", "NoSchedule")]), n)
-        assert not cluster.tolerates(pod("p", tols=[tol("acl1", "NoExecute")]), n)
-        assert cluster.tolerates(pod("p", tols=[tol("acl1", "NoSchedule")]), n)
+        assert not cluster.tolerates(frozenset({tol("acl2", "NoSchedule")}), n)
+        assert not cluster.tolerates(frozenset({tol("acl1", "NoExecute")}), n)
+        assert cluster.tolerates(frozenset({tol("acl1", "NoSchedule")}), n)
 
     def test_every_hard_taint_needs_a_match(self):
         n = node("n", taints=[taint("acl1", "NoSchedule"), taint("acl2", "NoExecute")])
-        assert not cluster.tolerates(pod("p", tols=[tol("acl1", "NoSchedule")]), n)
-        both = [tol("acl1", "NoSchedule"), tol("acl2", "NoExecute")]
-        assert cluster.tolerates(pod("p", tols=both), n)
+        assert not cluster.tolerates(frozenset({tol("acl1", "NoSchedule")}), n)
+        both = frozenset({tol("acl1", "NoSchedule"), tol("acl2", "NoExecute")})
+        assert cluster.tolerates(both, n)
 
 
 class TestCapacity:

@@ -24,13 +24,12 @@ from loopsim.conflicts import (
     ConflictKind,
     ConflictManager,
     Denial,
-    ExchangeRequest,
     Grant,
     ManagerConfig,
     Verdict,
     regional,
 )
-from loopsim.cluster import Pod, PriorityLevel
+from loopsim.cluster import PriorityLevel
 from loopsim.scenario import list_scenarios, load_scenario, loads
 from loopsim.sim import run
 from test_acceptance import random_scenario
@@ -173,21 +172,21 @@ class TestBroker:
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
         mgr = make_manager(ran, core)
         mgr.trust = {"ran": {("core", "Model")}}
-        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model"))
+        result = mgr.broker_exchange("ran", "core", "Model")
         assert isinstance(result, Grant)
         assert result.accuracy_bonus == mgr.config.model_bonus
 
     def test_untrusted_target_is_denied(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
         mgr = make_manager(ran, core)
-        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model"))
+        result = mgr.broker_exchange("ran", "core", "Model")
         assert result == Denial("ran", "core", "Model", "NotTrusted")
 
     def test_kind_mismatch_is_denied(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
         mgr = make_manager(ran, core)
         mgr.trust = {"ran": {("core", "Dataset")}}
-        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model"))
+        result = mgr.broker_exchange("ran", "core", "Model")
         assert isinstance(result, Denial) and result.reason == "NotTrusted"
 
     def test_suspended_source_is_denied(self):
@@ -195,12 +194,12 @@ class TestBroker:
         ran.lifecycle = LifecycleState.SUSPENDED
         mgr = make_manager(ran, core)
         mgr.trust = {"ran": {("core", "Model")}}
-        result = mgr.broker_exchange(ExchangeRequest("ran", "core", "Model"))
+        result = mgr.broker_exchange("ran", "core", "Model")
         assert isinstance(result, Denial) and result.reason == "SourceSuspended"
 
     def test_unknown_agent_is_denied(self):
         mgr = make_manager(make_agent("ran"))
-        result = mgr.broker_exchange(ExchangeRequest("ran", "ghost", "Model"))
+        result = mgr.broker_exchange("ran", "ghost", "Model")
         assert isinstance(result, Denial) and result.reason == "UnknownAgent"
 
     def test_dataset_grant_carries_sample_count(self):
@@ -209,7 +208,7 @@ class TestBroker:
         core = make_agent("core", scope=("toronto",))
         mgr = make_manager(ran, core)
         mgr.trust = {"ran": {("core", "Dataset")}}
-        grant = mgr.broker_exchange(ExchangeRequest("ran", "core", "Dataset"))
+        grant = mgr.broker_exchange("ran", "core", "Dataset")
         assert grant.sample_count == 12
         assert grant.accuracy_bonus == 0.0
 
@@ -365,28 +364,26 @@ ENGINE_DETECT = ConflictManager.detect_resource_conflicts
 REFERENCE_RANKINGS = []  # the toleration set of every fresh ranking below
 
 
-def fresh_ranking(state, probe):
+def fresh_ranking(state, tolerations):
     """Tier, most free cpu, most free memory, id, over a fresh filter: no
     index of the state is read."""
-    REFERENCE_RANKINGS.append(probe.tolerations)
+    REFERENCE_RANKINGS.append(tolerations)
 
     def key(node_id):
         free = cluster.free_capacity(state, node_id)
-        return (scheduler.score_tier(state, probe, node_id), -free.cpu_millicores,
+        return (scheduler.score_tier(state, tolerations, node_id), -free.cpu_millicores,
                 -free.memory_mib, node_id)
 
-    return sorted(scheduler.filter_nodes(state, probe), key=key)
+    return sorted(scheduler.filter_nodes(state, tolerations), key=key)
 
 
-def probe_per_spec_claims(manager, intent, state, top_node):
+def per_spec_claims(manager, intent, state, top_node):
     """Reference claims: a fresh filter and ranking for every pod spec."""
     if intent.kind not in (ActionKind.SCALE_UP, ActionKind.INSTANTIATE):
         return ENGINE_CLAIMS(manager, intent, state, top_node)
     out = []
-    for i, spec in enumerate(intent.pod_specs):
-        probe = Pod(f"__ref-{intent.intent_id}-{i}", intent.acl_id, spec.request,
-                    spec.tolerations, manager.agents[intent.acl_id].priority)
-        ranked = fresh_ranking(state, probe)
+    for spec in intent.pod_specs:
+        ranked = fresh_ranking(state, spec.tolerations)
         if ranked:
             out.append((ranked[0], spec.request))
     return out
@@ -402,9 +399,9 @@ class TestRankingPerTolerationSet:
         calls = []
         score_nodes = scheduler.score_nodes
 
-        def counted(state, p, feasible):
-            calls.append(p.tolerations)
-            return score_nodes(state, p, feasible)
+        def counted(state, tolerations):
+            calls.append(tolerations)
+            return score_nodes(state, tolerations)
 
         monkeypatch.setattr(scheduler, "score_nodes", counted)
         return calls
@@ -413,7 +410,7 @@ class TestRankingPerTolerationSet:
     def reference(monkeypatch, mgr, *args):
         seq = mgr._conflict_seq
         with monkeypatch.context() as m:
-            m.setattr(ConflictManager, "_claims", probe_per_spec_claims)
+            m.setattr(ConflictManager, "_claims", per_spec_claims)
             want = ENGINE_DETECT(mgr, *args)
         mgr._conflict_seq = seq
         return want

@@ -68,9 +68,8 @@ def powered_off_by_scan(state: cluster.ClusterState) -> set[str]:
 
 
 def eligibility_by_scan(state: cluster.ClusterState, tolerations) -> dict[str, int]:
-    probe = cluster.Pod("probe", "probe", ZERO, tolerations)
-    return {n: scheduler.score_tier(state, probe, n)
-            for n in sorted(scheduler.filter_nodes(state, probe))}
+    return {n: scheduler.score_tier(state, tolerations, n)
+            for n in sorted(scheduler.filter_nodes(state, tolerations))}
 
 
 def check_indexes(world: World, ledger: TraceLedger) -> None:
@@ -283,14 +282,14 @@ TAINT_OPERATIONS = st.one_of(
 )
 
 
-def reference_ranking(state: cluster.ClusterState, p: cluster.Pod) -> list[str]:
+def reference_ranking(state: cluster.ClusterState, tolerations) -> list[str]:
     """The ranking as it read before the eligibility index: a fresh filter,
     then tier, most free cpu, most free memory and id from ``free_capacity``."""
     def key(node_id):
         free = cluster.free_capacity(state, node_id)
-        return (scheduler.score_tier(state, p, node_id), -free.cpu_millicores,
+        return (scheduler.score_tier(state, tolerations, node_id), -free.cpu_millicores,
                 -free.memory_mib, node_id)
-    return sorted(scheduler.filter_nodes(state, p), key=key)
+    return sorted(scheduler.filter_nodes(state, tolerations), key=key)
 
 
 @given(st.lists(TAINT_OPERATIONS, max_size=40))
@@ -310,7 +309,7 @@ def test_taint_changes_keep_the_eligibility_and_powered_off_indexes(steps):
         elif op == "schedule":
             p = SHAPED[a]
             assert scheduler.schedule(state, p).node_id in (
-                None, *(n for n in reference_ranking(state, p)))
+                None, *(n for n in reference_ranking(state, p.tolerations)))
         elif op == "bind":
             p = SHAPED[a]
             try:
@@ -327,9 +326,9 @@ def test_taint_changes_keep_the_eligibility_and_powered_off_indexes(steps):
         assert set(state.eligible) <= set(TOLERATION_SETS)
         for tolerations, tiers in state.eligible.items():
             assert tiers == eligibility_by_scan(state, tolerations)
-        for p in SHAPED:
-            ranked = scheduler.score_nodes(state, p, scheduler.eligible_nodes(state, p))
-            assert ranked == reference_ranking(state, p)
+        for tolerations in TOLERATION_SETS:
+            ranked = scheduler.score_nodes(state, tolerations)
+            assert ranked == reference_ranking(state, tolerations)
         assert_indexes_match_a_rescan(state)
 
 
@@ -346,7 +345,7 @@ def test_a_taint_between_two_schedule_calls_changes_the_answer():
     # a soft taint keeps the node eligible but moves it to the last tier
     cluster.apply_taint(state, "n1", taint("b", "PreferNoSchedule"))
     assert scheduler.schedule(state, p).node_id == "n0"
-    assert scheduler.eligible_nodes(state, p) == {"n0": 1, "n1": 2}
+    assert scheduler.eligible_nodes(state, p.tolerations) == {"n0": 1, "n1": 2}
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)

@@ -71,25 +71,24 @@ class TestTolerationMonotonicity:
         self, taint_sets, tols, extra_key
     ):
         state = small_cluster(taint_sets)
-        before = filter_nodes(state, pod("p", tols=tols))
-        widened = tuple(tols) + (tol(extra_key),)
-        after = filter_nodes(state, pod("p", tols=widened))
+        before = filter_nodes(state, frozenset(tols))
+        after = filter_nodes(state, frozenset(tols) | {tol(extra_key)})
         assert before <= after
 
     @given(st.lists(taints_st, min_size=1, max_size=4), tols_st)
     def test_tolerating_everything_admits_every_node(self, taint_sets, tols):
         state = small_cluster(taint_sets)
-        everything = tuple(tol(k) for k in KEYS)
-        assert filter_nodes(state, pod("p", tols=everything)) == set(state.nodes)
+        everything = frozenset(tol(k) for k in KEYS)
+        assert filter_nodes(state, everything) == set(state.nodes)
 
     @given(st.lists(taints_st, min_size=1, max_size=4), tols_st)
     def test_filter_agrees_with_the_pairwise_predicate(self, taint_sets, tols):
         state = small_cluster(taint_sets)
-        p = pod("p", tols=tols)
+        tolerations = frozenset(tols)
         expected = {
-            nid for nid, n in state.nodes.items() if tolerates(p, n)
+            nid for nid, n in state.nodes.items() if tolerates(tolerations, n)
         }
-        assert filter_nodes(state, p) == expected
+        assert filter_nodes(state, tolerations) == expected
 
 
 class TestPhaseMachine:

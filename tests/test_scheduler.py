@@ -10,7 +10,6 @@ import oracle
 from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with, taint, tol
 from loopsim import cluster, scheduler
 from loopsim.cluster import PriorityLevel
-from loopsim.errors import NoVictimSet
 from loopsim.scheduler import DecisionKind, PendingQueue
 
 
@@ -46,23 +45,23 @@ def three_node_state(extra_pods=(), bound=()):
 class TestFilterNodes:
     def test_untainted_nodes_all_pass(self):
         state = state_with([node("a"), node("b"), node("c")])
-        assert scheduler.filter_nodes(state, pod("p")) == {"a", "b", "c"}
+        assert scheduler.filter_nodes(state, frozenset()) == {"a", "b", "c"}
 
     def test_hard_taint_excludes_intolerant_pod(self):
         state = state_with(
             [node("a"), node("w", taints=[taint("acl1", "NoExecute")])]
         )
-        assert scheduler.filter_nodes(state, pod("p", owner="acl2")) == {"a"}
+        assert scheduler.filter_nodes(state, frozenset()) == {"a"}
 
     def test_tolerating_pod_keeps_tainted_node(self):
         state = state_with([node("w", taints=[taint("acl1", "NoExecute")])])
-        p = pod("p", owner="acl1", tols=[tol("acl1", "NoExecute")])
-        assert scheduler.filter_nodes(state, p) == {"w"}
+        tols = frozenset({tol("acl1", "NoExecute")})
+        assert scheduler.filter_nodes(state, tols) == {"w"}
 
     def test_capacity_is_not_filtering(self):
         # full nodes stay feasible; preemption may still win them
-        state = state_with([node("n", 100, 100)])
-        assert scheduler.filter_nodes(state, pod("big", 5000, 5000)) == {"n"}
+        state = state_with([node("n", 500, 1024)], [pod("full", 500, 1024)], [("full", "n")])
+        assert scheduler.filter_nodes(state, frozenset()) == {"n"}
 
 
 class TestScoreNodes:
@@ -74,14 +73,12 @@ class TestScoreNodes:
                 node("marked", 2000, 4096, taints=[taint("acl1", "PreferNoSchedule")]),
             ]
         )
-        p = pod("p", owner="acl1", tols=[tol("acl1", "PreferNoSchedule")])
-        ranked = scheduler.score_nodes(state, p, scheduler.filter_nodes(state, p))
-        assert ranked == ["marked", "big-clean"]
+        tols = frozenset({tol("acl1", "PreferNoSchedule")})
+        assert scheduler.score_nodes(state, tols) == ["marked", "big-clean"]
 
     def test_clean_node_beats_foreign_soft_taint(self):
         state = three_node_state()
-        p = pod("p", owner="acl3")  # tolerates nothing, owns nothing
-        ranked = scheduler.score_nodes(state, p, scheduler.filter_nodes(state, p))
+        ranked = scheduler.score_nodes(state, frozenset())  # tolerates nothing
         # waterloo's soft taints belong to someone else, so it ranks last
         assert ranked == ["core-toronto", "edge-calgary", "edge-waterloo"]
 
@@ -92,16 +89,22 @@ class TestScoreNodes:
             [("filler", "small")],
         )
         # small has (500, 1024) free, big has (1500, 3072) free
-        ranked = scheduler.score_nodes(state, pod("p"), {"small", "big"})
+        ranked = scheduler.score_nodes(state, frozenset())
         assert ranked == ["big", "small"]
 
     def test_node_id_is_final_tiebreak(self):
         state = state_with([node("b"), node("a")])
-        assert scheduler.score_nodes(state, pod("p"), {"a", "b"}) == ["a", "b"]
+        assert scheduler.score_nodes(state, frozenset()) == ["a", "b"]
 
     def test_singleton(self):
         state = state_with([node("only")])
-        assert scheduler.score_nodes(state, pod("p"), {"only"}) == ["only"]
+        assert scheduler.score_nodes(state, frozenset()) == ["only"]
+
+    def test_untolerated_nodes_are_left_out(self):
+        state = state_with([node("a"), node("w", taints=[taint("acl1", "NoSchedule")])])
+        assert scheduler.score_nodes(state, frozenset()) == ["a"]
+        state = state_with([node("w", taints=[taint("acl1", "NoSchedule")])])
+        assert scheduler.score_nodes(state, frozenset()) == []
 
 
 class TestSelectPreemptionVictims:
@@ -125,8 +128,7 @@ class TestSelectPreemptionVictims:
             [("peer", "n")],
         )
         incoming = pod("hi", 500, 1024, owner="acl1", priority=GOLD)
-        with pytest.raises(NoVictimSet):
-            scheduler.select_preemption_victims(state, incoming, "n")
+        assert scheduler.select_preemption_victims(state, incoming, "n") is None
 
     def test_multi_victim_set_when_one_is_not_enough(self):
         state = state_with(
@@ -193,6 +195,20 @@ class TestSchedule:
         assert decision.kind is DecisionKind.PREEMPT
         assert decision.node_id == "n"
         assert decision.victims == ("low",)
+
+    def test_preempts_on_the_next_node_when_the_first_has_no_victim_set(self):
+        state = state_with(
+            [node("a", 2000, 4096), node("b", 2000, 4096)],
+            [pod("peer", 1500, 3072, owner="acl2", priority=GOLD),
+             pod("low", 1800, 3584, owner="acl3", priority=BRONZE)],
+            [("peer", "a"), ("low", "b")],
+        )
+        incoming = pod("hi", 1500, 3072, owner="acl1", priority=GOLD)
+        assert scheduler.score_nodes(state, incoming.tolerations) == ["a", "b"]
+        assert scheduler.select_preemption_victims(state, incoming, "a") is None
+        decision = scheduler.schedule(state, incoming)
+        assert decision.kind is DecisionKind.PREEMPT
+        assert (decision.node_id, decision.victims) == ("b", ("low",))
 
     def test_disabled_preemption_stays_pending(self):
         state = state_with(

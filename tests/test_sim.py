@@ -618,12 +618,12 @@ class TestWorkCounts:
             return wrapped
 
         def tolerates_(fn):
-            def wrapped(p, n):
+            def wrapped(tolerations, n):
                 if "binds" in inside:
                     seen["bind_checks"] += 1
                 else:
-                    tolerates[seen["taint_changes"], p.tolerations, n.id] += 1
-                return fn(p, n)
+                    tolerates[seen["taint_changes"], tolerations, n.id] += 1
+                return fn(tolerations, n)
             return wrapped
 
         patch(World, "_phase_agents", counting("agents", flag=True))
