@@ -22,6 +22,11 @@ Each loop's own instance, ``home``, is resolved once, at construction.
 Regional instances act on their own tick; the end-to-end instance only acts on
 ticks that are multiples of its period, buffering work in between; ``held()``
 lists every intent submitted but neither applied nor dropped, one object each.
+
+The manager's settings are a scenario's normalized ``manager`` section, read
+by the names a scenario gives them (``settings["interference"]["cooldown_ticks"]``),
+and its trust is the normalized ``trust`` mapping: each source's sorted
+``[target, kind]`` pairs.
 """
 
 from __future__ import annotations
@@ -183,21 +188,6 @@ class Denial:
 
 
 @dataclass
-class ManagerConfig:
-    e2e_period: int = 5
-    coherency_window: int = 50
-    coherency_min_history: int = 10
-    coherency_k_sigma: float = 3.0
-    coherency_epsilon: float = 1e-6
-    suspend_after: int = 3
-    reinstate_after: int = 5
-    interference_window: int = 10
-    toggle_threshold: int = 3
-    freeze_cooldown: int = 10
-    model_bonus: float = 0.2
-
-
-@dataclass
 class TickOutcome:
     survivors: list[ActionIntent] = field(default_factory=list)
     requeued: list[ActionIntent] = field(default_factory=list)
@@ -215,9 +205,11 @@ TOGGLE_KINDS = frozenset(
 
 
 class ConflictManager:
-    def __init__(self, config: ManagerConfig, agents: dict[str, LoopAgent]):
-        self.config = config
+    def __init__(self, settings: dict, agents: dict[str, LoopAgent],
+                 trust: dict[str, list[list[str]]]):
+        self.settings = settings
         self.agents = agents
+        self.trust = trust
         # the instance that handles each loop alone: it reads only the loop's
         # size and regions, which no operation changes
         self.home = {acl: self.route([acl]) for acl in agents}
@@ -230,17 +222,16 @@ class ConflictManager:
         self._requeued: list[ActionIntent] = []
         self._held_conflicts: list[tuple[ConflictRecord, list[ActionIntent]]] = []
         self._held_intents: list[ActionIntent] = []
-        self.trust: dict[str, set[tuple[str, str]]] = {}
         self._grant_seq = 0
         self._conflict_seq = 0
 
     # -- routing ------------------------------------------------------------
 
     def is_e2e_tick(self, tick: int) -> bool:
-        return tick % self.config.e2e_period == 0
+        return tick % self.settings["e2e_period"] == 0
 
     def next_e2e_tick(self, tick: int) -> int:
-        period = self.config.e2e_period
+        period = self.settings["e2e_period"]
         return tick if tick % period == 0 else (tick // period + 1) * period
 
     def route(self, participant_ids: list[str]) -> str:
@@ -275,14 +266,12 @@ class ConflictManager:
     # -- coherency / lifecycle ----------------------------------------------
 
     def coherency_check(self, acl: str, magnitude: float) -> Verdict:
-        cfg = self.config
+        cfg = self.settings["coherency"]
         baseline = self.baselines.get(acl)
         if baseline is None:
-            baseline = CoherencyBaseline(
-                cfg.coherency_window, cfg.coherency_min_history, cfg.coherency_epsilon
-            )
+            baseline = CoherencyBaseline(cfg["window"], cfg["min_history"], cfg["epsilon"])
             self.baselines[acl] = baseline
-        return baseline.check(magnitude, cfg.coherency_k_sigma)
+        return baseline.check(magnitude, cfg["k_sigma"])
 
     def update_lifecycle(self, agent: LoopAgent, verdict: Verdict) -> tuple[str, str] | None:
         """Advance the agent's lifecycle; return (old, new) on a transition."""
@@ -292,7 +281,7 @@ class ConflictManager:
         if verdict is Verdict.ANOMALOUS:
             agent.anomaly_streak += 1
             agent.normal_streak = 0
-            if agent.anomaly_streak >= self.config.suspend_after:
+            if agent.anomaly_streak >= self.settings["lifecycle"]["suspend_after"]:
                 agent.lifecycle = LifecycleState.SUSPENDED
             else:
                 agent.lifecycle = LifecycleState.UNDER_OBSERVATION
@@ -301,7 +290,7 @@ class ConflictManager:
             agent.anomaly_streak = 0
             if (
                 agent.lifecycle is LifecycleState.UNDER_OBSERVATION
-                and agent.normal_streak >= self.config.reinstate_after
+                and agent.normal_streak >= self.settings["lifecycle"]["reinstate_after"]
             ):
                 agent.lifecycle = LifecycleState.ACTIVE
         if agent.lifecycle is not old:
@@ -327,7 +316,7 @@ class ConflictManager:
             return Denial(source, target, kind, "UnknownAgent")
         if giver.lifecycle is LifecycleState.SUSPENDED:
             return Denial(source, target, kind, "SourceSuspended")
-        if (target, kind) not in self.trust.get(source, set()):
+        if [target, kind] not in self.trust.get(source, ()):
             return Denial(source, target, kind, "NotTrusted")
         self._grant_seq += 1
         return Grant(
@@ -335,7 +324,7 @@ class ConflictManager:
             source=source,
             target=target,
             kind=kind,
-            accuracy_bonus=self.config.model_bonus if kind == "Model" else 0.0,
+            accuracy_bonus=self.settings["knowledge"]["model_bonus"] if kind == "Model" else 0.0,
             sample_count=giver.span_ticks if kind == "Dataset" else 0,
         )
 
@@ -358,9 +347,9 @@ class ConflictManager:
         targets take their first observed direction as the starting state, so
         monotone runs (everyone scaling up) never count as toggles.
         """
-        cfg = self.config
+        cfg = self.settings["interference"]
         history = self.action_history
-        while history and history[0][0] <= tick - cfg.interference_window:
+        while history and history[0][0] <= tick - cfg["window_ticks"]:
             history.popleft()
         entries: dict[str, list[tuple[int, str, int]]] = {}
         for t, acl, target, direction in history:
@@ -384,7 +373,7 @@ class ConflictManager:
                 if direction != prev:
                     toggles += 1
                 prev = direction
-            if toggles >= cfg.toggle_threshold and len(actors) >= 2:
+            if toggles >= cfg["toggle_threshold"] and len(actors) >= 2:
                 records.append(
                     self._record(tick, ConflictKind.INTERFERENCE, sorted(actors), [target])
                 )
@@ -494,7 +483,7 @@ class ConflictManager:
             resolution = Resolution("arbitrated", winner=winner, losers=losers)
         else:
             frozen = min(record.participants, key=lambda a: (value(a), a))
-            until = tick + self.config.freeze_cooldown
+            until = tick + self.settings["interference"]["cooldown_ticks"]
             for target in record.targets:
                 self.freezes[(frozen, target)] = until
             resolution = Resolution("frozen", frozen_acl=frozen, until_tick=until)

@@ -32,7 +32,6 @@ from .cluster import (
     TaintEffect,
     Toleration,
 )
-from .conflicts import ManagerConfig
 from .errors import EmptyScope, ParseError, ValidationError
 from .scheduler import PendingQueue
 from .traffic import RegionProfile, TrafficModel
@@ -227,13 +226,15 @@ def _number(kind: type, value, where: str):
 
 def _fields(raw, table: dict, where: str) -> dict:
     """Check the mapping *raw* against a field *table* and return its fields
-    in table order, defaults filled in.  Keys outside the table are left to
-    the caller."""
+    in table order, defaults filled in.  A nested table's section may have no
+    other keys; keys of *raw* outside the table are left to the caller."""
     _mapping(raw, where)
     out = {}
     for key, spec in table.items():
         if isinstance(spec, dict):
-            out[key] = _fields(raw.get(key) or {}, spec, f"{where}.{key}")
+            section = raw.get(key) or {}
+            out[key] = _fields(section, spec, f"{where}.{key}")
+            _only(section, spec, f"{where}.{key}")
             continue
         value = raw.get(key, spec.default)
         if value is REQUIRED:
@@ -254,11 +255,14 @@ def _fields(raw, table: dict, where: str) -> dict:
     return out
 
 
-def _pair(value, where: str) -> list:
-    """An already-normalized ``[a, b]`` entry."""
-    if len(_list(value, where)) != 2:
-        raise ValidationError(f"{where}: expected a mapping or a [key, value] pair")
-    return value
+def _only(raw: dict, known, where: str) -> None:
+    """Refuse the first key of the mapping *raw* that *known* (a field table,
+    or the entry normalized from *raw*) lacks: a misspelt key would otherwise
+    load as its default.  Called once every key of *raw* is read, so the
+    errors those keys hold come first."""
+    for key in raw:
+        if key not in known:
+            raise ValidationError(f"{where}: unknown key {_shown(key)}")
 
 
 def _norm_tolerations(raw, where: str) -> list[dict]:
@@ -273,14 +277,18 @@ def _norm_tolerations(raw, where: str) -> list[dict]:
             raise ValidationError(f"{at}: empty effects list")
         for e in effects:
             _one_of(e, EFFECTS, "effect", at)
-        out.append({**entry, "effects": sorted(effects)})
+        entry["effects"] = sorted(effects)
+        _only(tol, entry, at)
+        out.append(entry)
     return sorted(out, key=lambda t: (t["key"], tuple(t["effects"])))
 
 
 def _request(raw, where: str) -> dict:
     """A pod's resource request and tolerations."""
-    return {**_fields(raw, REQUEST, where),
-            "tolerations": _norm_tolerations(raw.get("tolerations"), where)}
+    request = {**_fields(raw, REQUEST, where),
+               "tolerations": _norm_tolerations(raw.get("tolerations"), where)}
+    _only(raw, request, where)
+    return request
 
 
 def _tolerations(norm: list[dict]) -> frozenset[Toleration]:
@@ -310,6 +318,7 @@ def normalize(data: dict) -> dict:
     levels: dict[str, dict] = {}
     for i, raw in enumerate(_list(data.get("priority_levels", []), "priority_levels")):
         level = _fields(raw, PRIORITY_LEVEL, f"priority_levels[{i}]")
+        _only(raw, level, f"priority_levels[{i}]")
         if level["name"] in levels:
             raise ValidationError(f"duplicate priority level {level['name']!r}")
         levels[level["name"]] = level
@@ -333,27 +342,24 @@ def normalize(data: dict) -> dict:
             raise ValidationError(f"{where}: unknown priority {name!r}")
         return name
 
-    # topology (an already-normalized document keeps nodes at the top level)
-    topo = data.get("topology")
-    if topo is None:
-        topo = {"nodes": data["nodes"]} if "nodes" in data else _require(
-            data, "topology", "scenario"
-        )
+    topo = _require(data, "topology", "scenario")
     nodes: dict[str, dict] = {}
     for i, raw in enumerate(_list(_require(topo, "nodes", "topology"), "topology.nodes")):
         node_id = _text(_require(raw, "id", f"topology.nodes[{i}]"), f"topology.nodes[{i}]: id")
         if node_id in nodes:
             raise ValidationError(f"duplicate node id {node_id!r}")
         where = f"node {node_id}"
-        taints = [
-            _fields(taint, TAINT, f"{where} taint[{j}]")
-            for j, taint in enumerate(_list(raw.get("taints", []), f"{where}: taints"))
-        ]
+        taints = []
+        for j, taint in enumerate(_list(raw.get("taints", []), f"{where}: taints")):
+            taints.append(_fields(taint, TAINT, f"{where} taint[{j}]"))
+            _only(taint, TAINT, f"{where} taint[{j}]")
         nodes[node_id] = {
             "id": node_id,
             **_fields(raw, NODE, where),
             "taints": sorted(taints, key=lambda t: (t["key"], t["effect"])),
         }
+        _only(raw, nodes[node_id], where)
+    _only(topo, ("nodes",), "topology")
     norm["nodes"] = sorted(nodes.values(), key=lambda n: n["id"])
     node_regions = {node_id: node["region"] for node_id, node in nodes.items()}
     regions = set(node_regions.values())
@@ -387,6 +393,7 @@ def normalize(data: dict) -> dict:
         entry["pod_template"] = (
             None if template is None else _request(template, f"{where} pod_template")
         )
+        _only(raw, entry, where)
         agent_entries[agent_id] = entry
     norm["agents"] = sorted(agent_entries.values(), key=lambda a: a["id"])
 
@@ -405,6 +412,7 @@ def normalize(data: dict) -> dict:
         }
         if pods[pod_id]["node"] not in nodes:
             raise ValidationError(f"{where}: unknown node {pods[pod_id]['node']!r}")
+        _only(raw, pods[pod_id], where)
     norm["initial_pods"] = sorted(pods.values(), key=lambda p: p["id"])
     # an agent names the pods it creates <id>-pod-<n>, counting on from the
     # initial pods it owns; no initial pod may hold one of those names
@@ -425,20 +433,19 @@ def normalize(data: dict) -> dict:
         where = f"trust[{source}]"
         pairs = []
         for entry in _list(entries, where):
-            if isinstance(entry, dict):
-                target = _text(_require(entry, "acl", where), f"{where}: acl")
-                kinds = _list(_require(entry, "kinds", where), f"{where}.kinds")
-            else:  # already-normalized [target, kind] pair
-                target, kind = _pair(entry, where)
-                target, kinds = _text(target, where), [kind]
+            target = _text(_require(entry, "acl", where), f"{where}: acl")
+            kinds = _list(_require(entry, "kinds", where), f"{where}.kinds")
             if target not in agent_entries:
                 raise ValidationError(f"{where}: unknown agent {target!r}")
             for kind in kinds:
                 pairs.append([target, _one_of(kind, ARTIFACT_KINDS, "artifact kind", where)])
+            _only(entry, ("acl", "kinds"), where)
         trust[_text(source, "trust")] = sorted(pairs)
     norm["trust"] = dict(sorted(trust.items()))
 
-    norm["manager"] = _fields(data.get("manager") or {}, MANAGER, "manager")
+    manager = data.get("manager") or {}
+    norm["manager"] = _fields(manager, MANAGER, "manager")
+    _only(manager, MANAGER, "manager")
 
     # traffic
     profiles = {}
@@ -450,10 +457,10 @@ def normalize(data: dict) -> dict:
         steps = []
         for j, step in enumerate(_list(raw.get("steps", []), f"{where}.steps")):
             at = f"{where}.steps[{j}]"
-            if not isinstance(step, dict):  # already-normalized [at, base] pair
-                step = dict(zip(STEP, _pair(step, at)))
             steps.append(list(_fields(step, STEP, at).values()))
+            _only(step, STEP, at)
         profile["steps"] = sorted(steps)
+        _only(raw, profile, where)
         profiles[_text(region, "traffic")] = profile
     for region in regions:
         profiles.setdefault(region, {**_fields({}, TRAFFIC, "traffic"), "steps": []})
@@ -462,6 +469,8 @@ def normalize(data: dict) -> dict:
     # injected events
     agent_roles = {a: e["role"] for a, e in agent_entries.items()}
     norm["injected"] = normalize_events(data.get("injected", []), set(nodes), agent_roles)
+    _only(data, (*SCENARIO, "priority_levels", "topology", "agents", "initial_pods",
+                 "trust", "manager", "traffic", "injected"), "scenario")
 
     # initial pods must tolerate their node and fit together: building the
     # state raises ValidationError on any violation
@@ -492,6 +501,7 @@ def normalize_events(
             event["chain"] = [
                 _request(link, f"{where}.chain[{j}]") for j, link in enumerate(chain)
             ]
+        _only(raw, event, where)
         out.append(event)
     return out
 
@@ -501,14 +511,26 @@ def scenario_hash(norm: dict) -> str:
     return hashlib.sha256(dump.encode()).hexdigest()
 
 
-def from_dict(data: dict, seed: int | None = None, ticks: int | None = None) -> Scenario:
-    data = dict(_mapping(data, "scenario"))
-    if seed is not None:
-        data["seed"] = seed
-    if ticks is not None:
-        data["ticks"] = ticks
-    norm = normalize(data)
+def _scenario(norm: dict) -> Scenario:
     return Scenario(norm["name"], norm["seed"], norm["ticks"], scenario_hash(norm), norm)
+
+
+def _overridden(data: dict, seed, ticks) -> dict:
+    """A copy of *data* with the *seed* and *ticks* that are not None."""
+    return {**data, **{k: v for k, v in (("seed", seed), ("ticks", ticks)) if v is not None}}
+
+
+def from_dict(data: dict, seed: int | None = None, ticks: int | None = None) -> Scenario:
+    return _scenario(normalize(_overridden(_mapping(data, "scenario"), seed, ticks)))
+
+
+def with_overrides(scn: Scenario, seed=None, ticks=None) -> Scenario:
+    """*scn* run with another seed or tick count, each checked by the
+    ``SCENARIO`` table as ``from_dict`` checks it, and hashed again.  No
+    other field depends on either, so nothing else is normalized again."""
+    data = _overridden(scn.data, seed, ticks)
+    data.update(_fields(data, SCENARIO, "scenario"))
+    return _scenario(data)
 
 
 def _too_deep(event) -> ParseError:
@@ -658,23 +680,6 @@ def build_queue(norm: dict, agents: dict[str, LoopAgent]) -> PendingQueue:
     return queue
 
 
-def build_manager_config(norm: dict) -> ManagerConfig:
-    mgr = norm["manager"]
-    return ManagerConfig(
-        e2e_period=mgr["e2e_period"],
-        coherency_window=mgr["coherency"]["window"],
-        coherency_min_history=mgr["coherency"]["min_history"],
-        coherency_k_sigma=mgr["coherency"]["k_sigma"],
-        coherency_epsilon=mgr["coherency"]["epsilon"],
-        suspend_after=mgr["lifecycle"]["suspend_after"],
-        reinstate_after=mgr["lifecycle"]["reinstate_after"],
-        interference_window=mgr["interference"]["window_ticks"],
-        toggle_threshold=mgr["interference"]["toggle_threshold"],
-        freeze_cooldown=mgr["interference"]["cooldown_ticks"],
-        model_bonus=mgr["knowledge"]["model_bonus"],
-    )
-
-
 def build_traffic(norm: dict) -> TrafficModel:
     profiles = {
         region: RegionProfile(
@@ -688,13 +693,6 @@ def build_traffic(norm: dict) -> TrafficModel:
         for region, raw in norm["traffic"].items()
     }
     return TrafficModel(profiles, norm["seed"])
-
-
-def build_trust(norm: dict) -> dict[str, set[tuple[str, str]]]:
-    return {
-        source: {(target, kind) for target, kind in pairs}
-        for source, pairs in norm["trust"].items()
-    }
 
 
 def chain_specs(event: dict) -> tuple[PodSpec, ...]:

@@ -38,7 +38,6 @@ from . import cluster, scenario as scenario_mod, scheduler
 from .agents import (
     ActionIntent,
     ActionKind,
-    AgentRole,
     LifecycleState,
     SliceRequest,
 )
@@ -63,20 +62,15 @@ class Metrics:
     """
 
     ticks: int = 0
-    pods_created: int = 0
-    pods_terminated: int = 0
     bindings: int = 0
     reschedules: int = 0
-    preemptions: int = 0
     evictions: Counter = field(default_factory=Counter)       # cause -> n
     intents_submitted: int = 0
     intents_applied: int = 0
-    intents_requeued: int = 0
     intents_dropped: Counter = field(default_factory=Counter)  # reason -> n
     conflicts: Counter = field(default_factory=Counter)        # kind -> n
     grants: int = 0
     denials: Counter = field(default_factory=Counter)          # reason -> n
-    verdicts: Counter = field(default_factory=Counter)         # verdict -> n
     predictions: dict[str, list[tuple[int, float, float]]] = field(default_factory=dict)
     placements: dict[str, str] = field(default_factory=dict)
     pending: set[str] = field(default_factory=set)
@@ -103,26 +97,18 @@ class Metrics:
                 m.predictions.setdefault(event["acl"], []).append(
                     (event["tick"], event["value"], event["truth"])
                 )
-            elif kind == "coherency":
-                m.verdicts[event["verdict"]] += 1
             elif kind == "intent-submitted":
                 m.intents_submitted += 1
             elif kind == "intent-applied":
                 m.intents_applied += 1
-            elif kind == "intent-requeued":
-                m.intents_requeued += 1
             elif kind == "intent-dropped":
                 m.intents_dropped[event["reason"]] += 1
-            elif kind == "pod-created":
-                m.pods_created += 1
-                m.pending.add(event["pod"])
-            elif kind == "pod-pending":
+            elif kind == "pod-created" or kind == "pod-pending":
                 m.pending.add(event["pod"])
             elif kind == "pod-bound":
                 pod_id = event["pod"]
                 m.bindings += 1
                 m.reschedules += pod_id in evicted
-                m.preemptions += "preempted" in event
                 m.placements[pod_id] = event["node"]
                 m.pending.discard(pod_id)
             elif kind == "pod-evicted":
@@ -131,7 +117,6 @@ class Metrics:
                 m.placements.pop(event["pod"], None)
                 m.pending.discard(event["pod"])
             elif kind == "pod-terminated":
-                m.pods_terminated += 1
                 m.placements.pop(event["pod"], None)
                 m.pending.discard(event["pod"])
             elif kind == "conflict-detected":
@@ -172,8 +157,7 @@ class World:
         self.state = scenario_mod.build_state(norm)
         self.agents = scenario_mod.build_agents(norm)
         self.queue = scenario_mod.build_queue(norm, self.agents)
-        self.manager = ConflictManager(scenario_mod.build_manager_config(norm), self.agents)
-        self.manager.trust = scenario_mod.build_trust(norm)
+        self.manager = ConflictManager(norm["manager"], self.agents, norm["trust"])
         self.traffic = scenario_mod.build_traffic(norm)
         self.extra_events = list(extra_events or [])
         if self.extra_events:
@@ -201,7 +185,8 @@ class World:
         self.idle_streaks: dict[str, int] = {n: 0 for n in self.state.nodes}
         # bookkeeping's node order: no operation adds or removes a node
         self._node_ids = sorted(self.state.nodes)
-        self.pending_slices: list[SliceRequest] = []
+        # each slice loop's requests, taken whole when it next plans
+        self.pending_slices: dict[str, list[SliceRequest]] = {}
         self._slice_seq = 0
 
     # -- helpers ---------------------------------------------------------
@@ -235,7 +220,7 @@ class World:
                     chain=scenario_mod.chain_specs(event),
                 )
                 self._slice_seq += 1
-                self.pending_slices.append(request)
+                self.pending_slices.setdefault(request.agent_id, []).append(request)
                 self.emit("slice-requested", id=request.id, agent=request.agent_id,
                           links=len(request.chain))
             elif kind == "exchange-request":
@@ -290,20 +275,14 @@ class World:
             )
             self.emit("prediction", acl=acl, value=prediction, truth=truth)
 
-            # validation addresses a slice request to a slice loop only
-            my_slices = ()
-            if agent.role is AgentRole.SLICE:
-                my_slices = tuple(s for s in self.pending_slices if s.agent_id == acl)
+            # validation addresses slice requests to slice loops only, and a
+            # slice loop plans one intent per request
+            my_slices = tuple(self.pending_slices.pop(acl, ()))
             mine = in_flight.get(acl)
             outstanding = (frozenset() if mine is None
                            else agents_mod.outstanding_targets(agent, mine))
             intents = agents_mod.plan(agent, prediction, t, self.state, self.idle_streaks,
                                       outstanding, my_slices)
-            if my_slices and intents:
-                consumed = {s.id for s in my_slices}
-                self.pending_slices = [
-                    s for s in self.pending_slices if s.id not in consumed
-                ]
             if intents:
                 planned.append((acl, intents))
         return planned
@@ -615,10 +594,8 @@ def verify_trace(trace: Trace, scn: Scenario) -> Report:
     expected as ``"<missing>"``, and past the text's end each replayed line
     reads as ``"<missing>"``."""
     header = trace.header
-    if header.get("scenario_hash") != scn.hash:
-        effective = scenario_mod.from_dict(
-            scn.data, seed=header.get("seed"), ticks=header.get("ticks")
-        )
+    if header.get("scenario_hash") != scn.hash:  # a run with --seed or --ticks?
+        effective = scenario_mod.with_overrides(scn, header.get("seed"), header.get("ticks"))
         if header.get("scenario_hash") != effective.hash:
             raise HashMismatch(effective.hash, header.get("scenario_hash", ""))
         scn = effective

@@ -12,6 +12,7 @@ from loopsim.cluster import (
     add_pod,
     bind,
 )
+from loopsim.scenario import MANAGER, _fields, _only
 
 PLATINUM = PriorityLevel("platinum", 20)
 GOLD = PriorityLevel("gold", 10)
@@ -20,6 +21,14 @@ BRONZE = PriorityLevel("bronze", 1)
 DEFAULT = PriorityLevel("default", 0, preemption_enabled=False)
 
 ALL_EFFECTS = ("NoSchedule", "PreferNoSchedule", "NoExecute")
+
+
+def manager_settings(**overrides) -> dict:
+    """A normalized ``manager`` section: *overrides*, by the names a scenario
+    uses, checked and completed through the ``MANAGER`` table."""
+    settings = _fields(overrides, MANAGER, "manager")
+    _only(overrides, MANAGER, "manager")
+    return settings
 
 
 def rv(cpu: int, mem: int) -> ResourceVector:

@@ -5,13 +5,14 @@ holds (run with -s to see them; under -v the test outcome itself is the
 per-criterion line).  Tolerances and budgets are asserted, not aspirational.
 """
 
-import copy
 import random
 import time
 
+import yaml
+
 import oracle
 from loopsim.conflicts import CoherencyBaseline, Verdict
-from loopsim.scenario import from_dict, load_scenario
+from loopsim.scenario import BUILTIN_SCENARIOS, from_dict, load_scenario
 from loopsim.scheduler import coordinate
 from loopsim.sim import check_invariants, run, verify_trace
 
@@ -97,7 +98,8 @@ def test_criterion_03_scheduler_oracle_equivalence():
 REGION_POOL = ["aurora", "banff", "churchill", "dawson", "esker"]
 
 
-def random_scenario(rng, index):
+def random_document(rng, index):
+    """The scenario document of fuzz scenario *index*."""
     regions = rng.sample(REGION_POOL, rng.randint(2, 3))
     nodes = []
     for r in regions:
@@ -168,21 +170,25 @@ def random_scenario(rng, index):
         if rng.random() < 0.7:
             injected.append({"tick": min(at + rng.randint(2, 6), 49),
                              "kind": "remove-taint", "node": victim, "key": "maint"})
-    return from_dict({
+    return {
         "name": f"fuzz-{index}",
         "seed": rng.randint(0, 2**31),
         "ticks": 50,
         "priority_levels": [
             {"name": "high", "value": 10},
             {"name": "mid", "value": 5},
-            {"name": "low", "value": 1, "preemption_enabled": False},
+            {"name": "low", "value": 1},
         ],
         "topology": {"nodes": nodes},
         "agents": agents,
         "initial_pods": initial,
         "traffic": traffic,
         "injected": injected,
-    })
+    }
+
+
+def random_scenario(rng, index):
+    return from_dict(random_document(rng, index))
 
 
 def test_criterion_04_invariants_hold_over_randomized_runs():
@@ -225,7 +231,7 @@ def test_criterion_05_pingpong_detection_and_freeze():
     assert metrics.intents_dropped["frozen"] > 0
 
     # control: the same scenario without the antagonist acts monotonically
-    control_doc = copy.deepcopy(load_scenario("pingpong").data)
+    control_doc = yaml.safe_load(BUILTIN_SCENARIOS["pingpong"])
     control_doc["agents"] = [a for a in control_doc["agents"] if a["id"] != "load-router"]
     control_trace, _, _ = run(from_dict(control_doc))
     assert events_of(control_trace, "conflict-detected") == []

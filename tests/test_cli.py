@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from loopsim import scenario as scenario_mod
 from loopsim.cli import main
 from loopsim.scenario import list_scenarios, load_scenario
 from loopsim.sim import run, verify_trace
@@ -87,6 +88,13 @@ class TestRun:
         assert code == 2
         assert "unknown agent 'ghost'" in err
 
+    def test_events_line_with_an_unknown_key_is_an_input_error(self, capsys, tmp_path):
+        events = tmp_path / "ops.jsonl"
+        events.write_text(json.dumps({"tick": 1, "kind": "release", "acl": "acl1",
+                                      "at": 2}) + "\n")
+        code, _, err = invoke(capsys, "run", "case1", "--events", str(events))
+        assert (code, err) == (2, "error: events[0]: unknown key 'at'\n")
+
     def test_events_line_nested_100000_deep_is_an_input_error(self, capsys, tmp_path):
         events = tmp_path / "ops.jsonl"
         events.write_text("[" * 100_000 + "]" * 100_000 + "\n")
@@ -157,6 +165,20 @@ class TestRun:
         code, err = self.run_document(capsys, tmp_path, body)
         assert code == 2
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("body, message", [
+        ("manager: {e2e_perod: 3}\n", "manager: unknown key 'e2e_perod'"),
+        ("agents: [{id: a, scope: [east], watermark_hi: 0.9}]\n",
+         "agent a: unknown key 'watermark_hi'"),
+        ("topology: {nodes: [{id: n3, region: east, cpu: 1, memory: 1, cpus: 2}]}\n",
+         "node n3: unknown key 'cpus'"),
+        ("agents: [{id: a, scope: [east]}, {id: b, scope: [west]}]\n"
+         "trust: {a: [[b, Model]]}\n", "trust[a]: expected a mapping, got list"),
+    ], ids=["manager-key", "agent-key", "node-key", "trust-pair"])
+    def test_key_a_scenario_does_not_have_is_an_input_error(self, capsys, tmp_path, body,
+                                                            message):
+        code, err = self.run_document(capsys, tmp_path, body)
+        assert (code, err) == (2, f"error: {message}\n")
 
     def test_initial_pod_holding_a_generated_id_is_an_input_error(self, capsys, tmp_path):
         code, err = self.run_document(capsys, tmp_path, (
@@ -268,6 +290,35 @@ class TestVerify:
         code, _, err = invoke(capsys, "verify", str(path), "case1")
         assert code == 3
         assert "error:" in err
+
+    def test_override_verifies_against_the_scenario_without_normalizing(
+            self, capsys, tmp_path, monkeypatch):
+        # the header's seed and ticks are stamped on the loaded scenario: the
+        # scenario document is normalized once, when verify loads it
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "three-acl-conflict", "--seed", "3", "--ticks", "9",
+               "--out", str(path))
+        scn = load_scenario("three-acl-conflict")
+        normalize, calls = scenario_mod.normalize, []
+        monkeypatch.setattr(scenario_mod, "normalize",
+                            lambda data: calls.append(data) or normalize(data))
+        assert verify_trace(load_trace(str(path)), scn).ok
+        assert calls == []
+        code, out, _ = invoke(capsys, "verify", str(path), "three-acl-conflict")
+        assert (code, out) == (0, "trace verified: replay identical, all invariants hold\n")
+        assert len(calls) == 1
+        # a header seed that is no int is an input error, with the text a
+        # scenario's own seed gets
+        lines = path.read_text().split("\n")
+        header = json.loads(lines[0])
+        path.write_text("\n".join([json.dumps({**header, "seed": "abc"})] + lines[1:]))
+        code, _, err = invoke(capsys, "verify", str(path), "three-acl-conflict")
+        assert (code, err) == (2, "error: scenario: seed: expected int, got 'abc'\n")
+        # another scenario's trace still fails to match, whatever the override
+        path.write_text("\n".join(lines))
+        code, _, err = invoke(capsys, "verify", str(path), "case1")
+        assert code == 3
+        assert err.startswith("error: trace was recorded from a different scenario (hash ")
 
     def test_missing_trace_file_is_an_input_error(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "verify", str(tmp_path / "nope.jsonl"), "case1")

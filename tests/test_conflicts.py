@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with, taint, tol
+from helpers import manager_settings, node, pod, rv, state_with, taint, tol
 from loopsim import cluster, scheduler
 from loopsim.agents import (
     ActionIntent,
@@ -25,7 +25,6 @@ from loopsim.conflicts import (
     ConflictManager,
     Denial,
     Grant,
-    ManagerConfig,
     Verdict,
     regional,
 )
@@ -56,10 +55,11 @@ def make_agent(aid, value=10, scope=("waterloo",), role=AgentRole.SCALER):
     )
 
 
-def make_manager(*agents, **config):
-    cfg = ManagerConfig(**config)
-    byid = {a.id: a for a in agents}
-    return ConflictManager(cfg, byid)
+def make_manager(*agents, trust=None, **settings):
+    """A manager of *agents* whose ``manager`` section takes *settings*,
+    by the names a scenario uses."""
+    return ConflictManager(manager_settings(**settings), {a.id: a for a in agents},
+                           trust or {})
 
 
 def topology():
@@ -130,7 +130,7 @@ class TestLifecycle:
 
     def test_normal_streak_reinstates(self):
         agent = make_agent("a")
-        mgr = make_manager(agent, reinstate_after=5)
+        mgr = make_manager(agent, lifecycle={"reinstate_after": 5})
         mgr.update_lifecycle(agent, Verdict.ANOMALOUS)
         for _ in range(5):
             assert agent.lifecycle is LifecycleState.UNDER_OBSERVATION
@@ -139,7 +139,7 @@ class TestLifecycle:
 
     def test_anomaly_resets_the_normal_streak(self):
         agent = make_agent("a")
-        mgr = make_manager(agent, reinstate_after=3)
+        mgr = make_manager(agent, lifecycle={"reinstate_after": 3})
         mgr.update_lifecycle(agent, Verdict.ANOMALOUS)
         mgr.update_lifecycle(agent, Verdict.NORMAL)
         mgr.update_lifecycle(agent, Verdict.NORMAL)
@@ -170,11 +170,10 @@ class TestLifecycle:
 class TestBroker:
     def test_trusted_request_is_granted(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
-        mgr = make_manager(ran, core)
-        mgr.trust = {"ran": {("core", "Model")}}
+        mgr = make_manager(ran, core, trust={"ran": [["core", "Model"]]})
         result = mgr.broker_exchange("ran", "core", "Model")
         assert isinstance(result, Grant)
-        assert result.accuracy_bonus == mgr.config.model_bonus
+        assert result.accuracy_bonus == mgr.settings["knowledge"]["model_bonus"]
 
     def test_untrusted_target_is_denied(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
@@ -184,16 +183,14 @@ class TestBroker:
 
     def test_kind_mismatch_is_denied(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
-        mgr = make_manager(ran, core)
-        mgr.trust = {"ran": {("core", "Dataset")}}
+        mgr = make_manager(ran, core, trust={"ran": [["core", "Dataset"]]})
         result = mgr.broker_exchange("ran", "core", "Model")
         assert isinstance(result, Denial) and result.reason == "NotTrusted"
 
     def test_suspended_source_is_denied(self):
         ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
         ran.lifecycle = LifecycleState.SUSPENDED
-        mgr = make_manager(ran, core)
-        mgr.trust = {"ran": {("core", "Model")}}
+        mgr = make_manager(ran, core, trust={"ran": [["core", "Model"]]})
         result = mgr.broker_exchange("ran", "core", "Model")
         assert isinstance(result, Denial) and result.reason == "SourceSuspended"
 
@@ -206,8 +203,7 @@ class TestBroker:
         ran = make_agent("ran", scope=("waterloo",))
         ran.span_ticks = 12
         core = make_agent("core", scope=("toronto",))
-        mgr = make_manager(ran, core)
-        mgr.trust = {"ran": {("core", "Dataset")}}
+        mgr = make_manager(ran, core, trust={"ran": [["core", "Dataset"]]})
         grant = mgr.broker_exchange("ran", "core", "Dataset")
         assert grant.sample_count == 12
         assert grant.accuracy_bonus == 0.0
@@ -309,7 +305,7 @@ class TestDetection:
 
     def test_interference_needs_enough_toggles(self):
         a, b = make_agent("a", value=3), make_agent("b", value=7)
-        mgr = make_manager(a, b, interference_window=10, toggle_threshold=3)
+        mgr = make_manager(a, b, interference={"window_ticks": 10, "toggle_threshold": 3})
         # off(1), on(2): two toggles so far (node starts powered-on)
         mgr.note_execution(1, "a", "edge-waterloo", -1)
         mgr.note_execution(2, "b", "edge-waterloo", +1)
@@ -324,21 +320,21 @@ class TestDetection:
 
     def test_monotone_actions_never_interfere(self):
         a, b = make_agent("a"), make_agent("b", value=5)
-        mgr = make_manager(a, b, toggle_threshold=3)
+        mgr = make_manager(a, b, interference={"toggle_threshold": 3})
         for t in range(6):
             mgr.note_execution(t, "a" if t % 2 else "b", "svc", +1)
         assert mgr.detect_interference(6, [], topology()) == []
 
     def test_single_actor_oscillation_is_not_interference(self):
         a = make_agent("a")
-        mgr = make_manager(a, toggle_threshold=3)
+        mgr = make_manager(a, interference={"toggle_threshold": 3})
         for t, direction in enumerate((+1, -1, +1, -1, +1, -1)):
             mgr.note_execution(t, "a", "svc", direction)
         assert mgr.detect_interference(6, [], topology()) == []
 
     def test_old_history_falls_out_of_the_window(self):
         a, b = make_agent("a", value=3), make_agent("b", value=7)
-        mgr = make_manager(a, b, interference_window=3, toggle_threshold=3)
+        mgr = make_manager(a, b, interference={"window_ticks": 3, "toggle_threshold": 3})
         mgr.note_execution(0, "a", "edge-waterloo", -1)
         mgr.note_execution(1, "b", "edge-waterloo", +1)
         mgr.note_execution(2, "a", "edge-waterloo", -1)
@@ -350,7 +346,7 @@ class TestDetection:
         # observed direction, which a target that is no node starts from
         a, b = make_agent("a", value=3), make_agent("b", value=7)
         for target, found in (("edge-waterloo", 1), ("svc-waterloo", 0)):
-            mgr = make_manager(a, b, toggle_threshold=3)
+            mgr = make_manager(a, b, interference={"toggle_threshold": 3})
             mgr.note_execution(1, "a", target, -1)
             mgr.note_execution(2, "b", target, +1)
             pending = [make_intent("a", 3, ActionKind.SCALE_DOWN, target=target)]
@@ -487,7 +483,7 @@ class TestResolve:
     def test_interference_freezes_the_lowest_priority(self):
         energy = make_agent("energy", value=3, scope=("calgary",))
         balancer = make_agent("balancer", value=7, scope=("calgary",))
-        mgr = make_manager(energy, balancer, freeze_cooldown=10)
+        mgr = make_manager(energy, balancer, interference={"cooldown_ticks": 10})
         record = mgr._record(4, ConflictKind.INTERFERENCE,
                              ["balancer", "energy"], ["edge-calgary"])
         resolved = mgr.resolve(record, 4)
@@ -527,7 +523,7 @@ class TestProcessTick:
 
     def test_anomalous_magnitude_drops_the_intent(self):
         a = make_agent("acl1")
-        mgr = make_manager(a, coherency_min_history=3)
+        mgr = make_manager(a, coherency={"min_history": 3})
         state = state_with([node("edge-waterloo", region="waterloo")])
         for t in range(4):
             out = mgr.process_tick(
@@ -566,7 +562,7 @@ class TestProcessTick:
     def test_frozen_agent_intents_are_dropped(self):
         energy = make_agent("energy", value=3, scope=("calgary",))
         balancer = make_agent("balancer", value=7, scope=("calgary",))
-        mgr = make_manager(energy, balancer, freeze_cooldown=10)
+        mgr = make_manager(energy, balancer, interference={"cooldown_ticks": 10})
         mgr.freezes[("energy", "edge-calgary")] = 12
         state = state_with([node("edge-calgary", region="calgary")])
         intent = make_intent("energy", 5, ActionKind.POWER_OFF, target="edge-calgary")

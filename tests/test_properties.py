@@ -8,7 +8,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle
-from helpers import node, pod, rv, state_with, taint, tol
+from helpers import manager_settings, node, pod, rv, state_with, taint, tol
 from loopsim.agents import (
     AgentRole,
     LoopAgent,
@@ -31,7 +31,6 @@ from loopsim.conflicts import (
     ConflictKind,
     ConflictManager,
     ConflictRecord,
-    ManagerConfig,
     Verdict,
     regional,
 )
@@ -39,7 +38,7 @@ from loopsim.errors import ValidationError
 from loopsim.scenario import BUILTIN_SCENARIOS, from_dict, list_scenarios
 from loopsim.scheduler import coordinate, filter_nodes
 from loopsim.sim import check_invariants, run, verify_trace
-from test_acceptance import random_scenario
+from test_acceptance import random_document
 
 KEYS = ("zone", "tier", "power")
 EFFECTS = ("NoSchedule", "PreferNoSchedule", "NoExecute")
@@ -178,7 +177,7 @@ class TestArbitrationScaling:
             )
             for aid, value in values.items()
         }
-        return ConflictManager(ManagerConfig(), agents)
+        return ConflictManager(manager_settings(), agents, {})
 
     def record(self, kind, participants):
         return ConflictRecord(
@@ -248,7 +247,7 @@ class TestRoutingPartition:
                 nodes=nodes,
                 priority=PriorityLevel("lvl", 1),
             )
-        return ConflictManager(ManagerConfig(), agents)
+        return ConflictManager(manager_settings(), agents, {})
 
     @given(scopes_st)
     def test_every_group_routes_to_exactly_one_instance(self, scopes):
@@ -278,8 +277,9 @@ class TestRoutingPartition:
     def test_e2e_submission_ticks_land_on_the_period(self, tick):
         manager = self.manager_with([frozenset({"e2e"})])
         when = manager.next_e2e_tick(tick)
-        assert when % manager.config.e2e_period == 0
-        assert tick <= when < tick + manager.config.e2e_period
+        period = manager.settings["e2e_period"]
+        assert when % period == 0
+        assert tick <= when < tick + period
 
 
 class TestCoherencyProperties:
@@ -355,7 +355,7 @@ REPLACEMENTS = (0, -1, 7, 10**6, "x", [], [1], {}, {"k": 1}, None,
 def _source_documents() -> list[dict]:
     docs = [yaml.safe_load(BUILTIN_SCENARIOS[name]) for name in list_scenarios()]
     rng = random.Random(20260814)
-    docs += [random_scenario(rng, i).data for i in range(4)]  # normalized form
+    docs += [random_document(rng, i) for i in range(4)]
     return docs
 
 

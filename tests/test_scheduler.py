@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import oracle
-from helpers import BRONZE, GOLD, SILVER, node, pod, rv, state_with, taint, tol
+from helpers import BRONZE, GOLD, SILVER, node, pod, state_with, taint, tol
 from loopsim import cluster, scheduler
 from loopsim.cluster import PriorityLevel
 from loopsim.scheduler import DecisionKind, PendingQueue

@@ -525,6 +525,26 @@ class TestScopeReach:
         assert verify_trace(parse_trace(trace.dumps()), scn).ok
 
 
+class TestSliceRequests:
+    def test_requests_wait_for_the_loop_to_plan_then_go_whole(self):
+        # the slice loop plans on even ticks; two requests arrive at tick 1
+        request = {"kind": "slice-request", "agent": "s", "chain": [{"cpu": 1, "memory": 1}]}
+        world = World(from_dict({
+            "name": "slices",
+            "ticks": 4,
+            "topology": {"nodes": [{"id": "n", "region": "r", "cpu": 1000, "memory": 1000}]},
+            "agents": [{"id": "s", "role": "slice", "scope": ["e2e"], "period": 2}],
+            "injected": [{"tick": 1, **request}, {"tick": 1, **request}],
+        }))
+        world.step()
+        world.step()
+        assert [r.id for r in world.pending_slices["s"]] == ["slice-req-0", "slice-req-1"]
+        world.step()
+        assert world.pending_slices == {}
+        submitted = events_of(world.trace, "intent-submitted")
+        assert [(e["tick"], e["acl"]) for e in submitted] == [(2, "s"), (2, "s")]
+
+
 class TestNoExecuteEnforcement:
     def test_tolerated_no_execute_beside_no_schedule_keeps_the_pod(self):
         scn = from_dict({

@@ -1,7 +1,5 @@
 """Demand signal generation: substreams, steps, waves, determinism."""
 
-import math
-
 import pytest
 
 from loopsim.traffic import RegionProfile, TrafficModel, derive_seed
