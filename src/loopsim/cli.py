@@ -73,7 +73,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     trace = load_trace(args.trace)
-    scn = scenario_mod.load_scenario(args.scenario)
+    with trace.parse_errors_first():  # a malformed trace is named before a bad scenario
+        scn = scenario_mod.load_scenario(args.scenario)
     report = sim.verify_trace(trace, scn)
     print(report.describe())
     return 0 if report.ok else 3

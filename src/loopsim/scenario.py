@@ -64,7 +64,7 @@ class Field:
     """One scalar key of a scenario mapping.
 
     *kind* is int, float, str, bool or the frozenset of allowed strings; str
-    accepts any scalar and bool any value, and both convert it.  A field
+    accepts any scalar and converts it, and bool accepts only a bool.  A field
     without a default is required, and one whose default is None may also be
     given as null.  A number must lie within [*low*, *high*], or (*low*,
     *high*] when *low_open*; a missing bound is no bound.
@@ -248,7 +248,8 @@ def _fields(raw, table: dict, where: str) -> dict:
         elif spec.kind is str:
             value = _text(value, f"{where}: {key}")
         elif spec.kind is bool:
-            value = bool(value)
+            if type(value) is not bool:  # bool("false") would be True
+                raise ValidationError(f"{where}: {key}: expected bool, got {_shown(value)}")
         elif value is not None or spec.default is not None:
             _one_of(value, spec.kind, key, where)
         out[key] = value

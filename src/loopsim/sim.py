@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from . import agents as agents_mod
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .scenario import Scenario
 from .traffic import TrafficModel
-from .trace import EVENT_KINDS, TRACE_FORMAT, Trace, _dump
+from .trace import EVENT_KINDS, TRACE_FORMAT, Trace, _dump, read_event
 
 
 @dataclass
@@ -468,7 +468,7 @@ class Report:
         return "\n".join(parts)
 
 
-def check_invariants(norm: dict, events: list[dict]) -> list[str]:
+def check_invariants(norm: dict, events: Iterable[dict]) -> list[str]:
     """Re-derive safety properties from scenario config and the event stream.
 
     Independent of the engine: placements, priorities, and capacities are
@@ -585,50 +585,68 @@ def check_invariants(norm: dict, events: list[dict]) -> list[str]:
 
 def verify_trace(trace: Trace, scn: Scenario) -> Report:
     """Replay the scenario named by the trace header tick by tick, comparing each
-    replayed line byte for byte with the recorded one, then re-check invariants
-    from the recorded events alone.
+    replayed line byte for byte with the recorded one, and re-check invariants
+    from the recorded events alone, in the same pass.
 
     The recorded text is walked by offset, never split: each replayed line is
     compared with the text up to the next ``"\n"``. The replay ends with the
     empty line after the last newline; past its end each recorded line is
     expected as ``"<missing>"``, and past the text's end each replayed line
-    reads as ``"<missing>"``."""
-    header = trace.header
-    if header.get("scenario_hash") != scn.hash:  # a run with --seed or --ticks?
-        effective = scenario_mod.with_overrides(scn, header.get("seed"), header.get("ticks"))
-        if header.get("scenario_hash") != effective.hash:
-            raise HashMismatch(effective.hash, header.get("scenario_hash", ""))
-        scn = effective
+    reads as ``"<missing>"``. A recorded event line equal to its replayed line
+    is the replayed event (the encoding reads back every event a run writes as
+    it was), so only a non-blank line after the header that differs, or is
+    left over, is read and checked as ``parse_trace`` would; a malformed one
+    is a ``ParseError`` naming its line. Any error is preceded by the first
+    malformed line's, as if the whole trace had been parsed first."""
     report = Report()
+    with trace.parse_errors_first():
+        header = trace.header
+        if header.get("scenario_hash") != scn.hash:  # a run with --seed or --ticks?
+            effective = scenario_mod.with_overrides(scn, header.get("seed"), header.get("ticks"))
+            if header.get("scenario_hash") != effective.hash:
+                raise HashMismatch(effective.hash, header.get("scenario_hash", ""))
+            scn = effective
+        world = World(scn, extra_events=header.get("extra_events") or [])
+        recorded = _recorded_events(trace, world, scn.ticks, report.divergences)
+        report.violations = check_invariants(scn.data, recorded)
+    return report
+
+
+def _recorded_events(trace: Trace, world: World, ticks: int, divergences: list[dict]):
+    """Step *world* through *ticks* ticks beside the recorded text, noting each
+    line that differs in *divergences*, and yield the recorded events in order."""
     # a recorded trace is compared as written: its bytes, blank lines and all
     text = trace.dumps() if trace.text is None else trace.text
-    line, pos = 0, 0  # lines compared; where the next recorded line starts (None: past the end)
+    header_line = trace.header_line
+    pos = 0  # where the next recorded line starts (None: past the end)
 
-    def compare(expected: str) -> None:
-        nonlocal line, pos
-        line += 1
+    def replayed():
+        """Each replayed line, with its event if it is one."""
+        yield _dump(world.trace.header), None
+        # the replay is held one tick at a time: once a tick's lines are
+        # compared its events go (nothing in the engine reads them back)
+        for _ in range(ticks):
+            world.step()
+            for event in world.trace.events:
+                yield _dump(event), event
+            world.trace.events.clear()
+        yield "", None
+        while pos is not None:
+            yield "<missing>", None
+
+    for line, (expected, event) in enumerate(replayed(), start=1):
         if pos is None:
-            actual = "<missing>"
-        else:
-            end = text.find("\n", pos)
-            actual, pos = (text[pos:], None) if end < 0 else (text[pos:end], end + 1)
+            divergences.append({"line": line, "actual": "<missing>", "expected": expected})
+            continue
+        end = text.find("\n", pos)
+        actual, pos = (text[pos:], None) if end < 0 else (text[pos:end], end + 1)
         if actual != expected:
-            report.divergences.append({"line": line, "actual": actual, "expected": expected})
-
-    world = World(scn, extra_events=header.get("extra_events") or [])
-    compare(_dump(world.trace.header))
-    # the replay is held one tick at a time: its lines are compared as each tick
-    # ends, then its events go (nothing in the engine reads them back)
-    for _ in range(scn.ticks):
-        world.step()
-        for event in world.trace.events:
-            compare(_dump(event))
-        world.trace.events.clear()
-    compare("")
-    while pos is not None:
-        compare("<missing>")
-    report.violations = check_invariants(scn.data, trace.events)
-    return report
+            divergences.append({"line": line, "actual": actual, "expected": expected})
+        if line > header_line:
+            if actual == expected and event is not None:
+                yield event
+            elif actual.strip():
+                yield read_event(actual, line)
 
 
 def summarize(trace: Trace) -> str:

@@ -7,17 +7,22 @@ allowed, so identical runs produce identical bytes; ``verify`` compares its
 replay with the recorded text one tick at a time. A file is read and written
 with no newline translation, so the bytes compared are the bytes on disk.
 
-``parse_trace`` reads each line as ``json.loads`` would, with the same error
-messages, and rejects a line nested too deeply to read and an event that
-lacks, or mistypes, a key the readers of a trace use. It lets go of each line once read, and its events share one
-copy of each key and of each text value, so a parsed trace is about the size
-of the engine's own events.
+Each line is read as ``json.loads`` would, with the same error messages; a
+line nested too deeply to read, and an event that lacks, or mistypes, a key
+the readers of a trace use, are rejected too. ``parse_trace`` reads and
+checks only the header and keeps the text: a parsed trace's ``events`` are
+read on first use, and then share one copy of each key and of each text
+value, so they are about the size of the engine's own events. ``verify``
+never asks for them. A line equal to its replayed line is that event, since
+``_load(_dump(e)) == e`` for every event a run writes, so it reads only the
+lines that differ.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
-from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -55,12 +60,57 @@ def _load(line: str):
     return obj
 
 
-@dataclass
+def _lines(text: str):
+    """``enumerate(text.split("\\n"), 1)``, one line at a time."""
+    pos, number = 0, 1
+    while (end := text.find("\n", pos)) >= 0:
+        yield number, text[pos:end]
+        pos, number = end + 1, number + 1
+    yield number, text[pos:]
+
+
 class Trace:
-    header: dict
-    events: list[dict] = field(default_factory=list)
-    # the text this trace was parsed from, verbatim; verify compares it
-    text: str | None = field(default=None, compare=False, repr=False)
+    """A header and its events. One from ``parse_trace`` keeps its ``text``,
+    verbatim, and reads its events from it on first use; ``header_line`` is
+    the header's line number in that text."""
+
+    def __init__(self, header: dict, events: list[dict] | None = None,
+                 text: str | None = None, header_line: int = 1):
+        self.header = header
+        self.text = text
+        self.header_line = header_line
+        if events is not None or text is None:
+            self.events = [] if events is None else events
+
+    # a cached_property is stored on the instance: once set, ``events`` reads
+    # as a plain attribute, on the path every ``World.emit`` takes
+    @functools.cached_property
+    def events(self) -> list[dict]:
+        """The events after the header, each read and checked on first use."""
+        share = {}.setdefault  # one copy of each key and text value, for every event
+        return [{share(k, k): share(v, v) if type(v) is str else v
+                 for k, v in read_event(line, number).items()}
+                for number, line in _lines(self.text)
+                if number > self.header_line and line.strip()]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.header, self.events) == (other.header, other.events)
+
+    def __repr__(self) -> str:
+        events = repr(vars(self)["events"]) if "events" in vars(self) else "<unread>"
+        return f"Trace(header={self.header!r}, events={events})"
+
+    @contextlib.contextmanager
+    def parse_errors_first(self):
+        """An error raised in the block gives way to the ``ParseError`` of the
+        first malformed line, if any, as if every line had been read first."""
+        try:
+            yield
+        except Exception:
+            self.events  # noqa: B018 (read for the error it raises)
+            raise
 
     def lines(self) -> list[str]:
         return [_dump(self.header)] + [_dump(e) for e in self.events]
@@ -134,38 +184,35 @@ def _check_event(event, line: int) -> None:
             raise ParseError(f"bad {kind} event: 'preempted' must be a list of str", line=line)
 
 
+def _read(line: str, number: int, what: str):
+    try:
+        return _load(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        problem = exc if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+        raise ParseError(f"bad trace {what}: {problem}", line=number) from None
+
+
+def read_event(line: str, number: int) -> dict:
+    """The event on line *number*, read and checked."""
+    event = _read(line, number, "event")
+    _check_event(event, number)
+    return event
+
+
 def parse_trace(text: str) -> Trace:
-    """Parse and check a trace; a ``ParseError`` names its line as ``verify`` counts it."""
-    header, events = None, []
-    share = {}.setdefault  # one copy of each key and text value, for every event
-    lines = text.split("\n")
-    lines.reverse()  # popped from the end, so each line goes once it is read
-    i = 0
-    while lines:
-        line = lines.pop()
-        i += 1
+    """Read and check the header, the first non-blank line; the events are read
+    when first asked for. A ``ParseError`` names its line as ``verify`` counts it."""
+    for number, line in _lines(text):
         if not line.strip():
             continue
-        try:
-            obj = _load(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            what = "header" if header is None else "event"
-            problem = exc if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
-            raise ParseError(f"bad trace {what}: {problem}", line=i) from None
-        if header is not None:
-            _check_event(obj, i)
-            events.append({share(k, k): share(v, v) if type(v) is str else v
-                           for k, v in obj.items()})
-            continue
-        if type(obj) is not dict or obj.get("format") != TRACE_FORMAT:
-            raise ParseError(f"not a {TRACE_FORMAT} trace", line=i)
-        _check(obj, _spec("scenario_hash", "initial", "extra_events"), "trace header", i)
-        for placement in obj["initial"]:
-            _check(placement, _spec("pod", "node"), "initial placement", i)
-        header = obj
-    if header is None:
-        raise ParseError("empty trace")
-    return Trace(header, events, text)
+        header = _read(line, number, "header")
+        if type(header) is not dict or header.get("format") != TRACE_FORMAT:
+            raise ParseError(f"not a {TRACE_FORMAT} trace", line=number)
+        _check(header, _spec("scenario_hash", "initial", "extra_events"), "trace header", number)
+        for placement in header["initial"]:
+            _check(placement, _spec("pod", "node"), "initial placement", number)
+        return Trace(header, text=text, header_line=number)
+    raise ParseError("empty trace")
 
 
 def load_trace(path: str) -> Trace:

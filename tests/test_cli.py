@@ -180,6 +180,21 @@ class TestRun:
         code, err = self.run_document(capsys, tmp_path, body)
         assert (code, err) == (2, f"error: {message}\n")
 
+    @pytest.mark.parametrize("level, message", [
+        ('{name: low, value: 1, preemption: "false"}',
+         "priority_levels[0]: preemption: expected bool, got 'false'"),
+        ("{name: low, value: 1, preemption: 0}",
+         "priority_levels[0]: preemption: expected bool, got 0"),
+        ("{name: low, value: 1, global_default: 'yes'}",
+         "priority_levels[0]: global_default: expected bool, got 'yes'"),
+        ("{name: low, value: 1, global_default: null}",
+         "priority_levels[0]: global_default: expected bool, got None"),
+    ], ids=["preemption-text", "preemption-zero", "default-text", "default-null"])
+    def test_bool_field_given_no_bool_is_an_input_error(self, capsys, tmp_path, level,
+                                                        message):
+        code, err = self.run_document(capsys, tmp_path, f"priority_levels: [{level}]\n")
+        assert (code, err) == (2, f"error: {message}\n")
+
     def test_initial_pod_holding_a_generated_id_is_an_input_error(self, capsys, tmp_path):
         code, err = self.run_document(capsys, tmp_path, (
             "ticks: 10\n"
@@ -364,6 +379,25 @@ class TestMalformedTrace:
         code, _, err = invoke(capsys, *args)
         assert code == 2
         assert err == "error: bad trace event: nested too deeply (line 4)\n"
+
+    @pytest.mark.parametrize("scenario, edit", [
+        ("case2", lambda event: {**event, "note": "edited"}),
+        ("case1", lambda event: event),
+        ("no-such-scenario", lambda event: event),
+    ], ids=["after-a-divergence", "wrong-scenario", "unknown-scenario"])
+    def test_malformed_line_is_named_before_any_other_failure(self, capsys, tmp_path,
+                                                              scenario, edit):
+        # verify reads only the lines its replay does not reproduce, yet a
+        # malformed line anywhere is still the error, as when it parsed them all
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case2", "--out", str(path))
+        lines = path.read_text().split("\n")
+        lines[2] = json.dumps(edit(json.loads(lines[2])), sort_keys=True, separators=(",", ":"))
+        lines[10] = "{"
+        path.write_text("\n".join(lines))
+        code, _, err = invoke(capsys, "verify", str(path), scenario)
+        assert (code, err) == (2, "error: bad trace event: Expecting property name enclosed "
+                                  "in double quotes: line 1 column 2 (char 1) (line 11)\n")
 
     def test_error_names_the_physical_line(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"

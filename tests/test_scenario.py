@@ -570,6 +570,29 @@ class TestFieldTables:
                            match=re.escape(f"{where}: missing required key {key!r}")):
             normalize(doc)
 
+    BOOL_FIELDS = [pytest.param(path, where, key, id=f"{where}.{key}")
+                   for _, path, where, key, spec in FIELDS if spec.kind is bool]
+
+    @pytest.mark.parametrize("path, where, key", BOOL_FIELDS)
+    @pytest.mark.parametrize("value, shown", [
+        ("false", "'false'"), ("true", "'true'"), ("no", "'no'"), (0, "0"), (1, "1"),
+        (1.0, "1.0"), (None, "None"), ([True], "list"),
+    ], ids=["text-false", "text-true", "text-no", "zero", "one", "float", "null", "list"])
+    def test_a_bool_field_refuses_anything_but_a_bool(self, path, where, key, value, shown):
+        doc, mapping = _fields_document(path)
+        mapping[key] = value
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'{where}: {key}: expected bool, got {shown}')}$"):
+            normalize(doc)
+
+    @pytest.mark.parametrize("path, where, key", BOOL_FIELDS)
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_field_keeps_the_bool_given(self, path, where, key, value):
+        doc, mapping = _fields_document(path)
+        mapping[key] = value
+        levels = {l["name"]: l for l in normalize(doc)["priority_levels"]}
+        assert levels[mapping["name"]][key] is value
+
     def test_readme_lists_every_field(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         sections = dict(re.findall(r"^#### (.+)\n((?:(?!#).*\n)*)", readme, re.M))

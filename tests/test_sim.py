@@ -251,6 +251,7 @@ class TestTraceFormat:
             for broken in self.broken(event):
                 try:
                     trace = parse_trace(json.dumps(header) + "\n\n" + json.dumps(broken))
+                    trace.events
                 except ParseError as exc:
                     assert exc.line == 3
                     continue

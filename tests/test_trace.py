@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopsim import trace as trace_mod
-from loopsim.errors import ParseError
+from loopsim.errors import HashMismatch, ParseError, ValidationError
 from loopsim.scenario import list_scenarios, load_scenario, loads
-from loopsim.sim import run, verify_trace
-from loopsim.trace import TRACE_FORMAT, _dump, _load, parse_trace
+from loopsim.sim import Report, check_invariants, run, verify_trace
+from loopsim.trace import TRACE_FORMAT, _check_event, _dump, _load, parse_trace
 from test_acceptance import random_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -146,10 +146,10 @@ def reference_parse(lines):
 
 def parsed(lines):
     try:
-        trace = parse_trace("\n".join(lines))
+        events = parse_trace("\n".join(lines)).events
     except ParseError as exc:
         return "error", str(exc)
-    return "value", repr(trace.events)
+    return "value", repr(events)
 
 
 # the same event, written otherwise: what json.loads reads as it
@@ -186,17 +186,11 @@ class TestParseTrace:
         lines = case1[2][:-1]
         lines[at:at] = ["", "[" * 100_000 + "]" * 100_000]  # blank lines count
         with pytest.raises(ParseError) as err:
-            parse_trace("\n".join(lines))
+            parse_trace("\n".join(lines)).events
         assert str(err.value) == f"bad trace {what}: nested too deeply (line {at + 2})"
 
-    def test_reads_back_every_pinned_run(self):
-        rng = random.Random(20260814)
-        scenarios = [load_scenario(name) for name in list_scenarios()]
-        scenarios += [random_scenario(rng, i) for i in range(20)]
-        scenarios += [loads(workloads.generate(name, 1), ticks=150)
-                      for name in ("steady-long", "contended")]
-        for scn in scenarios:
-            trace = run(scn)[0]
+    def test_reads_back_every_pinned_run(self, pinned_runs):
+        for scn, trace in pinned_runs:
             assert parse_trace(trace.dumps()) == trace, scn.data["name"]
 
     def test_parsed_events_share_their_keys_and_text(self):
@@ -216,7 +210,7 @@ class TestParseTrace:
                 tracemalloc.stop()
 
         plain = retained(lambda: [json.loads(line) for line in lines])
-        shared = retained(lambda: parse_trace(text))
+        shared = retained(lambda: parse_trace(text).events)
         assert shared <= 0.6 * plain, (shared, plain)
 
         events = parse_trace(text).events
@@ -224,6 +218,50 @@ class TestParseTrace:
         assert len({id(key) for key in keys}) == len(set(keys))
         kinds = [event["kind"] for event in events]
         assert len({id(kind) for kind in kinds}) == len(set(kinds))
+
+
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """Each built-in, the 20 fuzz scenarios, and both benchmark workloads at
+    150 ticks (seed 1), with the trace each one runs to."""
+    rng = random.Random(20260814)
+    scenarios = [load_scenario(name) for name in list_scenarios()]
+    scenarios += [random_scenario(rng, i) for i in range(20)]
+    scenarios += [loads(workloads.generate(name, 1), ticks=150)
+                  for name in ("steady-long", "contended")]
+    return [(scn, run(scn)[0]) for scn in scenarios]
+
+
+def same(a, b) -> bool:
+    """``a == b`` with the same type at every key and list position (NaN is NaN)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b or a != a and b != b
+
+
+class TestRoundTrip:
+    """What lets verify hand its replayed event on for a recorded line equal
+    to the replayed one: every event a run writes reads back as itself."""
+
+    def test_same_tells_types_apart(self):
+        assert same({"a": [1, 2.5, float("nan")]}, {"a": [1, 2.5, float("nan")]})
+        assert not same({"a": True}, {"a": 1})
+        assert not same({"a": 1}, {"a": 1.0})
+        assert not same({"a": (1,)}, {"a": [1]})
+        assert not same([{"a": 1}], [{"a": 1, "b": 2}])
+
+    def test_every_event_reads_back_as_itself_and_passes_the_checks(self, pinned_runs):
+        count = 0
+        for scn, trace in pinned_runs:
+            for event in trace.events:
+                assert same(_load(_dump(event)), event), (scn.data["name"], event)
+                _check_event(event, 0)
+                count += 1
+        assert count > 10_000
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +363,121 @@ class TestVerifyCompare:
             {"line": i + 1, "actual": lines[i], "expected": clean[i] if i < 39 else "<missing>"}
             for i in range(first, 40)
         ]
+
+
+def outcome_of(verify, text, scn):
+    """The ``Report`` *verify* gives, or the error it raises, as comparable values."""
+    try:
+        report = verify(text, scn)
+    except Exception as exc:  # noqa: BLE001 (any error must be the same error)
+        return "error", type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return "report", report.divergences, report.violations
+
+
+def eager_verify(text, scn, replayed):
+    """verify as it was when the whole trace was parsed first, written plainly:
+    the header as ``parse_trace`` reads it, every later non-blank line read by
+    ``json.loads`` and the trace checks, then *replayed* (the replay's lines)
+    compared line by line, then the invariants over the list of events."""
+    header = parse_trace(text).header
+    lines = text.split("\n")
+    header_line = next(i for i, line in enumerate(lines, start=1) if line.strip())
+    events = []
+    for i, line in enumerate(lines, start=1):
+        if i <= header_line or not line.strip():
+            continue
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad trace event: {exc}", line=i) from None
+        _check_event(event, i)
+        events.append(event)
+    if header["scenario_hash"] != scn.hash:
+        raise HashMismatch(scn.hash, header["scenario_hash"])
+    return Report(line_by_line(text, replayed), check_invariants(scn.data, events))
+
+
+@pytest.fixture(scope="module")
+def tamper_bases():
+    """case1 and 40 ticks of contended (seed 1): scenario, trace text, its lines."""
+    bases = []
+    for scn in (load_scenario("case1"), loads(workloads.generate("contended", 1), ticks=40)):
+        text = run(scn)[0].dumps()
+        bases.append((scn, text, text.split("\n")))
+    return bases
+
+
+NEW_VALUES = st.sampled_from([None, True, False, 0, -1, 7, 10 ** 6, 1.5, float("nan"), "x",
+                              "edge-calgary", "pod-bound", [], ["x"], {}])
+
+
+@st.composite
+def tampered(draw, lines):
+    """*lines* with one to three edits, each a malformed line, a changed
+    value, a blank line, a dropped, duplicated or appended line, or a "\\r"."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(
+            ["malformed", "value", "blank", "drop", "duplicate", "append", "cr"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "malformed":
+            lines[i] = draw(st.sampled_from(MALFORMED))(lines[i])
+        elif edit == "value":
+            i = draw(st.integers(1, len(lines) - 2))
+            try:
+                event = json.loads(lines[i])
+            except json.JSONDecodeError:
+                continue
+            if type(event) is dict and event and "format" not in event:  # no header
+                key = draw(st.sampled_from(sorted(event)))
+                lines[i] = _dump({**event, key: draw(NEW_VALUES)})
+        elif edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "drop" and len(lines) > 2:
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "append":
+            lines.insert(len(lines) - 1, lines[i])  # before the empty last line
+        elif edit == "cr":
+            lines[i] += "\r"
+    return "\n".join(lines)
+
+
+class TestVerifyReadsOnlyWhatDiverges:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_a_tampered_trace_verifies_as_when_every_line_was_parsed_first(
+            self, tamper_bases, data):
+        scn, _, lines = data.draw(st.sampled_from(tamper_bases))
+        text = data.draw(tampered(lines))
+        assert outcome_of(lambda t, s: verify_trace(parse_trace(t), s), text, scn) == \
+            outcome_of(lambda t, s: eager_verify(t, s, lines), text, scn)
+
+    def test_a_clean_trace_reads_its_header_alone(self, monkeypatch):
+        scn = loads(workloads.generate("steady-long", 1), ticks=150)
+        out = run(scn)[0].dumps()
+        read, load = [], trace_mod._load
+        monkeypatch.setattr(trace_mod, "_load", lambda line: read.append(line) or load(line))
+        assert verify_trace(parse_trace(out), scn).ok
+        assert read == [out[:out.index("\n")]]
+
+    @pytest.mark.parametrize("header_edit, error", [
+        ({"scenario_hash": "0" * 64}, HashMismatch),
+        ({"scenario_hash": "0" * 64, "seed": "abc"}, ValidationError),
+        ({"extra_events": [{"tick": 0, "kind": "nope"}]}, ValidationError),
+    ], ids=["hash", "override", "extra-events"])
+    def test_a_malformed_line_is_reported_before_any_other_error(self, case1, header_edit,
+                                                                 error):
+        scn, _, lines = case1
+        lines = [_dump({**json.loads(lines[0]), **header_edit})] + lines[1:]
+        with pytest.raises(error):
+            verify_trace(parse_trace("\n".join(lines)), scn)
+        lines[30] = "{"
+        with pytest.raises(ParseError) as err:
+            verify_trace(parse_trace("\n".join(lines)), scn)
+        assert str(err.value) == "bad trace event: Expecting property name enclosed in " \
+            "double quotes: line 1 column 2 (char 1) (line 31)"
 
 
 class TestWrite:
