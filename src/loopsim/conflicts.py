@@ -2,26 +2,30 @@
 
 Responsibilities, in pipeline order per tick:
 
-1. buffered end-to-end work due this tick is resolved/released,
+1. each instance acting this tick settles the work it buffered,
 2. each fresh intent gets a coherency verdict (rolling z-score) and the
    issuing agent's lifecycle advances; last tick's requeued intents skip it,
 3. intents on frozen (loop, target) pairs are dropped,
 4. interference (back-and-forth toggling of one target by several loops) is
    detected and the lowest-priority participant frozen,
 5. resource contention (combined claims exceeding a node, or opposite-direction
-   actions on one node) is detected, routed to a regional or the end-to-end
-   instance, and arbitrated by priority; losers are requeued for next tick.
+   actions on one node) is detected, routed to an instance, and arbitrated by
+   priority, or buffered until that instance acts; losers are requeued.
    A pod spec claims the node the scheduler ranks first for its tolerations
    (``scheduler.score_nodes``), one ranking per toleration set,
-6. surviving intents pass to the simulator for materialization.
+6. the rest pass to the simulator for materialization once their loop's own
+   instance acts.
 
 Routing reads the size class and regions each agent carries from
-``agents.resolve_scope``: a conflict whose participants are all non-Mega and
-cover one region goes to ``regional:<region>``, anything else to ``e2e``.
-Each loop's own instance, ``home``, is resolved once, at construction.
-Regional instances act on their own tick; the end-to-end instance only acts on
-ticks that are multiples of its period, buffering work in between; ``held()``
-lists every intent submitted but neither applied nor dropped, one object each.
+``agents.resolve_scope`` and returns an ``Instance``: a conflict whose
+participants are all non-Mega and cover one region goes to
+``regional:<region>``, anything else to ``e2e``.  Each loop's own instance,
+``home``, is resolved once, at construction.  Every instance acts on the ticks
+that are multiples of its period, 1 for a region and ``e2e_period`` for
+``e2e``, and buffers its work in between.  ``held()`` lists every intent
+submitted but neither applied nor dropped, one object each: the requeued
+ones, then each instance's buffered intents, then those inside its buffered
+conflicts.
 
 The manager's settings are a scenario's normalized ``manager`` section, read
 by the names a scenario gives them (``settings["interference"]["cooldown_ticks"]``),
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -52,13 +57,6 @@ class Verdict(str, Enum):
     ANOMALOUS = "Anomalous"
 
 
-E2E = "e2e"
-
-
-def regional(region: str) -> str:
-    return f"regional:{region}"
-
-
 @dataclass(frozen=True)
 class Resolution:
     kind: str                        # "arbitrated" | "frozen"
@@ -75,8 +73,24 @@ class ConflictRecord:
     kind: ConflictKind
     participants: tuple[str, ...]
     targets: tuple[str, ...]
-    instance: str
+    instance: Instance
     resolution: Resolution | None = None
+
+
+@dataclass(eq=False)
+class Instance:
+    """One ICM module, the end-to-end one or a region's: it acts on the
+    multiples of its period and buffers its conflicts and intents in between."""
+
+    name: str                        # "e2e" | "regional:<region>"
+    period: int
+    conflicts: list[tuple[ConflictRecord, list[ActionIntent]]] = field(
+        default_factory=list, repr=False)
+    intents: list[ActionIntent] = field(default_factory=list, repr=False)
+
+    def next_tick(self, tick: int) -> int:
+        """The first tick at or after *tick* on which this instance acts."""
+        return -(-tick // self.period) * self.period
 
 
 # the scaled radicand in ``_sqrt_ratio`` is at least 2**(_RADICAND_BITS - 1),
@@ -210,6 +224,10 @@ class ConflictManager:
         self.settings = settings
         self.agents = agents
         self.trust = trust
+        # the end-to-end instance first: held() and settling go in this order
+        self.instances = {"e2e": Instance("e2e", settings["e2e_period"])}
+        for region in sorted({r for agent in agents.values() for r in agent.regions}):
+            self.instances[f"regional:{region}"] = Instance(f"regional:{region}", 1)
         # the instance that handles each loop alone: it reads only the loop's
         # size and regions, which no operation changes
         self.home = {acl: self.route([acl]) for acl in agents}
@@ -220,21 +238,12 @@ class ConflictManager:
         self.action_history: deque[tuple[int, str, str, int]] = deque()
         # intents requeued at the last tick; the next tick retries them all
         self._requeued: list[ActionIntent] = []
-        self._held_conflicts: list[tuple[ConflictRecord, list[ActionIntent]]] = []
-        self._held_intents: list[ActionIntent] = []
         self._grant_seq = 0
         self._conflict_seq = 0
 
     # -- routing ------------------------------------------------------------
 
-    def is_e2e_tick(self, tick: int) -> bool:
-        return tick % self.settings["e2e_period"] == 0
-
-    def next_e2e_tick(self, tick: int) -> int:
-        period = self.settings["e2e_period"]
-        return tick if tick % period == 0 else (tick // period + 1) * period
-
-    def route(self, participant_ids: list[str]) -> str:
+    def route(self, participant_ids: list[str]) -> Instance:
         """Pick the instance responsible for a set of participants.
 
         Any Mega participant, or scopes straddling regions, escalates to the
@@ -244,24 +253,26 @@ class ConflictManager:
         for acl in participant_ids:
             agent = self.agents[acl]
             if agent.size is SizeClass.MEGA:
-                return E2E
+                return self.instances["e2e"]
             touched.update(agent.regions)
         if len(touched) != 1:
-            return E2E
-        return regional(touched.pop())
+            return self.instances["e2e"]
+        return self.instances[f"regional:{touched.pop()}"]
 
     def held(self) -> list[ActionIntent]:
         """Every intent submitted but neither applied nor dropped: those
-        requeued for the next tick, then those the end-to-end instance
-        buffers alone, then those inside its buffered conflicts."""
-        return (self._requeued + self._held_intents
-                + [i for _, held in self._held_conflicts for i in held])
+        requeued for the next tick, then, instance by instance, those it
+        buffers alone and those inside its buffered conflicts."""
+        held = list(self._requeued)
+        for instance in self.instances.values():
+            held += instance.intents
+            for _, intents in instance.conflicts:
+                held += intents
+        return held
 
     def submit(self, intent: ActionIntent) -> int:
         """Return the tick at which the owning instance will look at this intent."""
-        if self.home[intent.acl_id] != E2E:
-            return intent.tick
-        return self.next_e2e_tick(intent.tick)
+        return self.home[intent.acl_id].next_tick(intent.tick)
 
     # -- coherency / lifecycle ----------------------------------------------
 
@@ -333,12 +344,8 @@ class ConflictManager:
     def note_execution(self, tick: int, acl: str, target: str, direction: int) -> None:
         self.action_history.append((tick, acl, target, direction))
 
-    def _frozen(self, acl: str, target: str, tick: int) -> bool:
-        until = self.freezes.get((acl, target))
-        return until is not None and tick < until
-
     def detect_interference(
-        self, tick: int, pending: list[ActionIntent], state: ClusterState
+        self, tick: int, pending: Iterable[ActionIntent], state: ClusterState
     ) -> list[ConflictRecord]:
         """Flag targets toggled back and forth by several loops recently.
 
@@ -359,7 +366,7 @@ class ConflictManager:
                 entries.setdefault(intent.target, []).append(
                     (tick, intent.acl_id, intent.direction)
                 )
-        frozen = {target for (_, target), until in self.freezes.items() if tick < until}
+        frozen = {target for _, target in self.freezes}
         records = []
         for target in sorted(entries):
             if target in frozen:
@@ -380,7 +387,7 @@ class ConflictManager:
         return records
 
     def detect_resource_conflicts(
-        self, tick: int, intents: list[ActionIntent], state: ClusterState
+        self, tick: int, intents: Iterable[ActionIntent], state: ClusterState
     ) -> list[tuple[ConflictRecord, set[str]]]:
         """Group this tick's intents by the node they would act on.
 
@@ -457,14 +464,13 @@ class ConflictManager:
 
     def _record(self, tick: int, kind: ConflictKind, participants: list[str],
                 targets: list[str]) -> ConflictRecord:
-        instance = self.route(participants)
         record = ConflictRecord(
             conflict_id=f"c{self._conflict_seq}",
             tick=tick,
             kind=kind,
             participants=tuple(participants),
             targets=tuple(sorted(targets)),
-            instance=instance,
+            instance=self.route(participants),
         )
         self._conflict_seq += 1
         return record
@@ -498,23 +504,25 @@ class ConflictManager:
         state: ClusterState,
     ) -> TickOutcome:
         out = TickOutcome()
-        pool: list[ActionIntent] = []
+        # intent id -> intent, in arrival order; a ruling removes its own ids
+        pool: dict[str, ActionIntent] = {}
         retry, self._requeued = self._requeued, []
 
-        # 0. end-to-end instance wakes up: settle buffered conflicts and intents
-        if self.is_e2e_tick(tick):
-            held_conflicts, self._held_conflicts = self._held_conflicts, []
-            for record, held in held_conflicts:
+        # 0. each instance acting this tick settles its buffered conflicts and intents
+        for instance in self.instances.values():
+            if instance.next_tick(tick) > tick:
+                continue
+            for record, held in instance.conflicts:
                 resolved = self.resolve(record, tick)
                 out.resolved.append(resolved)
-                winner = resolved.resolution.winner
                 for intent in held:
-                    if intent.acl_id == winner:
-                        pool.append(intent)
+                    if intent.acl_id == resolved.resolution.winner:
+                        pool[intent.intent_id] = intent
                     else:
                         out.requeued.append(intent)
-            flushed, self._held_intents = self._held_intents, []
-            pool.extend(flushed)
+            for intent in instance.intents:
+                pool[intent.intent_id] = intent
+            instance.conflicts, instance.intents = [], []
 
         # 1. coherency + lifecycle on fresh intents; those that pass join the retries
         passed = []
@@ -529,58 +537,49 @@ class ConflictManager:
                 out.dropped.append((intent, "anomalous"))
             else:
                 passed.append(intent)
-        pool.extend(sorted(retry + passed, key=lambda i: (i.acl_id, i.intent_id)))
+        for intent in sorted(retry + passed, key=lambda i: (i.acl_id, i.intent_id)):
+            pool[intent.intent_id] = intent
 
-        # 2. freezes from earlier interference rulings; expired ones go
+        # 2. freezes from earlier interference rulings: expired ones go, and
+        # every freeze left stands this tick
         for key in [k for k, until in self.freezes.items() if until <= tick]:
             del self.freezes[key]
-        kept = []
-        for intent in pool:
-            if self._frozen(intent.acl_id, intent.target, tick):
-                out.dropped.append((intent, "frozen"))
-            else:
-                kept.append(intent)
-        pool = kept
+        for intent in [i for i in pool.values() if (i.acl_id, i.target) in self.freezes]:
+            out.dropped.append((pool.pop(intent.intent_id), "frozen"))
 
         # 3. interference detection on recent executions plus this tick's intents
-        for record in self.detect_interference(tick, pool, state):
+        by_pair: dict[tuple[str, str], list[str]] = {}
+        for intent in pool.values():
+            by_pair.setdefault((intent.acl_id, intent.target), []).append(intent.intent_id)
+        for record in self.detect_interference(tick, pool.values(), state):
             out.detected.append(record)
             resolved = self.resolve(record, tick)
             out.resolved.append(resolved)
-            kept = []
-            for intent in pool:
-                if (
-                    intent.acl_id == resolved.resolution.frozen_acl
-                    and intent.target in resolved.targets
-                ):
-                    out.dropped.append((intent, "frozen"))
-                else:
-                    kept.append(intent)
-            pool = kept
+            for target in resolved.targets:
+                for iid in by_pair.get((resolved.resolution.frozen_acl, target), ()):
+                    out.dropped.append((pool.pop(iid), "frozen"))
 
-        # 4. resource contention: arbitrate now (regional) or buffer (e2e)
-        for record, implicated in self.detect_resource_conflicts(tick, pool, state):
+        # 4. resource contention: the record's instance arbitrates now if it
+        # acts this tick, else buffers the record with its intents
+        order = {iid: n for n, iid in enumerate(pool)}
+        for record, implicated in self.detect_resource_conflicts(tick, pool.values(), state):
             out.detected.append(record)
-            if record.instance == E2E and not self.is_e2e_tick(tick):
-                held = [i for i in pool if i.intent_id in implicated]
-                pool = [i for i in pool if i.intent_id not in implicated]
-                self._held_conflicts.append((record, held))
+            ids = sorted((iid for iid in implicated if iid in pool), key=order.__getitem__)
+            instance = record.instance
+            if instance.next_tick(tick) > tick:
+                instance.conflicts.append((record, [pool.pop(iid) for iid in ids]))
                 continue
             resolved = self.resolve(record, tick)
             out.resolved.append(resolved)
-            winner = resolved.resolution.winner
-            kept = []
-            for intent in pool:
-                if intent.intent_id in implicated and intent.acl_id != winner:
-                    out.requeued.append(intent)
-                else:
-                    kept.append(intent)
-            pool = kept
+            for iid in ids:
+                if pool[iid].acl_id != resolved.resolution.winner:
+                    out.requeued.append(pool.pop(iid))
 
-        # 5. uninvolved intents from end-to-end scoped loops wait for their instance
-        for intent in pool:
-            if self.home[intent.acl_id] == E2E and not self.is_e2e_tick(tick):
-                self._held_intents.append(intent)
+        # 5. uninvolved intents wait for their loop's own instance
+        for intent in pool.values():
+            instance = self.home[intent.acl_id]
+            if instance.next_tick(tick) > tick:
+                instance.intents.append(intent)
                 out.buffered.append(intent)
             else:
                 out.survivors.append(intent)

@@ -309,11 +309,11 @@ class World:
             self.emit("conflict-detected", id=record.conflict_id,
                       conflict=record.kind.value,
                       participants=list(record.participants),
-                      targets=list(record.targets), instance=record.instance)
+                      targets=list(record.targets), instance=record.instance.name)
         for record in outcome.resolved:
             res = record.resolution
             payload = {"id": record.conflict_id, "conflict": record.kind.value,
-                       "instance": record.instance, "detected_tick": record.tick,
+                       "instance": record.instance.name, "detected_tick": record.tick,
                        "outcome": res.kind}
             if res.kind == "arbitrated":
                 payload["winner"] = res.winner
@@ -330,7 +330,7 @@ class World:
                       next_tick=t + 1)
         for intent in outcome.buffered:
             self.emit("intent-buffered", id=intent.intent_id, acl=intent.acl_id,
-                      until=self.manager.next_e2e_tick(t))
+                      until=self.manager.home[intent.acl_id].next_tick(t))
         return outcome
 
     def _phase_materialize(self, survivors: list[ActionIntent]) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import manager_settings, node, pod, rv, state_with, taint, tol
-from loopsim import cluster, scheduler
+from loopsim import cluster, conflicts, scheduler
 from loopsim.agents import (
     ActionIntent,
     ActionKind,
@@ -19,14 +19,12 @@ from loopsim.agents import (
     resolve_scope,
 )
 from loopsim.conflicts import (
-    E2E,
     CoherencyBaseline,
     ConflictKind,
     ConflictManager,
     Denial,
     Grant,
     Verdict,
-    regional,
 )
 from loopsim.cluster import PriorityLevel
 from loopsim.scenario import list_scenarios, load_scenario, loads
@@ -213,26 +211,32 @@ class TestRouting:
     def test_single_region_scopes_stay_regional(self):
         a, b = make_agent("a"), make_agent("b")
         mgr = make_manager(a, b)
-        assert mgr.route(["a", "b"]) == regional("waterloo")
+        instance = mgr.route(["a", "b"])
+        assert (instance.name, instance.period) == ("regional:waterloo", 1)
+        assert mgr.home["a"] is mgr.home["b"] is instance
 
     def test_mega_participant_escalates(self):
         a = make_agent("a")
         mega = make_agent("slice", scope=("e2e",))
         mgr = make_manager(a, mega)
-        assert mgr.route(["a", "slice"]) == E2E
+        assert mgr.route(["a", "slice"]).name == "e2e"
 
     def test_cross_region_scopes_escalate(self):
         a = make_agent("a", scope=("waterloo",))
         b = make_agent("b", scope=("toronto",))
         mgr = make_manager(a, b)
-        assert mgr.route(["a", "b"]) == E2E
+        assert mgr.route(["a", "b"]).name == "e2e"
 
     def test_e2e_tick_arithmetic(self):
         mgr = make_manager(make_agent("a"), e2e_period=5)
-        assert mgr.next_e2e_tick(7) == 10
-        assert mgr.next_e2e_tick(10) == 10
-        assert mgr.is_e2e_tick(0) and mgr.is_e2e_tick(5)
-        assert not mgr.is_e2e_tick(3)
+        e2e = mgr.instances["e2e"]
+        assert e2e.period == 5
+        assert e2e.next_tick(7) == 10
+        assert e2e.next_tick(10) == 10
+        assert e2e.next_tick(0) == 0 and e2e.next_tick(5) == 5
+        assert e2e.next_tick(3) != 3
+        # a region's instance acts on every tick
+        assert mgr.home["a"].next_tick(3) == 3
 
     def test_submit_returns_check_tick(self):
         reg = make_agent("a")
@@ -242,8 +246,8 @@ class TestRouting:
                                       specs=[PodSpec(rv(1, 1))])
         mega_intent = make_intent("slice", 7, ActionKind.INSTANTIATE,
                                   specs=[PodSpec(rv(1, 1))])
-        assert mgr.submit(regional_intent) == 7
-        assert mgr.submit(mega_intent) == 10
+        assert mgr.submit(regional_intent) == mgr.home["a"].next_tick(7) == 7
+        assert mgr.submit(mega_intent) == mgr.home["slice"].next_tick(7) == 10
 
 
 class TestDetection:
@@ -490,9 +494,35 @@ class TestResolve:
         assert resolved.resolution.kind == "frozen"
         assert resolved.resolution.frozen_acl == "energy"
         assert resolved.resolution.until_tick == 14
-        assert mgr._frozen("energy", "edge-calgary", 13)
-        assert not mgr._frozen("energy", "edge-calgary", 14)
-        assert not mgr._frozen("balancer", "edge-calgary", 5)
+        # the freeze holds the frozen loop on that target up to tick 13 and
+        # ends at 14; the other participant is never held
+        state = state_with([node("edge-calgary", region="calgary")])
+        for tick, acl, frozen in ((5, "energy", True), (5, "balancer", False),
+                                  (13, "energy", True), (14, "energy", False)):
+            intent = make_intent(acl, tick, ActionKind.POWER_OFF, target="edge-calgary")
+            out = mgr.process_tick(tick, [intent], state)
+            assert out.dropped == ([(intent, "frozen")] if frozen else []), (tick, acl)
+            assert out.survivors == ([] if frozen else [intent]), (tick, acl)
+
+    def test_a_freeze_with_no_cooldown_ends_with_its_ruling_tick(self):
+        energy = make_agent("energy", value=3, scope=("calgary",))
+        balancer = make_agent("balancer", value=7, scope=("calgary",))
+        mgr = make_manager(energy, balancer,
+                           interference={"cooldown_ticks": 0, "toggle_threshold": 3})
+        state = state_with([node("edge-calgary", region="calgary")])
+        mgr.note_execution(1, "energy", "edge-calgary", -1)
+        mgr.note_execution(2, "balancer", "edge-calgary", +1)
+        off = make_intent("energy", 3, ActionKind.POWER_OFF, target="edge-calgary")
+        out = mgr.process_tick(3, [off], state)
+        assert [(r.resolution.frozen_acl, r.resolution.until_tick)
+                for r in out.resolved] == [("energy", 3)]
+        assert out.dropped == [(off, "frozen")]
+        # two toggles in the window now, under the threshold: only a freeze
+        # left standing could drop this
+        on = make_intent("energy", 4, ActionKind.POWER_ON, target="edge-calgary")
+        out = mgr.process_tick(4, [on], state)
+        assert out.dropped == [] and out.detected == []
+        assert out.survivors == [on]
 
     def test_scaling_priorities_preserves_the_winner(self):
         for factor in (1, 3, 100):
@@ -584,7 +614,8 @@ class TestProcessTick:
                         specs=[PodSpec(rv(1500, 3072))]),
         ]
         out7 = mgr.process_tick(7, intents, state)
-        assert [r.instance for r in out7.detected] == [E2E]
+        assert [r.instance.name for r in out7.detected] == ["e2e"]
+        assert out7.detected[0].instance is mgr.home["slice"]
         assert out7.resolved == []          # buffered, not settled
         assert out7.survivors == []
         held = [i.intent_id for i in intents]
@@ -611,6 +642,43 @@ class TestProcessTick:
         out10 = mgr.process_tick(10, [], state)
         assert [i.intent_id for i in out10.survivors] == [intent.intent_id]
         assert mgr.held() == []
+
+
+def test_a_tick_of_many_conflicts_is_linear_work():
+    """One regional tick with n conflicts, a scale-down against a power-on on
+    each of n nodes, costs work linear in n: each ruling touches only its own
+    intents.  Work is the number of line events traced in ``conflicts.py``,
+    so the bound does not move with the host's speed."""
+    def lines(n):
+        names = [f"n{i:04d}" for i in range(n)]
+        state = state_with([node(nid, region="waterloo") for nid in names],
+                           [pod(f"p-{nid}", owner="down") for nid in names],
+                           [(f"p-{nid}", nid) for nid in names])
+        mgr = make_manager(make_agent("down", value=10), make_agent("up", value=5))
+        intents = [make_intent("down", 0, ActionKind.SCALE_DOWN, iid=f"d-{nid}",
+                               pods=[f"p-{nid}"]) for nid in names]
+        intents += [make_intent("up", 0, ActionKind.POWER_ON, iid=f"u-{nid}", target=nid)
+                    for nid in names]
+        count = 0
+
+        def trace(frame, event, arg):
+            nonlocal count
+            if frame.f_code.co_filename != conflicts.__file__:
+                return None
+            count += event == "line"
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            out = mgr.process_tick(0, intents, state)
+        finally:
+            sys.settrace(previous)
+        assert len(out.resolved) == n
+        assert [i.intent_id for i in out.requeued] == [f"u-{nid}" for nid in names]
+        return count
+
+    assert lines(400) / lines(100) <= 5
 
 
 def test_each_submitted_intent_gets_one_coherency_check():

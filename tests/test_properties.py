@@ -3,15 +3,20 @@
 import copy
 import math
 import random
+from collections import Counter
 
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import icm_oracle
 import oracle
 from helpers import manager_settings, node, pod, rv, state_with, taint, tol
 from loopsim.agents import (
+    ActionIntent,
+    ActionKind,
     AgentRole,
     LoopAgent,
+    PodSpec,
     PredictorState,
     SizeClass,
     analyze,
@@ -26,13 +31,12 @@ from loopsim.cluster import (
     used_capacity,
 )
 from loopsim.conflicts import (
-    E2E,
     CoherencyBaseline,
     ConflictKind,
     ConflictManager,
     ConflictRecord,
+    Instance,
     Verdict,
-    regional,
 )
 from loopsim.errors import ValidationError
 from loopsim.scenario import BUILTIN_SCENARIOS, from_dict, list_scenarios
@@ -157,6 +161,118 @@ class TestSchedulingMatchesOracle:
         assert state.bindings == placement
 
 
+class TestProcessTickMatchesReference:
+    """``process_tick`` against ``icm_oracle`` over a few ticks of random small
+    intent sets: regional and Mega loops, every action kind, and settings
+    that reach coherency drops, freezes and their expiry, interference,
+    arbitration with requeue, and end-to-end buffering."""
+
+    @staticmethod
+    def engine_intent(intent: dict) -> ActionIntent:
+        return ActionIntent(
+            intent_id=intent["id"],
+            acl_id=intent["acl"],
+            tick=intent["tick"],
+            kind=ActionKind(intent["kind"]),
+            target=intent["target"],
+            magnitude=intent["magnitude"],
+            pod_specs=tuple(
+                PodSpec(rv(s["cpu"], s["mem"]),
+                        frozenset(tol(k, *sorted(e)) for k, e in s["tols"].items()))
+                for s in intent["specs"]
+            ),
+            pod_ids=tuple(intent["pods"]),
+        )
+
+    @staticmethod
+    def plain(out) -> dict:
+        resolved = []
+        for r in out.resolved:
+            res = r.resolution
+            tail = ((res.winner, res.losers) if res.kind == "arbitrated"
+                    else (res.frozen_acl, res.until_tick))
+            resolved.append((r.conflict_id, r.kind.value, r.instance.name, r.tick,
+                             res.kind, *tail))
+        return {
+            "verdicts": [(acl, m, v.value) for acl, m, v in out.verdicts],
+            "lifecycle": list(out.lifecycle_changes),
+            "detected": [(r.conflict_id, r.tick, r.kind.value, r.participants,
+                          r.targets, r.instance.name) for r in out.detected],
+            "resolved": resolved,
+            "dropped": [(i.intent_id, reason) for i, reason in out.dropped],
+            "requeued": [i.intent_id for i in out.requeued],
+            "buffered": [i.intent_id for i in out.buffered],
+            "survivors": [i.intent_id for i in out.survivors],
+        }
+
+    def run_case(self, seed: int) -> list[tuple]:
+        """Both sides over one random case.  For each tick: the tick, the
+        reference's freezes before it, its outcome, and every intent so far
+        by id."""
+        rng = random.Random(seed)
+        inst = oracle.random_instance(rng)
+        nodes, pods = inst["nodes"], inst["pods"]
+        state, _ = oracle.to_engine(inst)
+        settings_ = icm_oracle.random_settings(rng)
+        agents = icm_oracle.random_agents(rng)
+        ref = icm_oracle.new_manager(settings_, agents)
+        mgr = ConflictManager(manager_settings(**settings_), {
+            acl: LoopAgent(id=acl, role=AgentRole.SCALER,
+                           size=SizeClass.MEGA if a["mega"] else SizeClass.MACRO,
+                           regions=tuple(a["regions"]), nodes=(),
+                           priority=PriorityLevel(f"lvl-{acl}", a["prio"]))
+            for acl, a in agents.items()
+        }, {})
+        by_id, outcomes = {}, []
+        start = rng.randint(0, 4)
+        for tick in range(start, start + rng.randint(1, 8)):
+            intents = icm_oracle.random_intents(rng, agents, tick, nodes, pods)
+            engine_intents = [self.engine_intent(i) for i in intents]
+            by_id.update((i["id"], i) for i in intents)
+            assert [mgr.submit(i) for i in engine_intents] == [
+                icm_oracle.check_tick(ref, i) for i in intents]
+            before = dict(ref["freezes"])
+            want = icm_oracle.process_tick(ref, tick, intents, nodes, pods)
+            out = mgr.process_tick(tick, engine_intents, state)
+            assert self.plain(out) == want, tick
+            assert [i.intent_id for i in mgr.held()] == [
+                i["id"] for i in icm_oracle.held(ref)]
+            assert {acl: a.lifecycle.value for acl, a in mgr.agents.items()} == {
+                acl: life["state"] for acl, life in ref["life"].items()}
+            for intent in out.survivors:
+                mgr.note_execution(tick, intent.acl_id, intent.target, intent.direction)
+            icm_oracle.note_applied(ref, tick, [by_id[i] for i in want["survivors"]])
+            outcomes.append((tick, before, want, by_id))
+        return outcomes
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_engine_agrees_with_the_reference(self, seed):
+        self.run_case(seed)
+
+    def test_random_cases_reach_every_rule(self):
+        seen = Counter()
+        for seed in range(150):
+            for tick, before, out, by_id in self.run_case(seed):
+                seen.update(reason for _, reason in out["dropped"])
+                seen.update(r[4] + " " + r[2].split(":")[0] for r in out["resolved"])
+                seen.update("settled late" for r in out["resolved"] if r[3] < tick)
+                seen.update(after for _, _, after in out["lifecycle"])
+                seen["requeued"] += len(out["requeued"])
+                seen["buffered"] += len(out["buffered"])
+                for iid in out["survivors"] + out["requeued"] + out["buffered"]:
+                    pair = by_id[iid]["acl"], by_id[iid]["target"]
+                    seen["through as its freeze ends"] += before.get(pair) == tick
+                for iid, reason in out["dropped"]:
+                    pair = by_id[iid]["acl"], by_id[iid]["target"]
+                    seen["held by a standing freeze"] += before.get(pair, tick) > tick
+        rules = ("anomalous", "frozen", "frozen regional", "frozen e2e",
+                 "held by a standing freeze", "through as its freeze ends",
+                 "arbitrated regional", "arbitrated e2e", "settled late", "requeued",
+                 "buffered", "UnderObservation", "Suspended", "Active")
+        assert all(seen[rule] for rule in rules), seen
+
+
 class TestArbitrationScaling:
     priorities_st = st.dictionaries(
         st.sampled_from(("acl1", "acl2", "acl3", "acl4")),
@@ -186,7 +302,7 @@ class TestArbitrationScaling:
             kind=kind,
             participants=tuple(sorted(participants)),
             targets=("n1",),
-            instance=regional("east"),
+            instance=Instance("regional:east", 1),
         )
 
     @given(priorities_st, st.integers(1, 9))
@@ -254,8 +370,9 @@ class TestRoutingPartition:
         manager = self.manager_with(scopes)
         ids = sorted(manager.agents)
         instance = manager.route(ids)
-        valid = {E2E, regional("east"), regional("west")}
-        assert instance in valid
+        valid = {"e2e", "regional:east", "regional:west"}
+        assert instance.name in valid
+        assert instance is manager.instances[instance.name]
 
     @given(scopes_st)
     def test_e2e_exactly_when_mega_or_straddling(self, scopes):
@@ -269,14 +386,17 @@ class TestRoutingPartition:
             for item in scope:
                 touched.add(self.regions.get(item.split("/")[0], item))
         if mega or len(touched) != 1:
-            assert instance == E2E
+            assert instance.name == "e2e"
         else:
-            assert instance == regional(touched.pop())
+            assert instance.name == f"regional:{touched.pop()}"
+            assert instance.period == 1
 
     @given(st.integers(0, 40))
     def test_e2e_submission_ticks_land_on_the_period(self, tick):
         manager = self.manager_with([frozenset({"e2e"})])
-        when = manager.next_e2e_tick(tick)
+        instance = manager.home["acl0"]
+        assert instance.name == "e2e"
+        when = instance.next_tick(tick)
         period = manager.settings["e2e_period"]
         assert when % period == 0
         assert tick <= when < tick + period
