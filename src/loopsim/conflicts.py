@@ -228,6 +228,9 @@ class ConflictManager:
         self.instances = {"e2e": Instance("e2e", settings["e2e_period"])}
         for region in sorted({r for agent in agents.values() for r in agent.regions}):
             self.instances[f"regional:{region}"] = Instance(f"regional:{region}", 1)
+        # the instances that can hold work between ticks: one of period 1
+        # acts on every tick, so it never buffers
+        self._buffering = [i for i in self.instances.values() if i.period > 1]
         # the instance that handles each loop alone: it reads only the loop's
         # size and regions, which no operation changes
         self.home = {acl: self.route([acl]) for acl in agents}
@@ -419,10 +422,11 @@ class ConflictManager:
             claims = up_claims.get(node_id, [])
             claim_acls = {acl for acl, _, _ in claims}
             if len(claim_acls) >= 2:
-                total = cluster.ZERO
-                for _, _, request in claims:
-                    total = total + request
-                if not cluster.free_capacity(state, node_id).covers(total):
+                capacity, used = state.nodes[node_id].capacity, state.node_info[node_id].used
+                cpu = sum(request.cpu_millicores for _, _, request in claims)
+                mem = sum(request.memory_mib for _, _, request in claims)
+                if (cpu > capacity.cpu_millicores - used.cpu_millicores
+                        or mem > capacity.memory_mib - used.memory_mib):
                     participants.update(claim_acls)
                     implicated.update(iid for _, iid, _ in claims)
             dirs = directions.get(node_id, [])
@@ -509,7 +513,7 @@ class ConflictManager:
         retry, self._requeued = self._requeued, []
 
         # 0. each instance acting this tick settles its buffered conflicts and intents
-        for instance in self.instances.values():
+        for instance in self._buffering:
             if instance.next_tick(tick) > tick:
                 continue
             for record, held in instance.conflicts:
@@ -548,10 +552,12 @@ class ConflictManager:
             out.dropped.append((pool.pop(intent.intent_id), "frozen"))
 
         # 3. interference detection on recent executions plus this tick's intents
+        records = self.detect_interference(tick, pool.values(), state)
         by_pair: dict[tuple[str, str], list[str]] = {}
-        for intent in pool.values():
-            by_pair.setdefault((intent.acl_id, intent.target), []).append(intent.intent_id)
-        for record in self.detect_interference(tick, pool.values(), state):
+        if records:
+            for intent in pool.values():
+                by_pair.setdefault((intent.acl_id, intent.target), []).append(intent.intent_id)
+        for record in records:
             out.detected.append(record)
             resolved = self.resolve(record, tick)
             out.resolved.append(resolved)
@@ -561,8 +567,9 @@ class ConflictManager:
 
         # 4. resource contention: the record's instance arbitrates now if it
         # acts this tick, else buffers the record with its intents
-        order = {iid: n for n, iid in enumerate(pool)}
-        for record, implicated in self.detect_resource_conflicts(tick, pool.values(), state):
+        contended = self.detect_resource_conflicts(tick, pool.values(), state)
+        order = {iid: n for n, iid in enumerate(pool)} if contended else {}
+        for record, implicated in contended:
             out.detected.append(record)
             ids = sorted((iid for iid in implicated if iid in pool), key=order.__getitem__)
             instance = record.instance

@@ -15,6 +15,13 @@ the nodes' taints.  ``eligible_nodes`` derives that once per toleration set
 and keeps it in ``ClusterState.eligible`` until a taint changes;
 ``score_nodes`` then only orders those nodes by the free room ``node_info``
 holds.  The conflict manager ranks a pod spec's tolerations the same way.
+
+Preemption picks the fewest victims, then the lowest priority sum, then the
+smallest ids (``select_preemption_victims``).  It searches over classes of
+equal (priority, cpu, memory) rather than over subsets, with bounds on what
+the picks left can cover and on the best priority sum, so many pods of few
+shapes decide quickly; pods that each have a shape of their own keep the
+worst case exponential, as the problem is NP-hard.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from enum import Enum
 
 from . import cluster
 from .cluster import ClusterState, Pod, Toleration
+from .errors import InvalidPhase
 
 
 class DecisionKind(str, Enum):
@@ -135,27 +143,110 @@ def select_preemption_victims(
 
     Minimality order: fewest victims, then lowest summed priority value, then
     lexicographic pod ids.  ``None`` when no subset suffices.
+
+    The candidates fall into classes of equal (priority value, cpu, memory),
+    each holding its ids in ascending order.  Sets that take the same number
+    from every class tie on size and priority sum, and of those the one that
+    takes each class's lowest ids has the smallest sorted ids, so the search
+    picks a count per class instead of a subset.  One victim is enough when
+    a class covers the shortfall alone.  Else the search rejects at once when
+    all candidates together cannot cover it.  Otherwise, for each size k from
+    the least whose k largest requests could cover it, a depth-first search
+    over the classes drops a branch when its remaining picks cannot cover
+    what is still short in either dimension, or cannot stay at or below the
+    least priority sum found for k; the first k with a covering choice is the
+    answer.  Many candidates of few shapes decide in a few steps.  The worst
+    case stays exponential: when every candidate has a shape of its own the
+    problem is NP-hard.
     """
+    value, pods = pod.priority.value, state.pods
+    classes: dict[tuple[int, int, int], list[str]] = {}
+    for pod_id in cluster.pods_on(state, node_id):  # ascending ids
+        victim = pods[pod_id]
+        if victim.priority.value < value:
+            request = victim.request
+            key = (victim.priority.value, request.cpu_millicores, request.memory_mib)
+            classes.setdefault(key, []).append(pod_id)
+    if not classes:
+        return None
     free = cluster.free_capacity(state, node_id)
-    candidates = sorted(
-        p
-        for p in cluster.pods_on(state, node_id)
-        if state.pods[p].priority.value < pod.priority.value
-    )
-    for size in range(1, len(candidates) + 1):
-        best: tuple[int, tuple[str, ...]] | None = None
-        for combo in itertools.combinations(candidates, size):
-            reclaimed = free
-            for victim in combo:
-                reclaimed = reclaimed + state.pods[victim].request
-            if not reclaimed.covers(pod.request):
-                continue
-            rank = (sum(state.pods[v].priority.value for v in combo), combo)
-            if best is None or rank < best:
-                best = rank
-        if best is not None:
-            return frozenset(best[1])
-    return None
+    need_cpu = pod.request.cpu_millicores - free.cpu_millicores
+    need_mem = pod.request.memory_mib - free.memory_mib
+    # one victim: the covering class of the lowest priority, then the lowest id
+    single = min(((prio, ids[0]) for (prio, cpu, mem), ids in classes.items()
+                  if cpu >= need_cpu and mem >= need_mem), default=None)
+    if single is not None:
+        return frozenset((single[1],))
+    keys = sorted(classes)
+    members = [classes[key] for key in keys]
+    bounds = _suffix_bounds(keys, members)
+    most_cpu, most_mem, _ = bounds[0]
+    size = next((k for k in range(2, len(most_cpu))
+                 if most_cpu[k] >= need_cpu and most_mem[k] >= need_mem), None)
+    if size is None:
+        return None  # not even every candidate together covers the shortfall
+    while True:  # ends at the latest when size takes every candidate
+        victims = _cheapest_cover(keys, members, bounds, size, need_cpu, need_mem)
+        if victims is not None:
+            return frozenset(victims)
+        size += 1
+
+
+def _suffix_bounds(keys, members) -> list[tuple[list[int], list[int], list[int]]]:
+    """For the classes ``keys[i:]``, three lists indexed by r, up to the
+    number of their pods: the most cpu, the most memory and the least
+    priority sum that r of their pods give."""
+    bounds = [([0], [0], [0])]
+    cpus, mems, prios = [], [], []
+    for (prio, cpu, mem), ids in zip(reversed(keys), reversed(members)):
+        cpus = sorted(cpus + [cpu] * len(ids), reverse=True)
+        mems = sorted(mems + [mem] * len(ids), reverse=True)
+        prios = [prio] * len(ids) + prios  # ascending, as the keys are sorted
+        bounds.append((list(itertools.accumulate(cpus, initial=0)),
+                       list(itertools.accumulate(mems, initial=0)),
+                       list(itertools.accumulate(prios, initial=0))))
+    bounds.reverse()
+    return bounds
+
+
+def _cheapest_cover(keys, members, bounds, size, need_cpu, need_mem) -> list[str] | None:
+    """The sorted ids of the *size* candidates that cover (*need_cpu*,
+    *need_mem*) at the least priority sum, then the smallest ids; ``None``
+    when no *size* of them cover it."""
+    best: tuple[int, list[str]] | None = None
+    # (first class, picks left, cpu and memory still short, priority sum so
+    # far, the counts taken so far as nested (earlier, class index, count))
+    stack = [(0, size, need_cpu, need_mem, 0, None)]
+    while stack:
+        start, left, cpu, mem, prio, taken = stack.pop()
+        branches = []
+        for i in range(start, len(keys)):
+            most_cpu, most_mem, least_prio = bounds[i]
+            # each bound only tightens as i grows, so the first miss ends the scan
+            if (len(least_prio) <= left or most_cpu[left] < cpu or most_mem[left] < mem
+                    or best is not None and prio + least_prio[left] > best[0]):
+                break
+            p, c, m = keys[i]
+            for t in range(min(len(members[i]), left), 0, -1):
+                path = (taken, i, t)
+                if t < left:
+                    branches.append((i + 1, left - t, cpu - t * c, mem - t * m, prio + t * p, path))
+                elif cpu <= t * c and mem <= t * m:
+                    rank = (prio + t * p, _taken_ids(members, path))
+                    if best is None or rank < best:
+                        best = rank
+        stack.extend(reversed(branches))
+    return None if best is None else best[1]
+
+
+def _taken_ids(members, taken) -> list[str]:
+    """The sorted ids of a search path: from each class it counts, that many
+    of the class's lowest ids."""
+    ids = []
+    while taken is not None:
+        taken, i, count = taken
+        ids += members[i][:count]
+    return sorted(ids)
 
 
 def schedule(state: ClusterState, pod: Pod) -> Decision:
@@ -165,8 +256,12 @@ def schedule(state: ClusterState, pod: Pod) -> Decision:
     pod's priority level allows it) once more looking for a preemptable set.
     """
     ranked = score_nodes(state, pod.tolerations)
-    for node_id in ranked:
-        if cluster.fits(state, pod, node_id):
+    nodes, info = state.nodes, state.node_info
+    cpu, mem = pod.request.cpu_millicores, pod.request.memory_mib
+    for node_id in ranked:  # ``cluster.fits``, on the ints it reads
+        capacity, used = nodes[node_id].capacity, info[node_id].used
+        if (capacity.cpu_millicores - used.cpu_millicores >= cpu
+                and capacity.memory_mib - used.memory_mib >= mem):
             return Decision(DecisionKind.BOUND, pod.id, node_id)
     if pod.priority.preemption_enabled:
         for node_id in ranked:
@@ -216,6 +311,9 @@ def coordinate(state: ClusterState, queue: PendingQueue) -> RoundResult:
     Preemption victims are evicted mid-round and pushed the same way, so every
     displaced pod is either re-bound or carries an explicit Pending decision
     by round end, and only the Pending entries stay queued for the next round.
+    A victim whose priority is not strictly below its preemptor's raises
+    ``InvalidPhase`` before anything is evicted; with strictly lower victims
+    every round ends.
     """
     taint_evictions = enforce_no_execute(state)
     for _, pod_id in taint_evictions:
@@ -247,6 +345,10 @@ def coordinate(state: ClusterState, queue: PendingQueue) -> RoundResult:
             continue
         unschedulable.clear()
         for victim in decision.victims:  # none unless PREEMPT
+            # checked apart from the search: a victim of equal priority could
+            # evict its evictor in turn, and the round would never end
+            if state.pods[victim].priority.value >= pod.priority.value:
+                raise InvalidPhase(victim, f"is not below the priority of its preemptor {pod_id!r}")
             cluster.evict(state, victim)
             queue.push(state.pods[victim])
         cluster.bind(state, pod_id, decision.node_id)

@@ -285,6 +285,24 @@ class TestDetection:
         ]
         assert mgr.detect_resource_conflicts(0, intents, state) == []
 
+    @pytest.mark.parametrize("extra, collides", [
+        ((0, 0), False), ((1, 0), True), ((0, 1), True),
+    ], ids=["exactly-free", "one-millicore-more", "one-mib-more"])
+    def test_claims_summing_to_the_free_room_fit(self, extra, collides):
+        # a resident leaves 1700 millicores and 3596 MiB free, and the two
+        # claims sum to exactly that, plus *extra*
+        a, b = make_agent("a"), make_agent("b", value=5)
+        mgr = make_manager(a, b)
+        state = self.waterloo_state((pod("resident", 300, 500, owner="c"), "edge-waterloo"))
+        intents = [
+            make_intent("a", 0, ActionKind.SCALE_UP, specs=[PodSpec(rv(1000, 2000))]),
+            make_intent("b", 0, ActionKind.SCALE_UP,
+                        specs=[PodSpec(rv(700 + extra[0], 1596 + extra[1]))]),
+        ]
+        found = mgr.detect_resource_conflicts(0, intents, state)
+        assert [record.kind for record, _ in found] == (
+            [ConflictKind.RESOURCE_CONTENTION] if collides else [])
+
     def test_single_intent_is_never_a_conflict(self):
         a = make_agent("a")
         mgr = make_manager(a)

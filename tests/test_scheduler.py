@@ -2,14 +2,17 @@
 
 import heapq
 import random
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from helpers import BRONZE, GOLD, SILVER, node, pod, state_with, taint, tol
 from loopsim import cluster, scheduler
 from loopsim.cluster import PriorityLevel
+from loopsim.errors import InvalidPhase
 from loopsim.scheduler import DecisionKind, PendingQueue
 
 
@@ -168,6 +171,90 @@ class TestSelectPreemptionVictims:
         incoming = pod("hi", 800, 1024, owner="acl1", priority=GOLD)
         assert scheduler.select_preemption_victims(state, incoming, "n") == {"pa"}
 
+    # few shapes, so that candidates share a class
+    SHAPES = ((100, 256), (200, 256), (200, 512), (500, 1024))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # (id number, request, priority value): below, equal to and above the
+        # preemptor's 5
+        residents=st.lists(
+            st.tuples(st.integers(0, 99), st.sampled_from(SHAPES), st.sampled_from((1, 3, 5, 8))),
+            min_size=3, max_size=12, unique_by=lambda r: r[0]),
+        room=st.tuples(st.integers(0, 1000), st.integers(0, 2048)),
+        # what the preemptor asks beyond the free room, in steps of 150
+        # millicores and 300 MiB; at most 0 when it already fits
+        short=st.tuples(st.integers(-2, 8), st.integers(-2, 8)),
+    )
+    @example(residents=[], room=(0, 0), short=(1, 1))
+    @example(residents=[(7, (100, 256), 1), (3, (100, 256), 1)], room=(500, 512), short=(-2, 0))
+    def test_agrees_with_the_brute_force_oracle(self, residents, room, short):
+        """The class search against ``oracle.best_victims``, which tries every
+        subset, on at most 12 candidates: random free room and shortfall, an
+        empty candidate set, and a preemptor that already fits (it still
+        names one victim)."""
+        levels = {value: PriorityLevel(f"p{value}", value) for value in (1, 3, 5, 8)}
+        pods = [pod(f"r{n:02d}", cpu, mem, owner="low", priority=levels[value])
+                for n, (cpu, mem), value in residents]
+        cpu = room[0] + sum(p.request.cpu_millicores for p in pods)
+        mem = room[1] + sum(p.request.memory_mib for p in pods)
+        state = state_with([node("n", cpu, mem)], pods, [(p.id, "n") for p in pods])
+        request = (max(0, room[0] + 150 * short[0]), max(0, room[1] + 300 * short[1]))
+        incoming = pod("hi", *request, owner="high", priority=levels[5])
+        expected = oracle.best_victims(
+            {"n": {"cpu": cpu, "mem": mem}},
+            {p.id: {"cpu": p.request.cpu_millicores, "mem": p.request.memory_mib,
+                    "prio": p.priority.value, "phase": "bound", "node": "n"} for p in pods},
+            "n",
+            {"cpu": request[0], "mem": request[1], "prio": 5},
+        )
+        found = scheduler.select_preemption_victims(state, incoming, "n")
+        assert found == (None if expected is None else frozenset(expected))
+
+    @staticmethod
+    def search_lines(state, incoming):
+        """The victims, and the line events the search runs in ``scheduler.py``:
+        a work count that does not move with the host's speed."""
+        count = 0
+
+        def trace(frame, event, arg):
+            nonlocal count
+            if frame.f_code.co_filename != scheduler.__file__:
+                return None
+            count += event == "line"
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            victims = scheduler.select_preemption_victims(state, incoming, "n")
+        finally:
+            sys.settrace(previous)
+        return victims, count
+
+    def test_forty_unit_pods_decide_without_enumerating_subsets(self):
+        # 20 of 40 equal pods: C(40, 20) subsets of that size alone
+        units = [pod(f"u{i:02d}", 100, 100, owner="low", priority=BRONZE) for i in range(40)]
+        state = state_with([node("n", 4000, 4000)], units, [(u.id, "n") for u in units])
+        incoming = pod("hi", 2000, 2000, owner="high", priority=GOLD)
+        victims, lines = self.search_lines(state, incoming)
+        assert victims == {f"u{i:02d}" for i in range(20)}
+        assert lines < 1500
+
+    def test_forty_pods_in_three_shapes_break_ties_on_ids(self):
+        # pod i has shape i % 3, and each pod frees 500 of cpu and memory
+        # together, so a cover needs 8 pods that free exactly 2000 of each: as
+        # many of shape 0 as of shape 1.  Every such choice sums to priority
+        # 24, so the smallest ids decide: 3 + 3 + 2 pods, s00 to s07
+        shapes = [(100, 400, BRONZE), (400, 100, SILVER), (250, 250, PriorityLevel("p3", 3))]
+        pods = [pod(f"s{i:02d}", *shapes[i % 3][:2], owner="low", priority=shapes[i % 3][2])
+                for i in range(40)]
+        state = state_with([node("n", 9850, 10150)], pods, [(p.id, "n") for p in pods])
+        incoming = pod("hi", 2000, 2000, owner="high", priority=GOLD)
+        victims, lines = self.search_lines(state, incoming)
+        assert victims == {f"s{i:02d}" for i in range(8)}
+        assert lines < 3500
+
 
 class TestSchedule:
     def test_binds_to_best_free_node(self):
@@ -272,6 +359,19 @@ class TestEnforceNoExecute:
 
 
 class TestCoordinate:
+    def test_a_victim_of_equal_priority_is_refused(self, monkeypatch):
+        # two gold pods that each need the whole node: a search that named the
+        # bound one would let each evict the other in turn, and the round
+        # would never end
+        state = state_with([node("n", 1000, 1000)],
+                           [pod("a", 1000, 1000, owner="acl1"), pod("b", 1000, 1000, owner="acl2")],
+                           [("a", "n")])
+        monkeypatch.setattr(scheduler, "select_preemption_victims",
+                            lambda state, p, node_id: frozenset(state.node_info[node_id].pods))
+        with pytest.raises(InvalidPhase, match="'a' is not below the priority of its preemptor 'b'"):
+            scheduler.coordinate(state, queue_of(state, "b"))
+        assert state.bindings == {"a": "n"}
+
     def test_both_units_bind_in_priority_order(self):
         # two loops with one pod each competing for the marked edge:
         # gold goes first and takes it, silver falls back to the big core node
