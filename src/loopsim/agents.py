@@ -3,16 +3,19 @@
 An agent watches the demand signal over its scope, predicts the next value,
 and turns watermark breaches into action intents (scale, instantiate, power).
 Intents do not touch the cluster directly — they go through the conflict
-manager and only survivors are materialized by the simulator.  An agent
-keeps no record of what it has in flight: the simulator hands
-``outstanding_targets`` the intents the manager still holds, and a scaler,
-energy or balancer agent plans nothing for those targets.
+manager and only survivors are materialized by the simulator.  A loop's
+execute step is its submission to the manager, which ``World._phase_submit``
+records with the check tick of the loop's home instance: the tick that
+instance will first look at the intents.  An agent keeps no record of what
+it has in flight: the simulator hands ``outstanding_targets`` the intents the
+manager still holds, and a scaler, energy or balancer agent plans nothing for
+those targets.
 
 ``plan`` receives the facts a loop may read beside itself, each as its own
 argument: the tick, the cluster state (a scaler counts its pods in
 ``by_owner``; energy and balancer loops read ``powered_off``), the nodes'
-idle streaks, the targets in flight and, for a slice loop, the slice requests
-addressed to it.  Planning never changes the cluster.
+idle streaks, the targets in flight and, for a slice loop, the pod chains of
+the slice requests addressed to it.  Planning never changes the cluster.
 
 ``resolve_scope`` reads an agent's scope once, when the agent is built, into
 its size class, the sorted regions it covers and the nodes it names.  The
@@ -87,17 +90,9 @@ class PodSpec:
 
 
 @dataclass(frozen=True)
-class SliceRequest:
-    id: str
-    agent_id: str
-    chain: tuple[PodSpec, ...]
-
-
-@dataclass(frozen=True)
 class ActionIntent:
     intent_id: str
     acl_id: str
-    tick: int
     kind: ActionKind
     target: str                      # what the action toggles/moves (service, node, slice)
     magnitude: float                 # predicted demand that motivated the action
@@ -129,7 +124,6 @@ class LoopAgent:
     span_ticks: int = 10
     target: str = ""
     lifecycle: LifecycleState = LifecycleState.ACTIVE
-    knowledge: set[str] = field(default_factory=set)
     anomaly_streak: int = 0
     normal_streak: int = 0
     last_scale_tick: int | None = None
@@ -230,7 +224,6 @@ def _next_intent(agent: LoopAgent, tick: int, kind: ActionKind, target: str,
     intent = ActionIntent(
         intent_id=f"{agent.id}-t{tick}-{agent.intent_seq}",
         acl_id=agent.id,
-        tick=tick,
         kind=kind,
         target=target,
         magnitude=magnitude,
@@ -247,20 +240,21 @@ def plan(
     state: ClusterState,
     idle_streaks: dict[str, int],
     outstanding: frozenset[str] = frozenset(),
-    slice_requests: tuple[SliceRequest, ...] = (),
+    slice_chains: tuple[tuple[PodSpec, ...], ...] = (),
 ) -> list[ActionIntent]:
     """Turn a prediction into intents according to the agent's role.
 
     *outstanding* holds the targets of the agent's intents still in flight
-    (``outstanding_targets``) and *slice_requests* the requests addressed to
-    it; each role reads only what it needs of these and of *state*.
+    (``outstanding_targets``) and *slice_chains* the chains of the slice
+    requests addressed to it; each role reads only what it needs of these and
+    of *state*.
     """
     if agent.lifecycle is LifecycleState.SUSPENDED:
         raise SuspendedAgent(agent.id)
     if agent.role is AgentRole.SCALER:
         return _plan_scaler(agent, prediction, tick, state, outstanding)
     if agent.role is AgentRole.SLICE:
-        return _plan_slice(agent, prediction, tick, slice_requests)
+        return _plan_slice(agent, prediction, tick, slice_chains)
     if agent.role is AgentRole.ENERGY:
         return _plan_energy(agent, prediction, tick, state.powered_off, idle_streaks,
                             outstanding)
@@ -313,16 +307,12 @@ def _plan_scaler(agent: LoopAgent, prediction: float, tick: int, state: ClusterS
 
 
 def _plan_slice(agent: LoopAgent, prediction: float, tick: int,
-                slice_requests: tuple[SliceRequest, ...]) -> list[ActionIntent]:
-    intents = []
-    for request in slice_requests:
-        intents.append(
-            _next_intent(
-                agent, tick, ActionKind.INSTANTIATE, agent.target, prediction,
-                pod_specs=request.chain,
-            )
-        )
-    return intents
+                slice_chains: tuple[tuple[PodSpec, ...], ...]) -> list[ActionIntent]:
+    return [
+        _next_intent(agent, tick, ActionKind.INSTANTIATE, agent.target, prediction,
+                     pod_specs=chain)
+        for chain in slice_chains
+    ]
 
 
 def _plan_energy(agent: LoopAgent, prediction: float, tick: int, powered_off: Set[str],
@@ -355,32 +345,21 @@ def _plan_balancer(agent: LoopAgent, prediction: float, tick: int, powered_off: 
     return intents
 
 
-def execute(agent: LoopAgent, intents: list[ActionIntent], submit) -> list[int]:
-    """Hand intents to the conflict manager; return the tick at which its
-    owning instance will look at each."""
-    if agent.lifecycle is LifecycleState.SUSPENDED:
-        raise SuspendedAgent(agent.id)
-    return [submit(intent) for intent in intents]
-
-
 def outstanding_targets(agent: LoopAgent, in_flight: list[ActionIntent]) -> frozenset[str]:
     """Targets of the agent's intents among *in_flight*: those submitted but
     neither applied nor dropped yet."""
     return frozenset(i.target for i in in_flight if i.acl_id == agent.id)
 
 
-def absorb_knowledge(agent: LoopAgent, grant) -> bool:
-    """Fold a granted artifact into the agent.  Idempotent per artifact id.
+def absorb_knowledge(agent: LoopAgent, grant) -> None:
+    """Fold a granted artifact into the agent; every grant applies, as the
+    manager numbers each one (no artifact id repeats).
 
     A model grant upgrades the predictor in place (same level, same alpha) to
     a shared model with the grant's accuracy bonus; a dataset grant widens
     the sampling window.
     """
-    if grant.artifact_id in agent.knowledge:
-        return False
-    agent.knowledge.add(grant.artifact_id)
     if grant.kind == "Model":
         agent.predictor = replace(agent.predictor, accuracy_bonus=grant.accuracy_bonus)
     else:
         agent.span_ticks = agent.span_ticks + grant.sample_count
-    return True

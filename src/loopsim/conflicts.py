@@ -273,10 +273,6 @@ class ConflictManager:
                 held += intents
         return held
 
-    def submit(self, intent: ActionIntent) -> int:
-        """Return the tick at which the owning instance will look at this intent."""
-        return self.home[intent.acl_id].next_tick(intent.tick)
-
     # -- coherency / lifecycle ----------------------------------------------
 
     def coherency_check(self, acl: str, magnitude: float) -> Verdict:
@@ -416,7 +412,8 @@ class ConflictManager:
                 )
 
         results = []
-        for node_id in sorted(set(up_claims) | set(directions)):
+        # every claim also records a direction on its node
+        for node_id in sorted(directions):
             participants: set[str] = set()
             implicated: set[str] = set()
             claims = up_claims.get(node_id, [])

@@ -6,7 +6,8 @@ Tick phases, in order:
 1. sample demand per region, apply injected events,
 2. each agent (sorted by id, skipping suspended ones and off-period ticks)
    monitors, analyzes, and plans,
-3. intents are submitted to the conflict manager,
+3. intents are submitted to the conflict manager, each recorded with the
+   check tick of its loop's home instance,
 4. the manager runs its pipeline (coherency, freezes, interference,
    contention, routing/buffering),
 5. surviving intents materialize (pods join ``World.queue``, terminations,
@@ -35,12 +36,7 @@ from dataclasses import dataclass, field
 
 from . import agents as agents_mod
 from . import cluster, scenario as scenario_mod, scheduler
-from .agents import (
-    ActionIntent,
-    ActionKind,
-    LifecycleState,
-    SliceRequest,
-)
+from .agents import ActionIntent, ActionKind, LifecycleState, PodSpec
 from .cluster import POWERED_OFF_KEY, Pod, ResourceVector, Taint, TaintEffect
 from .conflicts import ConflictManager, Grant
 from .errors import (
@@ -185,8 +181,8 @@ class World:
         self.idle_streaks: dict[str, int] = {n: 0 for n in self.state.nodes}
         # bookkeeping's node order: no operation adds or removes a node
         self._node_ids = sorted(self.state.nodes)
-        # each slice loop's requests, taken whole when it next plans
-        self.pending_slices: dict[str, list[SliceRequest]] = {}
+        # each slice loop's requested pod chains, taken whole when it next plans
+        self.pending_slices: dict[str, list[tuple[PodSpec, ...]]] = {}
         self._slice_seq = 0
 
     # -- helpers ---------------------------------------------------------
@@ -214,15 +210,11 @@ class World:
                 cluster.remove_taint(self.state, event["node"], event["key"], effect)
                 self.emit("taint-removed", node=event["node"], key=event["key"])
             elif kind == "slice-request":
-                request = SliceRequest(
-                    id=f"slice-req-{self._slice_seq}",
-                    agent_id=event["agent"],
-                    chain=scenario_mod.chain_specs(event),
-                )
+                chain = scenario_mod.chain_specs(event)
+                self.pending_slices.setdefault(event["agent"], []).append(chain)
+                self.emit("slice-requested", id=f"slice-req-{self._slice_seq}",
+                          agent=event["agent"], links=len(chain))
                 self._slice_seq += 1
-                self.pending_slices.setdefault(request.agent_id, []).append(request)
-                self.emit("slice-requested", id=request.id, agent=request.agent_id,
-                          links=len(request.chain))
             elif kind == "exchange-request":
                 result = self.manager.broker_exchange(event["source"], event["target"],
                                                       event["artifact"])
@@ -276,7 +268,7 @@ class World:
             self.emit("prediction", acl=acl, value=prediction, truth=truth)
 
             # validation addresses slice requests to slice loops only, and a
-            # slice loop plans one intent per request
+            # slice loop plans one intent per requested chain
             my_slices = tuple(self.pending_slices.pop(acl, ()))
             mine = in_flight.get(acl)
             outstanding = (frozenset() if mine is None
@@ -290,8 +282,9 @@ class World:
     def _phase_submit(self, planned: list[tuple[str, list[ActionIntent]]]) -> list[ActionIntent]:
         submitted: list[ActionIntent] = []
         for acl, intents in planned:
-            check_ticks = agents_mod.execute(self.agents[acl], intents, self.manager.submit)
-            for intent, check_tick in zip(intents, check_ticks):
+            # every intent a loop plans this tick has its home instance
+            check_tick = self.manager.home[acl].next_tick(self.tick)
+            for intent in intents:
                 self.emit("intent-submitted", id=intent.intent_id, acl=acl,
                           action=intent.kind.value, target=intent.target,
                           magnitude=intent.magnitude, check_tick=check_tick)

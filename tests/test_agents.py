@@ -1,4 +1,4 @@
-"""Control-loop agents: sizing, monitoring, prediction, planning, execution."""
+"""Control-loop agents: sizing, monitoring, prediction, planning, intents in flight."""
 
 import random
 import sys
@@ -16,7 +16,6 @@ from loopsim.agents import (
     PodSpec,
     PredictorState,
     SizeClass,
-    SliceRequest,
     analyze,
     monitor,
     plan,
@@ -262,9 +261,8 @@ class TestPlanOtherRoles:
     def test_slice_agent_instantiates_pending_requests(self):
         agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
         chain = (PodSpec(rv(500, 1024)), PodSpec(rv(500, 1024)))
-        request = SliceRequest("s-0", "acl1", chain)
         intents = plan(agent, 0.0, tick=3, state=waterloo(), idle_streaks={},
-                       slice_requests=(request,))
+                       slice_chains=(chain,))
         assert [i.kind for i in intents] == [ActionKind.INSTANTIATE]
         assert intents[0].pod_specs == chain
 
@@ -317,35 +315,7 @@ class TestPlanOtherRoles:
         assert [i.target for i in intents] == ["edge-calgary-2"]
 
 
-class TestExecute:
-    def test_execute_returns_check_ticks(self):
-        agent = make_agent()
-        intents = plan(agent, 900.0, tick=0, state=waterloo(), idle_streaks={})
-        assert agents_mod.execute(agent, intents, lambda i: i.tick + 4) == [4]
-
-    def test_execute_returns_one_check_tick_per_intent_in_order(self):
-        agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
-        reqs = tuple(SliceRequest(f"s-{i}", "acl1", (PodSpec(rv(1, 1)),)) for i in range(3))
-        intents = plan(agent, 0.0, tick=7, state=waterloo(), idle_streaks={},
-                       slice_requests=reqs)
-        seen = []
-
-        def submit(intent):
-            seen.append(intent.intent_id)
-            return intent.tick + len(seen)
-
-        assert agents_mod.execute(agent, intents, submit) == [8, 9, 10]
-        assert seen == [i.intent_id for i in intents]
-
-    def test_empty_intent_list_no_check_ticks(self):
-        agent = make_agent()
-        assert agents_mod.execute(agent, [], lambda i: 0) == []
-
-    def test_suspended_agent_cannot_execute(self):
-        agent = make_agent(lifecycle=LifecycleState.SUSPENDED)
-        with pytest.raises(SuspendedAgent):
-            agents_mod.execute(agent, [], lambda i: 0)
-
+class TestIntents:
     def test_outstanding_targets_are_this_loops_in_flight_targets(self):
         agent = make_agent()
         intents = plan(agent, 900.0, tick=0, state=waterloo(), idle_streaks={})
@@ -364,7 +334,6 @@ class TestExecute:
         agent = make_agent()
         state = waterloo()
         intents = plan(agent, 900.0, tick=0, state=state, idle_streaks={})
-        agents_mod.execute(agent, intents, lambda i: i.tick)
         in_flight = list(intents)
         blocked = agents_mod.outstanding_targets(agent, in_flight)
         assert plan(agent, 900.0, tick=9, state=state, idle_streaks={},
@@ -377,14 +346,13 @@ class TestExecute:
 
     def test_intent_ids_are_unique_and_ordered(self):
         agent = make_agent(role=AgentRole.SLICE, scope=("e2e",))
-        reqs = tuple(
-            SliceRequest(f"s-{i}", "acl1", (PodSpec(rv(1, 1)),)) for i in range(3)
-        )
+        chains = tuple((PodSpec(rv(i + 1, 1)),) for i in range(3))
         intents = plan(agent, 0.0, tick=0, state=waterloo(), idle_streaks={},
-                       slice_requests=reqs)
+                       slice_chains=chains)
         assert [i.intent_id for i in intents] == [
             "acl1-t0-0", "acl1-t0-1", "acl1-t0-2",
         ]
+        assert [i.pod_specs for i in intents] == list(chains)
 
 
 def cluster_snapshot(state):
@@ -437,10 +405,8 @@ class TestPlanningLeavesTheClusterUnchanged:
 
 
 class FakeGrant:
-    def __init__(self, artifact_id, kind, source="acl2", bonus=0.2, samples=5):
-        self.artifact_id = artifact_id
+    def __init__(self, kind, bonus=0.2, samples=5):
         self.kind = kind
-        self.source = source
         self.accuracy_bonus = bonus
         self.sample_count = samples
 
@@ -449,18 +415,11 @@ class TestAbsorbKnowledge:
     def test_model_grant_upgrades_predictor(self):
         agent = make_agent()
         level_before = agent.predictor.level
-        assert agents_mod.absorb_knowledge(agent, FakeGrant("a1", "Model"))
+        agents_mod.absorb_knowledge(agent, FakeGrant("Model"))
         assert agent.predictor.accuracy_bonus == 0.2
         assert agent.predictor.level == level_before  # learning is not reset
 
     def test_dataset_grant_widens_window(self):
         agent = make_agent(span_ticks=10)
-        assert agents_mod.absorb_knowledge(agent, FakeGrant("a2", "Dataset", samples=5))
-        assert agent.span_ticks == 15
-
-    def test_absorb_is_idempotent_per_artifact(self):
-        agent = make_agent(span_ticks=10)
-        grant = FakeGrant("a3", "Dataset", samples=5)
-        assert agents_mod.absorb_knowledge(agent, grant)
-        assert not agents_mod.absorb_knowledge(agent, grant)
+        agents_mod.absorb_knowledge(agent, FakeGrant("Dataset", samples=5))
         assert agent.span_ticks == 15

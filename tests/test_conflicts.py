@@ -70,7 +70,6 @@ def make_intent(acl, tick, kind, target="svc", iid=None, specs=(), pods=(),
     return ActionIntent(
         intent_id=iid or f"{acl}-t{tick}-0",
         acl_id=acl,
-        tick=tick,
         kind=kind,
         target=target,
         magnitude=magnitude,
@@ -206,6 +205,16 @@ class TestBroker:
         assert grant.sample_count == 12
         assert grant.accuracy_bonus == 0.0
 
+    def test_repeated_grants_get_distinct_artifact_ids(self):
+        """Every grant is numbered, so a receiver needs no record of the
+        artifacts it has absorbed to tell them apart."""
+        ran, core = make_agent("ran"), make_agent("core", scope=("toronto",))
+        mgr = make_manager(ran, core, trust={"ran": [["core", "Dataset"], ["core", "Model"]]})
+        grants = [mgr.broker_exchange("ran", "core", kind)
+                  for kind in ("Dataset", "Dataset", "Model", "Model", "Dataset")]
+        assert all(isinstance(g, Grant) for g in grants)
+        assert len({g.artifact_id for g in grants}) == len(grants)
+
 
 class TestRouting:
     def test_single_region_scopes_stay_regional(self):
@@ -237,17 +246,6 @@ class TestRouting:
         assert e2e.next_tick(3) != 3
         # a region's instance acts on every tick
         assert mgr.home["a"].next_tick(3) == 3
-
-    def test_submit_returns_check_tick(self):
-        reg = make_agent("a")
-        mega = make_agent("slice", scope=("e2e",))
-        mgr = make_manager(reg, mega, e2e_period=5)
-        regional_intent = make_intent("a", 7, ActionKind.SCALE_UP,
-                                      specs=[PodSpec(rv(1, 1))])
-        mega_intent = make_intent("slice", 7, ActionKind.INSTANTIATE,
-                                  specs=[PodSpec(rv(1, 1))])
-        assert mgr.submit(regional_intent) == mgr.home["a"].next_tick(7) == 7
-        assert mgr.submit(mega_intent) == mgr.home["slice"].next_tick(7) == 10
 
 
 class TestDetection:
@@ -716,3 +714,44 @@ def test_each_submitted_intent_gets_one_coherency_check():
                 scn.name, tick)
         requeued += sum(n for (_, kind), n in counts.items() if kind == "intent-requeued")
     assert requeued > 0
+
+
+def mega_loops(data: dict) -> set[str]:
+    """The loops a scenario's own scopes make Mega: a scope with an ``e2e``
+    entry, or with entries over two or more regions."""
+    region_of = {n["id"]: n["region"] for n in data["nodes"]}
+    regions = set(region_of.values())
+    mega = set()
+    for agent in data["agents"]:
+        touched = {entry if entry in regions else region_of[entry.split("/", 1)[0]]
+                   for entry in agent["scope"] if entry != "e2e"}
+        if "e2e" in agent["scope"] or len(touched) >= 2:
+            mega.add(agent["id"])
+    return mega
+
+
+def test_each_submitted_intent_carries_its_home_instances_check_tick():
+    """On the built-ins, the fuzz scenarios and both workloads, an
+    ``intent-submitted`` of a Mega loop carries the first multiple of
+    ``e2e_period`` at or after its tick as ``check_tick``, and any other its
+    own tick."""
+    rng = random.Random(20260814)
+    scenarios = [load_scenario(name) for name in list_scenarios()]
+    scenarios += [random_scenario(rng, i) for i in range(20)]
+    scenarios += [loads(workloads.generate(name, 1), ticks=150)
+                  for name in ("steady-long", "contended")]
+    seen = Counter()
+    for scn in scenarios:
+        mega = mega_loops(scn.data)
+        period = scn.data["manager"]["e2e_period"]
+        trace, _, _ = run(scn)
+        for e in trace.events:
+            if e["kind"] != "intent-submitted":
+                continue
+            tick = e["tick"]
+            want = next(t for t in range(tick, tick + period) if t % period == 0) \
+                if e["acl"] in mega else tick
+            assert e["check_tick"] == want, (scn.name, e)
+            seen["mega" if e["acl"] in mega else "other"] += 1
+            seen["later"] += want > tick
+    assert seen["mega"] and seen["other"] and seen["later"], seen

@@ -172,7 +172,6 @@ class TestProcessTickMatchesReference:
         return ActionIntent(
             intent_id=intent["id"],
             acl_id=intent["acl"],
-            tick=intent["tick"],
             kind=ActionKind(intent["kind"]),
             target=intent["target"],
             magnitude=intent["magnitude"],
@@ -229,7 +228,7 @@ class TestProcessTickMatchesReference:
             intents = icm_oracle.random_intents(rng, agents, tick, nodes, pods)
             engine_intents = [self.engine_intent(i) for i in intents]
             by_id.update((i["id"], i) for i in intents)
-            assert [mgr.submit(i) for i in engine_intents] == [
+            assert [mgr.home[i.acl_id].next_tick(tick) for i in engine_intents] == [
                 icm_oracle.check_tick(ref, i) for i in intents]
             before = dict(ref["freezes"])
             want = icm_oracle.process_tick(ref, tick, intents, nodes, pods)

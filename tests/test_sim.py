@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from loopsim import cluster, scheduler
+from loopsim.agents import PodSpec
 from loopsim.cluster import Pod, ResourceVector
 from loopsim.errors import (
     CapacityExceeded, HashMismatch, IndexDrift, InvalidPhase, ParseError, ValidationError,
@@ -539,11 +540,49 @@ class TestSliceRequests:
         }))
         world.step()
         world.step()
-        assert [r.id for r in world.pending_slices["s"]] == ["slice-req-0", "slice-req-1"]
+        # a pending request is its chain; the trace numbers the requests
+        assert world.pending_slices["s"] == [(PodSpec(ResourceVector(1, 1)),)] * 2
+        assert [e["id"] for e in events_of(world.trace, "slice-requested")] == [
+            "slice-req-0", "slice-req-1"]
         world.step()
         assert world.pending_slices == {}
         submitted = events_of(world.trace, "intent-submitted")
         assert [(e["tick"], e["acl"]) for e in submitted] == [(2, "s"), (2, "s")]
+
+
+class TestDatasetGrant:
+    """A granted Dataset widens the taker's ``span_ticks`` by the giver's.
+    ``monitor`` starts after the last tick the predictor folded, so the wider
+    span shows only in a loop whose ``period`` exceeds its ``span_ticks``."""
+
+    @staticmethod
+    def taker_predictions(period: int, span: int, kinds: list[str]):
+        scn = from_dict({
+            "name": "dataset",
+            "ticks": 60,
+            "topology": {"nodes": [{"id": "n", "region": "r", "cpu": 8000, "memory": 8192}]},
+            "agents": [{"id": "giver", "scope": ["r"], "span_ticks": 10},
+                       {"id": "taker", "scope": ["r"], "period": period, "span_ticks": span}],
+            "trust": {"giver": [{"acl": "taker", "kinds": kinds}]},
+            "traffic": {"r": {"base": 500, "amplitude": 200, "period": 24, "sigma": 20}},
+            "injected": [{"tick": 1, "kind": "exchange-request", "source": "giver",
+                          "target": "taker", "artifact": "Dataset"}],
+        })
+        trace, metrics, _ = run(scn)
+        assert verify_trace(trace, scn).ok
+        return trace, [value for _, value, _ in metrics.predictions["taker"]]
+
+    @pytest.mark.parametrize("period, span, differ, of", [
+        (20, 5, 2, 3), (6, 5, 9, 10), (10, 3, 5, 6), (1, 5, 0, 60), (5, 5, 0, 12),
+    ])
+    def test_granted_and_denied_predictions(self, period, span, differ, of):
+        granted, with_grant = self.taker_predictions(period, span, ["Dataset"])
+        denied, without = self.taker_predictions(period, span, ["Model"])
+        assert [e["artifact_kind"] for e in events_of(granted, "knowledge-absorbed")] == [
+            "Dataset"]
+        assert [e["reason"] for e in events_of(denied, "exchange-denied")] == ["NotTrusted"]
+        assert len(with_grant) == len(without) == of
+        assert sum(a != b for a, b in zip(with_grant, without)) == differ
 
 
 class TestNoExecuteEnforcement:
