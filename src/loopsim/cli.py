@@ -65,7 +65,7 @@ def _cmd_run(args) -> int:
         trace.write(args.out)
     else:
         sys.stdout.reconfigure(newline="\n")  # no "\r" added on any OS, as --out writes
-        sys.stdout.write(trace.dumps())
+        sys.stdout.writelines(trace.chunks())
     if args.summary:
         print(sim.summarize(trace), file=sys.stderr)
     return 0

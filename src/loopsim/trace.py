@@ -7,6 +7,12 @@ allowed, so identical runs produce identical bytes; ``verify`` compares its
 replay with the recorded text one tick at a time. A file is read and written
 with no newline translation, so the bytes compared are the bytes on disk.
 
+``Trace.chunks`` is the one producer of a trace's text: the header's line,
+then the events' lines ``CHUNK_LINES`` at a time, each chunk one ``str``.
+``write`` and ``loopsim run`` to stdout write the chunks as they come, so they
+hold one chunk of text at a time; ``dumps`` joins them, so it holds the chunks
+and the joined text, about twice the text, and never a list of every line.
+
 Each line is read as ``json.loads`` would, with the same error messages; a
 line nested too deeply to read, and an event that lacks, or mistypes, a key
 the readers of a trace use, are rejected too. ``parse_trace`` reads and
@@ -22,11 +28,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 
 from .errors import ParseError
 
 TRACE_FORMAT = "loopsim-trace/1"
+CHUNK_LINES = 1024  # event lines per chunk of text
 
 
 # The encoder and scanner ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
@@ -72,7 +80,9 @@ def _lines(text: str):
 class Trace:
     """A header and its events. One from ``parse_trace`` keeps its ``text``,
     verbatim, and reads its events from it on first use; ``header_line`` is
-    the header's line number in that text."""
+    the header's line number in that text. ``chunks`` produces the text
+    (``dumps`` and ``write`` re-encode the events, never ``text``), and
+    holds at most ``CHUNK_LINES`` event lines as separate strings at once."""
 
     def __init__(self, header: dict, events: list[dict] | None = None,
                  text: str | None = None, header_line: int = 1):
@@ -112,18 +122,22 @@ class Trace:
             self.events  # noqa: B018 (read for the error it raises)
             raise
 
-    def lines(self) -> list[str]:
-        return [_dump(self.header)] + [_dump(e) for e in self.events]
+    def chunks(self):
+        """The text, in order: the header's line, then the events' lines
+        ``CHUNK_LINES`` at a time, each chunk ending in ``"\\n"``."""
+        yield _dump(self.header) + "\n"
+        events = iter(self.events)
+        while chunk := [_dump(e) for e in itertools.islice(events, CHUNK_LINES)]:
+            chunk.append("")  # the last line's "\n"
+            yield "\n".join(chunk)
 
     def dumps(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        return "".join(self.chunks())
 
     def write(self, path: str) -> None:
-        """Write ``dumps()``'s bytes line by line, never holding the whole text."""
+        """Write ``dumps()``'s bytes one chunk at a time."""
         with open(path, "w", encoding="utf-8", newline="") as fh:  # "\n", on every OS
-            fh.write(_dump(self.header) + "\n")
-            for event in self.events:
-                fh.write(_dump(event) + "\n")
+            fh.writelines(self.chunks())
 
 
 _INT, _NUMBER, _TEXT = (int,), (int, float), (str,)  # a JSON true is no count

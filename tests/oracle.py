@@ -354,6 +354,52 @@ def repeated_shape_instance(rng: random.Random) -> dict:
     return {"nodes": nodes, "pods": pods, "units": units, "levels": levels}
 
 
+def tied_victims_instance(rng: random.Random) -> dict:
+    """One node full of ``acl1``'s pods in two shapes at one priority, and
+    pending ``acl2`` pods of a higher one that each need two or more of them.
+
+    Neither shape asks more of both resources than the other, so no one pod
+    covers a pending one, and every victim set of one size ties on count and
+    priority sum: only the ids tell them apart.  A pending pod either needs a
+    random two or three of the low pods, or is covered by any two of them,
+    one shape or both.  The ids are dealt to the pods at random, so the set
+    with the smallest ids is not always the one a search over the shapes in
+    sorted order meets first.
+    """
+    cpus = sorted(rng.sample((200, 300, 500, 700), 2))
+    mems = sorted(rng.sample((256, 512, 768, 1024), 2), reverse=True)
+    low = [shape for shape in zip(cpus, mems) for _ in range(rng.randint(2, 3))]
+    high = rng.randint(1, 2)
+    ids = [f"p{i:02d}" for i in range(len(low) + high)]
+    rng.shuffle(ids)
+    slack_cpu, slack_mem = rng.choice((0, 100)), rng.choice((0, 128))
+    nodes = {"n0": {
+        "region": "east",
+        "cpu": sum(cpu for cpu, _ in low) + slack_cpu,
+        "mem": sum(mem for _, mem in low) + slack_mem,
+        "taints": set(),
+    }}
+    levels = {"acl1": (rng.choice((0, 2)), True), "acl2": (rng.choice((5, 8)), True)}
+
+    def pod(owner, cpu, mem, node):
+        return {"owner": owner, "cpu": cpu, "mem": mem, "prio": levels[owner][0],
+                "preempt": True, "tols": {}, "phase": "bound" if node else "pending",
+                "node": node}
+
+    pods = {pid: pod("acl1", cpu, mem, "n0") for pid, (cpu, mem) in zip(ids, low)}
+    queue = []
+    for pid in ids[len(low):]:
+        if rng.random() < 0.5:
+            wanted = rng.sample(low, rng.randint(2, 3))
+            cpu, mem = sum(cpu for cpu, _ in wanted), sum(mem for _, mem in wanted)
+        else:  # more cpu than the first shape has, more memory than the second
+            cpu, mem = cpus[0] + rng.choice((100, cpus[0])), mems[1] + rng.choice((128, mems[1]))
+        pods[pid] = pod("acl2", slack_cpu + cpu, slack_mem + mem, None)
+        queue.append(pid)
+    units = {"acl2": {"prio": levels["acl2"][0], "queue": queue}}
+    return {"nodes": nodes, "pods": pods, "units": units, "levels": levels}
+
+
 def to_engine(inst: dict) -> tuple[ClusterState, PendingQueue]:
     """Translate a dict instance into engine values.
 

@@ -151,7 +151,15 @@ class TestSchedulingMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_round_agrees_with_the_brute_force_oracle(self, seed):
-        inst = oracle.random_instance(random.Random(seed))
+        self.agrees(oracle.random_instance(random.Random(seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_tied_victim_sets_agree_with_the_brute_force_oracle(self, seed):
+        self.agrees(oracle.tied_victims_instance(random.Random(seed)))
+
+    @staticmethod
+    def agrees(inst: dict) -> None:
         evictions, decisions, placement, problems = oracle.run_round(inst)
         assert problems == []
         state, queue = oracle.to_engine(inst)

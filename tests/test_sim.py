@@ -206,11 +206,13 @@ class TestPingpongWalkthrough:
 class TestTraceFormat:
     def test_header_then_events(self):
         trace, _, _ = run(load_scenario("case1"))
-        lines = trace.lines()
+        text = trace.dumps()
+        assert text.endswith("\n")
+        lines = text[:-1].split("\n")
         header = json.loads(lines[0])
         assert header["format"] == "loopsim-trace/1"
         assert header["scenario"] == "case1"
-        assert len(lines) == len(trace.events) + 1
+        assert [json.loads(line) for line in lines[1:]] == trace.events
 
     def test_seq_strictly_increasing_ticks_monotone(self):
         trace, _, _ = run(load_scenario("three-acl-conflict"))
@@ -262,7 +264,7 @@ class TestTraceFormat:
     def test_a_broken_header_is_rejected_or_read_cleanly(self):
         scn = load_scenario("case1")
         trace, _, _ = run(scn)
-        events = "\n".join(trace.lines()[1:])
+        events = trace.dumps().split("\n", 1)[1]
         headers = list(self.broken(trace.header))
         headers += [{**trace.header, "initial": [entry]}
                     for entry in self.broken({"pod": "acl1-pod-0", "node": "core-toronto"})]

@@ -2,6 +2,7 @@
 
 import gc
 import importlib.util
+import io
 import json
 import random
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsim import trace as trace_mod
+from loopsim import cli, sim as sim_mod, trace as trace_mod
 from loopsim.errors import HashMismatch, ParseError, ValidationError
 from loopsim.scenario import list_scenarios, load_scenario, loads
 from loopsim.sim import Report, check_invariants, run, verify_trace
@@ -481,7 +482,7 @@ class TestVerifyReadsOnlyWhatDiverges:
 
 
 class TestWrite:
-    """``Trace.write`` streams the bytes ``dumps()`` returns, one line at a time."""
+    """``Trace.write`` streams the bytes ``dumps()`` returns, one chunk at a time."""
 
     @pytest.mark.parametrize("name", list_scenarios())
     def test_file_bytes_equal_dumps(self, tmp_path, name):
@@ -501,7 +502,48 @@ class TestWrite:
     def test_the_whole_text_is_never_built(self, tmp_path, monkeypatch):
         trace = run(loads(workloads.generate("steady-long", 1), ticks=100))[0]
         monkeypatch.setattr(trace_mod.Trace, "dumps", None)
-        monkeypatch.setattr(trace_mod.Trace, "lines", None)
         trace.write(str(tmp_path / "t.jsonl"))
         monkeypatch.undo()
         assert (tmp_path / "t.jsonl").read_bytes() == trace.dumps().encode("utf-8")
+
+
+class TestChunks:
+    """``dumps()``, ``write()`` and ``loopsim run`` to stdout share one producer
+    of the text, which holds ``CHUNK_LINES`` event lines at a time."""
+
+    def test_dumps_peaks_at_about_twice_the_text(self):
+        # the chunks, then the one str they are joined into; a list of every
+        # line first would peak at about 2.5 times the text
+        trace = run(loads(workloads.generate("steady-long", 1000), ticks=200))[0]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = trace.dumps()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * len(text), (peak, len(text))
+
+    @pytest.mark.parametrize("count", [0, trace_mod.CHUNK_LINES, trace_mod.CHUNK_LINES + 1])
+    def test_every_way_out_gives_the_reference_bytes(self, count, tmp_path, monkeypatch):
+        header = {"format": TRACE_FORMAT, "scenario": "café"}
+        events = [{"seq": i, "tick": i // 10, "kind": "tick-end", "note": "\u2603" * (i % 3)}
+                  for i in range(count)]
+        expected = "".join(reference_dump(obj) + "\n" for obj in [header, *events])
+        trace = trace_mod.Trace(header, events)
+        assert trace.dumps() == expected
+        chunks = list(trace.chunks())
+        assert len(chunks) == 1 + -(-count // trace_mod.CHUNK_LINES)
+        assert all(0 < chunk.count("\n") <= trace_mod.CHUNK_LINES for chunk in chunks)
+
+        monkeypatch.setattr(trace_mod.Trace, "dumps", None)  # neither builds the whole text
+        path = tmp_path / "t.jsonl"
+        trace.write(str(path))
+        assert path.read_bytes() == expected.encode()
+
+        monkeypatch.setattr(sim_mod, "run", lambda scn, extra_events=None: (trace, None, None))
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+        assert cli.main(["run", "case1"]) == 0
+        sys.stdout.flush()
+        assert raw.getvalue() == expected.encode()
