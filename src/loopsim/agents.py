@@ -7,9 +7,9 @@ manager and only survivors are materialized by the simulator.  A loop's
 execute step is its submission to the manager, which ``World._phase_submit``
 records with the check tick of the loop's home instance: the tick that
 instance will first look at the intents.  An agent keeps no record of what
-it has in flight: the simulator hands ``outstanding_targets`` the intents the
-manager still holds, and a scaler, energy or balancer agent plans nothing for
-those targets.
+it has in flight: once a tick the simulator groups the intents the manager
+still holds into each loop's targets (``outstanding_targets``), and a scaler,
+energy or balancer agent plans nothing for those targets.
 
 ``plan`` receives the facts a loop may read beside itself, each as its own
 argument: the tick, the cluster state (a scaler counts its pods in
@@ -22,13 +22,17 @@ its size class, the sorted regions it covers and the nodes it names.  The
 regions give the demand it watches and, with the size class, the manager
 instance that handles its conflicts; an energy or balancer agent plans over
 the nodes.
+
+``monitor`` and ``plan`` run once per loop per tick, and compare against enum
+members bound once at module level (see ``scheduler``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Set
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterable, Set
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .cluster import ClusterState, PriorityLevel, ResourceVector, Toleration
 from .errors import EmptyScope, SuspendedAgent
@@ -54,10 +58,10 @@ class LifecycleState(str, Enum):
     SUSPENDED = "Suspended"
 
 
-@dataclass(frozen=True)
-class PredictorState:
+class PredictorState(NamedTuple):
     """An EWMA of demand.  A granted Model artifact sets ``accuracy_bonus``;
-    above 0 it makes the predictor a shared model (see ``analyze``)."""
+    above 0 it makes the predictor a shared model (see ``analyze``).  A named
+    tuple: immutable, and under half a frozen dataclass's cost to build."""
 
     alpha: float = 0.3
     level: float = 0.0
@@ -72,6 +76,10 @@ class ActionKind(str, Enum):
     POWER_OFF = "power-off"
     POWER_ON = "power-on"
 
+
+# the members monitor and plan compare against, bound once (see ``scheduler``)
+_SCALER, _SLICE, _ENERGY = AgentRole.SCALER, AgentRole.SLICE, AgentRole.ENERGY
+_SUSPENDED = LifecycleState.SUSPENDED
 
 # +1 adds capacity / turns things on, -1 removes capacity / turns things off
 DIRECTION = {
@@ -191,7 +199,7 @@ def monitor(
 ) -> tuple[tuple[int, float], ...]:
     """The last ``span_ticks`` ``(tick, demand)`` samples over the agent's
     scope, leaving out those the predictor has already folded."""
-    if agent.lifecycle is LifecycleState.SUSPENDED:
+    if agent.lifecycle is _SUSPENDED:
         raise SuspendedAgent(agent.id)
     start = max(0, tick - agent.span_ticks + 1, agent.predictor.last_seen + 1)
     return tuple((t, demand(t)) for t in range(start, tick + 1))
@@ -239,30 +247,31 @@ def plan(
     tick: int,
     state: ClusterState,
     idle_streaks: dict[str, int],
-    outstanding: frozenset[str] = frozenset(),
+    outstanding: Set[str] = frozenset(),
     slice_chains: tuple[tuple[PodSpec, ...], ...] = (),
 ) -> list[ActionIntent]:
     """Turn a prediction into intents according to the agent's role.
 
     *outstanding* holds the targets of the agent's intents still in flight
-    (``outstanding_targets``) and *slice_chains* the chains of the slice
-    requests addressed to it; each role reads only what it needs of these and
-    of *state*.
+    (its entry of ``outstanding_targets``) and *slice_chains* the chains of
+    the slice requests addressed to it; each role reads only what it needs of
+    these and of *state*.
     """
-    if agent.lifecycle is LifecycleState.SUSPENDED:
+    if agent.lifecycle is _SUSPENDED:
         raise SuspendedAgent(agent.id)
-    if agent.role is AgentRole.SCALER:
+    role = agent.role
+    if role is _SCALER:
         return _plan_scaler(agent, prediction, tick, state, outstanding)
-    if agent.role is AgentRole.SLICE:
+    if role is _SLICE:
         return _plan_slice(agent, prediction, tick, slice_chains)
-    if agent.role is AgentRole.ENERGY:
+    if role is _ENERGY:
         return _plan_energy(agent, prediction, tick, state.powered_off, idle_streaks,
                             outstanding)
     return _plan_balancer(agent, prediction, tick, state.powered_off, outstanding)
 
 
 def _plan_scaler(agent: LoopAgent, prediction: float, tick: int, state: ClusterState,
-                 outstanding: frozenset[str]) -> list[ActionIntent]:
+                 outstanding: Set[str]) -> list[ActionIntent]:
     if agent.target in outstanding:
         return []  # an earlier scale action is still in flight
     pods = state.by_owner.get(agent.id, ())
@@ -317,7 +326,7 @@ def _plan_slice(agent: LoopAgent, prediction: float, tick: int,
 
 def _plan_energy(agent: LoopAgent, prediction: float, tick: int, powered_off: Set[str],
                  idle_streaks: dict[str, int],
-                 outstanding: frozenset[str]) -> list[ActionIntent]:
+                 outstanding: Set[str]) -> list[ActionIntent]:
     intents = []
     for node_id in agent.nodes:
         if node_id in powered_off or node_id in outstanding:
@@ -330,7 +339,7 @@ def _plan_energy(agent: LoopAgent, prediction: float, tick: int, powered_off: Se
 
 
 def _plan_balancer(agent: LoopAgent, prediction: float, tick: int, powered_off: Set[str],
-                   outstanding: frozenset[str]) -> list[ActionIntent]:
+                   outstanding: Set[str]) -> list[ActionIntent]:
     powered_on = [n for n in agent.nodes if n not in powered_off]
     supply = len(powered_on) * agent.node_capacity_units
     if prediction <= agent.watermark_high * supply:
@@ -345,10 +354,17 @@ def _plan_balancer(agent: LoopAgent, prediction: float, tick: int, powered_off: 
     return intents
 
 
-def outstanding_targets(agent: LoopAgent, in_flight: list[ActionIntent]) -> frozenset[str]:
-    """Targets of the agent's intents among *in_flight*: those submitted but
-    neither applied nor dropped yet."""
-    return frozenset(i.target for i in in_flight if i.acl_id == agent.id)
+def outstanding_targets(in_flight: Iterable[ActionIntent]) -> dict[str, set[str]]:
+    """Each loop's targets among *in_flight*, the intents submitted but neither
+    applied nor dropped yet, by loop id; a loop with none has no entry."""
+    targets: dict[str, set[str]] = {}
+    for intent in in_flight:
+        mine = targets.get(intent.acl_id)
+        if mine is None:
+            targets[intent.acl_id] = {intent.target}
+        else:
+            mine.add(intent.target)
+    return targets
 
 
 def absorb_knowledge(agent: LoopAgent, grant) -> None:
@@ -360,6 +376,6 @@ def absorb_knowledge(agent: LoopAgent, grant) -> None:
     the sampling window.
     """
     if grant.kind == "Model":
-        agent.predictor = replace(agent.predictor, accuracy_bonus=grant.accuracy_bonus)
+        agent.predictor = agent.predictor._replace(accuracy_bonus=grant.accuracy_bonus)
     else:
         agent.span_ticks = agent.span_ticks + grant.sample_count

@@ -18,8 +18,9 @@ the operations keep them up:
   (``bind``, ``evict``, ``terminate``);
 - ``by_owner``: per owner, the ids of its live pods (``add_pod``,
   ``terminate``);
-- ``powered_off``: the nodes carrying a ``powered-off`` taint
-  (``apply_taint``, ``remove_taint``);
+- ``powered_off``: the nodes carrying a ``powered-off`` taint, and
+  ``no_execute``: the nodes carrying a NoExecute taint (``apply_taint``,
+  ``remove_taint``);
 - ``eligible``: per toleration set, the tier of every node it tolerates.  The
   scheduler fills an entry the first time it ranks for that set, and
   ``apply_taint`` and ``remove_taint``, the only operations that change a
@@ -152,6 +153,7 @@ class ClusterState:
     node_info: dict[str, NodeInfo] = field(init=False, repr=False, compare=False)
     by_owner: dict[str, set[str]] = field(init=False, repr=False, compare=False)
     powered_off: set[str] = field(init=False, repr=False, compare=False)
+    no_execute: set[str] = field(init=False, repr=False, compare=False)
     # tolerations -> {node id: tier}, filled by ``scheduler.eligible_nodes``
     eligible: dict[frozenset[Toleration], dict[str, int]] = field(
         init=False, repr=False, compare=False)
@@ -170,11 +172,16 @@ class ClusterState:
         for pod in self.pods.values():
             self.by_owner.setdefault(pod.owner, set()).add(pod.id)
         self.powered_off = {n.id for n in self.nodes.values() if _powered_off(n)}
+        self.no_execute = {n.id for n in self.nodes.values() if _no_execute(n)}
         self.eligible = {}
 
 
 def _powered_off(node: Node) -> bool:
     return any(t.key == POWERED_OFF_KEY for t in node.taints)
+
+
+def _no_execute(node: Node) -> bool:
+    return any(t.effect is TaintEffect.NO_EXECUTE for t in node.taints)
 
 
 def tolerates(tolerations: frozenset[Toleration], node: Node) -> bool:
@@ -235,10 +242,12 @@ def add_pod(state: ClusterState, pod: Pod) -> None:
 
 def _set_taints(state: ClusterState, node: Node, taints: frozenset[Taint]) -> None:
     node = state.nodes[node.id] = replace(node, taints=taints)
-    if _powered_off(node):
-        state.powered_off.add(node.id)
-    else:
-        state.powered_off.discard(node.id)
+    for index, holds in ((state.powered_off, _powered_off(node)),
+                         (state.no_execute, _no_execute(node))):
+        if holds:
+            index.add(node.id)
+        else:
+            index.discard(node.id)
     state.eligible.clear()
 
 

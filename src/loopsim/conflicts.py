@@ -57,6 +57,13 @@ class Verdict(str, Enum):
     ANOMALOUS = "Anomalous"
 
 
+# enum members the per-intent paths compare against, bound once (see ``scheduler``)
+_NORMAL, _ANOMALOUS = Verdict.NORMAL, Verdict.ANOMALOUS
+_ACTIVE, _UNDER_OBSERVATION, _SUSPENDED = (
+    LifecycleState.ACTIVE, LifecycleState.UNDER_OBSERVATION, LifecycleState.SUSPENDED)
+_ADDS_PODS, _SCALE_DOWN = (ActionKind.SCALE_UP, ActionKind.INSTANTIATE), ActionKind.SCALE_DOWN
+
+
 @dataclass(frozen=True)
 class Resolution:
     kind: str                        # "arbitrated" | "frozen"
@@ -171,11 +178,11 @@ class CoherencyBaseline:
                            n * n << 2 * self._exp)
 
     def check(self, magnitude: float, k_sigma: float) -> Verdict:
-        verdict = Verdict.NORMAL
+        verdict = _NORMAL
         if len(self.history) >= self.min_history:
             spread = max(self.spread(), self.epsilon)
             if abs(magnitude - self.mean()) > k_sigma * spread:
-                verdict = Verdict.ANOMALOUS
+                verdict = _ANOMALOUS
         self._add(magnitude, 1)
         self.history.append(magnitude)
         if len(self.history) > self.window:
@@ -286,23 +293,23 @@ class ConflictManager:
     def update_lifecycle(self, agent: LoopAgent, verdict: Verdict) -> tuple[str, str] | None:
         """Advance the agent's lifecycle; return (old, new) on a transition."""
         old = agent.lifecycle
-        if agent.lifecycle is LifecycleState.SUSPENDED:
+        if agent.lifecycle is _SUSPENDED:
             return None  # absorbing until an operator releases it
-        if verdict is Verdict.ANOMALOUS:
+        if verdict is _ANOMALOUS:
             agent.anomaly_streak += 1
             agent.normal_streak = 0
             if agent.anomaly_streak >= self.settings["lifecycle"]["suspend_after"]:
-                agent.lifecycle = LifecycleState.SUSPENDED
+                agent.lifecycle = _SUSPENDED
             else:
-                agent.lifecycle = LifecycleState.UNDER_OBSERVATION
+                agent.lifecycle = _UNDER_OBSERVATION
         else:
             agent.normal_streak += 1
             agent.anomaly_streak = 0
             if (
-                agent.lifecycle is LifecycleState.UNDER_OBSERVATION
+                agent.lifecycle is _UNDER_OBSERVATION
                 and agent.normal_streak >= self.settings["lifecycle"]["reinstate_after"]
             ):
-                agent.lifecycle = LifecycleState.ACTIVE
+                agent.lifecycle = _ACTIVE
         if agent.lifecycle is not old:
             return (old.value, agent.lifecycle.value)
         return None
@@ -446,7 +453,7 @@ class ConflictManager:
         filled here and must not outlive one unchanged *state*.
         """
         out = []
-        if intent.kind in (ActionKind.SCALE_UP, ActionKind.INSTANTIATE):
+        if intent.kind in _ADDS_PODS:
             for spec in intent.pod_specs:
                 if spec.tolerations not in top_node:
                     ranked = scheduler.score_nodes(state, spec.tolerations)
@@ -454,7 +461,7 @@ class ConflictManager:
                 node_id = top_node[spec.tolerations]
                 if node_id is not None:
                     out.append((node_id, spec.request))
-        elif intent.kind is ActionKind.SCALE_DOWN:
+        elif intent.kind is _SCALE_DOWN:
             for pod_id in intent.pod_ids:
                 node_id = state.bindings.get(pod_id)
                 if node_id is not None:
@@ -534,7 +541,7 @@ class ConflictManager:
             change = self.update_lifecycle(agent, verdict)
             if change is not None:
                 out.lifecycle_changes.append((intent.acl_id, change[0], change[1]))
-            if verdict is Verdict.ANOMALOUS:
+            if verdict is _ANOMALOUS:
                 out.dropped.append((intent, "anomalous"))
             else:
                 passed.append(intent)

@@ -22,6 +22,11 @@ equal (priority, cpu, memory) rather than over subsets, with bounds on what
 the picks left can cover and on the best priority sum, so many pods of few
 shapes decide quickly; pods that each have a shape of their own keep the
 worst case exponential, as the problem is NP-hard.
+
+NoExecute enforcement walks only the nodes in ``ClusterState.no_execute``.
+The round binds the ``DecisionKind`` members it compares against once, at
+module level: on CPython 3.10 and 3.11 a load like ``DecisionKind.PENDING``
+goes through ``EnumType.__getattr__``'s hook, some twenty times a global's cost.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import cluster
 from .cluster import ClusterState, Pod, Toleration
@@ -42,8 +48,14 @@ class DecisionKind(str, Enum):
     PENDING = "pending"
 
 
-@dataclass(frozen=True)
-class Decision:
+_BOUND, _PREEMPT, _PENDING = DecisionKind.BOUND, DecisionKind.PREEMPT, DecisionKind.PENDING
+_NO_EXECUTE = cluster.TaintEffect.NO_EXECUTE
+
+
+class Decision(NamedTuple):
+    """One pod's placement.  A named tuple: immutable, and under half a
+    frozen dataclass's cost to build."""
+
     kind: DecisionKind
     pod_id: str
     node_id: str | None = None
@@ -262,15 +274,13 @@ def schedule(state: ClusterState, pod: Pod) -> Decision:
         capacity, used = nodes[node_id].capacity, info[node_id].used
         if (capacity.cpu_millicores - used.cpu_millicores >= cpu
                 and capacity.memory_mib - used.memory_mib >= mem):
-            return Decision(DecisionKind.BOUND, pod.id, node_id)
+            return Decision(_BOUND, pod.id, node_id)
     if pod.priority.preemption_enabled:
         for node_id in ranked:
             victims = select_preemption_victims(state, pod, node_id)
             if victims is not None:
-                return Decision(
-                    DecisionKind.PREEMPT, pod.id, node_id, victims=tuple(sorted(victims))
-                )
-    return Decision(DecisionKind.PENDING, pod.id, reason="unschedulable")
+                return Decision(_PREEMPT, pod.id, node_id, victims=tuple(sorted(victims)))
+    return Decision(_PENDING, pod.id, reason="unschedulable")
 
 
 def enforce_no_execute(state: ClusterState) -> list[tuple[str, str]]:
@@ -279,16 +289,12 @@ def enforce_no_execute(state: ClusterState) -> list[tuple[str, str]]:
     A NoSchedule taint keeps new pods off a node but never evicts a running
     one, so only the NoExecute taints are checked here.  Returns the (node
     id, pod id) pairs evicted, in deterministic order.  Evicted pods are
-    Pending again; the caller re-queues them.
+    Pending again; the caller re-queues them.  Only the nodes that carry a
+    NoExecute taint (``state.no_execute``) are looked at.
     """
     evicted: list[tuple[str, str]] = []
-    for node_id in sorted(state.nodes):
-        no_execute = [
-            t for t in state.nodes[node_id].taints
-            if t.effect is cluster.TaintEffect.NO_EXECUTE
-        ]
-        if not no_execute:
-            continue
+    for node_id in sorted(state.no_execute):
+        no_execute = [t for t in state.nodes[node_id].taints if t.effect is _NO_EXECUTE]
         for pod_id in cluster.pods_on(state, node_id):
             tolerations = state.pods[pod_id].tolerations
             if not all(any(tol.matches(t) for tol in tolerations) for t in no_execute):
@@ -333,13 +339,17 @@ def coordinate(state: ClusterState, queue: PendingQueue) -> RoundResult:
         pod = state.pods.get(pod_id)
         if pod is None or pod_id in state.bindings:
             continue  # stale queue entry (a terminated pod is gone from state)
+        # one probe per pod: hashing a shape runs the dataclass hashes of its
+        # request and priority
         shape = (pod.request, pod.tolerations, pod.priority)
-        if shape in unschedulable:
-            decision = Decision(DecisionKind.PENDING, pod_id, reason=unschedulable[shape])
-        else:
-            decision = schedule(state, pod)
+        reason = unschedulable.get(shape)
+        if reason is not None:
+            decisions.append(Decision(_PENDING, pod_id, reason=reason))
+            pending.append(entry)
+            continue
+        decision = schedule(state, pod)
         decisions.append(decision)
-        if decision.kind is DecisionKind.PENDING:
+        if decision.kind is _PENDING:
             unschedulable[shape] = decision.reason
             pending.append(entry)
             continue

@@ -25,6 +25,14 @@ operation adds or removes a node).
 Running the same scenario twice yields byte-identical traces. The trace is
 the only account of a run: ``Metrics.from_trace`` folds it into counters,
 and ``summarize`` renders that fold.
+
+The per-tick loops stay lean. The loop, materialize and schedule phases
+compare against enum members bound once at module level: on CPython 3.10 and
+3.11 a load like ``LifecycleState.SUSPENDED`` goes through
+``EnumType.__getattr__``'s hook. ``emit`` stores the keyword dict it is given,
+with ``seq``, ``tick`` and ``kind`` added after the payload's keys; an event's
+key order means nothing, as every writer sorts keys and events compare as
+dicts.
 """
 
 from __future__ import annotations
@@ -45,6 +53,12 @@ from .errors import (
 from .scenario import Scenario
 from .traffic import TrafficModel
 from .trace import EVENT_KINDS, TRACE_FORMAT, Trace, _dump, read_event
+
+_SUSPENDED = LifecycleState.SUSPENDED
+_SCALE_DOWN, _POWER_OFF = ActionKind.SCALE_DOWN, ActionKind.POWER_OFF
+_ADDS_PODS = (ActionKind.SCALE_UP, ActionKind.INSTANTIATE)
+_BOUND, _PREEMPT = scheduler.DecisionKind.BOUND, scheduler.DecisionKind.PREEMPT
+_NO_TARGETS: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -188,7 +202,10 @@ class World:
     # -- helpers ---------------------------------------------------------
 
     def emit(self, kind: str, **payload) -> None:
-        self.trace.events.append({"seq": self._seq, "tick": self.tick, "kind": kind, **payload})
+        payload["seq"] = self._seq
+        payload["tick"] = self.tick
+        payload["kind"] = kind
+        self.trace.events.append(payload)
         self._seq += 1
 
     # -- tick phases ------------------------------------------------------
@@ -237,18 +254,17 @@ class World:
         t = self.tick
         planned: list[tuple[str, list[ActionIntent]]] = []
         traffic = self.traffic
-        # every intent submitted but neither applied nor dropped, by loop; nothing
-        # changes them before _phase_submit, which runs after every loop planned
-        in_flight: dict[str, list[ActionIntent]] = {}
-        for intent in self.manager.held():
-            in_flight.setdefault(intent.acl_id, []).append(intent)
+        # the targets of every intent submitted but neither applied nor dropped,
+        # by loop; nothing changes them before _phase_submit, which runs after
+        # every loop planned
+        in_flight = agents_mod.outstanding_targets(self.manager.held())
         # what loops over the same regions share this tick, summed demand and
         # truth, and each region's truth: the same sums in the same order
         shared: dict[tuple[str, ...], tuple[Callable[[int], float], float]] = {}
         region_truth: dict[str, float] = {}
         for acl in sorted(self.agents):
             agent = self.agents[acl]
-            if agent.lifecycle is LifecycleState.SUSPENDED:
+            if agent.lifecycle is _SUSPENDED:
                 continue
             if t % agent.period != 0:
                 continue
@@ -270,11 +286,8 @@ class World:
             # validation addresses slice requests to slice loops only, and a
             # slice loop plans one intent per requested chain
             my_slices = tuple(self.pending_slices.pop(acl, ()))
-            mine = in_flight.get(acl)
-            outstanding = (frozenset() if mine is None
-                           else agents_mod.outstanding_targets(agent, mine))
             intents = agents_mod.plan(agent, prediction, t, self.state, self.idle_streaks,
-                                      outstanding, my_slices)
+                                      in_flight.get(acl, _NO_TARGETS), my_slices)
             if intents:
                 planned.append((acl, intents))
         return planned
@@ -330,7 +343,8 @@ class World:
         t = self.tick
         for intent in sorted(survivors, key=lambda i: (i.acl_id, i.intent_id)):
             agent = self.agents[intent.acl_id]
-            if intent.kind in (ActionKind.SCALE_UP, ActionKind.INSTANTIATE):
+            kind = intent.kind
+            if kind in _ADDS_PODS:
                 for spec in intent.pod_specs:
                     pod_id = f"{agent.id}-pod-{agent.pod_seq}"
                     agent.pod_seq += 1
@@ -347,13 +361,13 @@ class World:
                               cpu=spec.request.cpu_millicores,
                               memory=spec.request.memory_mib,
                               priority=agent.priority.value)
-            elif intent.kind is ActionKind.SCALE_DOWN:
+            elif kind is _SCALE_DOWN:
                 for pod_id in intent.pod_ids:
                     if pod_id not in self.state.pods:
                         continue
                     cluster.terminate(self.state, pod_id)
                     self.emit("pod-terminated", pod=pod_id, acl=intent.acl_id)
-            elif intent.kind is ActionKind.POWER_OFF:
+            elif kind is _POWER_OFF:
                 taint = Taint(POWERED_OFF_KEY, TaintEffect.NO_SCHEDULE)
                 cluster.apply_taint(self.state, intent.target, taint)
                 self.emit("power-off", node=intent.target, acl=intent.acl_id)
@@ -368,9 +382,10 @@ class World:
         for node_id, pod_id in result.taint_evictions:
             self.emit("pod-evicted", pod=pod_id, node=node_id, cause="no-execute")
         for decision in result.decisions:
-            if decision.kind is scheduler.DecisionKind.BOUND:
+            kind = decision.kind
+            if kind is _BOUND:
                 self.emit("pod-bound", pod=decision.pod_id, node=decision.node_id)
-            elif decision.kind is scheduler.DecisionKind.PREEMPT:
+            elif kind is _PREEMPT:
                 for victim in decision.victims:
                     self.emit("pod-evicted", pod=victim, node=decision.node_id,
                               cause="preempted")
@@ -581,8 +596,11 @@ def verify_trace(trace: Trace, scn: Scenario) -> Report:
     replayed line byte for byte with the recorded one, and re-check invariants
     from the recorded events alone, in the same pass.
 
-    The recorded text is walked by offset, never split: each replayed line is
-    compared with the text up to the next ``"\n"``. The replay ends with the
+    The recorded text is walked by offset, never split (``Trace.lines``): each
+    replayed line is compared with the text up to the next ``"\n"``; a trace
+    with no recorded text, straight from a run, gives the lines
+    ``Trace.chunks`` would join, each encoded when asked for, never its whole
+    text. The replay ends with the
     empty line after the last newline; past its end each recorded line is
     expected as ``"<missing>"``, and past the text's end each replayed line
     reads as ``"<missing>"``. A recorded event line equal to its replayed line
@@ -606,12 +624,13 @@ def verify_trace(trace: Trace, scn: Scenario) -> Report:
 
 
 def _recorded_events(trace: Trace, world: World, ticks: int, divergences: list[dict]):
-    """Step *world* through *ticks* ticks beside the recorded text, noting each
+    """Step *world* through *ticks* ticks beside the recorded lines, noting each
     line that differs in *divergences*, and yield the recorded events in order."""
-    # a recorded trace is compared as written: its bytes, blank lines and all
-    text = trace.dumps() if trace.text is None else trace.text
+    # a recorded trace is compared as written: its bytes, blank lines and all;
+    # one straight from a run, a line of its text at a time
     header_line = trace.header_line
-    pos = 0  # where the next recorded line starts (None: past the end)
+    recorded = trace.lines()
+    actual = next(recorded)  # the next recorded line (None: past the end)
 
     def replayed():
         """Each replayed line, with its event if it is one."""
@@ -624,15 +643,13 @@ def _recorded_events(trace: Trace, world: World, ticks: int, divergences: list[d
                 yield _dump(event), event
             world.trace.events.clear()
         yield "", None
-        while pos is not None:
+        while actual is not None:
             yield "<missing>", None
 
     for line, (expected, event) in enumerate(replayed(), start=1):
-        if pos is None:
+        if actual is None:
             divergences.append({"line": line, "actual": "<missing>", "expected": expected})
             continue
-        end = text.find("\n", pos)
-        actual, pos = (text[pos:], None) if end < 0 else (text[pos:end], end + 1)
         if actual != expected:
             divergences.append({"line": line, "actual": actual, "expected": expected})
         if line > header_line:
@@ -640,6 +657,7 @@ def _recorded_events(trace: Trace, world: World, ticks: int, divergences: list[d
                 yield event
             elif actual.strip():
                 yield read_event(actual, line)
+        actual = next(recorded, None)
 
 
 def summarize(trace: Trace) -> str:

@@ -12,6 +12,9 @@ then the events' lines ``CHUNK_LINES`` at a time, each chunk one ``str``.
 ``write`` and ``loopsim run`` to stdout write the chunks as they come, so they
 hold one chunk of text at a time; ``dumps`` joins them, so it holds the chunks
 and the joined text, about twice the text, and never a list of every line.
+``Trace.lines`` gives the same lines one at a time, each encoded as it is
+asked for, so ``verify`` of a trace straight from a run holds one line of its
+text at a time.
 
 Each line is read as ``json.loads`` would, with the same error messages; a
 line nested too deeply to read, and an event that lacks, or mistypes, a key
@@ -69,12 +72,12 @@ def _load(line: str):
 
 
 def _lines(text: str):
-    """``enumerate(text.split("\\n"), 1)``, one line at a time."""
-    pos, number = 0, 1
+    """``text.split("\\n")``, one line at a time."""
+    pos = 0
     while (end := text.find("\n", pos)) >= 0:
-        yield number, text[pos:end]
-        pos, number = end + 1, number + 1
-    yield number, text[pos:]
+        yield text[pos:end]
+        pos = end + 1
+    yield text[pos:]
 
 
 class Trace:
@@ -100,7 +103,7 @@ class Trace:
         share = {}.setdefault  # one copy of each key and text value, for every event
         return [{share(k, k): share(v, v) if type(v) is str else v
                  for k, v in read_event(line, number).items()}
-                for number, line in _lines(self.text)
+                for number, line in enumerate(_lines(self.text), 1)
                 if number > self.header_line and line.strip()]
 
     def __eq__(self, other) -> bool:
@@ -122,14 +125,28 @@ class Trace:
             self.events  # noqa: B018 (read for the error it raises)
             raise
 
+    def _encoded(self):
+        """The text's lines, each without its ``"\\n"``: the header's, then each
+        event's, encoded as they are asked for."""
+        return itertools.chain((_dump(self.header),), map(_dump, self.events))
+
     def chunks(self):
         """The text, in order: the header's line, then the events' lines
         ``CHUNK_LINES`` at a time, each chunk ending in ``"\\n"``."""
-        yield _dump(self.header) + "\n"
-        events = iter(self.events)
-        while chunk := [_dump(e) for e in itertools.islice(events, CHUNK_LINES)]:
+        lines = self._encoded()
+        yield next(lines) + "\n"
+        while chunk := list(itertools.islice(lines, CHUNK_LINES)):
             chunk.append("")  # the last line's "\n"
             yield "\n".join(chunk)
+
+    def lines(self):
+        """The lines of the text, as ``split("\\n")`` gives them, one at a time:
+        ``text``'s when there is one, else the lines ``chunks`` joins, each
+        encoded when asked for, and then the empty line after the last
+        ``"\\n"``."""
+        if self.text is not None:
+            return _lines(self.text)
+        return itertools.chain(self._encoded(), ("",))
 
     def dumps(self) -> str:
         return "".join(self.chunks())
@@ -216,7 +233,7 @@ def read_event(line: str, number: int) -> dict:
 def parse_trace(text: str) -> Trace:
     """Read and check the header, the first non-blank line; the events are read
     when first asked for. A ``ParseError`` names its line as ``verify`` counts it."""
-    for number, line in _lines(text):
+    for number, line in enumerate(_lines(text), 1):
         if not line.strip():
             continue
         header = _read(line, number, "header")

@@ -316,7 +316,7 @@ class TestPlanOtherRoles:
 
 
 class TestIntents:
-    def test_outstanding_targets_are_this_loops_in_flight_targets(self):
+    def test_outstanding_targets_are_each_loops_in_flight_targets(self):
         agent = make_agent()
         intents = plan(agent, 900.0, tick=0, state=waterloo(), idle_streaks={})
         other = make_agent(id="acl2", role=AgentRole.ENERGY, scope=("calgary",),
@@ -324,24 +324,34 @@ class TestIntents:
         state = state_with([node("edge-calgary", region="calgary")])
         theirs = plan(other, 0.0, tick=0, state=state, idle_streaks={"edge-calgary": 1})
         assert [i.target for i in theirs] == ["edge-calgary"]
-        assert agents_mod.outstanding_targets(agent, theirs + intents) == frozenset(
-            {agent.target})
-        assert agents_mod.outstanding_targets(agent, theirs) == frozenset()
-        assert agents_mod.outstanding_targets(other, theirs + intents) == frozenset(
-            {"edge-calgary"})
+        assert agents_mod.outstanding_targets(theirs + intents) == {
+            agent.id: {agent.target}, other.id: {"edge-calgary"}}
+        assert agent.id not in agents_mod.outstanding_targets(theirs)
+        assert agents_mod.outstanding_targets([]) == {}
+
+    def test_a_slice_loops_two_intents_on_one_target_give_that_target_once(self):
+        agent = make_agent(id="slice", role=AgentRole.SLICE, scope=("e2e",))
+        chains = ((PodSpec(rv(100, 64)),), (PodSpec(rv(200, 64)),))
+        intents = plan(agent, 0.0, tick=0, state=waterloo(), idle_streaks={},
+                       slice_chains=chains)
+        assert [i.target for i in intents] == [agent.target, agent.target]
+        assert agents_mod.outstanding_targets(intents) == {"slice": {agent.target}}
+        # one of the two settled: the other still holds the target
+        assert agents_mod.outstanding_targets(intents[1:]) == {"slice": {agent.target}}
 
     def test_an_intent_out_of_flight_releases_its_target(self):
         agent = make_agent()
         state = waterloo()
         intents = plan(agent, 900.0, tick=0, state=state, idle_streaks={})
         in_flight = list(intents)
-        blocked = agents_mod.outstanding_targets(agent, in_flight)
+        blocked = agents_mod.outstanding_targets(in_flight)[agent.id]
         assert plan(agent, 900.0, tick=9, state=state, idle_streaks={},
                     outstanding=blocked) == []
         in_flight.remove(intents[0])  # applied or dropped
-        assert agents_mod.outstanding_targets(agent, in_flight) == frozenset()
-        free = agents_mod.outstanding_targets(agent, in_flight)
-        intents = plan(agent, 900.0, tick=9, state=state, idle_streaks={}, outstanding=free)
+        free = agents_mod.outstanding_targets(in_flight)
+        assert free == {}
+        intents = plan(agent, 900.0, tick=9, state=state, idle_streaks={},
+                       outstanding=free.get(agent.id, frozenset()))
         assert [i.kind for i in intents] == [ActionKind.SCALE_UP]
 
     def test_intent_ids_are_unique_and_ordered(self):

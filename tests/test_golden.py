@@ -6,6 +6,7 @@ trace-format change may re-record them.
 """
 
 import hashlib
+import json
 import random
 import sys
 from pathlib import Path
@@ -17,9 +18,12 @@ from loopsim.sim import Metrics, run, summarize
 from loopsim.trace import parse_trace
 from test_acceptance import random_scenario
 
-# the benchmark's scenario generator, imported as is
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+# the benchmark's scenario generator, imported as is, and its pinned digests
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import workloads  # noqa: E402
+
+BENCHMARK_PINS = json.loads((PERFBENCH / "digests.json").read_text())
 
 BUILTIN_SHA256 = {
     "case1": "10fac5b9ec994384ae420aa4746060afa27a8425e23d2da138133012f61cdf61",
@@ -127,6 +131,13 @@ def test_fuzz_trace_bytes_are_pinned():
 def test_workload_trace_bytes_are_pinned(name):
     trace, _, _ = run(loads(workloads.generate(name, 1), ticks=150))
     assert digest(trace) == WORKLOAD_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_PINS["sha256"]))
+def test_full_length_workload_trace_bytes_match_the_benchmark_pins(name):
+    # every tick of the benchmark's pinned play, past where the 150-tick pins stop
+    trace, _, _ = run(loads(workloads.generate(name, BENCHMARK_PINS["default_seed"])))
+    assert digest(trace) == BENCHMARK_PINS["sha256"][name]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SUMMARY))

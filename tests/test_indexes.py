@@ -67,6 +67,11 @@ def powered_off_by_scan(state: cluster.ClusterState) -> set[str]:
             if any(t.key == cluster.POWERED_OFF_KEY for t in n.taints)}
 
 
+def no_execute_by_scan(state: cluster.ClusterState) -> set[str]:
+    return {n.id for n in state.nodes.values()
+            if any(t.effect is cluster.TaintEffect.NO_EXECUTE for t in n.taints)}
+
+
 def eligibility_by_scan(state: cluster.ClusterState, tolerations) -> dict[str, int]:
     return {n: scheduler.score_tier(state, tolerations, n)
             for n in sorted(scheduler.filter_nodes(state, tolerations))}
@@ -109,13 +114,16 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
             else:  # a container, <node>/<name>
                 named.add(item.split("/", 1)[0])
 
-    # the powered-off set vs a scan of the taints; every kept eligibility
-    # entry vs a fresh filter and tiering
+    # the powered-off and NoExecute sets vs a scan of the taints; every kept
+    # eligibility entry vs a fresh filter and tiering
     assert state.powered_off == powered_off_by_scan(state)
+    assert state.no_execute == no_execute_by_scan(state)
     for tolerations, tiers in state.eligible.items():
         assert tiers == eligibility_by_scan(state, tolerations)
 
     in_flight = world.manager.held()
+    targets = agents_mod.outstanding_targets(in_flight)
+    assert set(targets) <= set(world.agents)
     for acl, agent in world.agents.items():
         # each agent's live pods vs a scan of all created pods
         expected = sorted(
@@ -132,8 +140,7 @@ def check_indexes(world: World, ledger: TraceLedger) -> None:
         ids = [i.intent_id for i in in_flight if i.acl_id == acl]
         assert len(ids) == len(set(ids))
         assert set(ids) == set(unsettled)
-        assert agents_mod.outstanding_targets(agent, in_flight) == frozenset(
-            unsettled.values())
+        assert targets.get(acl, set()) == set(unsettled.values())
 
 
 def run_checked(scn) -> None:
@@ -297,7 +304,7 @@ def test_taint_changes_keep_the_eligibility_and_powered_off_indexes(steps):
     """apply_taint/remove_taint/bind/evict, with schedule filling the
     eligibility index: after every step each kept entry equals a fresh
     derivation, every toleration set ranks as it did before the index, and
-    the powered-off set equals a scan of the taints."""
+    the powered-off and NoExecute sets equal a scan of the taints."""
     state = state_with([node("n0", 1000, 1000), node("n1", 800, 800),
                         node("n2", 600, 600, taints=[taint(cluster.POWERED_OFF_KEY)])],
                        SHAPED)
@@ -323,6 +330,7 @@ def test_taint_changes_keep_the_eligibility_and_powered_off_indexes(steps):
                 pass
 
         assert state.powered_off == powered_off_by_scan(state)
+        assert state.no_execute == no_execute_by_scan(state)
         assert set(state.eligible) <= set(TOLERATION_SETS)
         for tolerations, tiers in state.eligible.items():
             assert tiers == eligibility_by_scan(state, tolerations)

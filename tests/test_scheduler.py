@@ -312,6 +312,20 @@ class TestSchedule:
 
 
 class TestEnforceNoExecute:
+    def test_only_the_indexed_nodes_are_enforced_in_id_order(self):
+        # built already bound, as a scenario's initial pods are
+        nodes = [node("a", taints=[taint("m", "NoExecute")]), node("b"),
+                 node("c", taints=[taint("m", "NoExecute"), taint("k", "NoSchedule")])]
+        pods = [pod("p", owner="acl2"), pod("q", owner="acl2"), pod("r", owner="acl2")]
+        state = cluster.ClusterState(nodes={n.id: n for n in nodes},
+                                     pods={p.id: p for p in pods},
+                                     bindings={"r": "c", "q": "b", "p": "a"})
+        assert state.no_execute == {"a", "c"}
+        assert scheduler.enforce_no_execute(state) == [("a", "p"), ("c", "r")]
+        assert state.bindings == {"q": "b"}
+        cluster.remove_taint(state, "c", "m")
+        assert state.no_execute == {"a"}
+
     def test_intolerant_bound_pod_is_evicted(self):
         state = state_with([node("n")], [pod("p", owner="acl2")], [("p", "n")])
         cluster.apply_taint(state, "n", taint("acl1", "NoExecute"))

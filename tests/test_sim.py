@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -313,6 +314,34 @@ class TestDeterminismAndVerify:
         assert not report.ok
         assert report.divergences
         assert report.divergences[0]["line"] == victim["seq"] + 2  # header is line 1
+
+    def test_a_trace_from_a_run_verifies_as_its_text_does(self):
+        scn = load_scenario("case1")
+        trace, _, _ = run(scn)
+        edited, cut, longer = (copy.deepcopy(trace) for _ in range(3))
+        edited.events[3]["node"] = "nowhere"
+        del cut.events[-2:]
+        longer.events.append(dict(longer.events[-1], seq=len(longer.events)))
+        for t in (trace, edited, cut, longer):
+            assert verify_trace(t, scn) == verify_trace(parse_trace(t.dumps()), scn)
+        assert not verify_trace(cut, scn).ok and not verify_trace(longer, scn).ok
+
+    def test_verifying_a_run_holds_its_text_a_line_at_a_time(self):
+        # the parsed trace's text is held before the measure starts; a trace
+        # straight from a run must not build its whole text to be compared
+        scn = loads(workloads.generate("steady-long", 1000), ticks=300)
+        trace, _, _ = run(scn)
+        parsed = parse_trace(trace.dumps())
+
+        def peak(t) -> int:
+            tracemalloc.start()
+            try:
+                assert verify_trace(t, scn).ok
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(trace) <= 1.5 * peak(parsed)
 
     def test_wrong_hash_is_fatal(self):
         scn = load_scenario("case1")
