@@ -60,7 +60,10 @@ def build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     scn = scenario_mod.load_scenario(args.scenario, seed=args.seed, ticks=args.ticks)
     extra = sim.load_events_file(args.events) if args.events else None
-    trace, _, _ = sim.run(scn, extra_events=extra)
+    world = sim.World(scn, extra)  # stepped here: no metrics are folded unless --summary asks
+    for _ in range(scn.ticks):
+        world.step()
+    trace = world.trace
     if args.out:
         trace.write(args.out)
     else:

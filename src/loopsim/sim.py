@@ -52,7 +52,7 @@ from .errors import (
 )
 from .scenario import Scenario
 from .traffic import TrafficModel
-from .trace import EVENT_KINDS, TRACE_FORMAT, Trace, _dump, read_event
+from .trace import EVENT_KINDS, TRACE_FORMAT, Trace, _dump, _line, read_event
 
 _SUSPENDED = LifecycleState.SUSPENDED
 _SCALE_DOWN, _POWER_OFF = ActionKind.SCALE_DOWN, ActionKind.POWER_OFF
@@ -640,7 +640,7 @@ def _recorded_events(trace: Trace, world: World, ticks: int, divergences: list[d
         for _ in range(ticks):
             world.step()
             for event in world.trace.events:
-                yield _dump(event), event
+                yield _line(event), event
             world.trace.events.clear()
         yield "", None
         while actual is not None:

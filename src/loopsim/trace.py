@@ -7,6 +7,21 @@ allowed, so identical runs produce identical bytes; ``verify`` compares its
 replay with the recorded text one tick at a time. A file is read and written
 with no newline translation, so the bytes compared are the bytes on disk.
 
+An event's line comes from ``_line``, which hands the event to the writer of
+its shape. ``EVENT_SHAPES`` lists every shape the engine writes: a kind, its
+keys, and each key's JSON type (str, int, finite float or list of str);
+``pod-bound`` with and without ``preempted``, and ``conflict-resolved``
+arbitrated or frozen, make 28 shapes of the 26 kinds. At import each shape
+gets one writer, an f-string over its sorted keys with ``"kind":"<kind>"`` as
+constant text, compiled from the table alone: no input is ever compiled, and
+nothing is cached. A writer first checks that the event has exactly its
+shape's keys, each str key a str, each int key an int (not a bool), each float
+key a finite float and each list key a list of str. An event that fails the
+check, or has no shape, goes to ``_dump``, the reference encoder, which also
+writes the header: it gives ``json.dumps``'s bytes, or raises its error.
+``chunks``, ``dumps``, ``write``, ``lines`` and ``verify``'s replay all write
+event lines through ``_line``.
+
 ``Trace.chunks`` is the one producer of a trace's text: the header's line,
 then the events' lines ``CHUNK_LINES`` at a time, each chunk one ``str``.
 ``write`` and ``loopsim run`` to stdout write the chunks as they come, so they
@@ -52,6 +67,122 @@ if json.encoder.c_make_encoder is not None:
         return "".join(_ENCODE(obj, 0))  # a list before 3.12, a tuple since
 else:  # no _json accelerator
     _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# Every shape of event the engine writes: its kind and the JSON type of each
+# key besides seq and tick (int) and kind: str, int, a finite float, or a list
+# of str. A key of a kind that the engine does not always write is a second
+# shape of that kind.
+EVENT_SHAPES: tuple[tuple[str, dict[str, type]], ...] = (
+    ("traffic", {"region": str, "value": float}),
+    ("taint-applied", {"node": str, "key": str, "effect": str}),
+    ("taint-removed", {"node": str, "key": str}),
+    ("slice-requested", {"id": str, "agent": str, "links": int}),
+    ("exchange-granted", {"artifact": str, "source": str, "target": str, "artifact_kind": str}),
+    ("knowledge-absorbed", {"acl": str, "artifact": str, "artifact_kind": str}),
+    ("exchange-denied", {"source": str, "target": str, "artifact_kind": str, "reason": str}),
+    ("agent-released", {"acl": str}),
+    ("prediction", {"acl": str, "value": float, "truth": float}),
+    ("intent-submitted", {"id": str, "acl": str, "action": str, "target": str,
+                          "magnitude": float, "check_tick": int}),
+    ("coherency", {"acl": str, "magnitude": float, "verdict": str}),
+    ("lifecycle", {"acl": str, "before": str, "after": str}),
+    ("conflict-detected", {"id": str, "conflict": str, "participants": list, "targets": list,
+                           "instance": str}),
+    ("conflict-resolved", {"id": str, "conflict": str, "instance": str, "detected_tick": int,
+                           "outcome": str, "winner": str, "losers": list}),
+    ("conflict-resolved", {"id": str, "conflict": str, "instance": str, "detected_tick": int,
+                           "outcome": str, "frozen": str, "until": int}),
+    ("intent-dropped", {"id": str, "acl": str, "reason": str}),
+    ("intent-requeued", {"id": str, "acl": str, "next_tick": int}),
+    ("intent-buffered", {"id": str, "acl": str, "until": int}),
+    ("intent-applied", {"id": str, "acl": str}),
+    ("pod-created", {"pod": str, "acl": str, "cpu": int, "memory": int, "priority": int}),
+    ("pod-terminated", {"pod": str, "acl": str}),
+    ("power-off", {"node": str, "acl": str}),
+    ("power-on", {"node": str, "acl": str}),
+    ("pod-evicted", {"pod": str, "node": str, "cause": str}),
+    ("pod-bound", {"pod": str, "node": str}),
+    ("pod-bound", {"pod": str, "node": str, "preempted": list}),
+    ("pod-pending", {"pod": str, "reason": str}),
+    ("tick-end", {"bound": int, "pending": int, "terminated": int, "pods": int}),
+)
+
+_s = json.encoder.encode_basestring_ascii  # a str's JSON text, quoted, as _dump writes it
+_join = ",".join
+
+# The code of a writer, for slots v0, v1, ... of the keys k0, k1, ... with
+# the constant text t0, t1, ... before, between and after them. A key of
+# another shape, a list item that is no str, an int too long to write: the
+# event goes on to the next shape of its kind and size, else to _dump, which
+# writes its line or raises json's error.
+_WRITER = """\
+def make({keys}, {texts}, then):
+    def write(e):
+        try:
+            {loads}
+            if {guards}:
+                return f'{line}'
+        except (KeyError, TypeError, ValueError):
+            pass
+        return _dump(e) if then is None else then(e)
+    return write
+"""
+# a slot's check, and its text in the line, by the slot's JSON type
+_GUARD = {str: "type({v}) is str", int: "type({v}) is int",
+          float: "type({v}) is float and {v} - {v} == 0.0", list: "type({v}) is list"}
+_TEXT = {str: "{{_s({v})}}", int: "{{{v}}}", float: "{{{v}!r}}", list: "{{_join(map(_s, {v}))}}"}
+
+
+def _writer(kind: str, slots: dict[str, type], then):
+    """The writer of one shape. Only the number of slots and their JSON types
+    reach the code compiled; the keys and the text are values it closes over."""
+    keys, types, texts, text = [], [], [], "{"
+    for i, key in enumerate(sorted([*slots, "seq", "tick", "kind"])):
+        text += ("," if i else "") + _s(key) + ":"
+        if key == "kind":
+            text += _s(kind)
+            continue
+        keys.append(key)
+        types.append(slots.get(key, int))
+        texts.append(text + "[" * (types[-1] is list))
+        text = "]" * (types[-1] is list)
+    texts.append(text + "}")
+    names = [f"v{i}" for i in range(len(keys))]
+    source = _WRITER.format(
+        keys=", ".join(f"k{i}" for i in range(len(keys))),
+        texts=", ".join(f"t{i}" for i in range(len(texts))),
+        loads="; ".join(f"{v} = e[k{i}]" for i, v in enumerate(names)),
+        guards=" and ".join(_GUARD[t].format(v=v) for t, v in zip(types, names)),
+        line="".join(f"{{t{i}}}" + _TEXT[t].format(v=v)
+                     for i, (t, v) in enumerate(zip(types, names))) + f"{{t{len(names)}}}")
+    namespace = {}
+    exec(source, globals(), namespace)  # the table's constants only, never an input
+    return namespace["make"](*keys, *texts, then)
+
+
+def _writers():
+    """One writer per shape of ``EVENT_SHAPES``, in its order, and the first
+    one to try for each kind and number of keys."""
+    writers, first = [], {}
+    for kind, slots in reversed(EVENT_SHAPES):  # an earlier shape is tried first
+        size = (kind, len(slots) + 3)
+        first[size] = _writer(kind, slots, first.get(size))
+        writers.append(first[size])
+    return tuple(reversed(writers)), first
+
+
+_WRITERS, _FIRST_WRITER = _writers()
+
+
+def _line(event) -> str:
+    """``_dump(event)``, written by the writer of the event's shape when it has one."""
+    try:
+        write = _FIRST_WRITER[event["kind"], len(event)] if type(event) is dict else _dump
+    except (KeyError, TypeError):  # no kind, or one no shape has
+        write = _dump
+    return write(event)
+
 
 _SCAN = json.scanner.make_scanner(json.JSONDecoder())
 _SPACE = json.decoder.WHITESPACE.match
@@ -128,7 +259,7 @@ class Trace:
     def _encoded(self):
         """The text's lines, each without its ``"\\n"``: the header's, then each
         event's, encoded as they are asked for."""
-        return itertools.chain((_dump(self.header),), map(_dump, self.events))
+        return itertools.chain((_dump(self.header),), map(_line, self.events))
 
     def chunks(self):
         """The text, in order: the header's line, then the events' lines

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from loopsim import scenario as scenario_mod
+from loopsim import scenario as scenario_mod, sim as sim_mod
 from loopsim.cli import main
 from loopsim.scenario import list_scenarios, load_scenario
 from loopsim.sim import run, verify_trace
@@ -50,6 +50,17 @@ class TestRun:
         assert code == 0
         assert "scenario case2" in err
         assert parse_trace(out).header["scenario"] == "case2"
+
+    @pytest.mark.parametrize("summary, folds", [([], 0), (["--summary"], 1)])
+    def test_metrics_are_folded_only_for_the_summary(self, capsys, monkeypatch, summary, folds):
+        calls = []
+        from_trace = sim_mod.Metrics.from_trace.__func__
+        monkeypatch.setattr(sim_mod.Metrics, "from_trace",
+                            classmethod(lambda cls, trace: calls.append(1) or from_trace(cls, trace)))
+        code, out, _ = invoke(capsys, "run", "case2", *summary)
+        assert code == 0
+        assert len(calls) == folds
+        assert out == run(load_scenario("case2"))[0].dumps()
 
     def test_seed_and_tick_overrides(self, capsys):
         _, out, _ = invoke(capsys, "run", "case1", "--seed", "99", "--ticks", "7")

@@ -107,6 +107,37 @@ class TestNormalize:
         with pytest.raises(ValidationError):
             normalize(data)
 
+    @pytest.mark.parametrize("data, message", [
+        (minimal(priority_levels=[{"name": "hi", "value": 1}, {"name": "hi", "value": 2}]),
+         "duplicate priority level 'hi'"),
+        (minimal(agents=[{"id": "a", "scope": ["east"]}, {"id": "a", "scope": ["east"]}]),
+         "duplicate agent id 'a'"),
+        (minimal(initial_pods=[{"id": "p", "owner": "x", "node": "n1", "cpu": 1, "memory": 1},
+                               {"id": "p", "owner": "y", "node": "n1", "cpu": 2, "memory": 2}]),
+         "duplicate pod id 'p'"),
+        (minimal(priority_levels=[{"name": "hi", "value": 1, "global_default": True},
+                                  {"name": "lo", "value": 0, "global_default": True}]),
+         "more than one priority level marked global_default"),
+        (minimal(priority_levels=[{"name": "default", "value": 1}, {"name": "lo", "value": 0}]),
+         "a level named 'default' exists but no level is marked global_default"),
+        (minimal(topology={"nodes": [{"id": "n1", "region": "east", "cpu": 1, "memory": 1},
+                                     {"id": "east", "region": "west", "cpu": 1, "memory": 1}]}),
+         "region names collide with node ids: ['east']"),
+        (minimal(initial_pods=[{"id": "p", "owner": "x", "node": "n1", "cpu": 1, "memory": 1,
+                                "tolerations": [{"key": "k", "effects": []}]}]),
+         "pod p.tolerations[0]: empty effects list"),
+        (minimal(agents=[{"id": "s", "role": "slice", "scope": ["e2e"]}],
+                 injected=[{"tick": 1, "kind": "slice-request", "agent": "s", "chain": []}]),
+         "injected[0]: empty slice chain"),
+    ], ids=["duplicate-level", "duplicate-agent", "duplicate-pod", "two-global-defaults",
+            "unmarked-default-level", "region-named-like-a-node", "empty-effects",
+            "empty-slice-chain"])
+    def test_cross_field_rule_rejected(self, data, message):
+        # each document breaks one rule that relates fields, and only that one
+        with pytest.raises(ValidationError) as err:
+            normalize(data)
+        assert str(err.value) == message
+
     def test_unknown_priority_reference_rejected(self):
         data = minimal(agents=[{"id": "a", "scope": ["east"], "priority": "imperial"}])
         with pytest.raises(ValidationError):

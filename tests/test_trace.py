@@ -1,12 +1,15 @@
 """The trace codec against the json module, and verify's line-by-line compare."""
 
+import contextlib
 import gc
 import importlib.util
 import io
 import json
+import math
 import random
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -14,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from loopsim import cli, sim as sim_mod, trace as trace_mod
 from loopsim.errors import HashMismatch, ParseError, ValidationError
-from loopsim.scenario import list_scenarios, load_scenario, loads
+from loopsim.scenario import from_dict, list_scenarios, load_scenario, loads
 from loopsim.sim import Report, check_invariants, run, verify_trace
-from loopsim.trace import TRACE_FORMAT, _check_event, _dump, _load, parse_trace
+from loopsim.trace import (EVENT_KINDS, EVENT_SHAPES, TRACE_FORMAT, _check_event, _dump,
+                           _load, parse_trace)
 from test_acceptance import random_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -53,6 +57,20 @@ class TestDump:
         assert "_ENCODE" not in vars(pure)
         assert pure._dump(obj) == reference_dump(obj)
 
+    @pytest.mark.parametrize("copy", ["c", "pure"])
+    def test_every_engine_event_is_written_by_its_shapes_writer(self, copy, pinned_runs):
+        # with or without the C accelerator; a key at an emit call site that
+        # EVENT_SHAPES lacks fails here
+        module = COPIES[copy]()
+        shapes = set()
+        with counted_dumps(module) as handed:
+            for scn, trace in pinned_runs:
+                for event in trace.events:
+                    assert module._line(event) == reference_dump(event), (scn.data["name"], event)
+                    shapes.add(shape_of(event))
+        assert handed == []
+        assert shapes == set(range(len(EVENT_SHAPES)))  # every shape, and no other
+
 
 _PURE = []
 
@@ -72,6 +90,141 @@ def _pure_trace_module():
             sys.modules.pop(spec.name, None)
         _PURE.append(module)
     return _PURE[0]
+
+
+COPIES = {"c": lambda: trace_mod, "pure": _pure_trace_module}
+
+
+@contextlib.contextmanager
+def counted_dumps(module):
+    """The events *module*'s ``_line`` hands to ``_dump`` in the block."""
+    handed = []
+    dump = module._dump
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_dump", lambda obj: handed.append(obj) or dump(obj))
+        yield handed
+
+
+def written(encode, obj):
+    """What *encode* makes of *obj*: its text, or its error's type and text."""
+    try:
+        return "text", encode(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def shape_of(event) -> int | None:
+    """The index in ``EVENT_SHAPES`` of *event*'s shape, its keys and their
+    values' types, if it has one."""
+    fits = {str: lambda v: type(v) is str, int: lambda v: type(v) is int,
+            float: lambda v: type(v) is float and math.isfinite(v),
+            list: lambda v: type(v) is list and all(type(x) is str for x in v)}
+    for index, (kind, slots) in enumerate(EVENT_SHAPES):
+        types_ = {"seq": int, "tick": int, **slots}
+        if (set(event) == {*types_, "kind"} and event["kind"] == kind
+                and all(fits[t](event[key]) for key, t in types_.items())):
+            return index
+    return None
+
+
+GOOD = {str: TEXT, int: st.integers(), float: st.floats(allow_nan=False, allow_infinity=False),
+        list: st.lists(TEXT, max_size=3)}
+SHAPED = st.sampled_from(EVENT_SHAPES).flatmap(lambda shape: st.fixed_dictionaries(
+    {"seq": GOOD[int], "tick": GOOD[int], "kind": st.just(shape[0]),
+     **{key: GOOD[t] for key, t in shape[1].items()}}))
+ESCAPED = ["\ud800", "\udfff", '"', "\\", "{", "}", "{t0}", "%", "%s", "\x00\x1f\x7f", " "]
+
+
+def slot_of(event, kind_of_slot):
+    """The keys of *event*'s slots of one JSON type, the envelope's ints included."""
+    slots = next(slots for kind, slots in EVENT_SHAPES if kind == event["kind"])
+    return [key for key, t in {"seq": int, "tick": int, **slots}.items() if t is kind_of_slot]
+
+
+@st.composite
+def bent(draw):
+    """An event of a shape, with one value or key that may take it off the shape."""
+    event = draw(SHAPED)
+    change = draw(st.sampled_from(["none", "bool", "float", "list", "bytes", "escaped",
+                                   "missing", "extra", "non-str"]))
+    keys = {"bool": slot_of(event, int), "float": slot_of(event, float),
+            "list": slot_of(event, list), "escaped": slot_of(event, str)}.get(change, list(event))
+    if not keys:
+        return event
+    key = draw(st.sampled_from(sorted(keys)))
+    if change == "bool":
+        event[key] = draw(st.booleans())
+    elif change == "float":
+        event[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 3, 2 ** 70]))
+    elif change == "list":
+        event[key] = draw(st.sampled_from([("a",), "ab", {"a": "b"}, ["a", 1], ["a", b"b"]]))
+    elif change == "bytes":
+        event[key] = b"x"
+    elif change == "escaped":
+        event[key] = draw(st.sampled_from(ESCAPED))
+    elif change == "missing":
+        del event[key]
+    elif change == "extra":
+        event["zzz"] = draw(GOOD[int] | TEXT)
+    elif change == "non-str":
+        event[draw(st.sampled_from([1, None, 2.5]))] = "x"
+    return event
+
+
+class TestWriters:
+    """An event's line comes from its shape's writer, byte for byte as ``_dump``
+    writes it; any other event goes to ``_dump``."""
+
+    def test_one_shape_table_for_every_kind_and_one_writer_per_shape(self):
+        assert {kind for kind, _ in EVENT_SHAPES} == set(EVENT_KINDS)
+        assert len(EVENT_SHAPES) == len(trace_mod._WRITERS) == 28
+        assert len(set(trace_mod._WRITERS)) == 28
+        assert set(trace_mod._FIRST_WRITER.values()) <= set(trace_mod._WRITERS)
+        for kind, slots in EVENT_SHAPES:  # the keys a reader checks are in every shape
+            assert set(EVENT_KINDS[kind][1]) <= set(slots), kind
+            assert not {"seq", "tick", "kind"} & set(slots), kind
+
+    @settings(max_examples=400, deadline=None)
+    @given(event=bent())
+    @pytest.mark.parametrize("copy", COPIES)
+    def test_an_event_off_its_shape_goes_to_dump(self, copy, event):
+        module = COPIES[copy]()
+        with counted_dumps(module) as handed:
+            assert written(module._line, event) == written(reference_dump, event)
+        assert len(handed) == (0 if shape_of(event) is not None else 1)
+
+    @pytest.mark.parametrize("copy", COPIES)
+    @pytest.mark.parametrize("event", [
+        {"seq": 0, "tick": 0, "kind": "no-such-kind"}, {"seq": 0, "tick": 0},
+        {"seq": 0, "tick": 0, "kind": ["pod-bound"], "pod": "p", "node": "n"},
+        ["pod-bound"], "pod-bound", None,
+        {"seq": 0, "tick": 0, "kind": "pod-bound", "pod": "p", "node": "n", "preempted": [1]},
+    ], ids=["unknown-kind", "no-kind", "unhashable-kind", "list", "str", "none", "list-of-int"])
+    def test_an_event_no_writer_can_write_goes_to_dump(self, copy, event):
+        module = COPIES[copy]()
+        with counted_dumps(module) as handed:
+            assert written(module._line, event) == written(reference_dump, event)
+        assert len(handed) == 1
+
+    @pytest.mark.parametrize("copy", COPIES)
+    def test_an_int_too_long_to_write_is_json_s_error(self, copy):
+        event = {"seq": 10 ** 5000, "tick": 0, "kind": "pod-bound", "pod": "p", "node": "n"}
+        module = COPIES[copy]()
+        with counted_dumps(module) as handed:
+            assert written(module._line, event) == written(reference_dump, event)
+        # since 3.11 (and 3.10.7), int's text is limited to 4300 digits by default
+        assert len(handed) == (1 if hasattr(sys, "get_int_max_str_digits") else 0)
+
+    def test_no_input_compiles_or_keeps_a_writer(self, case1, monkeypatch):
+        writers, first = trace_mod._WRITERS, dict(trace_mod._FIRST_WRITER)
+        monkeypatch.setattr(trace_mod, "_writer", None)  # a call would raise
+        scn, text, _ = case1
+        parsed = parse_trace(text)
+        assert parsed.dumps() == text
+        assert verify_trace(parsed, scn).ok
+        odd = {"seq": 0, "tick": 0, "kind": "pod-bound", "pod": "p", "node": "n", "x": []}
+        assert trace_mod._line(odd) == reference_dump(odd)
+        assert trace_mod._WRITERS is writers and trace_mod._FIRST_WRITER == first
 
 
 def outcome(load, text):
@@ -223,14 +376,31 @@ class TestParseTrace:
 
 @pytest.fixture(scope="module")
 def pinned_runs():
-    """Each built-in, the 20 fuzz scenarios, and both benchmark workloads at
-    150 ticks (seed 1), with the trace each one runs to."""
+    """Each built-in, the 20 fuzz scenarios, both benchmark workloads at 150
+    ticks (seed 1), and ``RARE_KINDS``, with the trace each one runs to."""
     rng = random.Random(20260814)
     scenarios = [load_scenario(name) for name in list_scenarios()]
     scenarios += [random_scenario(rng, i) for i in range(20)]
     scenarios += [loads(workloads.generate(name, 1), ticks=150)
                   for name in ("steady-long", "contended")]
+    scenarios.append(from_dict(RARE_KINDS))
     return [(scn, run(scn)[0]) for scn in scenarios]
+
+
+# a loop whose demand jumps is suspended (lifecycle) and released
+# (agent-released), and a peer it does not trust is denied an exchange
+# (exchange-denied): the kinds no other pinned run writes
+RARE_KINDS = {
+    "name": "rare-kinds", "seed": 3, "ticks": 30,
+    "topology": {"nodes": [{"id": "n1", "region": "east", "cpu": 64000, "memory": 64000}]},
+    "agents": [{"id": "burst", "scope": ["east"], "alpha": 1.0, "pod_capacity_units": 1.0,
+                "hysteresis_ticks": 1, "pod_template": {"cpu": 1, "memory": 1}},
+               {"id": "peer", "scope": ["east"], "period": 1000}],
+    "traffic": {"east": {"base": 1000.0, "steps": [{"at": 20, "base": 5000.0}]}},
+    "injected": [{"tick": 1, "kind": "exchange-request", "source": "peer", "target": "burst",
+                  "artifact": "Dataset"},
+                 {"tick": 25, "kind": "release", "acl": "burst"}],
+}
 
 
 def same(a, b) -> bool:
@@ -541,7 +711,8 @@ class TestChunks:
         trace.write(str(path))
         assert path.read_bytes() == expected.encode()
 
-        monkeypatch.setattr(sim_mod, "run", lambda scn, extra_events=None: (trace, None, None))
+        monkeypatch.setattr(sim_mod, "World", lambda scn, extra_events=None: types.SimpleNamespace(
+            trace=trace, step=lambda: None))
         raw = io.BytesIO()
         monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
         assert cli.main(["run", "case1"]) == 0
