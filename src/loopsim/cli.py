@@ -90,6 +90,8 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_release(args) -> int:
     event = {"tick": args.tick, "kind": "release", "acl": args.acl}
+    # checked as ``run --events`` will read it, so no line is written that it refuses
+    scenario_mod._fields(event, scenario_mod.EVENTS["release"], "release")
     with open(args.events, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(event, sort_keys=True) + "\n")
     print(f"queued release of {args.acl!r} at tick {args.tick} in {args.events}")

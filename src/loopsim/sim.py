@@ -22,9 +22,7 @@ regions share one summed demand per tick sampled and one truth, each region's
 truth is asked once, and bookkeeping walks a node order taken at set-up (no
 operation adds or removes a node).
 
-Running the same scenario twice yields byte-identical traces. The trace is
-the only account of a run: ``Metrics.from_trace`` folds it into counters,
-and ``summarize`` renders that fold.
+Running the same scenario twice yields byte-identical traces.
 
 The per-tick loops stay lean. The loop, materialize and schedule phases
 compare against enum members bound once at module level: on CPython 3.10 and
@@ -38,13 +36,13 @@ dicts.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import agents as agents_mod
 from . import cluster, scenario as scenario_mod, scheduler
 from .agents import ActionIntent, ActionKind, LifecycleState, PodSpec
+from .audit import Metrics, check_invariants, summarize
 from .cluster import POWERED_OFF_KEY, Pod, ResourceVector, Taint, TaintEffect
 from .conflicts import ConflictManager, Grant
 from .errors import (
@@ -52,99 +50,16 @@ from .errors import (
 )
 from .scenario import Scenario
 from .traffic import TrafficModel
-from .trace import EVENT_KINDS, TRACE_FORMAT, Trace, _dump, _line, read_event
+from .trace import TRACE_FORMAT, Trace, _dump, _line, read_event
+
+__all__ = ["Metrics", "Report", "World", "check_invariants", "load_events_file", "run",
+           "summarize", "verify_trace"]
 
 _SUSPENDED = LifecycleState.SUSPENDED
 _SCALE_DOWN, _POWER_OFF = ActionKind.SCALE_DOWN, ActionKind.POWER_OFF
 _ADDS_PODS = (ActionKind.SCALE_UP, ActionKind.INSTANTIATE)
 _BOUND, _PREEMPT = scheduler.DecisionKind.BOUND, scheduler.DecisionKind.PREEMPT
 _NO_TARGETS: frozenset[str] = frozenset()
-
-
-@dataclass
-class Metrics:
-    """What one run did, folded from its trace by ``from_trace``.
-
-    Besides the counters, it holds the end state ``summarize`` renders:
-    ``placements`` (bound pod -> node), ``pending`` pods, the
-    ``conflict-resolved`` events in order as ``resolutions``, and the
-    ``suspended`` loops.
-    """
-
-    ticks: int = 0
-    bindings: int = 0
-    reschedules: int = 0
-    evictions: Counter = field(default_factory=Counter)       # cause -> n
-    intents_submitted: int = 0
-    intents_applied: int = 0
-    intents_dropped: Counter = field(default_factory=Counter)  # reason -> n
-    conflicts: Counter = field(default_factory=Counter)        # kind -> n
-    grants: int = 0
-    denials: Counter = field(default_factory=Counter)          # reason -> n
-    predictions: dict[str, list[tuple[int, float, float]]] = field(default_factory=dict)
-    placements: dict[str, str] = field(default_factory=dict)
-    pending: set[str] = field(default_factory=set)
-    resolutions: list[dict] = field(default_factory=list)
-    suspended: set[str] = field(default_factory=set)
-
-    def mae(self, acl: str) -> float:
-        points = self.predictions.get(acl, [])
-        if not points:
-            return 0.0
-        return sum(abs(p - t) for _, p, t in points) / len(points)
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> Metrics:
-        """Fold the header's initial placements and every event, in order."""
-        m = cls()
-        m.placements = {e["pod"]: e["node"] for e in trace.header.get("initial", [])}
-        evicted: set[str] = set()
-        for event in trace.events:
-            kind = event["kind"]
-            if kind == "tick-end":
-                m.ticks += 1
-            elif kind == "prediction":
-                m.predictions.setdefault(event["acl"], []).append(
-                    (event["tick"], event["value"], event["truth"])
-                )
-            elif kind == "intent-submitted":
-                m.intents_submitted += 1
-            elif kind == "intent-applied":
-                m.intents_applied += 1
-            elif kind == "intent-dropped":
-                m.intents_dropped[event["reason"]] += 1
-            elif kind == "pod-created" or kind == "pod-pending":
-                m.pending.add(event["pod"])
-            elif kind == "pod-bound":
-                pod_id = event["pod"]
-                m.bindings += 1
-                m.reschedules += pod_id in evicted
-                m.placements[pod_id] = event["node"]
-                m.pending.discard(pod_id)
-            elif kind == "pod-evicted":
-                m.evictions[event["cause"]] += 1
-                evicted.add(event["pod"])
-                m.placements.pop(event["pod"], None)
-                m.pending.discard(event["pod"])
-            elif kind == "pod-terminated":
-                m.placements.pop(event["pod"], None)
-                m.pending.discard(event["pod"])
-            elif kind == "conflict-detected":
-                m.conflicts[event["conflict"]] += 1
-            elif kind == "conflict-resolved":
-                m.resolutions.append(event)
-            elif kind == "exchange-granted":
-                m.grants += 1
-            elif kind == "exchange-denied":
-                m.denials[event["reason"]] += 1
-            elif kind == "lifecycle":
-                if event["after"] == "Suspended":
-                    m.suspended.add(event["acl"])
-                else:
-                    m.suspended.discard(event["acl"])
-            elif kind == "agent-released":
-                m.suspended.discard(event["acl"])
-        return m
 
 
 def _summed_demand(traffic: TrafficModel, regions: tuple[str, ...]) -> Callable[[int], float]:
@@ -476,121 +391,6 @@ class Report:
         return "\n".join(parts)
 
 
-def check_invariants(norm: dict, events: Iterable[dict]) -> list[str]:
-    """Re-derive safety properties from scenario config and the event stream.
-
-    Independent of the engine: placements, priorities, and capacities are
-    reconstructed from events alone and checked against the declared topology.
-    """
-    violations: list[str] = []
-    capacity = {n["id"]: (n["cpu"], n["memory"]) for n in norm["nodes"]}
-    level_values = {l["name"]: l["value"] for l in norm["priority_levels"]}
-    requests: dict[str, tuple[int, int]] = {}
-    priority: dict[str, int] = {}
-    bound: dict[str, str] = {}
-    terminated: set[str] = set()
-    # node id -> [cpu, memory] summed over the pods in ``bound`` on it
-    usage: dict[str, list[int]] = {}
-
-    def place(pod_id: str, node_id: str | None, sign: int) -> None:
-        if node_id is not None:
-            tally = usage.setdefault(node_id, [0, 0])
-            tally[0] += sign * requests[pod_id][0]
-            tally[1] += sign * requests[pod_id][1]
-
-    for pod in norm["initial_pods"]:
-        requests[pod["id"]] = (pod["cpu"], pod["memory"])
-        priority[pod["id"]] = level_values[pod["priority"]]
-        bound[pod["id"]] = pod["node"]
-        place(pod["id"], pod["node"], +1)
-
-    last_tick = -1
-    last_rank = 0
-    evicted_this_tick: dict[str, int] = {}
-    for event in events:
-        tick, kind, seq = event["tick"], event["kind"], event["seq"]
-        if kind not in EVENT_KINDS:
-            violations.append(f"seq {seq}: unknown event kind {kind!r}")
-            continue
-        rank = EVENT_KINDS[kind][0]
-        if tick != last_tick:
-            if tick < last_tick:
-                violations.append(f"seq {seq}: tick went backwards")
-            for pod_id, at in evicted_this_tick.items():
-                violations.append(
-                    f"tick {at}: evicted pod {pod_id!r} got no follow-up decision"
-                )
-            evicted_this_tick = {}
-            last_tick, last_rank = tick, 0
-        if rank < last_rank:
-            violations.append(
-                f"seq {seq}: {kind} out of phase order (rank {rank} after {last_rank})"
-            )
-        last_rank = max(last_rank, rank)
-
-        if kind == "pod-created":
-            pod_id = event["pod"]
-            place(pod_id, bound.get(pod_id), -1)  # a re-created pod may be bound
-            requests[pod_id] = (event["cpu"], event["memory"])
-            place(pod_id, bound.get(pod_id), +1)
-            priority[pod_id] = event["priority"]
-        elif kind == "pod-bound":
-            pod_id = event["pod"]
-            if pod_id not in requests:
-                violations.append(f"seq {seq}: bound unknown pod {pod_id!r}")
-                continue
-            if event["node"] not in capacity:
-                violations.append(f"seq {seq}: bound {pod_id!r} to unknown node {event['node']!r}")
-                continue
-            for victim in event.get("preempted", []):
-                if priority.get(victim, 0) >= priority.get(pod_id, 0):
-                    violations.append(
-                        f"seq {seq}: preemption victim {victim!r} does not have "
-                        f"lower priority than {pod_id!r}"
-                    )
-            place(pod_id, bound.get(pod_id), -1)
-            bound[pod_id] = event["node"]
-            place(pod_id, event["node"], +1)
-            evicted_this_tick.pop(pod_id, None)
-            cpu, mem = usage[event["node"]]
-            cap = capacity[event["node"]]
-            if cpu > cap[0] or mem > cap[1]:
-                violations.append(
-                    f"seq {seq}: node {event['node']!r} over capacity after binding "
-                    f"{pod_id!r} ({cpu}/{cap[0]} cpu, {mem}/{cap[1]} memory)"
-                )
-        elif kind == "pod-evicted":
-            pod_id = event["pod"]
-            node_id = bound.pop(pod_id, None)
-            if node_id is None:
-                violations.append(f"seq {seq}: evicted pod {pod_id!r} was not bound")
-            place(pod_id, node_id, -1)
-            evicted_this_tick[pod_id] = tick
-        elif kind == "pod-pending":
-            evicted_this_tick.pop(event["pod"], None)
-        elif kind == "pod-terminated":
-            pod_id = event["pod"]
-            place(pod_id, bound.pop(pod_id, None), -1)
-            terminated.add(pod_id)
-            evicted_this_tick.pop(pod_id, None)
-        elif kind == "tick-end":
-            expect_bound = len(bound)
-            expect_terminated = len(terminated)
-            expect_pending = len(requests) - expect_bound - expect_terminated
-            if event["bound"] != expect_bound or event["terminated"] != expect_terminated \
-                    or event["pending"] != expect_pending or event["pods"] != len(requests):
-                violations.append(
-                    f"seq {seq}: conservation mismatch at tick {tick} "
-                    f"(trace says bound={event['bound']} pending={event['pending']} "
-                    f"terminated={event['terminated']}, replayed "
-                    f"bound={expect_bound} pending={expect_pending} "
-                    f"terminated={expect_terminated})"
-                )
-    for pod_id, at in evicted_this_tick.items():
-        violations.append(f"tick {at}: evicted pod {pod_id!r} got no follow-up decision")
-    return violations
-
-
 def verify_trace(trace: Trace, scn: Scenario) -> Report:
     """Replay the scenario named by the trace header tick by tick, comparing each
     replayed line byte for byte with the recorded one, and re-check invariants
@@ -658,47 +458,6 @@ def _recorded_events(trace: Trace, world: World, ticks: int, divergences: list[d
             elif actual.strip():
                 yield read_event(actual, line)
         actual = next(recorded, None)
-
-
-def summarize(trace: Trace) -> str:
-    """Human-readable digest of a finished run, rendered from ``Metrics.from_trace``."""
-    header = trace.header
-    m = Metrics.from_trace(trace)
-    lines = [
-        f"scenario {header.get('scenario')} (seed {header.get('seed')}, "
-        f"{header.get('ticks')} ticks)"
-    ]
-    by_node: dict[str, list[str]] = {}
-    for pod_id, node_id in sorted(m.placements.items()):
-        by_node.setdefault(node_id, []).append(pod_id)
-    lines.append("placements:")
-    if by_node:
-        for node_id in sorted(by_node):
-            lines.append(f"  {node_id}: {', '.join(by_node[node_id])}")
-    else:
-        lines.append("  (nothing bound)")
-    if m.pending:
-        lines.append(f"still pending: {', '.join(sorted(m.pending))}")
-    lines.append(
-        "conflicts: "
-        + (", ".join(f"{k}={v}" for k, v in sorted(m.conflicts.items())) or "none")
-    )
-    for event in m.resolutions:
-        where = f"t{event['tick']} {event['conflict']} on {event['instance']}"
-        if event["outcome"] == "arbitrated":
-            lines.append(f"  {where}: won by {event['winner']}")
-        else:
-            lines.append(f"  {where}: froze {event['frozen']} until t{event['until']}")
-    drop_text = ", ".join(f"{k}={v}" for k, v in sorted(m.intents_dropped.items())) or "0"
-    lines.append(f"intents: submitted={m.intents_submitted} "
-                 f"applied={m.intents_applied} dropped={drop_text}")
-    lines.append(f"knowledge exchanges: granted={m.grants} denied={m.denials.total()}")
-    if m.suspended:
-        lines.append(f"suspended agents: {', '.join(sorted(m.suspended))}")
-    if m.predictions:
-        lines.append("prediction mae: "
-                     + " ".join(f"{acl}={m.mae(acl):.3f}" for acl in sorted(m.predictions)))
-    return "\n".join(lines)
 
 
 def load_events_file(path: str) -> list[dict]:

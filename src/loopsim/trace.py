@@ -295,8 +295,8 @@ _TYPES = {**dict.fromkeys(("seq", "tick", "cpu", "memory", "priority", "until", 
           "value": _NUMBER, "truth": _NUMBER, "initial": (list,), "extra_events": (list,)}
 
 # Every event kind, once: its tick-phase rank (within one tick the rank never
-# goes down) and the keys that ``Metrics.from_trace``, ``check_invariants``
-# and ``summarize`` in ``sim`` read of it.
+# goes down) and the keys that ``audit``, the one reader of the events
+# (``Metrics``, ``check_invariants`` and ``summarize``), reads of it.
 EVENT_KINDS: dict[str, tuple[int, tuple[str, ...]]] = {
     "traffic": (1, ()), "taint-applied": (1, ()), "taint-removed": (1, ()),
     "slice-requested": (1, ()), "exchange-granted": (1, ()), "knowledge-absorbed": (1, ()),
@@ -332,7 +332,7 @@ def _check(obj, spec, what: str, line: int) -> None:
 
 
 def _check_event(event, line: int) -> None:
-    """An unknown kind passes: ``check_invariants`` reports it as a violation."""
+    """An unknown kind passes: ``audit.check_invariants`` reports it as a violation."""
     kind = event.get("kind") if type(event) is dict else None
     kind = kind if type(kind) is str else "trace"
     spec = _SPECS.get(kind, _ENVELOPE)

@@ -482,6 +482,16 @@ class TestRelease:
         acls = [json.loads(l)["acl"] for l in events.read_text().splitlines()]
         assert acls == ["a", "b"]
 
+    def test_a_negative_tick_is_refused_and_nothing_is_written(self, capsys, tmp_path):
+        events = tmp_path / "ops.jsonl"
+        events.write_text("")
+        code, _, err = invoke(capsys, "release", "slice", "--tick", "-3", "--events", str(events))
+        assert code == 2
+        assert "release: tick must be >= 0, got -3" in err
+        assert events.read_text() == ""
+        code, _, _ = invoke(capsys, "run", "three-acl-conflict", "--events", str(events))
+        assert code == 0
+
     def test_round_trip_through_run(self, capsys, tmp_path):
         scn_path = tmp_path / "hot.yaml"
         scn_path.write_text(

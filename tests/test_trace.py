@@ -1,6 +1,8 @@
 """The trace codec against the json module, and verify's line-by-line compare."""
 
+import ast
 import contextlib
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -15,12 +17,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsim import cli, sim as sim_mod, trace as trace_mod
+from loopsim import audit, cli, sim as sim_mod, trace as trace_mod
 from loopsim.errors import HashMismatch, ParseError, ValidationError
 from loopsim.scenario import from_dict, list_scenarios, load_scenario, loads
 from loopsim.sim import Report, check_invariants, run, verify_trace
-from loopsim.trace import (EVENT_KINDS, EVENT_SHAPES, TRACE_FORMAT, _check_event, _dump,
-                           _load, parse_trace)
+from loopsim.trace import (EVENT_KINDS, EVENT_SHAPES, TRACE_FORMAT, Trace, _check_event,
+                           _dump, _load, parse_trace)
 from test_acceptance import random_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -433,6 +435,67 @@ class TestRoundTrip:
                 _check_event(event, 0)
                 count += 1
         assert count > 10_000
+
+
+def checked_keys(event) -> set[str]:
+    """The keys of *event* that ``parse_trace`` type-checks."""
+    keys = {"seq", "tick", "kind", "preempted", *EVENT_KINDS[event["kind"]][1]}
+    if event["kind"] == "conflict-resolved":
+        keys |= {"winner"} if event["outcome"] == "arbitrated" else {"frozen", "until"}
+    return keys
+
+
+# the modules that make up the engine, which the reader of the events stands apart from
+ENGINE = {"agents", "cluster", "conflicts", "scheduler", "scenario", "sim", "traffic"}
+
+
+def engine_imports(source: str) -> list[str]:
+    """The engine modules *source* imports anywhere, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative: a module of the package
+                module = f"loopsim.{module}".rstrip(".")
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (name.split(".") for name in names):
+            if parts[0] == "loopsim" and len(parts) > 1 and parts[1] in ENGINE:
+                found.add(parts[1])
+    return sorted(found)
+
+
+class TestAuditReader:
+    """``audit`` reads no key of an event that ``parse_trace`` lets go
+    unchecked, and imports no module of the engine."""
+
+    def test_a_trace_stripped_to_its_checked_keys_reads_the_same(self, pinned_runs):
+        stripped_keys = 0
+        for scn, trace in pinned_runs:
+            name = scn.data["name"]
+            bare = Trace(trace.header, [{k: v for k, v in e.items() if k in checked_keys(e)}
+                                        for e in trace.events])
+            stripped_keys += sum(map(len, trace.events)) - sum(map(len, bare.events))
+            assert audit.summarize(bare) == audit.summarize(trace), name
+            assert (audit.check_invariants(scn.data, bare.events)
+                    == audit.check_invariants(scn.data, trace.events)), name
+            # resolutions hold whole events, stripped or not
+            assert (dataclasses.replace(audit.Metrics.from_trace(bare), resolutions=[])
+                    == dataclasses.replace(audit.Metrics.from_trace(trace), resolutions=[])), name
+        assert stripped_keys > 10_000
+
+    def test_the_scan_finds_an_engine_import_in_every_form(self):
+        source = ("from . import trace, sim\nimport loopsim.cluster\nimport collections.abc\n"
+                  "from loopsim import agents\nfrom .scheduler import coordinate\n"
+                  "from .trace import Trace\nfrom loopsim.trace import parse_trace\n"
+                  "def f():\n    from .traffic import TrafficModel\n")
+        assert engine_imports(source) == ["agents", "cluster", "scheduler", "sim", "traffic"]
+
+    def test_audit_imports_no_engine_module(self):
+        assert engine_imports(Path(audit.__file__).read_text(encoding="utf-8")) == []
 
 
 @pytest.fixture(scope="module")
