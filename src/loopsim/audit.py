@@ -1,11 +1,13 @@
 """The one reader of the event stream, independent of the engine.
 
 ``Metrics.feed`` is the only code that turns events into pod placements.
-``Metrics.from_trace`` seeds it with a trace header's initial placements,
-``check_invariants`` with a scenario's initial pods, and each feeds it every
-event in order; ``summarize`` renders the ``from_trace`` fold. Of each event
-this module reads only the keys ``parse_trace`` checks, so a trace that
-parses is read here without a ``KeyError``.
+``Metrics.from_trace`` seeds it with a trace header's initial placements and
+feeds it every event in order; ``summarize`` renders that fold.
+``check_invariants`` seeds it with a scenario's initial pods and feeds it
+only the events of ``PLACEMENT_KINDS``, the kinds that move placements, so
+its fold builds no counters or predictions. Of each event this module reads
+only the keys ``parse_trace`` checks, so a trace that parses is read here
+without a ``KeyError``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class Metrics:
         return m
 
     def feed(self, event: dict) -> None:
-        """Fold one event in: the one place events become pod placements."""
+        """Fold one event in: the one place events become pod placements. Only
+        the kinds in ``PLACEMENT_KINDS`` move ``placements``, ``pending``,
+        ``evicted`` or ``terminated``."""
         kind = event["kind"]
         if kind == "tick-end":
             self.ticks += 1
@@ -107,16 +111,24 @@ class Metrics:
             self.suspended.discard(event["acl"])
 
 
+# the kinds of event that move a pod's placement in ``Metrics.feed``
+PLACEMENT_KINDS = frozenset(
+    {"pod-created", "pod-pending", "pod-bound", "pod-evicted", "pod-terminated"})
+_RANKS = {kind: rank for kind, (rank, _) in EVENT_KINDS.items()}  # tick-phase rank by kind
+
+
 def check_invariants(norm: dict, events: Iterable[dict]) -> list[str]:
     """Re-derive safety properties from scenario config and the event stream,
     placing pods by a ``Metrics`` fold of the initial pods and of each event
-    that passes its checks."""
+    of a kind in ``PLACEMENT_KINDS`` that passes its checks; no other event
+    is fed, so the fold builds placements and nothing else."""
     violations: list[str] = []
     capacity = {n["id"]: (n["cpu"], n["memory"]) for n in norm["nodes"]}
     level_values = {l["name"]: l["value"] for l in norm["priority_levels"]}
     requests: dict[str, tuple[int, int]] = {}
     priority: dict[str, int] = {}
     fold = Metrics(placements={pod["id"]: pod["node"] for pod in norm["initial_pods"]})
+    feed = fold.feed
     # node id -> [cpu, memory] summed over the pods placed on it
     usage: dict[str, list[int]] = {}
 
@@ -131,15 +143,16 @@ def check_invariants(norm: dict, events: Iterable[dict]) -> list[str]:
         priority[pod["id"]] = level_values[pod["priority"]]
         place(pod["id"], pod["node"], +1)
 
+    placements = fold.placements
     last_tick = -1
     last_rank = 0
     evicted_this_tick: dict[str, int] = {}
     for event in events:
         tick, kind, seq = event["tick"], event["kind"], event["seq"]
-        if kind not in EVENT_KINDS:
+        rank = _RANKS.get(kind)
+        if rank is None:
             violations.append(f"seq {seq}: unknown event kind {kind!r}")
             continue
-        rank = EVENT_KINDS[kind][0]
         if tick != last_tick:
             if tick < last_tick:
                 violations.append(f"seq {seq}: tick went backwards")
@@ -153,53 +166,54 @@ def check_invariants(norm: dict, events: Iterable[dict]) -> list[str]:
             violations.append(
                 f"seq {seq}: {kind} out of phase order (rank {rank} after {last_rank})"
             )
-        last_rank = max(last_rank, rank)
+        else:
+            last_rank = rank
 
-        if kind == "pod-created":
+        if kind in PLACEMENT_KINDS:
             pod_id = event["pod"]
-            place(pod_id, fold.placements.get(pod_id), -1)  # a re-created pod may be bound
-            requests[pod_id] = (event["cpu"], event["memory"])
-            place(pod_id, fold.placements.get(pod_id), +1)
-            priority[pod_id] = event["priority"]
-        elif kind == "pod-bound":
-            pod_id = event["pod"]
-            if pod_id not in requests:
-                violations.append(f"seq {seq}: bound unknown pod {pod_id!r}")
-                continue
-            if event["node"] not in capacity:
-                violations.append(f"seq {seq}: bound {pod_id!r} to unknown node {event['node']!r}")
-                continue
-            for victim in event.get("preempted", []):
-                if priority.get(victim, 0) >= priority.get(pod_id, 0):
+            if kind == "pod-created":
+                place(pod_id, placements.get(pod_id), -1)  # a re-created pod may be bound
+                requests[pod_id] = (event["cpu"], event["memory"])
+                place(pod_id, placements.get(pod_id), +1)
+                priority[pod_id] = event["priority"]
+            elif kind == "pod-bound":
+                if pod_id not in requests:
+                    violations.append(f"seq {seq}: bound unknown pod {pod_id!r}")
+                    continue
+                if event["node"] not in capacity:
                     violations.append(
-                        f"seq {seq}: preemption victim {victim!r} does not have "
-                        f"lower priority than {pod_id!r}"
+                        f"seq {seq}: bound {pod_id!r} to unknown node {event['node']!r}")
+                    continue
+                for victim in event.get("preempted", []):
+                    if priority.get(victim, 0) >= priority.get(pod_id, 0):
+                        violations.append(
+                            f"seq {seq}: preemption victim {victim!r} does not have "
+                            f"lower priority than {pod_id!r}"
+                        )
+                place(pod_id, placements.get(pod_id), -1)
+                place(pod_id, event["node"], +1)
+                evicted_this_tick.pop(pod_id, None)
+                cpu, mem = usage[event["node"]]
+                cap = capacity[event["node"]]
+                if cpu > cap[0] or mem > cap[1]:
+                    violations.append(
+                        f"seq {seq}: node {event['node']!r} over capacity after binding "
+                        f"{pod_id!r} ({cpu}/{cap[0]} cpu, {mem}/{cap[1]} memory)"
                     )
-            place(pod_id, fold.placements.get(pod_id), -1)
-            place(pod_id, event["node"], +1)
-            evicted_this_tick.pop(pod_id, None)
-            cpu, mem = usage[event["node"]]
-            cap = capacity[event["node"]]
-            if cpu > cap[0] or mem > cap[1]:
-                violations.append(
-                    f"seq {seq}: node {event['node']!r} over capacity after binding "
-                    f"{pod_id!r} ({cpu}/{cap[0]} cpu, {mem}/{cap[1]} memory)"
-                )
-        elif kind == "pod-evicted":
-            pod_id = event["pod"]
-            node_id = fold.placements.get(pod_id)
-            if node_id is None:
-                violations.append(f"seq {seq}: evicted pod {pod_id!r} was not bound")
-            place(pod_id, node_id, -1)
-            evicted_this_tick[pod_id] = tick
-        elif kind == "pod-pending":
-            evicted_this_tick.pop(event["pod"], None)
-        elif kind == "pod-terminated":
-            pod_id = event["pod"]
-            place(pod_id, fold.placements.get(pod_id), -1)
-            evicted_this_tick.pop(pod_id, None)
+            elif kind == "pod-evicted":
+                node_id = placements.get(pod_id)
+                if node_id is None:
+                    violations.append(f"seq {seq}: evicted pod {pod_id!r} was not bound")
+                place(pod_id, node_id, -1)
+                evicted_this_tick[pod_id] = tick
+            elif kind == "pod-pending":
+                evicted_this_tick.pop(pod_id, None)
+            else:  # pod-terminated
+                place(pod_id, placements.get(pod_id), -1)
+                evicted_this_tick.pop(pod_id, None)
+            feed(event)
         elif kind == "tick-end":
-            expect_bound = len(fold.placements)
+            expect_bound = len(placements)
             expect_terminated = len(fold.terminated)
             expect_pending = len(requests) - expect_bound - expect_terminated
             if event["bound"] != expect_bound or event["terminated"] != expect_terminated \
@@ -211,7 +225,6 @@ def check_invariants(norm: dict, events: Iterable[dict]) -> list[str]:
                     f"bound={expect_bound} pending={expect_pending} "
                     f"terminated={expect_terminated})"
                 )
-        fold.feed(event)
     for pod_id, at in evicted_this_tick.items():
         violations.append(f"tick {at}: evicted pod {pod_id!r} got no follow-up decision")
     return violations

@@ -35,6 +35,7 @@ dicts.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -392,23 +393,25 @@ class Report:
 
 
 def verify_trace(trace: Trace, scn: Scenario) -> Report:
-    """Replay the scenario named by the trace header tick by tick, comparing each
-    replayed line byte for byte with the recorded one, and re-check invariants
+    """Replay the scenario named by the trace header tick by tick, comparing the
+    replayed lines byte for byte with the recorded ones, and re-check invariants
     from the recorded events alone, in the same pass.
 
-    The recorded text is walked by offset, never split (``Trace.lines``): each
-    replayed line is compared with the text up to the next ``"\n"``; a trace
-    with no recorded text, straight from a run, gives the lines
-    ``Trace.chunks`` would join, each encoded when asked for, never its whole
-    text. The replay ends with the
-    empty line after the last newline; past its end each recorded line is
-    expected as ``"<missing>"``, and past the text's end each replayed line
-    reads as ``"<missing>"``. A recorded event line equal to its replayed line
-    is the replayed event (the encoding reads back every event a run writes as
-    it was), so only a non-blank line after the header that differs, or is
-    left over, is read and checked as ``parse_trace`` would; a malformed one
-    is a ``ParseError`` naming its line. Any error is preceded by the first
-    malformed line's, as if the whole trace had been parsed first."""
+    Each replayed line is encoded once. A tick's lines, each followed by
+    ``"\\n"``, are one string, checked at once against the recorded text at the
+    current offset (``str.startswith``); the text is never split into lines.
+    When the text holds that string, the tick's replayed events are its
+    recorded events, since the encoding reads back every event a run writes
+    as it was. A trace with no recorded text, straight from a run, takes its
+    side of each tick from ``Trace.lines``, never building its whole text.
+    A tick that differs is compared line by line, and so are the header's
+    line, the empty line after the last newline and each recorded line left
+    over, expected as ``"<missing>"``; past the text's end each replayed line
+    reads as ``"<missing>"``. Only a non-blank line after the header that
+    differs, or is left over, is read and checked as ``parse_trace`` would; a
+    malformed one is a ``ParseError`` naming its line. Any error is preceded
+    by the first malformed line's, as if the whole trace had been parsed
+    first."""
     report = Report()
     with trace.parse_errors_first():
         header = trace.header
@@ -419,45 +422,99 @@ def verify_trace(trace: Trace, scn: Scenario) -> Report:
             scn = effective
         world = World(scn, extra_events=header.get("extra_events") or [])
         recorded = _recorded_events(trace, world, scn.ticks, report.divergences)
-        report.violations = check_invariants(scn.data, recorded)
+        report.violations = check_invariants(scn.data, itertools.chain.from_iterable(recorded))
     return report
+
+
+class _Recorded:
+    """A trace's recorded lines, as ``split("\\n")`` gives them, taken in order:
+    by offset in its text, or, with no text, from ``Trace.lines``."""
+
+    def __init__(self, trace: Trace):
+        self.text, self.pos = trace.text, 0
+        self.lines = trace.lines() if trace.text is None else None
+        self.held: list[str] = []  # taken and not yet compared, the next one last
+
+    def match(self, lines: list[str]) -> bool:
+        """Pass over the next ``len(lines)`` lines if they are *lines*, each
+        followed by ``"\\n"``."""
+        if self.text is None:
+            taken = list(itertools.islice(self.lines, len(lines)))
+            # a replayed line is never empty, so none of them is the last one
+            if taken == lines:
+                return True
+            self.held = taken[::-1]
+            return False
+        chunk = "\n".join([*lines, ""])
+        if self.text.startswith(chunk, self.pos):
+            self.pos += len(chunk)
+            return True
+        return False
+
+    def take(self) -> str | None:
+        """The next line; None past the last."""
+        if self.held:
+            return self.held.pop()
+        if self.text is None:
+            return next(self.lines, None)
+        if self.pos > len(self.text):
+            return None
+        end = self.text.find("\n", self.pos)
+        end = len(self.text) if end < 0 else end
+        line, self.pos = self.text[self.pos:end], end + 1
+        return line
+
+    def more(self) -> bool:
+        """Whether a line is left."""
+        if self.text is not None:
+            return self.pos <= len(self.text)
+        self.held = self.held or list(itertools.islice(self.lines, 1))
+        return bool(self.held)
 
 
 def _recorded_events(trace: Trace, world: World, ticks: int, divergences: list[dict]):
     """Step *world* through *ticks* ticks beside the recorded lines, noting each
-    line that differs in *divergences*, and yield the recorded events in order."""
-    # a recorded trace is compared as written: its bytes, blank lines and all;
-    # one straight from a run, a line of its text at a time
+    line that differs in *divergences*, and yield the recorded events in order,
+    one list per tick."""
     header_line = trace.header_line
-    recorded = trace.lines()
-    actual = next(recorded)  # the next recorded line (None: past the end)
+    recorded = _Recorded(trace)
+    number = 1  # the next line's number
 
-    def replayed():
-        """Each replayed line, with its event if it is one."""
-        yield _dump(world.trace.header), None
-        # the replay is held one tick at a time: once a tick's lines are
-        # compared its events go (nothing in the engine reads them back)
-        for _ in range(ticks):
-            world.step()
-            for event in world.trace.events:
-                yield _line(event), event
-            world.trace.events.clear()
-        yield "", None
-        while actual is not None:
-            yield "<missing>", None
+    def by_line(lines: list[str], events: list[dict | None]) -> list[dict]:
+        """Compare *lines* with the next recorded lines one by one; *events*
+        holds each line's replayed event, or None."""
+        nonlocal number
+        found = []
+        for expected, event in zip(lines, events):
+            line, number = number, number + 1
+            actual = recorded.take()
+            if actual is None:
+                divergences.append({"line": line, "actual": "<missing>", "expected": expected})
+                continue
+            if actual != expected:
+                divergences.append({"line": line, "actual": actual, "expected": expected})
+            if line > header_line:
+                if actual == expected and event is not None:
+                    found.append(event)
+                elif actual.strip():
+                    found.append(read_event(actual, line))
+        return found
 
-    for line, (expected, event) in enumerate(replayed(), start=1):
-        if actual is None:
-            divergences.append({"line": line, "actual": "<missing>", "expected": expected})
-            continue
-        if actual != expected:
-            divergences.append({"line": line, "actual": actual, "expected": expected})
-        if line > header_line:
-            if actual == expected and event is not None:
-                yield event
-            elif actual.strip():
-                yield read_event(actual, line)
-        actual = next(recorded, None)
+    yield by_line([_dump(world.trace.header)], [None])
+    for _ in range(ticks):
+        world.step()
+        # the replay is held one tick at a time: nothing in the engine reads
+        # its events back
+        events, world.trace.events = world.trace.events, []
+        lines = list(map(_line, events))
+        if number > header_line and recorded.match(lines):
+            number += len(lines)
+            yield events
+        else:
+            yield by_line(lines, events)
+    yield by_line([""], [None])
+    while recorded.more():
+        yield by_line(["<missing>"], [None])
 
 
 def load_events_file(path: str) -> list[dict]:

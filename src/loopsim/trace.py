@@ -3,9 +3,12 @@
 Events carry a global sequence number and the tick they occurred in. A line is
 exactly ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``: sorted
 keys, no spaces, non-ASCII text as ``\\u`` escapes, and ``NaN``/``Infinity``
-allowed, so identical runs produce identical bytes; ``verify`` compares its
-replay with the recorded text one tick at a time. A file is read and written
-with no newline translation, so the bytes compared are the bytes on disk.
+allowed, so identical runs produce identical bytes. ``verify`` compares its
+replay with the recorded text one tick at a time: a tick's replayed lines,
+each followed by ``"\\n"``, are one string, which the text must hold at the
+current offset. Only a tick that differs is compared line by line. A file is
+read and written with no newline translation, so the bytes compared are the
+bytes on disk.
 
 An event's line comes from ``_line``, which hands the event to the writer of
 its shape. ``EVENT_SHAPES`` lists every shape the engine writes: a kind, its
@@ -28,8 +31,8 @@ then the events' lines ``CHUNK_LINES`` at a time, each chunk one ``str``.
 hold one chunk of text at a time; ``dumps`` joins them, so it holds the chunks
 and the joined text, about twice the text, and never a list of every line.
 ``Trace.lines`` gives the same lines one at a time, each encoded as it is
-asked for, so ``verify`` of a trace straight from a run holds one line of its
-text at a time.
+asked for. ``verify`` of a trace straight from a run takes the recorded side
+of each tick from it, so it holds one tick's lines of its text at a time.
 
 Each line is read as ``json.loads`` would, with the same error messages; a
 line nested too deeply to read, and an event that lacks, or mistypes, a key
@@ -37,9 +40,9 @@ the readers of a trace use, are rejected too. ``parse_trace`` reads and
 checks only the header and keeps the text: a parsed trace's ``events`` are
 read on first use, and then share one copy of each key and of each text
 value, so they are about the size of the engine's own events. ``verify``
-never asks for them. A line equal to its replayed line is that event, since
-``_load(_dump(e)) == e`` for every event a run writes, so it reads only the
-lines that differ.
+never asks for them, and never splits the text. A line equal to its replayed
+line is that event, since ``_load(_dump(e)) == e`` for every event a run
+writes, so it reads only the lines that differ.
 """
 
 from __future__ import annotations

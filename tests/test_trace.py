@@ -487,6 +487,24 @@ class TestAuditReader:
                     == dataclasses.replace(audit.Metrics.from_trace(trace), resolutions=[])), name
         assert stripped_keys > 10_000
 
+    def test_only_the_placement_kinds_move_placements(self, pinned_runs):
+        # check_invariants feeds its fold only these kinds; a kind outside
+        # them that moved a placement would go unchecked
+        assert audit.PLACEMENT_KINDS < set(EVENT_KINDS)
+        fed = set()
+        for scn, trace in pinned_runs:
+            fold = audit.Metrics(placements={e["pod"]: e["node"]
+                                             for e in trace.header["initial"]})
+            for event in trace.events:
+                before = (dict(fold.placements), set(fold.pending), set(fold.evicted),
+                          set(fold.terminated))
+                fold.feed(event)
+                if event["kind"] not in audit.PLACEMENT_KINDS:
+                    fed.add(event["kind"])
+                    assert (fold.placements, fold.pending, fold.evicted,
+                            fold.terminated) == before, (scn.data["name"], event)
+        assert fed == set(EVENT_KINDS) - audit.PLACEMENT_KINDS
+
     def test_the_scan_finds_an_engine_import_in_every_form(self):
         source = ("from . import trace, sim\nimport loopsim.cluster\nimport collections.abc\n"
                   "from loopsim import agents\nfrom .scheduler import coordinate\n"
@@ -695,6 +713,21 @@ class TestVerifyReadsOnlyWhatDiverges:
         monkeypatch.setattr(trace_mod, "_load", lambda line: read.append(line) or load(line))
         assert verify_trace(parse_trace(out), scn).ok
         assert read == [out[:out.index("\n")]]
+
+    def test_a_clean_trace_is_compared_a_tick_at_a_time(self, monkeypatch):
+        # each replayed event is encoded once, and the recorded text is never
+        # split into lines: a clean tick is one compare against the text
+        scn = loads(workloads.generate("steady-long", 1), ticks=150)
+        recorded = run(scn)[0]
+        parsed = parse_trace(recorded.dumps())
+        encoded, split = [], []
+        line, lines = trace_mod._line, trace_mod._lines
+        for module in (trace_mod, sim_mod):
+            monkeypatch.setattr(module, "_line", lambda e: encoded.append(e) or line(e))
+        monkeypatch.setattr(trace_mod, "_lines", lambda text: split.append(text) or lines(text))
+        assert verify_trace(parsed, scn).ok
+        assert len(encoded) == len(recorded.events) > 4000
+        assert split == []
 
     @pytest.mark.parametrize("header_edit, error", [
         ({"scenario_hash": "0" * 64}, HashMismatch),
