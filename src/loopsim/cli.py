@@ -90,7 +90,8 @@ def _cmd_summarize(args) -> int:
 
 def _cmd_release(args) -> int:
     event = {"tick": args.tick, "kind": "release", "acl": args.acl}
-    # checked as ``run --events`` will read it, so no line is written that it refuses
+    # shaped as ``run --events`` will read it; only the run, which knows the
+    # scenario, can tell whether the agent exists
     scenario_mod._fields(event, scenario_mod.EVENTS["release"], "release")
     with open(args.events, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(event, sort_keys=True) + "\n")

@@ -67,7 +67,8 @@ class Field:
     accepts any scalar and converts it, and bool accepts only a bool.  A field
     without a default is required, and one whose default is None may also be
     given as null.  A number must lie within [*low*, *high*], or (*low*,
-    *high*] when *low_open*; a missing bound is no bound.
+    *high*] when *low_open*; a missing bound is no bound.  A str field with a
+    *ref*, ``"node"`` or ``"agent"``, must name one that exists.
     """
 
     kind: object
@@ -75,6 +76,7 @@ class Field:
     low: float | None = None
     high: float | None = None
     low_open: bool = False
+    ref: str | None = None
 
     def bounds(self) -> str:
         """The allowed range as text, such as ``>= 1`` or ``in (0, 1]``."""
@@ -85,8 +87,9 @@ class Field:
         return f"in {'(' if self.low_open else '['}{self.low:g}, {self.high:g}]"
 
 
-# The field tables.  Lists, ids, cross-references and the rules that tie two
-# fields together are checked by hand in normalize.
+# The field tables, each reference to a node or an agent included.  normalize
+# reads the lists, those of unique names through _keyed, and checks by hand the
+# other rules that tie two fields together.
 SCENARIO = {"name": Field(str), "seed": Field(int, 0), "ticks": Field(int, 20, low=1)}
 PRIORITY_LEVEL = {
     "name": Field(str),
@@ -103,7 +106,7 @@ TAINT = {"key": Field(str), "effect": Field(EFFECTS)}
 TOLERATION = {"key": Field(str)}
 # a negative request would lower node usage
 REQUEST = {"cpu": Field(int, low=0), "memory": Field(int, low=0)}
-INITIAL_POD = {"owner": Field(str), "node": Field(str), **REQUEST}
+INITIAL_POD = {"owner": Field(str), "node": Field(str, ref="node"), **REQUEST}
 AGENT = {
     "role": Field(ROLES, "scaler"),
     "alpha": Field(float, 0.3, low=0, high=1, low_open=True),
@@ -144,18 +147,18 @@ TRAFFIC = {
     "phase": Field(int, 0, -MAX_DEMAND, MAX_DEMAND),
     "sigma": Field(float, 0.0, 0, MAX_DEMAND),
 }
+TRUST = {"acl": Field(str, ref="agent")}
 STEP = {"at": Field(int), "base": Field(float, REQUIRED, -MAX_DEMAND, MAX_DEMAND)}
 _TICK = {"tick": Field(int, low=0)}
+_NODE, _AGENT = Field(str, ref="node"), Field(str, ref="agent")
 EVENTS = {
-    "taint": {**_TICK, "node": Field(str), "key": Field(str), "effect": Field(EFFECTS)},
-    "remove-taint": {
-        **_TICK, "node": Field(str), "key": Field(str), "effect": Field(EFFECTS, None),
-    },
-    "slice-request": {**_TICK, "agent": Field(str)},
+    "taint": {**_TICK, "node": _NODE, "key": Field(str), "effect": Field(EFFECTS)},
+    "remove-taint": {**_TICK, "node": _NODE, "key": Field(str), "effect": Field(EFFECTS, None)},
+    "slice-request": {**_TICK, "agent": _AGENT},
     "exchange-request": {
-        **_TICK, "source": Field(str), "target": Field(str), "artifact": Field(ARTIFACT_KINDS),
+        **_TICK, "source": _AGENT, "target": _AGENT, "artifact": Field(ARTIFACT_KINDS),
     },
-    "release": {**_TICK, "acl": Field(str)},
+    "release": {**_TICK, "acl": _AGENT},
 }
 
 
@@ -224,16 +227,17 @@ def _number(kind: type, value, where: str):
     return number
 
 
-def _fields(raw, table: dict, where: str) -> dict:
+def _fields(raw, table: dict, where: str, names: dict | None = None) -> dict:
     """Check the mapping *raw* against a field *table* and return its fields
-    in table order, defaults filled in.  A nested table's section may have no
+    in table order, defaults filled in.  Given *names*, a field with a ref
+    must be one of ``names[ref]``.  A nested table's section may have no
     other keys; keys of *raw* outside the table are left to the caller."""
     _mapping(raw, where)
     out = {}
     for key, spec in table.items():
         if isinstance(spec, dict):
             section = raw.get(key) or {}
-            out[key] = _fields(section, spec, f"{where}.{key}")
+            out[key] = _fields(section, spec, f"{where}.{key}", names)
             _only(section, spec, f"{where}.{key}")
             continue
         value = raw.get(key, spec.default)
@@ -247,6 +251,8 @@ def _fields(raw, table: dict, where: str) -> dict:
                 raise ValidationError(f"{where}: {key} must be {spec.bounds()}, got {value!r}")
         elif spec.kind is str:
             value = _text(value, f"{where}: {key}")
+            if spec.ref is not None and names is not None:
+                _one_of(value, names[spec.ref], spec.ref, where)
         elif spec.kind is bool:
             if type(value) is not bool:  # bool("false") would be True
                 raise ValidationError(f"{where}: {key}: expected bool, got {_shown(value)}")
@@ -254,6 +260,18 @@ def _fields(raw, table: dict, where: str) -> dict:
             _one_of(value, spec.kind, key, where)
         out[key] = value
     return out
+
+
+def _keyed(raw, label: str, key: str, noun: str):
+    """Each entry of the list *raw* as (index, name, entry), its name the text
+    of its required *key*; a name an earlier entry has is refused."""
+    seen = set()
+    for i, entry in enumerate(_list(raw, label)):
+        name = _text(_require(entry, key, f"{label}[{i}]"), f"{label}[{i}]: {key}")
+        if name in seen:
+            raise ValidationError(f"duplicate {noun} {name!r}")
+        seen.add(name)
+        yield i, name, entry
 
 
 def _only(raw: dict, known, where: str) -> None:
@@ -317,12 +335,10 @@ def normalize(data: dict) -> dict:
 
     # priority levels
     levels: dict[str, dict] = {}
-    for i, raw in enumerate(_list(data.get("priority_levels", []), "priority_levels")):
-        level = _fields(raw, PRIORITY_LEVEL, f"priority_levels[{i}]")
-        _only(raw, level, f"priority_levels[{i}]")
-        if level["name"] in levels:
-            raise ValidationError(f"duplicate priority level {level['name']!r}")
-        levels[level["name"]] = level
+    for i, name, raw in _keyed(data.get("priority_levels", []), "priority_levels", "name",
+                               "priority level"):
+        levels[name] = _fields(raw, PRIORITY_LEVEL, f"priority_levels[{i}]")
+        _only(raw, levels[name], f"priority_levels[{i}]")
     default_count = sum(level["global_default"] for level in levels.values())
     if default_count > 1:
         raise ValidationError("more than one priority level marked global_default")
@@ -338,17 +354,13 @@ def normalize(data: dict) -> dict:
     fallback = next(l["name"] for l in norm["priority_levels"] if l["global_default"])
 
     def priority(raw: dict, where: str) -> str:
-        name = _text(raw.get("priority", fallback), f"{where}: priority")
-        if name not in levels:
-            raise ValidationError(f"{where}: unknown priority {name!r}")
-        return name
+        return _one_of(_text(raw.get("priority", fallback), f"{where}: priority"), levels,
+                       "priority", where)
 
     topo = _require(data, "topology", "scenario")
     nodes: dict[str, dict] = {}
-    for i, raw in enumerate(_list(_require(topo, "nodes", "topology"), "topology.nodes")):
-        node_id = _text(_require(raw, "id", f"topology.nodes[{i}]"), f"topology.nodes[{i}]: id")
-        if node_id in nodes:
-            raise ValidationError(f"duplicate node id {node_id!r}")
+    for _, node_id, raw in _keyed(_require(topo, "nodes", "topology"), "topology.nodes", "id",
+                                  "node id"):
         where = f"node {node_id}"
         taints = []
         for j, taint in enumerate(_list(raw.get("taints", []), f"{where}: taints")):
@@ -370,10 +382,7 @@ def normalize(data: dict) -> dict:
 
     # agents
     agent_entries: dict[str, dict] = {}
-    for i, raw in enumerate(_list(data.get("agents", []), "agents")):
-        agent_id = _text(_require(raw, "id", f"agents[{i}]"), f"agents[{i}]: id")
-        if agent_id in agent_entries:
-            raise ValidationError(f"duplicate agent id {agent_id!r}")
+    for _, agent_id, raw in _keyed(data.get("agents", []), "agents", "id", "agent id"):
         where = f"agent {agent_id}"
         scope = [_text(s, f"{where}: scope")
                  for s in _list(_require(raw, "scope", where), f"{where}: scope")]
@@ -397,22 +406,18 @@ def normalize(data: dict) -> dict:
         _only(raw, entry, where)
         agent_entries[agent_id] = entry
     norm["agents"] = sorted(agent_entries.values(), key=lambda a: a["id"])
+    names = {"node": nodes, "agent": agent_entries}  # what a field's ref names
 
     # initial pods
     pods: dict[str, dict] = {}
-    for i, raw in enumerate(_list(data.get("initial_pods", []), "initial_pods")):
-        pod_id = _text(_require(raw, "id", f"initial_pods[{i}]"), f"initial_pods[{i}]: id")
-        if pod_id in pods:
-            raise ValidationError(f"duplicate pod id {pod_id!r}")
+    for _, pod_id, raw in _keyed(data.get("initial_pods", []), "initial_pods", "id", "pod id"):
         where = f"pod {pod_id}"
         pods[pod_id] = {
             "id": pod_id,
-            **_fields(raw, INITIAL_POD, where),
+            **_fields(raw, INITIAL_POD, where, names),
             "priority": priority(raw, where),
             "tolerations": _norm_tolerations(raw.get("tolerations"), where),
         }
-        if pods[pod_id]["node"] not in nodes:
-            raise ValidationError(f"{where}: unknown node {pods[pod_id]['node']!r}")
         _only(raw, pods[pod_id], where)
     norm["initial_pods"] = sorted(pods.values(), key=lambda p: p["id"])
     # an agent names the pods it creates <id>-pod-<n>, counting on from the
@@ -429,19 +434,15 @@ def normalize(data: dict) -> dict:
     # trust relationships
     trust: dict[str, list] = {}
     for source, entries in _mapping(data.get("trust") or {}, "trust").items():
-        if source not in agent_entries:
-            raise ValidationError(f"trust: unknown source agent {source!r}")
+        source = _one_of(source, agent_entries, "source agent", "trust")
         where = f"trust[{source}]"
         pairs = []
         for entry in _list(entries, where):
-            target = _text(_require(entry, "acl", where), f"{where}: acl")
-            kinds = _list(_require(entry, "kinds", where), f"{where}.kinds")
-            if target not in agent_entries:
-                raise ValidationError(f"{where}: unknown agent {target!r}")
-            for kind in kinds:
+            target = _fields(entry, TRUST, where, names)["acl"]
+            for kind in _list(_require(entry, "kinds", where), f"{where}.kinds"):
                 pairs.append([target, _one_of(kind, ARTIFACT_KINDS, "artifact kind", where)])
-            _only(entry, ("acl", "kinds"), where)
-        trust[_text(source, "trust")] = sorted(pairs)
+            _only(entry, (*TRUST, "kinds"), where)
+        trust[source] = sorted(pairs)
     norm["trust"] = dict(sorted(trust.items()))
 
     manager = data.get("manager") or {}
@@ -451,8 +452,7 @@ def normalize(data: dict) -> dict:
     # traffic
     profiles = {}
     for region, raw in _mapping(data.get("traffic") or {}, "traffic").items():
-        if region not in regions:
-            raise ValidationError(f"traffic: unknown region {region!r}")
+        region = _one_of(region, regions, "region", "traffic")
         where = f"traffic[{region}]"
         profile = _fields(raw, TRAFFIC, where)
         steps = []
@@ -462,7 +462,7 @@ def normalize(data: dict) -> dict:
             _only(step, STEP, at)
         profile["steps"] = sorted(steps)
         _only(raw, profile, where)
-        profiles[_text(region, "traffic")] = profile
+        profiles[region] = profile
     for region in regions:
         profiles.setdefault(region, {**_fields({}, TRAFFIC, "traffic"), "steps": []})
     norm["traffic"] = dict(sorted(profiles.items()))
@@ -483,16 +483,12 @@ def normalize_events(
     raw_events, nodes: set[str], agent_roles: dict[str, str], label: str = "injected"
 ) -> list[dict]:
     """Validate and normalize a list of injectable events against a topology."""
+    names = {"node": nodes, "agent": agent_roles}
     out = []
     for i, raw in enumerate(_list(raw_events, label)):
         where = f"{label}[{i}]"
         kind = _one_of(_require(raw, "kind", where), EVENTS, "event kind", where)
-        event = {"kind": kind, **_fields(raw, EVENTS[kind], where)}
-        if "node" in event and event["node"] not in nodes:
-            raise ValidationError(f"{where}: unknown node {event['node']!r}")
-        for name in ("agent", "source", "target", "acl"):  # the agents an event names
-            if name in event and event[name] not in agent_roles:
-                raise ValidationError(f"{where}: unknown agent {event[name]!r}")
+        event = {"kind": kind, **_fields(raw, EVENTS[kind], where, names)}
         if kind == "slice-request":
             if agent_roles[event["agent"]] != AgentRole.SLICE.value:
                 raise ValidationError(f"{where}: agent {event['agent']!r} does not place slices")

@@ -30,9 +30,10 @@ then the events' lines ``CHUNK_LINES`` at a time, each chunk one ``str``.
 ``write`` and ``loopsim run`` to stdout write the chunks as they come, so they
 hold one chunk of text at a time; ``dumps`` joins them, so it holds the chunks
 and the joined text, about twice the text, and never a list of every line.
-``Trace.lines`` gives the same lines one at a time, each encoded as it is
-asked for. ``verify`` of a trace straight from a run takes the recorded side
-of each tick from it, so it holds one tick's lines of its text at a time.
+``Trace.lines`` encodes a run's events into the same lines, one at a time,
+each as it is asked for; it never reads a parsed trace's text. ``verify`` of
+a trace straight from a run takes the recorded side of each tick from it, so
+it holds one tick's lines of its text at a time.
 
 Each line is read as ``json.loads`` would, with the same error messages; a
 line nested too deeply to read, and an event that lacks, or mistypes, a key
@@ -274,12 +275,10 @@ class Trace:
             yield "\n".join(chunk)
 
     def lines(self):
-        """The lines of the text, as ``split("\\n")`` gives them, one at a time:
-        ``text``'s when there is one, else the lines ``chunks`` joins, each
-        encoded when asked for, and then the empty line after the last
-        ``"\\n"``."""
-        if self.text is not None:
-            return _lines(self.text)
+        """The lines ``chunks`` joins, as ``split("\\n")`` gives them, one at a
+        time: a run's events encoded when asked for, after the header's line,
+        and then the empty line after the last ``"\\n"``.  ``text`` is never
+        read."""
         return itertools.chain(self._encoded(), ("",))
 
     def dumps(self) -> str:

@@ -101,13 +101,10 @@ class TestNormalize:
         c = from_dict(minimal(seed=1))
         assert c.hash != a.hash
 
-    def test_duplicate_node_rejected(self):
-        data = minimal()
-        data["topology"]["nodes"].append(dict(data["topology"]["nodes"][0]))
-        with pytest.raises(ValidationError):
-            normalize(data)
-
     @pytest.mark.parametrize("data, message", [
+        (minimal(topology={"nodes": [{"id": "n1", "region": "east", "cpu": 1, "memory": 1},
+                                     {"id": "n1", "region": "east", "cpu": 1, "memory": 1}]}),
+         "duplicate node id 'n1'"),
         (minimal(priority_levels=[{"name": "hi", "value": 1}, {"name": "hi", "value": 2}]),
          "duplicate priority level 'hi'"),
         (minimal(agents=[{"id": "a", "scope": ["east"]}, {"id": "a", "scope": ["east"]}]),
@@ -129,9 +126,27 @@ class TestNormalize:
         (minimal(agents=[{"id": "s", "role": "slice", "scope": ["e2e"]}],
                  injected=[{"tick": 1, "kind": "slice-request", "agent": "s", "chain": []}]),
          "injected[0]: empty slice chain"),
-    ], ids=["duplicate-level", "duplicate-agent", "duplicate-pod", "two-global-defaults",
-            "unmarked-default-level", "region-named-like-a-node", "empty-effects",
-            "empty-slice-chain"])
+        (minimal(agents=[{"id": "a", "scope": ["east"], "priority": "imperial"}]),
+         "agent a: unknown priority 'imperial'"),
+        (minimal(agents=[{"id": "a", "scope": ["east"]}],
+                 trust={"ghost": [{"acl": "a", "kinds": ["Model"]}]}),
+         "trust: unknown source agent 'ghost'"),
+        (minimal(agents=[{"id": "a", "scope": ["east"]}],
+                 trust={"a": [{"acl": "ghost", "kinds": ["Model"]}]}),
+         "trust[a]: unknown agent 'ghost'"),
+        (minimal(traffic={"atlantis": {"base": 1}}), "traffic: unknown region 'atlantis'"),
+        (minimal(agents=[{"id": "a", "scope": ["east"]}],
+                 injected=[{"tick": 0, "kind": "slice-request", "agent": "a",
+                            "chain": [{"cpu": 1, "memory": 1}]}]),
+         "injected[0]: agent 'a' does not place slices"),
+        (minimal(agents=[{"id": "a", "scope": ["east"],
+                          "watermark_low": 0.9, "watermark_high": 0.5}]),
+         "agent a: need 0 <= low < high watermarks"),
+    ], ids=["duplicate-node", "duplicate-level", "duplicate-agent", "duplicate-pod",
+            "two-global-defaults", "unmarked-default-level", "region-named-like-a-node",
+            "empty-effects", "empty-slice-chain", "unknown-priority", "unknown-trust-source",
+            "unknown-trust-acl", "unknown-traffic-region", "slice-request-to-a-non-slice-agent",
+            "watermarks-out-of-order"])
     def test_cross_field_rule_rejected(self, data, message):
         # each document breaks one rule that relates fields, and only that one
         with pytest.raises(ValidationError) as err:
@@ -519,6 +534,7 @@ SITES = [
                    if isinstance(v, scenario_mod.Field)}, ("manager",), "manager"),
     *[(f"`manager.{section}`", table, ("manager", section), f"manager.{section}")
       for section, table in scenario_mod.MANAGER.items() if isinstance(table, dict)],
+    ("`trust.<agent>[]`", scenario_mod.TRUST, ("trust", "a", 0), "trust[a]"),
     ("`traffic.<region>`", scenario_mod.TRAFFIC, ("traffic", "east"), "traffic[east]"),
     ("`traffic.<region>.steps[]`", scenario_mod.STEP, ("traffic", "east", "steps", 0),
      "traffic[east].steps[0]"),
@@ -580,8 +596,7 @@ class TestFieldTables:
     @pytest.mark.parametrize("path, where", [
         pytest.param(path, where, id=where)
         for path, where in dict.fromkeys(
-            [(path, where) for _, _, path, where in SITES]
-            + [(("topology",), "topology"), (("trust", "a", 0), "trust[a]")])
+            [(path, where) for _, _, path, where in SITES] + [(("topology",), "topology")])
     ])
     def test_unknown_key_rejected_and_named(self, path, where):
         doc, mapping = _fields_document(path)
@@ -600,6 +615,17 @@ class TestFieldTables:
         with pytest.raises(ValidationError,
                            match=re.escape(f"{where}: missing required key {key!r}")):
             normalize(doc)
+
+    @pytest.mark.parametrize("path, where, key, ref", [
+        pytest.param(path, where, key, spec.ref, id=f"{where}.{key}")
+        for _, path, where, key, spec in FIELDS if spec.ref is not None
+    ])
+    def test_a_reference_to_no_entry_rejected(self, path, where, key, ref):
+        doc, mapping = _fields_document(path)
+        mapping[key] = "ghost"
+        with pytest.raises(ValidationError) as err:
+            normalize(doc)
+        assert str(err.value) == f"{where}: unknown {ref} 'ghost'"
 
     BOOL_FIELDS = [pytest.param(path, where, key, id=f"{where}.{key}")
                    for _, path, where, key, spec in FIELDS if spec.kind is bool]
@@ -636,7 +662,9 @@ class TestFieldTables:
             line = f"- `{key}`: {kind}, " + (
                 "required" if spec.default is scenario_mod.REQUIRED
                 else f"default `{json.dumps(spec.default)}`"
-            ) + (f", {spec.bounds()}" if spec.bounds() else "")
+            ) + (f", {spec.bounds()}" if spec.bounds() else "") + (
+                f", {'an' if spec.ref[0] in 'aeiou' else 'a'} {spec.ref} id" if spec.ref else ""
+            )
             if line not in sections.get(heading, "").splitlines():
                 missing.append(f"{heading}: {line}")
         assert missing == []
