@@ -6,8 +6,9 @@ feeds it every event in order; ``summarize`` renders that fold.
 ``check_invariants`` seeds it with a scenario's initial pods and feeds it
 only the events of ``PLACEMENT_KINDS``, the kinds that move placements, so
 its fold builds no counters or predictions. Of each event this module reads
-only the keys ``parse_trace`` checks, so a trace that parses is read here
-without a ``KeyError``.
+only the keys that ``trace.EVENTS`` marks as read, which ``parse_trace``
+checks, so a trace that parses is read here without a ``KeyError``; its
+phase ranks are the table's too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .trace import EVENT_KINDS, Trace
+from .trace import EVENTS, Trace
 
 
 @dataclass
@@ -68,8 +69,9 @@ class Metrics:
         if kind == "tick-end":
             self.ticks += 1
         elif kind == "prediction":
+            # an int in a float key stands for its float: mae's sum never leaves floats
             self.predictions.setdefault(event["acl"], []).append(
-                (event["tick"], event["value"], event["truth"])
+                (event["tick"], float(event["value"]), float(event["truth"]))
             )
         elif kind == "intent-submitted":
             self.intents_submitted += 1
@@ -114,7 +116,7 @@ class Metrics:
 # the kinds of event that move a pod's placement in ``Metrics.feed``
 PLACEMENT_KINDS = frozenset(
     {"pod-created", "pod-pending", "pod-bound", "pod-evicted", "pod-terminated"})
-_RANKS = {kind: rank for kind, (rank, _) in EVENT_KINDS.items()}  # tick-phase rank by kind
+_RANKS = {name: kind.rank for name, kind in EVENTS.items()}  # tick-phase rank by kind
 
 
 def check_invariants(norm: dict, events: Iterable[dict]) -> list[str]:

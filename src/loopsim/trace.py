@@ -3,47 +3,27 @@
 Events carry a global sequence number and the tick they occurred in. A line is
 exactly ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``: sorted
 keys, no spaces, non-ASCII text as ``\\u`` escapes, and ``NaN``/``Infinity``
-allowed, so identical runs produce identical bytes. ``verify`` compares its
-replay with the recorded text one tick at a time: a tick's replayed lines,
-each followed by ``"\\n"``, are one string, which the text must hold at the
-current offset. Only a tick that differs is compared line by line. A file is
-read and written with no newline translation, so the bytes compared are the
-bytes on disk.
+allowed, so identical runs produce identical bytes.
 
-An event's line comes from ``_line``, which hands the event to the writer of
-its shape. ``EVENT_SHAPES`` lists every shape the engine writes: a kind, its
-keys, and each key's JSON type (str, int, finite float or list of str);
-``pod-bound`` with and without ``preempted``, and ``conflict-resolved``
-arbitrated or frozen, make 28 shapes of the 26 kinds. At import each shape
-gets one writer, an f-string over its sorted keys with ``"kind":"<kind>"`` as
-constant text, compiled from the table alone: no input is ever compiled, and
-nothing is cached. A writer first checks that the event has exactly its
-shape's keys, each str key a str, each int key an int (not a bool), each float
-key a finite float and each list key a list of str. An event that fails the
-check, or has no shape, goes to ``_dump``, the reference encoder, which also
-writes the header: it gives ``json.dumps``'s bytes, or raises its error.
-``chunks``, ``dumps``, ``write``, ``lines`` and ``verify``'s replay all write
-event lines through ``_line``.
+``EVENTS`` is the one declaration of what an event holds: for each kind, its
+tick-phase rank and its shapes, 28 of them for the 26 kinds, and for each key
+its JSON type (str, int, finite float or list of str) and whether ``audit``
+reads it. At import it gives each shape a writer compiled from the table
+alone, the reader its checks and ``audit`` its ranks. ``_line`` writes an
+event with the writer of its shape; any other event, and the header, goes to
+``_dump``, the reference encoder, which gives ``json.dumps``'s bytes or raises
+its error.
 
-``Trace.chunks`` is the one producer of a trace's text: the header's line,
-then the events' lines ``CHUNK_LINES`` at a time, each chunk one ``str``.
-``write`` and ``loopsim run`` to stdout write the chunks as they come, so they
-hold one chunk of text at a time; ``dumps`` joins them, so it holds the chunks
-and the joined text, about twice the text, and never a list of every line.
-``Trace.lines`` encodes a run's events into the same lines, one at a time,
-each as it is asked for; it never reads a parsed trace's text. ``verify`` of
-a trace straight from a run takes the recorded side of each tick from it, so
-it holds one tick's lines of its text at a time.
+``Trace.chunks`` is the one producer of a trace's text, ``CHUNK_LINES`` event
+lines at a time.
 
-Each line is read as ``json.loads`` would, with the same error messages; a
-line nested too deeply to read, and an event that lacks, or mistypes, a key
-the readers of a trace use, are rejected too. ``parse_trace`` reads and
-checks only the header and keeps the text: a parsed trace's ``events`` are
-read on first use, and then share one copy of each key and of each text
-value, so they are about the size of the engine's own events. ``verify``
-never asks for them, and never splits the text. A line equal to its replayed
-line is that event, since ``_load(_dump(e)) == e`` for every event a run
-writes, so it reads only the lines that differ.
+Each line is read as ``json.loads`` would, with the same error messages. A
+line nested too deeply, or with an int too long to read, is rejected, and so
+is an event that lacks or mistypes a key ``audit`` reads. ``parse_trace``
+reads only the header and keeps the text: ``events`` are read on first use.
+``verify`` reads only the lines that differ from its replay: a line equal to
+its replayed line is that event, since ``_load(_dump(e)) == e`` for every
+event a run writes.
 """
 
 from __future__ import annotations
@@ -52,6 +32,8 @@ import contextlib
 import functools
 import itertools
 import json
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -73,44 +55,63 @@ else:  # no _json accelerator
     _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-# Every shape of event the engine writes: its kind and the JSON type of each
-# key besides seq and tick (int) and kind: str, int, a finite float, or a list
-# of str. A key of a kind that the engine does not always write is a second
-# shape of that kind.
-EVENT_SHAPES: tuple[tuple[str, dict[str, type]], ...] = (
-    ("traffic", {"region": str, "value": float}),
-    ("taint-applied", {"node": str, "key": str, "effect": str}),
-    ("taint-removed", {"node": str, "key": str}),
-    ("slice-requested", {"id": str, "agent": str, "links": int}),
-    ("exchange-granted", {"artifact": str, "source": str, "target": str, "artifact_kind": str}),
-    ("knowledge-absorbed", {"acl": str, "artifact": str, "artifact_kind": str}),
-    ("exchange-denied", {"source": str, "target": str, "artifact_kind": str, "reason": str}),
-    ("agent-released", {"acl": str}),
-    ("prediction", {"acl": str, "value": float, "truth": float}),
-    ("intent-submitted", {"id": str, "acl": str, "action": str, "target": str,
-                          "magnitude": float, "check_tick": int}),
-    ("coherency", {"acl": str, "magnitude": float, "verdict": str}),
-    ("lifecycle", {"acl": str, "before": str, "after": str}),
-    ("conflict-detected", {"id": str, "conflict": str, "participants": list, "targets": list,
-                           "instance": str}),
-    ("conflict-resolved", {"id": str, "conflict": str, "instance": str, "detected_tick": int,
-                           "outcome": str, "winner": str, "losers": list}),
-    ("conflict-resolved", {"id": str, "conflict": str, "instance": str, "detected_tick": int,
-                           "outcome": str, "frozen": str, "until": int}),
-    ("intent-dropped", {"id": str, "acl": str, "reason": str}),
-    ("intent-requeued", {"id": str, "acl": str, "next_tick": int}),
-    ("intent-buffered", {"id": str, "acl": str, "until": int}),
-    ("intent-applied", {"id": str, "acl": str}),
-    ("pod-created", {"pod": str, "acl": str, "cpu": int, "memory": int, "priority": int}),
-    ("pod-terminated", {"pod": str, "acl": str}),
-    ("power-off", {"node": str, "acl": str}),
-    ("power-on", {"node": str, "acl": str}),
-    ("pod-evicted", {"pod": str, "node": str, "cause": str}),
-    ("pod-bound", {"pod": str, "node": str}),
-    ("pod-bound", {"pod": str, "node": str, "preempted": list}),
-    ("pod-pending", {"pod": str, "reason": str}),
-    ("tick-end", {"bound": int, "pending": int, "terminated": int, "pods": int}),
-)
+class EventKind(NamedTuple):
+    """A kind of event: its tick-phase rank (within one tick the rank never goes down),
+    the keys of all its events, each shape's own keys, and ``pick``, the index in
+    ``shapes`` of the shape an event is read as. A key is "name:type", of JSON type str,
+    int, float (finite) or list (of str); "!" marks a key that ``audit`` reads."""
+
+    rank: int
+    keys: str
+    shapes: tuple[str, ...] = ("",)
+    pick: Callable[[dict], int] = lambda event: 0
+
+
+_ENVELOPE = "seq:int! tick:int! kind:str!"  # the keys every event holds first
+EVENTS: dict[str, EventKind] = {  # every kind of event the engine writes, once
+    "traffic": EventKind(1, "region:str value:float"),
+    "taint-applied": EventKind(1, "node:str key:str effect:str"),
+    "taint-removed": EventKind(1, "node:str key:str"),
+    "slice-requested": EventKind(1, "id:str agent:str links:int"),
+    "exchange-granted": EventKind(1, "artifact:str source:str target:str artifact_kind:str"),
+    "knowledge-absorbed": EventKind(1, "acl:str artifact:str artifact_kind:str"),
+    "exchange-denied": EventKind(1, "source:str target:str artifact_kind:str reason:str!"),
+    "agent-released": EventKind(1, "acl:str!"),
+    "prediction": EventKind(2, "acl:str! value:float! truth:float!"),
+    "intent-submitted": EventKind(
+        3, "id:str acl:str action:str target:str magnitude:float check_tick:int"),
+    "coherency": EventKind(4, "acl:str magnitude:float verdict:str!"),
+    "lifecycle": EventKind(4, "acl:str! before:str after:str!"),
+    "conflict-detected": EventKind(
+        4, "id:str conflict:str! participants:list targets:list instance:str"),
+    "conflict-resolved": EventKind(  # arbitrated or frozen, by outcome, as summarize reads it
+        4, "id:str conflict:str! instance:str! detected_tick:int outcome:str!",
+        ("winner:str! losers:list", "frozen:str! until:int!"),
+        lambda event: event.get("outcome") != "arbitrated"),
+    "intent-dropped": EventKind(4, "id:str acl:str reason:str!"),
+    "intent-requeued": EventKind(4, "id:str acl:str next_tick:int"),
+    "intent-buffered": EventKind(4, "id:str acl:str until:int"),
+    "intent-applied": EventKind(5, "id:str acl:str"),
+    "pod-created": EventKind(5, "pod:str! acl:str cpu:int! memory:int! priority:int!"),
+    "pod-terminated": EventKind(5, "pod:str! acl:str"),
+    "power-off": EventKind(5, "node:str acl:str"),
+    "power-on": EventKind(5, "node:str acl:str"),
+    "pod-evicted": EventKind(6, "pod:str! node:str cause:str!"),
+    "pod-bound": EventKind(  # with the victims' ids after a preemption
+        6, "pod:str! node:str!", ("", "preempted:list!"), lambda event: "preempted" in event),
+    "pod-pending": EventKind(6, "pod:str! reason:str"),
+    "tick-end": EventKind(7, "bound:int! pending:int! terminated:int! pods:int!"),
+}
+_JSON = {t.__name__: t for t in (str, int, float, list)}
+
+
+def _shapes(kind: EventKind) -> list[dict[str, tuple[type, bool]]]:
+    """Each shape of *kind*: its keys, the envelope's first, as (JSON type, read)."""
+    words = f"{_ENVELOPE} {kind.keys}".split()
+    return [{name: (_JSON[json_type.rstrip("!")], json_type.endswith("!"))
+             for name, json_type in (word.split(":") for word in words + own.split())}
+            for own in kind.shapes]
+
 
 _s = json.encoder.encode_basestring_ascii  # a str's JSON text, quoted, as _dump writes it
 _join = ",".join
@@ -138,17 +139,17 @@ _GUARD = {str: "type({v}) is str", int: "type({v}) is int",
 _TEXT = {str: "{{_s({v})}}", int: "{{{v}}}", float: "{{{v}!r}}", list: "{{_join(map(_s, {v}))}}"}
 
 
-def _writer(kind: str, slots: dict[str, type], then):
+def _writer(kind: str, shape: dict[str, tuple[type, bool]], then):
     """The writer of one shape. Only the number of slots and their JSON types
     reach the code compiled; the keys and the text are values it closes over."""
     keys, types, texts, text = [], [], [], "{"
-    for i, key in enumerate(sorted([*slots, "seq", "tick", "kind"])):
+    for i, key in enumerate(sorted(shape)):
         text += ("," if i else "") + _s(key) + ":"
         if key == "kind":
             text += _s(kind)
             continue
         keys.append(key)
-        types.append(slots.get(key, int))
+        types.append(shape[key][0])
         texts.append(text + "[" * (types[-1] is list))
         text = "]" * (types[-1] is list)
     texts.append(text + "}")
@@ -165,18 +166,52 @@ def _writer(kind: str, slots: dict[str, type], then):
     return namespace["make"](*keys, *texts, then)
 
 
-def _writers():
-    """One writer per shape of ``EVENT_SHAPES``, in its order, and the first
-    one to try for each kind and number of keys."""
+def _is(json_type: type):
+    """A reader's check: what is wrong with a value, unless it is a *json_type*."""
+    problem = f"must be {json_type.__name__}"
+    return lambda value: None if type(value) is json_type else problem
+
+
+def _float(value) -> str | None:
+    """An int stands for the float ``audit`` makes of it, so it must fit one."""
+    if type(value) is int:
+        return "does not fit in a float" if abs(value) >= _OVERFLOW else None
+    return None if type(value) is float else "must be int or float"  # a JSON true is no number
+
+
+def _strs(value) -> str | None:
+    ok = type(value) is list and all(type(item) is str for item in value)
+    return None if ok else "must be a list of str"
+
+
+_OVERFLOW = 2 ** 1024 - 2 ** 970  # the least int float() cannot convert: it rounds to 2 ** 1024
+_CHECK = {str: _is(str), int: _is(int), float: _float, list: _strs}  # a read key's, by JSON type
+_HEADER = (("scenario_hash", _is(str)), ("initial", _is(list)), ("extra_events", _is(list)))
+_PLACEMENT = (("pod", _is(str)), ("node", _is(str)))  # of the header's initial pods
+
+
+def _reader(kind: EventKind):
+    """*kind*'s ``pick``, and per shape the keys ``audit`` reads, each with its check."""
+    return kind.pick, tuple(tuple((key, _CHECK[json_type]) for key, (json_type, read)
+                                  in shape.items() if read) for shape in _shapes(kind))
+
+
+def _build(events: dict[str, EventKind]):
+    """What *events* declares: its shapes, in order, as (kind, keys); a writer
+    per shape, and the first to try for each kind and number of keys; and each
+    kind's reader."""
+    shapes = tuple((name, shape) for name, kind in events.items() for shape in _shapes(kind))
     writers, first = [], {}
-    for kind, slots in reversed(EVENT_SHAPES):  # an earlier shape is tried first
-        size = (kind, len(slots) + 3)
-        first[size] = _writer(kind, slots, first.get(size))
+    for kind, shape in reversed(shapes):  # an earlier shape is tried first
+        size = (kind, len(shape))
+        first[size] = _writer(kind, shape, first.get(size))
         writers.append(first[size])
-    return tuple(reversed(writers)), first
+    readers = {name: _reader(kind) for name, kind in events.items()}
+    return shapes, tuple(reversed(writers)), first, readers
 
 
-_WRITERS, _FIRST_WRITER = _writers()
+SHAPES, _WRITERS, _FIRST_WRITER, _READERS = _build(EVENTS)
+_UNKNOWN = _reader(EventKind(0, ""))  # an unknown kind's: the envelope's keys alone
 
 
 def _line(event) -> str:
@@ -290,46 +325,12 @@ class Trace:
             fh.writelines(self.chunks())
 
 
-_INT, _NUMBER, _TEXT = (int,), (int, float), (str,)  # a JSON true is no count
-# the types of each key a reader uses, the same in every kind; any other is text
-_TYPES = {**dict.fromkeys(("seq", "tick", "cpu", "memory", "priority", "until", "bound",
-                           "pending", "terminated", "pods"), _INT),
-          "value": _NUMBER, "truth": _NUMBER, "initial": (list,), "extra_events": (list,)}
-
-# Every event kind, once: its tick-phase rank (within one tick the rank never
-# goes down) and the keys that ``audit``, the one reader of the events
-# (``Metrics``, ``check_invariants`` and ``summarize``), reads of it.
-EVENT_KINDS: dict[str, tuple[int, tuple[str, ...]]] = {
-    "traffic": (1, ()), "taint-applied": (1, ()), "taint-removed": (1, ()),
-    "slice-requested": (1, ()), "exchange-granted": (1, ()), "knowledge-absorbed": (1, ()),
-    "exchange-denied": (1, ("reason",)), "agent-released": (1, ("acl",)),
-    "prediction": (2, ("acl", "value", "truth")), "intent-submitted": (3, ()),
-    "coherency": (4, ("verdict",)), "lifecycle": (4, ("acl", "after")),
-    "conflict-detected": (4, ("conflict",)), "intent-dropped": (4, ("reason",)),
-    "conflict-resolved": (4, ("conflict", "instance", "outcome")),
-    "intent-requeued": (4, ()), "intent-buffered": (4, ()), "intent-applied": (5, ()),
-    "pod-created": (5, ("pod", "cpu", "memory", "priority")), "pod-terminated": (5, ("pod",)),
-    "power-off": (5, ()), "power-on": (5, ()), "pod-evicted": (6, ("pod", "cause")),
-    "pod-bound": (6, ("pod", "node")), "pod-pending": (6, ("pod",)),
-    "tick-end": (7, ("bound", "pending", "terminated", "pods")),
-}
-
-
-def _spec(*keys: str) -> tuple[tuple[str, tuple[type, ...]], ...]:
-    return tuple((key, _TYPES.get(key, _TEXT)) for key in keys)
-
-
-_ENVELOPE = _spec("seq", "tick", "kind")
-_SPECS = {kind: _ENVELOPE + _spec(*keys) for kind, (_, keys) in EVENT_KINDS.items()}
-
-
 def _check(obj, spec, what: str, line: int) -> None:
     if type(obj) is not dict:
         raise ParseError(f"bad {what}: not a JSON object", line=line)
-    for key, types in spec:
-        if type(obj.get(key)) not in types:
-            problem = "is missing" if key not in obj else \
-                "must be " + " or ".join(t.__name__ for t in types)
+    for key, check in spec:
+        problem = check(obj[key]) if key in obj else "is missing"
+        if problem:
             raise ParseError(f"bad {what}: {key!r} {problem}", line=line)
 
 
@@ -337,23 +338,20 @@ def _check_event(event, line: int) -> None:
     """An unknown kind passes: ``audit.check_invariants`` reports it as a violation."""
     kind = event.get("kind") if type(event) is dict else None
     kind = kind if type(kind) is str else "trace"
-    spec = _SPECS.get(kind, _ENVELOPE)
-    if kind == "conflict-resolved":  # summarize reads these by outcome
-        arbitrated = event.get("outcome") == "arbitrated"
-        spec += _spec("winner") if arbitrated else _spec("frozen", "until")
-    _check(event, spec, f"{kind} event", line)
-    if "preempted" in event:  # only pod-bound carries it: the victims' ids
-        victims = event["preempted"]
-        if type(victims) is not list or any(type(v) is not str for v in victims):
-            raise ParseError(f"bad {kind} event: 'preempted' must be a list of str", line=line)
+    pick, specs = _READERS.get(kind, _UNKNOWN)
+    _check(event, specs[pick(event)], f"{kind} event", line)
 
 
 def _read(line: str, number: int, what: str):
     try:
         return _load(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        problem = exc if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
-        raise ParseError(f"bad trace {what}: {problem}", line=number) from None
+    except json.JSONDecodeError as exc:
+        problem = exc
+    except ValueError:  # an int longer than int's text may be: 4300 digits by default
+        problem = "an integer too long to read"
+    except RecursionError:
+        problem = "nested too deeply"
+    raise ParseError(f"bad trace {what}: {problem}", line=number) from None
 
 
 def read_event(line: str, number: int) -> dict:
@@ -372,9 +370,9 @@ def parse_trace(text: str) -> Trace:
         header = _read(line, number, "header")
         if type(header) is not dict or header.get("format") != TRACE_FORMAT:
             raise ParseError(f"not a {TRACE_FORMAT} trace", line=number)
-        _check(header, _spec("scenario_hash", "initial", "extra_events"), "trace header", number)
+        _check(header, _HEADER, "trace header", number)
         for placement in header["initial"]:
-            _check(placement, _spec("pod", "node"), "initial placement", number)
+            _check(placement, _PLACEMENT, "initial placement", number)
         return Trace(header, text=text, header_line=number)
     raise ParseError("empty trace")
 

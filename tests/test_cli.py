@@ -410,6 +410,37 @@ class TestMalformedTrace:
         assert (code, err) == (2, "error: bad trace event: Expecting property name enclosed "
                                   "in double quotes: line 1 column 2 (char 1) (line 11)\n")
 
+    @pytest.mark.parametrize("command", ["verify", "summarize"])
+    @pytest.mark.parametrize("line, key, digits, error", [
+        (6, "value", 401, "bad prediction event: 'value' does not fit in a float"),
+        (6, "value", 5001, "bad trace event: an integer too long to read"),
+        (1, "seed", 5001, "bad trace header: an integer too long to read"),
+    ], ids=["401-digit-value", "5001-digit-value", "5001-digit-seed"])
+    def test_a_number_no_reader_can_use_is_an_input_error(self, capsys, tmp_path, command,
+                                                          line, key, digits, error):
+        # case2's line 6 is its first prediction; verify of the 401-digit
+        # value exits 2 as well, though the line would diverge
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case2", "--out", str(path))
+        lines = path.read_text().split("\n")
+        event = json.loads(lines[line - 1])
+        assert event.get("kind", "prediction") == "prediction"
+        lines[line - 1] = json.dumps({**event, key: "@"}).replace('"@"', "9" * digits)
+        path.write_text("\n".join(lines))
+        args = [command, str(path)] + (["case2"] if command == "verify" else [])
+        assert invoke(capsys, *args)[::2] == (2, f"error: {error} (line {line})\n")
+
+    def test_an_int_in_a_float_key_is_summed_as_its_float(self, capsys, tmp_path):
+        # each fits a float, and the difference of the two ints does not
+        path = tmp_path / "t.jsonl"
+        invoke(capsys, "run", "case2", "--out", str(path))
+        lines = path.read_text().split("\n")
+        lines[5] = json.dumps({**json.loads(lines[5]), "value": 10 ** 308, "truth": -10 ** 308})
+        path.write_text("\n".join(lines))
+        code, out, _ = invoke(capsys, "summarize", str(path))
+        assert code == 0
+        assert out.endswith("prediction mae: acl1=inf\n")
+
     def test_error_names_the_physical_line(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"
         invoke(capsys, "run", "case2", "--out", str(path))

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 import types
@@ -21,8 +22,8 @@ from loopsim import audit, cli, sim as sim_mod, trace as trace_mod
 from loopsim.errors import HashMismatch, ParseError, ValidationError
 from loopsim.scenario import from_dict, list_scenarios, load_scenario, loads
 from loopsim.sim import Report, check_invariants, run, verify_trace
-from loopsim.trace import (EVENT_KINDS, EVENT_SHAPES, TRACE_FORMAT, Trace, _check_event,
-                           _dump, _load, parse_trace)
+from loopsim.trace import (EVENTS, SHAPES, TRACE_FORMAT, Trace, _check_event, _dump, _load,
+                           parse_trace)
 from test_acceptance import random_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -62,7 +63,7 @@ class TestDump:
     @pytest.mark.parametrize("copy", ["c", "pure"])
     def test_every_engine_event_is_written_by_its_shapes_writer(self, copy, pinned_runs):
         # with or without the C accelerator; a key at an emit call site that
-        # EVENT_SHAPES lacks fails here
+        # the table of events lacks fails here
         module = COPIES[copy]()
         shapes = set()
         with counted_dumps(module) as handed:
@@ -71,7 +72,7 @@ class TestDump:
                     assert module._line(event) == reference_dump(event), (scn.data["name"], event)
                     shapes.add(shape_of(event))
         assert handed == []
-        assert shapes == set(range(len(EVENT_SHAPES)))  # every shape, and no other
+        assert shapes == set(range(len(SHAPES)))  # every shape, and no other
 
 
 _PURE = []
@@ -115,32 +116,35 @@ def written(encode, obj):
         return type(exc).__name__, str(exc)
 
 
-def shape_of(event) -> int | None:
-    """The index in ``EVENT_SHAPES`` of *event*'s shape, its keys and their
+def shape_of(event, shapes=SHAPES) -> int | None:
+    """The index in *shapes* of *event*'s shape, its kind, its keys and their
     values' types, if it has one."""
     fits = {str: lambda v: type(v) is str, int: lambda v: type(v) is int,
             float: lambda v: type(v) is float and math.isfinite(v),
             list: lambda v: type(v) is list and all(type(x) is str for x in v)}
-    for index, (kind, slots) in enumerate(EVENT_SHAPES):
-        types_ = {"seq": int, "tick": int, **slots}
-        if (set(event) == {*types_, "kind"} and event["kind"] == kind
-                and all(fits[t](event[key]) for key, t in types_.items())):
+    for index, (kind, shape) in enumerate(shapes):
+        if (set(event) == set(shape) and event["kind"] == kind
+                and all(fits[t](event[key]) for key, (t, _) in shape.items())):
             return index
     return None
 
 
+def slots(shape) -> dict[str, type]:
+    """The JSON type of each key of *shape* but kind, the writer's constant text."""
+    return {key: t for key, (t, _) in shape.items() if key != "kind"}
+
+
 GOOD = {str: TEXT, int: st.integers(), float: st.floats(allow_nan=False, allow_infinity=False),
         list: st.lists(TEXT, max_size=3)}
-SHAPED = st.sampled_from(EVENT_SHAPES).flatmap(lambda shape: st.fixed_dictionaries(
-    {"seq": GOOD[int], "tick": GOOD[int], "kind": st.just(shape[0]),
-     **{key: GOOD[t] for key, t in shape[1].items()}}))
+SHAPED = st.sampled_from(SHAPES).flatmap(lambda shape: st.fixed_dictionaries(
+    {"kind": st.just(shape[0]), **{key: GOOD[t] for key, t in slots(shape[1]).items()}}))
 ESCAPED = ["\ud800", "\udfff", '"', "\\", "{", "}", "{t0}", "%", "%s", "\x00\x1f\x7f", " "]
 
 
 def slot_of(event, kind_of_slot):
     """The keys of *event*'s slots of one JSON type, the envelope's ints included."""
-    slots = next(slots for kind, slots in EVENT_SHAPES if kind == event["kind"])
-    return [key for key, t in {"seq": int, "tick": int, **slots}.items() if t is kind_of_slot]
+    shape = next(shape for kind, shape in SHAPES if kind == event["kind"])
+    return [key for key, t in slots(shape).items() if t is kind_of_slot]
 
 
 @st.composite
@@ -177,14 +181,14 @@ class TestWriters:
     """An event's line comes from its shape's writer, byte for byte as ``_dump``
     writes it; any other event goes to ``_dump``."""
 
-    def test_one_shape_table_for_every_kind_and_one_writer_per_shape(self):
-        assert {kind for kind, _ in EVENT_SHAPES} == set(EVENT_KINDS)
-        assert len(EVENT_SHAPES) == len(trace_mod._WRITERS) == 28
+    def test_one_writer_per_shape_of_the_table(self):
+        assert {kind for kind, _ in SHAPES} == set(EVENTS) and len(EVENTS) == 26
+        assert len(SHAPES) == len(trace_mod._WRITERS) == 28
         assert len(set(trace_mod._WRITERS)) == 28
         assert set(trace_mod._FIRST_WRITER.values()) <= set(trace_mod._WRITERS)
-        for kind, slots in EVENT_SHAPES:  # the keys a reader checks are in every shape
-            assert set(EVENT_KINDS[kind][1]) <= set(slots), kind
-            assert not {"seq", "tick", "kind"} & set(slots), kind
+        for kind, shape in SHAPES:  # the envelope first, every key of it read
+            assert list(shape)[:3] == ["seq", "tick", "kind"], kind
+            assert [read for _, read in list(shape.values())[:3]] == [True] * 3, kind
 
     @settings(max_examples=400, deadline=None)
     @given(event=bent())
@@ -227,6 +231,109 @@ class TestWriters:
         odd = {"seq": 0, "tick": 0, "kind": "pod-bound", "pod": "p", "node": "n", "x": []}
         assert trace_mod._line(odd) == reference_dump(odd)
         assert trace_mod._WRITERS is writers and trace_mod._FIRST_WRITER == first
+
+
+class TestOneTable:
+    """``trace.EVENTS`` is the one declaration of what an event holds: the
+    writers, the reader's checks, audit's ranks and the conformance check above
+    all come from it."""
+
+    @pytest.mark.parametrize("mark", ["!", ""], ids=["read", "unread"])
+    def test_a_key_added_to_one_shape_is_followed_everywhere(self, monkeypatch, mark):
+        # the frozen shape of conflict-resolved gains a key, in a copy of the table
+        events = dict(EVENTS)
+        arbitrated, frozen = events["conflict-resolved"].shapes
+        events["conflict-resolved"] = events["conflict-resolved"]._replace(
+            shapes=(arbitrated, f"{frozen} cause:str{mark}"))
+        built = trace_mod._build(events)
+        for name, value in zip(["SHAPES", "_WRITERS", "_FIRST_WRITER", "_READERS"], built):
+            monkeypatch.setattr(trace_mod, name, value)
+        event = {"seq": 4, "tick": 1, "kind": "conflict-resolved", "id": "c1", "conflict": "x",
+                 "instance": "i", "detected_tick": 1, "outcome": "frozen", "frozen": "a",
+                 "until": 3, "cause": "c0"}
+        old = {key: value for key, value in event.items() if key != "cause"}
+        # the writer of the new shape writes the key; the old shape is gone
+        with counted_dumps(trace_mod) as handed:
+            assert trace_mod._line(event) == reference_dump(event)
+            assert trace_mod._line(old) == reference_dump(old)
+        assert handed == [old]
+        # the conformance check expects the key
+        assert shape_of(event, built[0]) == shape_of(old) and shape_of(old, built[0]) is None
+        # the reader checks it only when it is marked as read
+        for bad, problem in [(old, "is missing"), ({**event, "cause": 7}, "must be str")]:
+            if mark:
+                with pytest.raises(ParseError) as err:
+                    _check_event(bad, 9)
+                assert str(err.value) == f"bad conflict-resolved event: 'cause' {problem} (line 9)"
+            else:
+                _check_event(bad, 9)
+        _check_event(event, 9)
+        # and the other shape of the kind is as it was
+        arbitrated_event = {**old, "outcome": "arbitrated", "winner": "a", "losers": ["b"]}
+        del arbitrated_event["frozen"], arbitrated_event["until"]
+        assert shape_of(arbitrated_event, built[0]) == shape_of(arbitrated_event) is not None
+
+    def test_a_key_is_checked_only_in_a_shape_that_marks_it_read(self):
+        # pod-bound's preempted is read; on another kind it is an extra key
+        # that no reader reads, like any other
+        tick_end = {"seq": 0, "tick": 0, "kind": "tick-end", "bound": 0, "pending": 0,
+                    "terminated": 0, "pods": 0}
+        for extra in [{"preempted": 7}, {"preempted": [1]}, {"winner": 7}, {"until": "x"}]:
+            _check_event({**tick_end, **extra}, 1)
+        bound = {"seq": 0, "tick": 0, "kind": "pod-bound", "pod": "p", "node": "n"}
+        with pytest.raises(ParseError, match="^bad pod-bound event: 'preempted' must be a list"):
+            _check_event({**bound, "preempted": 7}, 1)
+
+    def test_audit_ranks_each_kind_by_the_table(self):
+        assert audit._RANKS == {name: kind.rank for name, kind in EVENTS.items()}
+
+    def test_readme_lists_each_kind_under_its_phase(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## Traces"):]
+        phases = section[section.index("\n1. ") + 1:section.index("\n\n", section.index("\n1. "))]
+        listed = [(name, int(number)) for number, item in
+                  re.findall(r"^(\d+)\. (.*(?:\n {3}.*)*)", phases, flags=re.M)
+                  for name in re.findall(r"`([^`]+)`", item) if name in EVENTS]
+        assert len(listed) == len(dict(listed))  # each kind once
+        assert dict(listed) == {name: kind.rank for name, kind in EVENTS.items()}
+
+    def test_no_module_level_name_is_bound_twice(self):
+        # the branches of a module-level if are alternatives: each binds once
+        def bound(statements) -> list[str]:
+            names = []
+            for node in statements:
+                if isinstance(node, ast.If):
+                    names += sorted(set(bound(node.body)) | set(bound(node.orelse)))
+                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.append(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names += [n.id for t in targets for n in ast.walk(t)
+                              if isinstance(n, ast.Name)]
+            return names
+        names = bound(ast.parse(Path(trace_mod.__file__).read_text(encoding="utf-8")).body)
+        assert {"EVENTS", "_TEXT", "_dump"} <= set(names)
+        assert sorted(name for name in set(names) if names.count(name) > 1) == []
+
+
+class TestTraceValue:
+    def test_a_trace_equals_only_a_trace(self, case1):
+        _, text, _ = case1
+        trace = parse_trace(text)
+        assert trace.__eq__(text) is NotImplemented
+        assert trace != text and trace != None  # noqa: E711 (the comparison under test)
+        assert trace == run(load_scenario("case1"))[0]
+
+    def test_repr_shows_events_unread_until_read(self):
+        # keys in sorted order, as they are read
+        header = {"extra_events": [], "format": TRACE_FORMAT, "initial": [], "scenario_hash": "x"}
+        event = {"bound": 0, "kind": "tick-end", "pending": 0, "pods": 0, "seq": 0,
+                 "terminated": 0, "tick": 0}
+        trace = parse_trace(_dump(header) + "\n" + _dump(event) + "\n")
+        assert repr(trace) == f"Trace(header={header!r}, events=<unread>)"
+        assert trace.events == [event]
+        assert repr(trace) == f"Trace(header={header!r}, events={[event]!r})"
+        assert repr(Trace(header, [event])) == repr(trace)
 
 
 def outcome(load, text):
@@ -439,10 +546,8 @@ class TestRoundTrip:
 
 def checked_keys(event) -> set[str]:
     """The keys of *event* that ``parse_trace`` type-checks."""
-    keys = {"seq", "tick", "kind", "preempted", *EVENT_KINDS[event["kind"]][1]}
-    if event["kind"] == "conflict-resolved":
-        keys |= {"winner"} if event["outcome"] == "arbitrated" else {"frozen", "until"}
-    return keys
+    pick, specs = trace_mod._READERS[event["kind"]]
+    return {key for key, _ in specs[pick(event)]}
 
 
 # the modules that make up the engine, which the reader of the events stands apart from
@@ -490,7 +595,7 @@ class TestAuditReader:
     def test_only_the_placement_kinds_move_placements(self, pinned_runs):
         # check_invariants feeds its fold only these kinds; a kind outside
         # them that moved a placement would go unchecked
-        assert audit.PLACEMENT_KINDS < set(EVENT_KINDS)
+        assert audit.PLACEMENT_KINDS < set(EVENTS)
         fed = set()
         for scn, trace in pinned_runs:
             fold = audit.Metrics(placements={e["pod"]: e["node"]
@@ -503,7 +608,7 @@ class TestAuditReader:
                     fed.add(event["kind"])
                     assert (fold.placements, fold.pending, fold.evicted,
                             fold.terminated) == before, (scn.data["name"], event)
-        assert fed == set(EVENT_KINDS) - audit.PLACEMENT_KINDS
+        assert fed == set(EVENTS) - audit.PLACEMENT_KINDS
 
     def test_the_scan_finds_an_engine_import_in_every_form(self):
         source = ("from . import trace, sim\nimport loopsim.cluster\nimport collections.abc\n"
