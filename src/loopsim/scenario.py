@@ -570,7 +570,9 @@ def loads(text: str, seed: int | None = None, ticks: int | None = None) -> Scena
     try:
         _check_depth(text)
         data = yaml.load(text, Loader=YAML_LOADER)
-    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml's lone surrogate
+    except (yaml.YAMLError, ValueError) as exc:
+        # a ValueError is libyaml's lone surrogate or a scalar PyYAML cannot
+        # build: an int over 4300 digits, a date with a 13th month
         line = None
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

@@ -529,6 +529,9 @@ def load_events_file(path: str) -> list[dict]:
                 events.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{i}: bad event line: {exc}") from None
+            except ValueError:  # an int longer than int's text may be: 4300 digits by default
+                raise ValidationError(
+                    f"{path}:{i}: bad event line: an integer too long to read") from None
             except RecursionError:
                 raise ValidationError(f"{path}:{i}: bad event line: nested too deeply") from None
     return events

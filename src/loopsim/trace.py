@@ -12,7 +12,9 @@ reads it. At import it gives each shape a writer compiled from the table
 alone, the reader its checks and ``audit`` its ranks. ``_line`` writes an
 event with the writer of its shape; any other event, and the header, goes to
 ``_dump``, the reference encoder, which gives ``json.dumps``'s bytes or raises
-its error.
+its error. A writer takes a float's text from ``_FLOAT_TEXT``, a bounded memo
+of ``repr`` of the nonzero floats written lately, so the memo never changes a
+byte.
 
 ``Trace.chunks`` is the one producer of a trace's text, ``CHUNK_LINES`` event
 lines at a time.
@@ -136,7 +138,27 @@ def make({keys}, {texts}, then):
 # a slot's check, and its text in the line, by the slot's JSON type
 _GUARD = {str: "type({v}) is str", int: "type({v}) is int",
           float: "type({v}) is float and {v} - {v} == 0.0", list: "type({v}) is list"}
-_TEXT = {str: "{{_s({v})}}", int: "{{{v}}}", float: "{{{v}!r}}", list: "{{_join(map(_s, {v}))}}"}
+_TEXT = {str: "{{_s({v})}}", int: "{{{v}}}", float: "{{_float_get({v}) or _float_text({v})}}",
+         list: "{{_join(map(_s, {v}))}}"}
+
+# A float's text, repr(v), for the floats written lately: a region's truth, a
+# loop's level and an intent's magnitude recur within a tick and from one to
+# the next. The writers reach the dict through _float_get, bound once, so it
+# is emptied in place and never rebound; what it holds never changes a byte.
+_FLOAT_TEXT: dict[float, str] = {}
+_FLOAT_TEXT_MAX = 256  # entries; a tick writes a few dozen floats
+_float_get = _FLOAT_TEXT.get
+
+
+def _float_text(v: float) -> str:
+    """``repr(v)``, kept for the next write of *v*, unless *v* is zero:
+    ``0.0 == -0.0`` with one hash, but ``"0.0" != "-0.0"``."""
+    text = repr(v)
+    if v:
+        if len(_FLOAT_TEXT) >= _FLOAT_TEXT_MAX:
+            _FLOAT_TEXT.clear()
+        _FLOAT_TEXT[v] = text
+    return text
 
 
 def _writer(kind: str, shape: dict[str, tuple[type, bool]], then):

@@ -113,6 +113,18 @@ class TestRun:
         assert code == 2
         assert err == f"error: {events}:1: bad event line: nested too deeply\n"
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"tick": 1, "kind": "release",\n', "Expecting property name enclosed in double "
+         "quotes: line 1 column 31 (char 30)"),
+        ('{"tick": ' + "9" * 5001 + ', "kind": "release", "acl": "acl1"}\n',
+         "an integer too long to read"),
+    ], ids=["malformed", "5001-digit-tick"])
+    def test_unreadable_events_line_is_an_input_error(self, capsys, tmp_path, line, message):
+        events = tmp_path / "ops.jsonl"
+        events.write_text(json.dumps({"tick": 1, "kind": "release", "acl": "acl1"}) + "\n" + line)
+        code, _, err = invoke(capsys, "run", "case1", "--events", str(events))
+        assert (code, err) == (2, f"error: {events}:2: bad event line: {message}\n")
+
     def test_unknown_scenario_is_an_input_error(self, capsys):
         code, _, err = invoke(capsys, "run", "no-such-scenario")
         assert code == 2
@@ -124,6 +136,19 @@ class TestRun:
         code, _, err = invoke(capsys, "run", str(path))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("body, problem", [
+        ("seed: " + "9" * 5001, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("name: 2020-13-45", "month must be in 1..12"),
+        ("name: !!timestamp 2020-02-30", "day is out of range for month"),
+    ], ids=["5001-digit-seed", "13th-month", "february-30"])
+    def test_scalar_yaml_cannot_build_is_an_input_error(self, capsys, tmp_path, body, problem):
+        path = tmp_path / "scalar.yaml"
+        path.write_text(body + "\n")
+        code, _, err = invoke(capsys, "run", str(path))
+        assert code == 2
+        assert err.startswith(f"error: invalid scenario YAML: {problem}")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_zero_agent_period_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "zero-period.yaml"

@@ -18,9 +18,9 @@ from loopsim.errors import (
 )
 from loopsim.scenario import from_dict, list_scenarios, load_scenario, loads
 from loopsim.sim import (
-    World, check_invariants, load_events_file, run, summarize, verify_trace,
+    Metrics, World, check_invariants, load_events_file, run, summarize, verify_trace,
 )
-from loopsim.trace import load_trace, parse_trace
+from loopsim.trace import Trace, load_trace, parse_trace
 from loopsim.traffic import TrafficModel
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -472,6 +472,12 @@ class TestSuspensionAndRelease:
         assert revived and min(revived) == 25
         assert world.agents["burst"].lifecycle.value == "Active"
 
+    def test_summary_names_the_suspended_agent(self):
+        trace, _, _ = run(self.scenario())
+        assert "suspended agents: burst" in summarize(trace).split("\n")
+        assert "suspended agents:" not in summarize(run(self.scenario(), extra_events=[
+            {"tick": 25, "kind": "release", "acl": "burst"}])[0])
+
     def test_extra_events_are_recorded_in_the_header(self):
         release = [{"tick": 25, "kind": "release", "acl": "burst"}]
         trace, _, _ = run(self.scenario(), extra_events=release)
@@ -523,6 +529,13 @@ class TestSummarize:
         })
         trace, _, _ = run(scn)
         assert "n1: keeper" in summarize(trace)
+
+    def test_a_loop_with_no_predictions_has_no_error(self):
+        trace, _, _ = run(load_scenario("case1"))
+        events = [e for e in trace.events if (e["kind"], e.get("acl")) != ("prediction", "acl2")]
+        metrics = Metrics.from_trace(Trace(trace.header, events))
+        assert list(metrics.predictions) == ["acl1"]
+        assert metrics.mae("acl2") == 0.0
 
 
 class TestIdleScenario:

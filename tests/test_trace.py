@@ -233,6 +233,48 @@ class TestWriters:
         assert trace_mod._WRITERS is writers and trace_mod._FIRST_WRITER == first
 
 
+FLOAT_SHAPES = [shape for shape in SHAPES if float in slots(shape[1]).values()]
+# zero of both signs, the least subnormal and a float near the largest: few
+# values, so that they repeat within a line and across lines
+POOL = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+
+
+class TestFloatText:
+    """A float slot's text comes from a bounded memo of the floats written
+    lately, and is always ``repr`` of the value."""
+
+    @pytest.mark.parametrize("copy", COPIES)
+    def test_zero_of_either_sign_and_an_equal_value_are_written_as_dump_writes_them(self, copy):
+        module = COPIES[copy]()
+        module._FLOAT_TEXT.clear()
+        values = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.1 + 0.2, 0.30000000000000004]
+        for seq, value in enumerate(values):
+            event = {"seq": seq, "tick": 1, "kind": "prediction", "acl": "a",
+                     "value": value, "truth": value}
+            assert module._line(event) == module._dump(event), value
+        assert 0.0 not in module._FLOAT_TEXT
+        assert module._FLOAT_TEXT == {0.30000000000000004: "0.30000000000000004"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(events=st.lists(st.sampled_from(FLOAT_SHAPES).flatmap(
+        lambda shape: st.fixed_dictionaries({"kind": st.just(shape[0]), **{
+            key: st.sampled_from(POOL) if t is float else GOOD[t]
+            for key, t in slots(shape[1]).items()}})), min_size=1, max_size=30))
+    @pytest.mark.parametrize("copy", COPIES)
+    def test_repeated_floats_are_written_as_dump_writes_them(self, copy, events):
+        module = COPIES[copy]()
+        for event in events:
+            assert module._line(event) == module._dump(event)
+        assert 0.0 not in module._FLOAT_TEXT
+
+    def test_the_memo_never_holds_more_than_its_bound(self):
+        trace = run(load_scenario("three-acl-conflict", ticks=2000))[0]
+        floats = {v for event in trace.events for v in event.values() if type(v) is float}
+        assert len(floats) > trace_mod._FLOAT_TEXT_MAX  # the memo is emptied at least once
+        trace.dumps()
+        assert 0 < len(trace_mod._FLOAT_TEXT) <= trace_mod._FLOAT_TEXT_MAX
+
+
 class TestOneTable:
     """``trace.EVENTS`` is the one declaration of what an event holds: the
     writers, the reader's checks, audit's ranks and the conformance check above
